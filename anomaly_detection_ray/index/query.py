@@ -25,8 +25,11 @@ scores can differ by one float association ulp):
 
 An engine instance holds the term-stats dictionary and a pyarrow
 dataset over the postings files (loaded once — use as an actor-pool
-member for serving). Chunk reads go through Parquet predicate pushdown
-on the ``term`` column; rows are term-sorted so row-group stats prune.
+member for serving). Under the same ``preload_bytes`` budget it also
+holds the docmap's metadata columns in memory, each loaded on first use;
+aggregations read them for a request's hit set, computed once. Chunk
+reads go through Parquet predicate pushdown on the ``term`` column; rows
+are term-sorted so row-group stats prune.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from glob import glob
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from ..functions.analyzer import Analyzer
 from ..functions.bm25 import idf as bm25_idf
@@ -209,7 +214,6 @@ class QueryEngine:
     def __init__(self, index_dir: str, preload_bytes: int = 2 << 30,
                  postings_cache_bytes: int = 256 << 20,
                  dict_budget_bytes: int = 1 << 30):
-        import pyarrow.parquet as pq
         from collections import OrderedDict
 
         with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
@@ -278,6 +282,16 @@ class QueryEngine:
         ]
         docmap = sorted(f for _, fs in self._docmap_parts for f in fs)
         self._docmap = pads.dataset(docmap, format="parquet") if docmap else None
+        # The docmap counts against the same preload_bytes budget: when it
+        # fits next to the preloaded postings, its columns are held in
+        # memory (each loaded on first use); a larger docmap is scanned
+        # per request with predicate pushdown.
+        used = total if self._preloaded else 0
+        self.docmap_in_memory = sum(os.path.getsize(f) for f in docmap) <= preload_bytes - used
+        self._dm_schema: pa.Schema | None = None
+        self._dm_ids: np.ndarray | None = None  # sorted live doc ids
+        self._dm_take: pa.Array | None = None  # their rows in the file-order docmap
+        self._dm_cols: dict[str, pa.Array] = {}
         # per-term DECODED postings cache (LRU, byte-capped): varint
         # decode of a dense term is the serving hot path's dominant cost
         # (~30 ms/query measured); repeated query vocab hits the cache
@@ -697,8 +711,6 @@ class QueryEngine:
         """Dictionary terms matching an anchored regex, scanning only the
         ``prefix``-bounded range of the sorted vocabulary — one vectorized
         RE2 match over the Arrow slice (see termscan module docstring)."""
-        import pyarrow.compute as pc
-
         terms: list[str] = []
         for sl in self._dict.iter_slices(prefix):
             terms.extend(
@@ -748,8 +760,6 @@ class QueryEngine:
         at ``max_expansions``. ``transpositions=True`` = OSA distance
         (``transpositions=False`` is the DuckDB-``levenshtein`` exact
         oracle mode)."""
-        import pyarrow.compute as pc
-
         from .termscan import _rank_matches, auto_fuzziness, bounded_distances_arrow
 
         max_edits = auto_fuzziness(term) if fuzziness == "AUTO" else int(fuzziness)
@@ -819,8 +829,6 @@ class QueryEngine:
         if tbl is None:
             return {t: np.empty(0, dtype=np.int64) for t in set(terms)}
         out: dict[str, np.ndarray] = {}
-        import pyarrow.compute as pc
-
         for t in set(terms):
             sub = tbl.filter(pc.equal(tbl["term"], t))
             lst = sub["positions"].combine_chunks()
@@ -903,15 +911,109 @@ class QueryEngine:
             s = s[np.isin(s + np.int64(len(terms) - 1), last_keys)]
         return np.unique(s >> np.int64(32)).astype(np.int64)
 
+    # ---------- docmap (metadata columns) ----------
+
     def docmap(self) -> pads.Dataset:
         if self._docmap is None:
             raise FileNotFoundError("index has no docmap")
         return self._docmap
 
-    def live_docmap(self, columns: list[str] | None = None,
-                    filter=None) -> pa.Table:
+    def _has_docmap(self) -> bool:
+        """False for a legitimately-empty index (e.g. compacted after
+        deleting everything), which has zero docmap rows."""
+        if self._docmap is None and self.n_docs != 0:
+            raise FileNotFoundError("index has no docmap")
+        return self._docmap is not None
+
+    def docmap_schema(self) -> pa.Schema:
+        """Union of the docmap files' schemas (update files need not
+        repeat every keep_col); only ``doc_id`` without docmap files."""
+        if self._dm_schema is None:
+            schemas = [pq.read_schema(f) for _, fs in self._docmap_parts for f in fs]
+            self._dm_schema = (pa.unify_schemas(schemas) if schemas
+                               else pa.schema([("doc_id", pa.int64())]))
+        return self._dm_schema
+
+    def is_docmap_field(self, field: str) -> bool:
+        return field in self.docmap_schema().names
+
+    def live_ids(self) -> np.ndarray:
+        """Sorted doc ids of the live docmap rows (scoped tombstones
+        applied), read once per engine — an engine serves one manifest
+        generation."""
+        if self._dm_ids is None:
+            if not self._has_docmap():
+                self._dm_ids = np.empty(0, dtype=np.int64)
+            elif self.docmap_in_memory:
+                parts = [(sid, pq.read_table(f, columns=["doc_id"])["doc_id"])
+                         for sid, fs in self._docmap_parts for f in fs]
+                ids = np.concatenate([c.to_numpy() for _, c in parts]).astype(np.int64)
+                rows = np.arange(ids.size)
+                if self.deleted.size:
+                    slices = np.repeat([sid for sid, _ in parts], [len(c) for _, c in parts])
+                    rows = rows[self._live(ids, slices)]
+                rows = rows[np.argsort(ids[rows], kind="stable")]
+                self._dm_take = pa.array(rows)
+                self._dm_ids = ids[rows]
+            else:
+                t = self.live_docmap(columns=["doc_id"])
+                self._dm_ids = np.sort(t["doc_id"].to_numpy().astype(np.int64))
+        return self._dm_ids
+
+    def docmap_column(self, field: str) -> pa.Array:
+        """``field`` of every live docmap row, aligned with
+        :meth:`live_ids`. In memory: read once across the slices, null
+        where a file lacks the column. Over budget: one scan per call."""
+        col = self._dm_cols.get(field)
+        if col is not None:
+            return col
+        if not (self.docmap_in_memory and self._has_docmap()):
+            return self.docmap_rows([field])[field].combine_chunks()
+        if field == "doc_id":
+            col = pa.array(self.live_ids())
+        else:
+            self.live_ids()  # sets the live row selection
+            typ = self.docmap_schema().field(field).type
+            parts = []
+            for _, fs in self._docmap_parts:
+                for f in fs:
+                    have = field in pq.read_schema(f).names
+                    t = pq.read_table(f, columns=[field] if have else [])
+                    parts.append(t[field].cast(typ) if have else
+                                 pa.chunked_array([pa.nulls(t.num_rows, typ)]))
+            col = pa.chunked_array([c for p in parts for c in p.chunks], typ)
+            col = col.take(self._dm_take).combine_chunks()
+        self._dm_cols[field] = col
+        return col
+
+    def docmap_rows(self, columns: list[str], docs: np.ndarray | None = None) -> pa.Table:
+        """Live docmap rows in doc_id order — ``doc_id`` plus ``columns``
+        — for the sorted doc-id array ``docs`` (None = every live row).
+        In memory the rows are found by binary search on the cached
+        doc_id column; over budget by one pushdown scan."""
+        cols = [c for c in dict.fromkeys(columns) if c != "doc_id"]
+        if not self._has_docmap():
+            return pa.table({"doc_id": pa.array([], pa.int64()),
+                             **{c: pa.nulls(0) for c in cols}})
+        if not self.docmap_in_memory:
+            filt = None if docs is None else pc.field("doc_id").isin(docs)
+            t = self.live_docmap(columns=["doc_id", *cols], filter=filt)
+            return t.take(pa.array(np.argsort(t["doc_id"].to_numpy(), kind="stable")))
+        ids = self.live_ids()
+        pos = None
+        if docs is not None:
+            pos = np.minimum(np.searchsorted(ids, docs), max(ids.size - 1, 0))
+            pos = pos[ids[pos] == docs] if ids.size else pos[:0]
+        out = {"doc_id": pa.array(ids if pos is None else ids[pos])}
+        for c in cols:
+            col = self.docmap_column(c)
+            out[c] = col if pos is None else col.take(pa.array(pos))
+        return pa.table(out)
+
+    def live_docmap(self, columns: list[str], filter=None) -> pa.Table:
         """Docmap restricted to live rows (scoped tombstones applied per
-        slice) — what metadata queries evaluate against.
+        slice) by a per-slice parquet scan — the path of a docmap over
+        the engine's ``preload_bytes`` budget.
 
         ``columns``/``filter`` push straight down into the per-slice
         parquet scan (row-group pruning + column projection), so a
@@ -919,33 +1021,20 @@ class QueryEngine:
         groups of the needed columns, not the whole docmap. Requesting a
         column a slice lacks null-fills it (update files need not repeat
         every keep_col)."""
-        if self._docmap is None:
-            if self.n_docs == 0:  # a legitimately-empty index (e.g.
-                # compacted after deleting everything) has zero docmap rows
-                return pa.schema([("doc_id", pa.int64())]).empty_table()
-            raise FileNotFoundError("index has no docmap")
-        if columns is not None and "doc_id" not in columns:
+        if not self._has_docmap():
+            return pa.schema([("doc_id", pa.int64())]).empty_table()
+        if "doc_id" not in columns:
             columns = ["doc_id", *columns]  # tombstone filtering needs it
-        # unified schema across slices (update files may lack keep_cols);
         # missing columns null-fill with their TRUE type from the union
-        if getattr(self, "_docmap_schema", None) is None:
-            self._docmap_schema = pa.unify_schemas(
-                [
-                    pads.dataset(files, format="parquet").schema
-                    for _, files in self._docmap_parts
-                    if files
-                ]
-            )
-        target = self._docmap_schema
+        target = self.docmap_schema()
         parts = []
         for sid, files in self._docmap_parts:
             if not files:
                 continue
             ds = pads.dataset(files, format="parquet")
             have = set(ds.schema.names)
-            want = columns if columns is not None else target.names
-            cols = [c for c in want if c in have]
-            pad_cols = [c for c in want if c not in have]
+            cols = [c for c in columns if c in have]
+            pad_cols = [c for c in columns if c not in have]
             try:
                 t = ds.to_table(columns=cols, filter=filter)
             except (pa.ArrowInvalid, KeyError):
@@ -959,8 +1048,7 @@ class QueryEngine:
                 t = t.filter(pa.array(keep))
             parts.append(t)
         if not parts:
-            want = columns if columns is not None else target.names
-            return pa.schema([target.field(c) for c in want]).empty_table()
+            return pa.schema([target.field(c) for c in columns]).empty_table()
         return pa.concat_tables(parts, promote_options="default")
 
     # ---------- distributed scoring (doc-bucket parallel) ----------
@@ -1092,21 +1180,26 @@ class QueryEngine:
             hits = [(d, s) for d, s in hits if d != exclude_doc][:k]
         return hits
 
-    def facets(
-        self, filter_query: dict | None, field: str, k: int = 10
-    ) -> list[tuple[object, int]]:
-        """Terms-aggregation facet over the docs matching ``filter_query``:
-        top-k (value, doc_count) of a docmap column, count desc then
+    # ---------- aggregations over a hit set ----------
+    # Every aggregation takes ``docs``, the sorted doc-id array of the
+    # request's hits (``execute_filter`` of a filter query, or the set
+    # ``search`` counts in ``hits.total``), so one request evaluates its
+    # query once however many aggregations it carries.
+
+    def _agg_values(self, docs: np.ndarray | None, field: str) -> pa.ChunkedArray:
+        """Non-null ``field`` values of the ``docs`` rows (None = all)."""
+        return pc.drop_null(self.docmap_rows([field], docs)[field])
+
+    def _agg_floats(self, docs: np.ndarray, field: str) -> np.ndarray:
+        return self._agg_values(docs, field).to_numpy().astype(np.float64)
+
+    def facets(self, docs: np.ndarray, field: str, k: int = 10) -> list[tuple[object, int]]:
+        """Terms-aggregation facet over ``docs``: top-k (value,
+        doc_count) of a docmap column, count desc then
         value asc — the aggs-on-hits shape OpenSearch pairs with every
         search (the reference composes exactly this in ParseUtils'
         generated queries: a filtered search wrapping a terms agg)."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id"] if field == "doc_id" else ["doc_id", field]
-        t = self.live_docmap(columns=cols)
-        if docs.size < t.num_rows:
-            t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
+        t = self.docmap_rows([field], docs)
         # missing values drop out of the buckets (OpenSearch terms aggs
         # default) — a null bucket would also poison the (count, value)
         # sort when it ties a string bucket
@@ -1118,25 +1211,16 @@ class QueryEngine:
         )
         return [(v, int(c)) for v, c in rows[:k]]
 
-    def metric_agg(self, filter_query: dict | None, field: str, op: str):
-        """Metric aggregation over the docs matching ``filter_query`` —
+    def metric_agg(self, docs: np.ndarray, field: str, op: str):
+        """Metric aggregation over ``docs`` —
         the min/max/avg/sum/value_count/cardinality/stats single-value
         aggs OpenSearch pairs with searches (the reference issues these
         shapes over its result indices, e.g. the max-ts agg in
         ``SearchFeatureDao``). ``value_count`` counts non-null values,
         ``cardinality`` is EXACT distinct here (OpenSearch's is an
         approximate HLL — documented difference, same contract
-        otherwise), ``stats`` returns the composite dict. Pushes the
-        column projection into the docmap scan like :meth:`facets`."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id"] if field == "doc_id" else ["doc_id", field]
-        t = self.live_docmap(columns=cols)
-        if docs.size < t.num_rows:
-            t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
-        col = t[field]
-        valid = t.filter(pc.is_valid(col))[field]
+        otherwise), ``stats`` returns the composite dict."""
+        valid = self._agg_values(docs, field)
         if op == "value_count":
             return int(len(valid))
         if op == "cardinality":
@@ -1158,7 +1242,7 @@ class QueryEngine:
                 return {"count": 0, "min": None, "max": None, "avg": None,
                         "sum": 0.0, "sum_of_squares": 0.0, "variance": None,
                         "std_deviation": None, "std_deviation_bounds": None}
-            v = valid.to_numpy(zero_copy_only=False).astype(np.float64)
+            v = valid.to_numpy().astype(np.float64)
             avg = float(v.mean())
             var = float(v.var())  # population variance, like OpenSearch
             std = float(np.sqrt(var))
@@ -1185,22 +1269,14 @@ class QueryEngine:
             return float(fn(valid).as_py())
         raise ValueError(f"unsupported metric aggregation {op!r}")
 
-    def histogram_agg(self, filter_query: dict | None, field: str,
+    def histogram_agg(self, docs: np.ndarray, field: str,
                       interval: float, min_doc_count: int = 0) -> list[dict]:
         """Histogram aggregation: fixed-width buckets keyed
         ``floor(v / interval) × interval`` over the matching docs' column
         (OpenSearch semantics incl. negative values; empty buckets
         between populated ones are emitted unless ``min_doc_count`` > 0,
         matching min_doc_count=0's default gap-filling)."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id"] if field == "doc_id" else ["doc_id", field]
-        t = self.live_docmap(columns=cols)
-        if docs.size < t.num_rows:
-            t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
-        col = t[field]
-        vals = t.filter(pc.is_valid(col))[field].to_numpy(zero_copy_only=False).astype(np.float64)
+        vals = self._agg_floats(docs, field)
         if vals.size == 0:
             return []
         keys = np.floor(vals / float(interval)) * float(interval)
@@ -1213,7 +1289,7 @@ class QueryEngine:
         return [{"key": float(k), "doc_count": int(c)}
                 for k, c in zip(uniq, counts) if c >= min_doc_count]
 
-    def date_histogram_agg(self, filter_query: dict | None, field: str,
+    def date_histogram_agg(self, docs: np.ndarray, field: str,
                            fixed_interval: str, min_doc_count: int = 0) -> list[dict]:
         """date_histogram with a ``fixed_interval`` (``"30s"``/``"5m"``/
         ``"1h"``/``"1d"`` — OpenSearch's fixed units; calendar intervals
@@ -1221,24 +1297,16 @@ class QueryEngine:
         floored to the interval, the same tumbling-window rule as the
         events side (``dataStart -= dataStart % interval``)."""
         ms = _parse_fixed_interval_ms(fixed_interval)
-        return self.histogram_agg(filter_query, field, float(ms),
+        return self.histogram_agg(docs, field, float(ms),
                                   min_doc_count=min_doc_count)
 
-    def range_agg(self, filter_query: dict | None, field: str,
+    def range_agg(self, docs: np.ndarray, field: str,
                   ranges: list[dict]) -> list[dict]:
         """Range aggregation: explicit [from, to) buckets (half-open like
         OpenSearch; either bound optional), doc counts over the matching
         docs' column. Buckets may overlap — each is counted
         independently, exactly like OpenSearch."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id"] if field == "doc_id" else ["doc_id", field]
-        t = self.live_docmap(columns=cols)
-        if docs.size < t.num_rows:
-            t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
-        col = t[field]
-        vals = t.filter(pc.is_valid(col))[field].to_numpy(zero_copy_only=False).astype(np.float64)
+        vals = self._agg_floats(docs, field)
         out = []
         for r in ranges:
             lo, hi = r.get("from"), r.get("to")
@@ -1256,7 +1324,7 @@ class QueryEngine:
             out.append(b)
         return out
 
-    def percentiles_agg(self, filter_query: dict | None, field: str,
+    def percentiles_agg(self, docs: np.ndarray, field: str,
                         percents=(1, 5, 25, 50, 75, 95, 99)) -> dict:
         """Percentiles aggregation over the matching docs' column —
         OpenSearch's default percents and response shape
@@ -1264,16 +1332,7 @@ class QueryEngine:
         where OpenSearch serves a t-digest approximation — same contract,
         documented difference (the events-side feature aggs offer the
         mergeable t-digest variant, ``functions/sketches.py``)."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id"] if field == "doc_id" else ["doc_id", field]
-        t = self.live_docmap(columns=cols)
-        if docs.size < t.num_rows:
-            t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
-        col = t[field]
-        vals = t.filter(pc.is_valid(col))[field].to_numpy(zero_copy_only=False)
-        vals = vals.astype(np.float64)
+        vals = self._agg_floats(docs, field)
         if vals.size == 0:
             return {"values": {f"{float(p)}": None for p in percents}}
         qs = np.percentile(vals, list(percents))
@@ -1318,7 +1377,7 @@ class QueryEngine:
             out.append(entry)
         return out
 
-    def percentile_ranks_agg(self, filter_query: dict | None, field: str,
+    def percentile_ranks_agg(self, docs: np.ndarray, field: str,
                              values) -> dict:
         """percentile_ranks aggregation: for each given value, the
         percentage of the matching docs' column at or below it —
@@ -1326,16 +1385,7 @@ class QueryEngine:
         ({"values": {"500.0": 55.1}}). EXACT where OpenSearch serves a
         t-digest approximation (same documented difference as
         :meth:`percentiles_agg`)."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id"] if field == "doc_id" else ["doc_id", field]
-        t = self.live_docmap(columns=cols)
-        if docs.size < t.num_rows:
-            t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
-        col = t[field]
-        vals = t.filter(pc.is_valid(col))[field].to_numpy(zero_copy_only=False)
-        vals = np.sort(vals.astype(np.float64))
+        vals = np.sort(self._agg_floats(docs, field))
         out = {}
         for v in values:
             if vals.size == 0:
@@ -1346,32 +1396,23 @@ class QueryEngine:
                 )
         return {"values": out}
 
-    def significant_terms_agg(self, filter_query: dict | None, field: str,
+    def significant_terms_agg(self, docs: np.ndarray, field: str,
                               size: int = 10) -> list[dict]:
         """significant_terms over a keyword docmap column: terms
         overrepresented in the MATCHING docs (foreground) vs the whole
         live index (background), scored with OpenSearch's default JLH
         heuristic — (fg% − bg%) × (fg%/bg%), terms with fg% ≤ bg%
         dropped — top ``size`` by (score desc, key asc). Buckets carry
-        doc_count (foreground), bg_count and score. One docmap scan and
-        two Arrow value_counts serve the request."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id"] if field == "doc_id" else ["doc_id", field]
-        t = self.live_docmap(columns=cols)
-        bg_valid = t.filter(pc.is_valid(t[field]))
-        bg_total = bg_valid.num_rows
-        bg_counts = {d["values"]: d["counts"]
-                     for d in pc.value_counts(bg_valid[field]).to_pylist()}
-        fg = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs))) \
-            if docs.size < t.num_rows else t
-        fg = fg.filter(pc.is_valid(fg[field]))
-        fg_total = fg.num_rows
+        doc_count (foreground), bg_count and score. Two Arrow
+        value_counts serve the request."""
+        bg = self._agg_values(None, field)
+        fg = self._agg_values(docs, field)
+        bg_total, fg_total = len(bg), len(fg)
+        bg_counts = {d["values"]: d["counts"] for d in pc.value_counts(bg).to_pylist()}
         if fg_total == 0 or bg_total == 0:
             return []
         buckets = []
-        for d in pc.value_counts(fg[field]).to_pylist():
+        for d in pc.value_counts(fg).to_pylist():
             term, fg_n = d["values"], d["counts"]
             bg_n = bg_counts[term]  # fg ⊆ bg, always present
             fg_pct = fg_n / fg_total
@@ -1385,19 +1426,6 @@ class QueryEngine:
         return buckets[:size]
 
     # -------------------------------------------------- sub-aggregations
-
-    def _subagg_table(self, filter_query: dict | None, fields: set[str]):
-        """Matching-docs docmap slice projected to ``fields`` — the shared
-        scan of every bucketed sub-aggregation path (one column-pruned
-        read, one membership filter)."""
-        import pyarrow.compute as pc
-
-        docs = self.execute_filter(filter_query)
-        cols = ["doc_id", *sorted(f for f in fields if f != "doc_id")]
-        t = self.live_docmap(columns=cols)
-        if docs.size < t.num_rows:
-            t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
-        return t
 
     def _grouped_subagg_rows(self, t, plan: list[tuple[str, str, str]],
                              keys: tuple[str, ...] = ("__key",)):
@@ -1444,7 +1472,7 @@ class QueryEngine:
                 out[name] = {"value": row.get(f"{f}_{op}")}
         return out
 
-    def terms_agg_subs(self, filter_query: dict | None, field: str,
+    def terms_agg_subs(self, docs: np.ndarray, field: str,
                        size: int, sub_aggs: dict,
                        order: dict | None = None) -> list[dict]:
         """Terms aggregation with nested METRIC SUB-AGGREGATIONS — the
@@ -1458,16 +1486,13 @@ class QueryEngine:
         ``"name.avg"`` path into a stats sub-agg; (key asc) breaks
         ties. One column-pruned scan + one Arrow group_by for ALL
         metrics."""
-        import pyarrow.compute as pc
-
         top_hits = {n: s["top_hits"] for n, s in sub_aggs.items()
                     if isinstance(s, dict) and "top_hits" in s}
         metrics = {n: s for n, s in sub_aggs.items() if n not in top_hits}
         plan = _sub_agg_plan(metrics)
         th_fields = {f for th in top_hits.values()
                      for f, _ in _parse_sort_keys(th.get("sort"))}
-        t = self._subagg_table(
-            filter_query, {field, *(f for _, _, f in plan), *th_fields})
+        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan), *th_fields}), docs)
         t = t.filter(pc.is_valid(t[field]))
         t = t.append_column("__key", t[field])
         rows = self._grouped_subagg_rows(t, plan)
@@ -1517,16 +1542,14 @@ class QueryEngine:
                     "hits": per_key.get(b["key"], []),
                 }}
 
-    def histogram_agg_subs(self, filter_query: dict | None, field: str,
+    def histogram_agg_subs(self, docs: np.ndarray, field: str,
                            interval: float, sub_aggs: dict,
                            min_doc_count: int = 0) -> list[dict]:
         """Histogram buckets (same keying/gap-fill rules as
         :meth:`histogram_agg`) with nested metric sub-aggregations; empty
         gap-filled buckets carry the empty-set metric values."""
-        import pyarrow.compute as pc
-
         plan = _sub_agg_plan(sub_aggs)
-        t = self._subagg_table(filter_query, {field, *(f for _, _, f in plan)})
+        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
         t = t.filter(pc.is_valid(t[field]))
         if t.num_rows == 0:
             return []
@@ -1550,7 +1573,7 @@ class QueryEngine:
                  **self._subagg_values(by_key[k], plan)}
                 for k in ks if by_key[k]["doc_id_count"] >= min_doc_count]
 
-    def calendar_histogram_agg(self, filter_query: dict | None, field: str,
+    def calendar_histogram_agg(self, docs: np.ndarray, field: str,
                                calendar_interval: str, min_doc_count: int = 0,
                                sub_aggs: dict | None = None) -> list[dict]:
         """date_histogram with a CALENDAR interval (week/month/quarter/
@@ -1559,12 +1582,10 @@ class QueryEngine:
         Bucket keys are the epoch-ms calendar floor; gap-fill enumerates
         calendar boundaries (min_doc_count=0 default). Metric sub-aggs
         ride the same single Arrow group_by."""
-        import pyarrow.compute as pc
-
         from ..stages.window import calendar_floor_ms
 
         plan = _sub_agg_plan(sub_aggs or {})
-        t = self._subagg_table(filter_query, {field, *(f for _, _, f in plan)})
+        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
         t = t.filter(pc.is_valid(t[field]))
         if t.num_rows == 0:
             return []
@@ -1586,7 +1607,7 @@ class QueryEngine:
                  **self._subagg_values(by_key[k], plan)}
                 for k in ks if by_key[k]["doc_id_count"] >= min_doc_count]
 
-    def composite_agg(self, filter_query: dict | None, sources: list[dict],
+    def composite_agg(self, docs: np.ndarray, sources: list[dict],
                       size: int = 10, after: dict | None = None,
                       sub_aggs: dict | None = None) -> dict:
         """Composite aggregation with after-key pagination — THE agg the
@@ -1601,8 +1622,6 @@ class QueryEngine:
         final page, like OpenSearch). Missing-value rows drop out
         (missing_bucket=false default). One pruned scan + one Arrow
         group_by serves every page request."""
-        import pyarrow.compute as pc
-
         if not sources:
             raise ValueError("composite needs at least one source")
         names, fields = [], []
@@ -1613,7 +1632,7 @@ class QueryEngine:
             names.append(name)
             fields.append(spec["terms"]["field"])
         plan = _sub_agg_plan(sub_aggs or {})
-        t = self._subagg_table(filter_query, {*fields, *(f for _, _, f in plan)})
+        t = self.docmap_rows(sorted({*fields, *(f for _, _, f in plan)}), docs)
         for f in fields:
             t = t.filter(pc.is_valid(t[f]))
         rows = self._grouped_subagg_rows(t, plan, keys=tuple(fields))
@@ -1637,15 +1656,13 @@ class QueryEngine:
             out["after_key"] = dict(buckets[-1]["key"])
         return out
 
-    def range_agg_subs(self, filter_query: dict | None, field: str,
+    def range_agg_subs(self, docs: np.ndarray, field: str,
                        ranges: list[dict], sub_aggs: dict) -> list[dict]:
         """Range buckets ([from, to) half-open, overlap allowed) with
         nested metric sub-aggregations — each bucket aggregates its own
         row mask independently, exactly like OpenSearch."""
-        import pyarrow.compute as pc
-
         plan = _sub_agg_plan(sub_aggs)
-        t = self._subagg_table(filter_query, {field, *(f for _, _, f in plan)})
+        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
         t = t.filter(pc.is_valid(t[field]))
         vals = t[field].to_numpy(zero_copy_only=False).astype(np.float64)
         out = []
@@ -1681,15 +1698,7 @@ class QueryEngine:
         ranking (tested). Uses the exact scoring path — pruning cannot
         bound a page that starts below the global top-k, the same reason
         OpenSearch charges deep pagination linearly."""
-        uniq, scores = self.bm25_scores(query)
-        if uniq.size == 0:
-            return []
-        if search_after is not None:
-            after_doc, after_score = int(search_after[0]), float(search_after[1])
-            keep = (scores < after_score) | (
-                (scores == after_score) & (uniq > after_doc)
-            )
-            uniq, scores = uniq[keep], scores[keep]
+        uniq, scores = _after_cursor(*self.bm25_scores(query), search_after)
         return _topk_with_ties(uniq, scores, k)
 
     def bm25_topk_filtered(self, query: str, filter_query: dict | None, k: int = 10) -> list[tuple[int, float]]:
@@ -1698,30 +1707,20 @@ class QueryEngine:
         bool(filter_query ∧ ...) wrapping the scored part."""
         if not filter_query or "match_all" in filter_query:
             return self.bm25_topk(query, k=k)
-        allowed = self.execute_filter(filter_query)
-        terms = self.query_terms(query)
-        if allowed.size == 0:
-            return []
-        docs_parts, imp_parts = [], []
-        for t in terms:
-            docs_t, tfs_t, dls_t = self.term_arrays(t)
-            if docs_t.size == 0:
-                continue
-            wt = float(bm25_idf(self.df(t), self.n_docs))
-            docs_parts.append(docs_t)
-            imp_parts.append(wt * tf_norm(tfs_t, dls_t, self.avgdl))
-        if not docs_parts:
-            return []
-        docs = np.concatenate(docs_parts)
-        imps = np.concatenate(imp_parts)
-        keep = np.isin(docs, allowed)
-        docs, imps = docs[keep], imps[keep]
-        if docs.size == 0:
-            return []
-        uniq, inv = np.unique(docs, return_inverse=True)
-        scores = np.zeros(uniq.size)
-        np.add.at(scores, inv, imps)
-        return _topk_with_ties(uniq, scores, k)
+        docs, scores = self.bm25_scores(query)
+        keep = np.isin(docs, self.execute_filter(filter_query), assume_unique=True)
+        return _topk_with_ties(docs[keep], scores[keep], k)
+
+
+def _after_cursor(uniq: np.ndarray, scores: np.ndarray,
+                  search_after: tuple[int, float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The hits strictly after a ``(doc_id, score)`` cursor in (score
+    desc, doc_id asc) order (all of them without a cursor)."""
+    if search_after is None:
+        return uniq, scores
+    after_doc, after_score = int(search_after[0]), float(search_after[1])
+    keep = (scores < after_score) | ((scores == after_score) & (uniq > after_doc))
+    return uniq[keep], scores[keep]
 
 
 def _match_text_and_default(body: dict) -> tuple[str, bool]:
@@ -1879,11 +1878,7 @@ def _leaf_should_scores(engine: QueryEngine, clause: dict) -> tuple[np.ndarray, 
     ((kind, body),) = clause.items()
     if kind == "term":
         ((field, value),) = body.items()
-        if getattr(engine, "_compiler", None) is None:
-            from .queryast import QueryCompiler
-
-            engine._compiler = QueryCompiler(engine)
-        if not engine._compiler._is_meta_field(field):
+        if not engine.is_docmap_field(field):
             docs, tfs, dls = engine.term_arrays(str(value))
             if docs.size == 0:
                 return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
@@ -2010,7 +2005,9 @@ def search(engine: QueryEngine, body: dict, source_files: list[str] | None = Non
          "aggregations": {name: {"buckets": [{"key", "doc_count"}]}}}
 
     Query context: a top-level ``match`` (or single bool-must match)
-    scores with BM25 over the residual filter (``bm25_topk_filtered``);
+    scores with BM25 over the residual filter, evaluated once: the hit
+    set it leaves is what the page ranks, ``hits.total`` counts and
+    every aggregation reads;
     pure filter context returns constant score 1.0 in doc_id order
     (OpenSearch's filter/constant_score behavior). ``aggs`` = terms
     facets over the full matching set (not just the page), like
@@ -2018,8 +2015,6 @@ def search(engine: QueryEngine, body: dict, source_files: list[str] | None = Non
     metadata + lineage hashes in the docmap, not the text, so snippets
     read exactly the hit rows back from the source parquet (predicate
     pushdown), trading _source storage for corpus-scale index size."""
-    import pyarrow.compute as pc
-
     size = int(body.get("size", 10))
     frm = int(body.get("from", 0))
     if frm > 0 and body.get("search_after") is not None:
@@ -2059,42 +2054,36 @@ def search(engine: QueryEngine, body: dict, source_files: list[str] | None = Non
         # None/[] — the splitter treats dis_max as pure residual)
         if body.get("search_after") is not None:
             raise ValueError("search_after supports pure match queries")
-        docs_d, sc_d = _dis_max_scores(engine, query["dis_max"])
-        page = _topk_with_ties(docs_d, sc_d, frm + size)[frm:]
-        total = int(docs_d.size)
+        hitset, sc_d = _dis_max_scores(engine, query["dis_max"])
+        page = _topk_with_ties(hitset, sc_d, frm + size)[frm:]
         hits = [{"_id": int(d), "_score": float(s)} for d, s in page]
     elif text is not None or optional:
-        if body.get("search_after") is not None:
-            if residual is not None or optional:
-                raise ValueError("search_after supports pure match queries")
-            sa = body["search_after"]
-            # boost scales scores uniformly, so the unboosted cursor is
-            # the request cursor ÷ boost and page scores scale back up
-            page = engine.bm25_search_after(
-                text, k=size, search_after=(int(sa[1]), float(sa[0]) / text_boost))
-            if text_boost != 1.0:
-                page = [(d, s * text_boost) for d, s in page]
-            matched = engine.union_docs(engine.query_terms(text))
-            total = int(matched.size)
-        elif not optional:
+        if body.get("search_after") is not None and (residual is not None or optional):
+            raise ValueError("search_after supports pure match queries")
+        # the residual filter is evaluated once: it bounds the scored
+        # page, hits.total and the aggregations alike
+        allowed = None if residual is None else engine.execute_filter(residual)
+        if not optional:
+            # hit set = docs matching any query term ∧ filter
+            # (OpenSearch's hit count for an OR match)
+            hitset, sc = engine.bm25_scores(text)
+            if allowed is not None:
+                keep = np.isin(hitset, allowed, assume_unique=True)
+                hitset, sc = hitset[keep], sc[keep]
             collapse = body.get("collapse")
-            if collapse:
-                page = _collapse_page(engine, text, residual,
-                                      collapse["field"], frm, size)
-            elif residual is None:
-                page = engine.bm25_topk(text, k=frm + size, prune=False)[frm:]
+            if body.get("search_after") is not None:
+                # boost scales scores uniformly, so the unboosted cursor is
+                # the request cursor ÷ boost and page scores scale back up
+                sa = body["search_after"]
+                page = _topk_with_ties(*_after_cursor(
+                    hitset, sc, (int(sa[1]), float(sa[0]) / text_boost)), size)
+            elif collapse:
+                page = _collapse_page(engine, hitset, sc, collapse["field"], frm, size)
             else:
-                page = engine.bm25_topk_filtered(text, residual, k=frm + size)[frm:]
+                page = _topk_with_ties(hitset, sc, frm + size)[frm:]
             if text_boost != 1.0:
                 # positive scale: ranking unchanged, reported _score scales
                 page = [(d, s * text_boost) for d, s in page]
-            # total = |docs matching any query term| ∧ filter
-            # (OpenSearch's hit count for an OR match)
-            matched = engine.union_docs(engine.query_terms(text))
-            if residual is not None:
-                allowed = engine.execute_filter(residual)
-                matched = matched[np.isin(matched, allowed, assume_unique=True)]
-            total = int(matched.size)
         else:
             # additive should scoring (BooleanQuery sum). The HIT SET:
             # the must match if present; else the should union when the
@@ -2111,8 +2100,7 @@ def search(engine: QueryEngine, body: dict, source_files: list[str] | None = Non
                 hitset = hit_union  # per-clause union, already decoded
             else:
                 hitset = None
-            if residual is not None:
-                allowed = engine.execute_filter(residual)
+            if allowed is not None:
                 hitset = allowed if hitset is None else \
                     hitset[np.isin(hitset, allowed, assume_unique=True)]
             if hitset is None:  # defensive: split() never produces this
@@ -2126,17 +2114,15 @@ def search(engine: QueryEngine, body: dict, source_files: list[str] | None = Non
             else:
                 sc = np.zeros(hitset.size)
             page = _topk_with_ties(hitset, sc, frm + size)[frm:]
-            total = int(hitset.size)
         hits = [{"_id": int(d), "_score": float(s)} for d, s in page]  # exact: search_after cursors need the unrounded sort value
     else:
-        docs = engine.execute_filter(query)
-        total = int(docs.size)
+        hitset = engine.execute_filter(query)
         # pure filter context scores 1.0 in doc order; a top-level
         # constant_score wrapper scores its boost instead
         const = 1.0
         if query and next(iter(query)) == "constant_score":
             const = float(query["constant_score"].get("boost", 1.0))
-        hits = [{"_id": int(d), "_score": const} for d in docs[frm:frm + size]]
+        hits = [{"_id": int(d), "_score": const} for d in hitset[frm:frm + size]]
 
     _attach_source(engine, hits)
 
@@ -2152,8 +2138,8 @@ def search(engine: QueryEngine, body: dict, source_files: list[str] | None = Non
         for h, s in zip(hits, snips):
             h["highlight"] = {text_col: [s["snippet"]]}
 
-    out = {"hits": {"total": {"value": total, "relation": "eq"}, "hits": hits}}
-    _apply_aggs(engine, body, query, out)
+    out = {"hits": {"total": {"value": int(hitset.size), "relation": "eq"}, "hits": hits}}
+    _apply_aggs(engine, body, hitset, out)
     _apply_suggest(engine, body, out)
     return out
 
@@ -2180,12 +2166,11 @@ def _apply_suggest(engine: QueryEngine, body: dict, out: dict) -> None:
 
 def _attach_source(engine: QueryEngine, hits: list[dict]) -> None:
     """_source from the docmap (metadata + lineage hash; text lives in
-    the source parquet by design)."""
-    import pyarrow.compute as pc
-
+    the source parquet by design): just the page's rows, looked up by
+    doc id."""
     if hits and engine._docmap is not None:
-        ids = [h["_id"] for h in hits]
-        t = engine.live_docmap(filter=pc.field("doc_id").isin(ids))
+        ids = np.unique([h["_id"] for h in hits])
+        t = engine.docmap_rows(engine.docmap_schema().names, ids)
         rows = {r["doc_id"]: r for r in t.to_pylist()}
         for h in hits:
             src = dict(rows.get(h["_id"], {}))
@@ -2193,7 +2178,9 @@ def _attach_source(engine: QueryEngine, hits: list[dict]) -> None:
             h["_source"] = src
 
 
-def _apply_aggs(engine: QueryEngine, body: dict, query: dict | None, out: dict) -> None:
+def _apply_aggs(engine: QueryEngine, body: dict, docs: np.ndarray, out: dict) -> None:
+    """The ``"aggregations"`` envelope section, every aggregation over
+    ``docs`` — the request's sorted hit set."""
     aggs = body.get("aggs") or body.get("aggregations")
     if aggs:
         out["aggregations"] = {}
@@ -2207,10 +2194,10 @@ def _apply_aggs(engine: QueryEngine, body: dict, query: dict | None, out: dict) 
                 torder = spec["terms"].get("order")
                 if sub or torder:
                     out["aggregations"][name] = {
-                        "buckets": engine.terms_agg_subs(query, field, k,
+                        "buckets": engine.terms_agg_subs(docs, field, k,
                                                          sub or {}, order=torder)}
                     continue
-                buckets = engine.facets(query, field, k=k)
+                buckets = engine.facets(docs, field, k=k)
                 out["aggregations"][name] = {
                     "buckets": [{"key": v, "doc_count": c} for v, c in buckets]
                 }
@@ -2218,42 +2205,42 @@ def _apply_aggs(engine: QueryEngine, body: dict, query: dict | None, out: dict) 
             if "percentiles" in spec:
                 p_spec = spec["percentiles"]
                 out["aggregations"][name] = engine.percentiles_agg(
-                    query, p_spec["field"],
+                    docs, p_spec["field"],
                     percents=tuple(p_spec.get("percents", (1, 5, 25, 50, 75, 95, 99))),
                 )
                 continue
             if "percentile_ranks" in spec:
                 pr = spec["percentile_ranks"]
                 out["aggregations"][name] = engine.percentile_ranks_agg(
-                    query, pr["field"], list(pr["values"]))
+                    docs, pr["field"], list(pr["values"]))
                 continue
             if "significant_terms" in spec:
                 sg = spec["significant_terms"]
                 out["aggregations"][name] = {"buckets": engine.significant_terms_agg(
-                    query, sg["field"], size=int(sg.get("size", 10)))}
+                    docs, sg["field"], size=int(sg.get("size", 10)))}
                 continue
             if "histogram" in spec:
                 h = spec["histogram"]
                 mdc = int(h.get("min_doc_count", 0))
                 out["aggregations"][name] = {"buckets": (
                     engine.histogram_agg_subs(
-                        query, h["field"], float(h["interval"]), sub,
+                        docs, h["field"], float(h["interval"]), sub,
                         min_doc_count=mdc)
                     if sub else engine.histogram_agg(
-                        query, h["field"], float(h["interval"]),
+                        docs, h["field"], float(h["interval"]),
                         min_doc_count=mdc))}
                 continue
             if "range" in spec:
                 r = spec["range"]
                 out["aggregations"][name] = {"buckets": (
-                    engine.range_agg_subs(query, r["field"], list(r["ranges"]), sub)
+                    engine.range_agg_subs(docs, r["field"], list(r["ranges"]), sub)
                     if sub else
-                    engine.range_agg(query, r["field"], list(r["ranges"])))}
+                    engine.range_agg(docs, r["field"], list(r["ranges"])))}
                 continue
             if "composite" in spec:
                 c = spec["composite"]
                 out["aggregations"][name] = engine.composite_agg(
-                    query, list(c.get("sources", ())),
+                    docs, list(c.get("sources", ())),
                     size=int(c.get("size", 10)),
                     after=c.get("after"), sub_aggs=sub)
                 continue
@@ -2262,12 +2249,10 @@ def _apply_aggs(engine: QueryEngine, body: dict, query: dict | None, out: dict) 
                 # main matching set independently (OpenSearch's filters
                 # agg; buckets keep the request's key order)
                 named = spec["filters"]["filters"]
-                matched = engine.execute_filter(query)
                 buckets = {}
                 for key, fq in named.items():
-                    docs = engine.execute_filter(fq)
-                    buckets[key] = {"doc_count": int(
-                        np.intersect1d(matched, docs, assume_unique=True).size)}
+                    buckets[key] = {"doc_count": int(np.intersect1d(
+                        docs, engine.execute_filter(fq), assume_unique=True).size)}
                 out["aggregations"][name] = {"buckets": buckets}
                 continue
             if "date_histogram" in spec:
@@ -2276,15 +2261,15 @@ def _apply_aggs(engine: QueryEngine, body: dict, query: dict | None, out: dict) 
                 if "calendar_interval" in dh:
                     out["aggregations"][name] = {
                         "buckets": engine.calendar_histogram_agg(
-                            query, dh["field"], dh["calendar_interval"],
+                            docs, dh["field"], dh["calendar_interval"],
                             min_doc_count=mdc, sub_aggs=sub)}
                     continue
                 ms = float(_parse_fixed_interval_ms(dh["fixed_interval"]))
                 out["aggregations"][name] = {"buckets": (
-                    engine.histogram_agg_subs(query, dh["field"], ms, sub,
+                    engine.histogram_agg_subs(docs, dh["field"], ms, sub,
                                               min_doc_count=mdc)
                     if sub else engine.date_histogram_agg(
-                        query, dh["field"], dh["fixed_interval"],
+                        docs, dh["field"], dh["fixed_interval"],
                         min_doc_count=mdc))}
                 continue
             op = next((o for o in metric_ops if o in spec), None)
@@ -2293,31 +2278,25 @@ def _apply_aggs(engine: QueryEngine, body: dict, query: dict | None, out: dict) 
                     f"unsupported aggregation {list(spec)} "
                     f"(terms, percentiles or {sorted(metric_ops)})"
                 )
-            v = engine.metric_agg(query, spec[op]["field"], op)
+            v = engine.metric_agg(docs, spec[op]["field"], op)
             out["aggregations"][name] = (
                 v if op in ("stats", "extended_stats") else {"value": v})
 
 
-def _collapse_page(engine: QueryEngine, text: str, residual: dict | None,
+def _collapse_page(engine: QueryEngine, uniq: np.ndarray, sc: np.ndarray,
                    field: str, frm: int, size: int) -> list[tuple[int, float]]:
-    """Field collapsing (OpenSearch ``collapse``): the BM25 ranking with
+    """Field collapsing (OpenSearch ``collapse``) of the hit set ``uniq``
+    (sorted) with BM25 scores ``sc``: the ranking with
     only the BEST-scoring doc of each ``field`` value kept (first in
     (score desc, doc_id asc) order; null values form one group), then
     from/size paged. ``hits.total`` stays the UNCOLLAPSED count, like
     OpenSearch. Charges linearly in the matching-set size — collapse
     cannot be pruned, same as the engine it mirrors."""
     import pandas as pd
-    import pyarrow.compute as pc
 
-    uniq, sc = engine.bm25_scores(text)
-    if residual is not None:
-        allowed = engine.execute_filter(residual)
-        keep = np.isin(uniq, allowed, assume_unique=True)
-        uniq, sc = uniq[keep], sc[keep]
     if uniq.size == 0:
         return []
-    t = engine.live_docmap(columns=["doc_id", field])
-    t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(uniq)))
+    t = engine.docmap_rows([field], uniq)
     dmap = t.to_pandas().set_index("doc_id")[field]
     order = np.lexsort((uniq, -sc))
     vals = dmap.reindex(uniq[order])
@@ -2337,9 +2316,6 @@ def _search_sorted(engine: QueryEngine, body: dict,
     track_scores=false behavior. Aggregations still run over the full
     matching set. Deep sorts charge linearly in the matching-set size,
     exactly like OpenSearch."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
     size = int(body.get("size", 10))
     frm = int(body.get("from", 0))
     query = body.get("query")
@@ -2354,31 +2330,22 @@ def _search_sorted(engine: QueryEngine, body: dict,
         raise ValueError("sort by _score is the default ranking; omit `sort`")
 
     docs = engine.execute_filter(query)
-    total = int(docs.size)
-    fields = sorted({f for f, _ in keys if f != "doc_id"})
-    t = engine.live_docmap(columns=["doc_id", *fields])
-    if docs.size < t.num_rows:
-        t = t.filter(pc.is_in(t["doc_id"], value_set=pa.array(docs)))
-    df = t.to_pandas()
+    df = engine.docmap_rows(sorted({f for f, _ in keys}), docs).to_pandas()
     df = df.sort_values(by=[f for f, _ in keys] + ["doc_id"],
                         ascending=[a for _, a in keys] + [True],
                         na_position="last", kind="mergesort")
     page = df.iloc[frm:frm + size]
-
-    def _py(v):
-        if v is None or pd.isna(v):
-            return None
-        return v.item() if hasattr(v, "item") else v
-
     hits = [
         {"_id": int(rec["doc_id"]), "_score": None,
-         "sort": [_py(rec[f]) for f, _ in keys]}
+         "sort": [None if pd_isna(rec[f]) else _py_scalar(rec[f]) for f, _ in keys]}
         for rec in page.to_dict("records")
     ]
     _attach_source(engine, hits)
     if body.get("highlight"):
         raise ValueError("highlight with a field sort is not supported; "
                          "use the relevance-ranked form")
-    out = {"hits": {"total": {"value": total, "relation": "eq"}, "hits": hits}}
-    _apply_aggs(engine, body, query, out)
+    out = {"hits": {"total": {"value": int(docs.size), "relation": "eq"}, "hits": hits}}
+    _apply_aggs(engine, body, docs, out)
+    # the term suggester does not depend on the query or its order
+    _apply_suggest(engine, body, out)
     return out

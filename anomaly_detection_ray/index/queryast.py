@@ -43,8 +43,9 @@ exactly that surface as a JSON-dict AST compiled against a built index:
                                               # index/querystring.py)
 
 Evaluation returns a sorted int64 array of doc_ids. Metadata predicates
-(term/range on docmap columns) evaluate via Arrow compute over the
-docmap; text predicates via posting lists. ``bool`` combines with set
+(term/terms/range/exists/prefix/wildcard/regexp/fuzzy on docmap columns,
+ids) evaluate as Arrow compute masks over the engine's docmap columns;
+text predicates via posting lists. ``bool`` combines with set
 intersection (must/filter), union (should — matched when no must/filter
 present, OpenSearch filter-context semantics), and difference
 (must_not). Scoring is irrelevant: the plugin uses all of these in
@@ -53,7 +54,10 @@ filter context (``ParseUtils.java:321,370-376``).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 
 
@@ -81,80 +85,72 @@ def parse_msm(value, n: int) -> int:
 class QueryCompiler:
     def __init__(self, engine):
         self.engine = engine
-        self._all_docs_cache: np.ndarray | None = None
-        self._meta_fields: set | None = None
 
     # ---- docmap access ----
-    # Metadata predicates compile to pyarrow.dataset EXPRESSIONS pushed
-    # into the per-slice parquet scan (row-group pruning + doc_id-only
-    # projection) — the docmap of a 10^12-doc corpus never materializes
-    # on the serving node; only matching doc ids come back.
+    # A metadata predicate is one pyarrow compute call over ``x``. When
+    # the docmap fits the engine's ``preload_bytes`` budget, ``x`` is the
+    # engine's in-memory column and the call is a vectorized mask over
+    # it. Over budget, ``x`` is a dataset field reference pushed into the
+    # per-slice parquet scan (row-group pruning, doc_id-only projection),
+    # so only matching doc ids come back. Both give the same answer,
+    # type errors included: the compute kernels are the same.
 
-    def _all_docs(self) -> np.ndarray:
-        if self._all_docs_cache is None:
-            t = self.engine.live_docmap(columns=["doc_id"])
-            self._all_docs_cache = np.sort(t["doc_id"].to_numpy().astype(np.int64))
-        return self._all_docs_cache
-
-    def _docmap_filter(self, expr) -> np.ndarray:
-        t = self.engine.live_docmap(columns=["doc_id"], filter=expr)
+    def _meta_docs(self, field: str, pred) -> np.ndarray:
+        """Sorted live doc ids whose ``field`` satisfies ``pred``."""
+        eng = self.engine
+        if eng.docmap_in_memory:
+            ids = eng.live_ids()
+            if ids.size == 0:
+                return ids
+            mask = pc.fill_null(pred(eng.docmap_column(field)), False)
+            return ids[mask.to_numpy(zero_copy_only=False)]
+        t = eng.live_docmap(columns=["doc_id"], filter=pred(pc.field(field)))
         return np.sort(t["doc_id"].to_numpy().astype(np.int64))
-
-    def _is_meta_field(self, field: str) -> bool:
-        if self._meta_fields is None:
-            try:
-                self._meta_fields = set(self.engine.docmap().schema.names)
-            except FileNotFoundError:  # empty index → no docmap files
-                self._meta_fields = {"doc_id"}
-        return field in self._meta_fields
 
     # ---- evaluation ----
 
     def execute(self, query: dict | None) -> np.ndarray:
         """query AST → sorted doc_id array (filter-context semantics)."""
         if not query or "match_all" in query:
-            return self._all_docs()
+            return self.engine.live_ids()
         kind, body = next(iter(query.items()))
         if kind == "term":
             ((field, value),) = body.items()
-            if self._is_meta_field(field):
-                return self._docmap_filter(pc.equal(pc.field(field), value))
+            if self.engine.is_docmap_field(field):
+                return self._meta_docs(field, lambda x: pc.equal(x, value))
             return self.engine.term_docs(str(value))
         if kind == "terms":
             ((field, values),) = body.items()
             values = list(values)
-            if self._is_meta_field(field):
-                return self._docmap_filter(pc.field(field).isin(values))
+            if self.engine.is_docmap_field(field):
+                return self._meta_docs(
+                    field, lambda x: pc.is_in(x, value_set=pa.array(values)))
             return self.engine.union_docs([str(v) for v in values])
         if kind == "exists":
             field = body["field"]
-            if self._is_meta_field(field):
-                return self._docmap_filter(pc.field(field).is_valid())
+            if self.engine.is_docmap_field(field):
+                return self._meta_docs(field, pc.is_valid)
             tf = getattr(self.engine, "text_field", None)
             if tf is None or field == tf:
                 # the indexed text field exists on every indexed doc
                 # (legacy manifests without text_field keep the old
                 # any-non-meta-field behavior)
-                return self._all_docs()
+                return self.engine.live_ids()
             # unmapped field → matches nothing (OpenSearch exists)
             return np.empty(0, dtype=np.int64)
         if kind == "wildcard":
             ((field, pattern),) = body.items()
-            if self._is_meta_field(field):
+            if self.engine.is_docmap_field(field):
                 from .termscan import wildcard_to_regex
 
-                return self._docmap_filter(
-                    pc.match_substring_regex(
-                        pc.field(field), wildcard_to_regex(str(pattern))
-                    )
-                )
+                regex = wildcard_to_regex(str(pattern))
+                return self._meta_docs(field, lambda x: pc.match_substring_regex(x, regex))
             return self.engine.wildcard_docs(str(pattern))
         if kind == "regexp":
             ((field, pattern),) = body.items()
-            if self._is_meta_field(field):
-                return self._docmap_filter(
-                    pc.match_substring_regex(pc.field(field), f"^(?:{pattern})$")
-                )
+            if self.engine.is_docmap_field(field):
+                return self._meta_docs(
+                    field, lambda x: pc.match_substring_regex(x, f"^(?:{pattern})$"))
             return self.engine.regexp_docs(str(pattern))
         if kind == "fuzzy":
             ((field, spec),) = body.items()
@@ -167,19 +163,18 @@ class QueryCompiler:
                 max_expansions=spec.get("max_expansions", 50),
             )
             value = str(spec["value"])
-            if self._is_meta_field(field):
+            if self.engine.is_docmap_field(field):
                 return self._fuzzy_meta(field, value, **kwargs)
             return self.engine.fuzzy_docs(value, **kwargs)
         if kind == "range":
             ((field, conds),) = body.items()
-            if not self._is_meta_field(field):
+            if not self.engine.is_docmap_field(field):
                 raise ValueError(f"range requires a docmap column, got {field!r}")
-            expr = None
+            if not conds:
+                return self.engine.live_ids()
             ops = {"gte": pc.greater_equal, "gt": pc.greater, "lte": pc.less_equal, "lt": pc.less}
-            for op, v in conds.items():
-                e = ops[op](pc.field(field), v)
-                expr = e if expr is None else (expr & e)
-            return self._docmap_filter(expr)
+            return self._meta_docs(field, lambda x: functools.reduce(
+                pc.and_kleene, [ops[op](x, v) for op, v in conds.items()]))
         if kind == "match":
             ((_field, spec),) = body.items()
             if not isinstance(spec, dict):
@@ -235,18 +230,16 @@ class QueryCompiler:
             return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
         if kind == "prefix":
             ((field, value),) = body.items()
-            if self._is_meta_field(field):
-                return self._docmap_filter(
-                    pc.starts_with(pc.field(field), pattern=str(value))
-                )
+            if self.engine.is_docmap_field(field):
+                return self._meta_docs(
+                    field, lambda x: pc.starts_with(x, pattern=str(value)))
             return self.engine.prefix_docs(str(value))
         if kind == "ids":
             values = [int(v) for v in body["values"]]
-            if not values:
-                return np.empty(0, dtype=np.int64)
-            # through the docmap, so deleted docs drop out (OpenSearch's
-            # ids query sees only live documents)
-            return self._docmap_filter(pc.field("doc_id").isin(values))
+            # through the live doc ids, so deleted docs drop out
+            # (OpenSearch's ids query sees only live documents)
+            ids = self.engine.live_ids()
+            return ids[np.isin(ids, values)]
         if kind == "constant_score":
             # filter context strips the scoring wrapper entirely
             return self.execute(body["filter"])
@@ -278,7 +271,7 @@ class QueryCompiler:
         max_edits = (
             auto_fuzziness(value) if fuzziness == "AUTO" else int(fuzziness)
         )
-        col = self.engine.live_docmap(columns=[field])[field]
+        col = self.engine.docmap_column(field)
         uniq = [
             v for v in pc.unique(col).to_pylist()
             if v is not None and v.startswith(value[:prefix_length])
@@ -286,7 +279,7 @@ class QueryCompiler:
         matched = fuzzy_select(value, uniq, max_edits, transpositions, max_expansions)
         if not matched:
             return np.empty(0, dtype=np.int64)
-        return self._docmap_filter(pc.field(field).isin(matched))
+        return self._meta_docs(field, lambda x: pc.is_in(x, value_set=pa.array(matched)))
 
     def _execute_bool(self, body: dict) -> np.ndarray:
         result: np.ndarray | None = None
@@ -314,7 +307,7 @@ class QueryCompiler:
                     else np.intersect1d(result, matched, assume_unique=True)
                 )
         if result is None:
-            result = self._all_docs()
+            result = self.engine.live_ids()
         for clause in body.get("must_not", ()):
             docs = self.execute(clause)
             result = np.setdiff1d(result, docs, assume_unique=True)

@@ -7,7 +7,7 @@ machinery this repo already implements):
 
 ``query_string`` (strict — syntax errors raise, like Lucene's parser)::
 
-    field:value  AND/OR/NOT/&&/||  (...)  "a phrase"~slop
+    field:value  AND/OR/NOT/&&/||  (...)  field:(a OR b)  "a phrase"~slop
     wild*card  fuzz~1  prefix*  term^boost  +required  -excluded
     field:[a TO b]  field:{a TO b}  field:[* TO b}   (bracket ranges,
     inclusive/exclusive mixable, * = open end, [* TO *] = exists)
@@ -50,7 +50,7 @@ __all__ = ["parse_query_string", "parse_simple_query_string", "lower_query_strin
 
 _QS_TOKEN = re.compile(
     r"""\s*(?:
-        (?P<lparen>\() | (?P<rparen>\)) |
+        (?:(?P<gfield>[A-Za-z_][\w.\-]*):)?(?P<lparen>\() | (?P<rparen>\)) |
         (?:(?P<field>[A-Za-z_][\w.\-]*):)?
         (?: "(?P<phrase>[^"]*)" (?:~(?P<slop>\d+))?
           | (?P<rlo>[\[{])\s*(?P<rfrom>[^\s\]}]+)\s+TO\s+(?P<rto>[^\s\]}]+)\s*(?P<rhi>[\]}])
@@ -70,7 +70,8 @@ class QueryStringSyntaxError(ValueError):
 
 
 def _tokenize_qs(q: str) -> list[tuple]:
-    """[(kind, payload)] — kind ∈ lparen/rparen/op/term/phrase."""
+    """[(kind, payload)] — kind ∈ lparen/rparen/op/term/phrase/range;
+    an lparen's payload is the field of a ``field:(…)`` group."""
     out, pos = [], 0
     while pos < len(q):
         m = _QS_TOKEN.match(q, pos)
@@ -80,7 +81,7 @@ def _tokenize_qs(q: str) -> list[tuple]:
             raise QueryStringSyntaxError(f"cannot tokenize at {q[pos:]!r}")
         pos = m.end()
         if m.group("lparen"):
-            out.append(("lparen", None))
+            out.append(("lparen", m.group("gfield")))
         elif m.group("rparen"):
             out.append(("rparen", None))
         elif m.group("phrase") is not None:
@@ -109,6 +110,8 @@ class _Parser:
         self.i = 0
         self.leaf = leaf
         self.default_op = default_operator.lower()
+        # field of the innermost enclosing ``field:(…)`` group, if any
+        self.scope: list[str | None] = [None]
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None)
@@ -172,7 +175,10 @@ class _Parser:
             return {"bool": {"must_not": [self._unary()]}}
         if kind == "lparen":
             self.i += 1
+            # field:(a OR b) scopes every unfielded leaf inside to field
+            self.scope.append(val or self.scope[-1])
             node = self._or()
+            self.scope.pop()
             k2, _ = self.peek()
             if k2 != "rparen":
                 raise QueryStringSyntaxError("unbalanced parentheses")
@@ -180,6 +186,8 @@ class _Parser:
             return node
         if kind in ("term", "phrase", "range"):
             self.i += 1
+            if val[0] is None and self.scope[-1] is not None:
+                val = (self.scope[-1], *val[1:])
             return self.leaf(kind, val)
         raise QueryStringSyntaxError(
             "dangling operator" if kind == "op" else "empty clause"
@@ -401,12 +409,6 @@ def lower_query_string(engine, query: dict) -> dict:
             default_field = fields[0]
         else:
             default_field = engine.text_field or "content"
-    # the compiler's meta-field check (docmap schema, cached)
-    from .queryast import QueryCompiler
-
-    if getattr(engine, "_compiler", None) is None:
-        engine._compiler = QueryCompiler(engine)
-    is_meta = engine._compiler._is_meta_field
     op = str(body.get("default_operator", "or"))
     fn = parse_query_string if kind == "query_string" else parse_simple_query_string
-    return fn(str(body["query"]), default_field, is_meta, op)
+    return fn(str(body["query"]), default_field, engine.is_docmap_field, op)

@@ -553,7 +553,7 @@ def q_search_facets(sf_dir: str) -> pd.DataFrame:
     """Terms-agg facet over search hits: lang distribution of docs
     matching 'data' (count desc, value asc)."""
     eng = index_for(sf_dir)
-    rows = eng.facets({"match": {"text": "data"}}, "lang", k=10)
+    rows = eng.facets(eng.execute_filter({"match": {"text": "data"}}), "lang", k=10)
     return pd.DataFrame(
         {"lang": [v for v, _ in rows],
          "doc_count": np.asarray([c for _, c in rows], dtype=np.int64)}

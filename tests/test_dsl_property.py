@@ -302,6 +302,7 @@ def envelope_body_strategy():
         st.just({"c": {"composite": {"sources": [{"l": {"terms": {"field": "lang"}}}],
                                      "size": 3},
                        "aggs": {"m": {"avg": {"field": "doc_id"}}}}}),
+        st.just({"n": {"value_count": {"field": "doc_id"}}}),
     )
     return st.builds(
         lambda query, frm, size, a: {
@@ -337,3 +338,6 @@ def test_search_envelope_invariants(dsl_env, body):
     assert body["from"] + len(hits) <= max(total, body["from"])
     # aggregations exist iff requested
     assert ("aggregations" in r) == ("aggs" in body)
+    # aggregations run over exactly the hit set hits.total counts
+    if "n" in body.get("aggs", {}):
+        assert r["aggregations"]["n"]["value"] == total

@@ -108,7 +108,7 @@ def test_facets_count_highlight_respect_tombstones(deleted_index, tiny_corpus):
     df = tiny_corpus["table"].to_pandas()
     live = df[~df["doc_id"].isin(deleted)]
     assert eng.count(None) == len(live)
-    rows = dict(eng.facets(None, "lang", k=100))
+    rows = dict(eng.facets(eng.execute_filter(None), "lang", k=100))
     assert rows == live["lang"].value_counts().to_dict()
     # highlighted hits never include tombstoned docs
     from anomaly_detection_ray.stages.highlight import snippets_for_hits
@@ -404,3 +404,73 @@ def test_compact_without_deletes_merges_slices(ray_session, tiny_corpus, tmp_pat
         assert [d for d, _ in got] == [d for d, _ in before[q]]
         for (_, gs), (_, es) in zip(got, before[q]):
             assert gs == pytest.approx(es, abs=1e-9)
+
+
+def test_docmap_and_postings_paths_agree(ray_session, tiny_corpus, tmp_path_factory):
+    """The default engine (in-memory docmap columns, preloaded postings)
+    and ``preload_bytes=0`` (per-request pushdown docmap scans, on-disk
+    postings) answer alike: filters, aggregations, a sorted search, a
+    collapse page and ``_source`` — over an index with a delete and a
+    scoped update slice that lacks keep columns (null-filled), and over
+    an empty compacted index."""
+    import pyarrow as pa
+
+    from anomaly_detection_ray.index.lifecycle import update_docs
+    from anomaly_detection_ray.index.query import search
+
+    base = str(tmp_path_factory.mktemp("docmap_paths"))
+    out = os.path.join(base, "idx")
+    build_index(tiny_corpus["paths"], out, slices=2, num_partitions=4, mode="code")
+    delete_docs(out, [3, 50, 51, 120])
+    upd = pa.table({
+        "doc_id": pa.array([7, 60], pa.int64()),
+        "content": pa.array(["zzupd merge body", "zzupd sort body"]),
+        "lang": pa.array(["go", "python"]),
+    })
+    src = os.path.join(base, "upd.parquet")
+    pq.write_table(upd, src)
+    update_docs(out, [src])  # no repo/path/commit in the update slice
+    empty = os.path.join(base, "empty")
+    build_index(tiny_corpus["paths"], empty, slices=1, num_partitions=4, mode="code")
+    delete_docs(empty, range(0, 500))
+    compact_index(empty, gc=True)
+
+    filters = [
+        None,
+        {"term": {"lang": "go"}},
+        {"terms": {"lang": ["go", "rust"]}},
+        {"exists": {"field": "repo"}},
+        {"prefix": {"repo": "org1"}},
+        {"wildcard": {"path": "src/pkg1/*"}},
+        {"regexp": {"lang": "ja.a"}},
+        {"fuzzy": {"lang": "pythn"}},
+        {"range": {"doc_id": {"gte": 40, "lt": 90}}},
+        {"ids": {"values": [3, 7, 8, 60]}},
+        {"bool": {"must": [{"match": {"content": "merge"}}],
+                  "must_not": [{"prefix": {"repo": "org2"}}]}},
+    ]
+    bodies = [
+        {"query": {"bool": {"must": [{"match": {"content": "merge sort body"}}],
+                            "filter": [{"terms": {"lang": ["go", "python"]}}]}},
+         "size": 5, "aggs": {"l": {"terms": {"field": "repo", "size": 4}},
+                             "s": {"stats": {"field": "doc_id"}}}},
+        {"query": {"term": {"lang": "python"}}, "sort": [{"repo": "desc"}], "size": 6},
+        {"query": {"match": {"content": "body merge"}}, "collapse": {"field": "repo"},
+         "size": 5},
+    ]
+    for idx in (out, empty):
+        fast, slow = QueryEngine(idx), QueryEngine(idx, preload_bytes=0)
+        for q in filters:
+            docs = fast.execute_filter(q)
+            assert list(docs) == list(slow.execute_filter(q)), (idx, q)
+            assert fast.facets(docs, "lang") == slow.facets(docs, "lang"), (idx, q)
+            for field, op in (("repo", "cardinality"), ("doc_id", "stats")):
+                assert fast.metric_agg(docs, field, op) == slow.metric_agg(docs, field, op)
+        for body in bodies:
+            assert search(fast, body) == search(slow, body), (idx, body)
+    fast, slow = QueryEngine(out), QueryEngine(out, preload_bytes=0)
+    assert fast.docmap_in_memory and not slow.docmap_in_memory
+    assert not slow._preloaded
+    # doc 7's update slice has no repo column: its _source reads null
+    hits = search(fast, {"query": {"ids": {"values": [7, 8]}}, "size": 2})["hits"]["hits"]
+    assert hits[0]["_source"]["repo"] is None and hits[1]["_source"]["repo"] is not None

@@ -110,7 +110,7 @@ def test_search_after_pagination(eng):
 
 def test_facets(eng):
     e, df, oracle = eng
-    rows = e.facets({"match": {"content": "merge"}}, "lang", k=3)
+    rows = e.facets(e.execute_filter({"match": {"content": "merge"}}), "lang", k=3)
     hits = set(oracle.postings.get("merge", ()))
     exp = (
         df[df["doc_id"].isin(hits)]
@@ -121,7 +121,7 @@ def test_facets(eng):
     )
     assert rows == list(zip(exp["lang"], exp["doc_id"]))[:3]
     # match_all facet = whole-corpus distribution
-    rows_all = e.facets(None, "lang", k=100)
+    rows_all = e.facets(e.execute_filter(None), "lang", k=100)
     assert dict(rows_all) == df["lang"].value_counts().to_dict()
 
 
@@ -210,7 +210,7 @@ def test_search_envelope(eng, tiny_corpus, tmp_path_factory):
     r5 = search(e, {"query": {"match": {"content": "merge"}}, "size": 1,
                     "aggs": {"langs": {"terms": {"field": "lang", "size": 3}}}})
     assert [(b["key"], b["doc_count"]) for b in r5["aggregations"]["langs"]["buckets"]] == \
-        e.facets({"match": {"content": "merge"}}, "lang", k=3)
+        e.facets(e.execute_filter({"match": {"content": "merge"}}), "lang", k=3)
 
     # search_after pages equal the cursor API's
     first = search(e, {"query": {"match": {"content": "merge sort"}}, "size": 4})
@@ -1201,3 +1201,38 @@ def test_filters_agg(eng):
     assert b["both"]["doc_count"] == int(
         ((sub["lang"] == "java") & (sub["doc_id"] < 100)).sum())
     assert list(b) == ["java", "low_ids", "both"]  # request key order
+
+
+def test_query_string_field_group(eng):
+    """Lucene field grouping: ``field:(a OR b)`` scopes every unfielded
+    leaf inside the group to ``field`` (an explicit field still wins)."""
+    e, df, oracle = eng
+
+    def run(q):
+        return set(e.execute_filter({"query_string": {"query": q}}).tolist())
+
+    def langs(*ls):
+        return set(df[df["lang"].isin(ls)]["doc_id"])
+
+    merge = set(oracle.postings.get("merge", ()))
+    assert run("lang:(go OR rust)") == langs("go", "rust")
+    assert run("merge AND lang:(java OR (go NOT python))") == merge & langs("java", "go")
+    assert run("lang:(go OR content:merge)") == langs("go") | merge
+    assert run("content:(merge)") == merge
+    from anomaly_detection_ray.index.querystring import QueryStringSyntaxError
+    with pytest.raises(QueryStringSyntaxError, match="unknown field"):
+        run("zzfield:(go OR rust)")
+
+
+def test_search_sorted_keeps_suggest(eng):
+    """A field-sorted search still answers its ``suggest`` section (the
+    term suggester does not depend on the query or the sort)."""
+    from anomaly_detection_ray.index.query import search
+
+    e, _, _ = eng
+    suggest = {"fix": {"text": "mergz", "term": {"field": "content", "size": 3}}}
+    plain = search(e, {"query": {"term": {"lang": "go"}}, "size": 2, "suggest": suggest})
+    r = search(e, {"query": {"term": {"lang": "go"}}, "size": 2,
+                   "sort": [{"doc_id": "desc"}], "suggest": suggest})
+    assert r["suggest"] == plain["suggest"]
+    assert r["suggest"]["fix"][0]["options"]
