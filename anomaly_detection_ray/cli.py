@@ -92,7 +92,6 @@ def main(argv=None) -> int:
     q.add_argument("--source-files", nargs="*", default=None,
                    help="source parquet files (required for --search highlight)")
     q.add_argument("--k", type=int, default=10)
-    q.add_argument("--no-prune", action="store_true")
 
     s = sub.add_parser("stats", help="index stats (_stats analogue)")
     s.add_argument("--index", required=True)
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
                        **search(eng, json.loads(args.search),
                                 source_files=args.source_files)}
             elif args.bm25 is not None:
-                hits = eng.bm25_topk(args.bm25, k=args.k, prune=not args.no_prune)
+                hits = eng.bm25_topk(args.bm25, k=args.k)
                 out = {"cmd": "query", "hits": [
                     {"doc_id": d, "score": round(s, 6)} for d, s in hits
                 ]}

@@ -7,8 +7,7 @@ Lucene's delete/merge model, rebuilt over the parquet segment format:
   filters tombstoned docs at decode time, and the global statistics
   (n_docs, avgdl, df) stay STALE until compaction — exactly Lucene's
   semantics between a delete and a merge, so live docs' BM25 scores are
-  unchanged by a delete (block-max upper bounds stay valid upper
-  bounds; pruning just gets marginally less tight).
+  unchanged by a delete.
 - ``delete_by_query`` resolves a filter-DSL query to doc ids first —
   the OpenSearch ``_delete_by_query`` the reference plugin itself uses
   to clean result indices

@@ -6,22 +6,17 @@ posting-list intersection (A2), term filters (A3), with global stats
 (N, avgdl, df) from the manifest so scores are identical regardless of
 how the corpus was sliced/partitioned (the DFS-stats model).
 
-Two scoring paths, rank-identical with scores equal to 1e-9 (tested
-against each other and the brute-force oracle; the exact path
-accumulates term-major off the decoded-postings cache, so cross-path
-scores can differ by one float association ulp):
+One scoring path: exact vectorized BM25 over each query term's decoded
+postings, one ``np.bincount`` accumulation, rank-identical to the
+brute-force oracle with scores equal to 1e-9. Block-max pruning was
+measured slower than this on every ``perfbench`` ``search`` request kind,
+warm or cold, and was removed.
 
-- ``prune=False``: exact vectorized scoring — decode every posting of
-  every query term, one ``np.add.at`` accumulation. The throughput
-  baseline.
-- ``prune=True``: block-max interval pruning. The doc axis is cut at
-  all block boundaries into elementary intervals; each interval's upper
-  bound is the sum of overlapping blocks' ``idf·tf_norm(max_tf,
-  min_dl)``. Intervals are scored exactly in descending-UB order and
-  scoring stops once the next UB is strictly below the current kth
-  score — every skipped doc is provably ≤ θ (Ding & Suel's block-max
-  idea at block granularity, vectorized instead of per-doc pointer
-  chasing).
+Every postings read — BM25 scoring, conjunctive intersection, multi-term
+(prefix/wildcard/regexp/fuzzy/terms) unions — goes through one LRU cache
+of decoded per-term arrays, byte-capped by ``postings_cache_bytes``.
+Each entry is sorted by doc id once, at insert, and has the scoped
+tombstone filter already applied.
 
 An engine instance holds the term-stats dictionary and a pyarrow
 dataset over the postings files (loaded once — use as an actor-pool
@@ -48,7 +43,8 @@ from ..functions.analyzer import Analyzer
 from ..functions.bm25 import idf as bm25_idf
 from ..functions.bm25 import tf_norm
 from .build import MANIFEST_NAME
-from .segments import decode_block
+# not used here: perfbench/trace.py wraps query.decode_block by this name
+from .segments import decode_block  # noqa: F401
 
 
 def _arrow_bisect(arr, term: str, side: str = "left") -> int:
@@ -196,6 +192,15 @@ def _sub_agg_plan(sub_aggs: dict) -> list[tuple[str, str, str]]:
     return plan
 
 
+def _intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elements of sorted ``a`` that are in sorted ``b``: one binary
+    search into ``b`` per element of ``a`` (pass the smaller set as ``a``)."""
+    if b.size == 0:
+        return b
+    pos = np.searchsorted(b, a).clip(max=b.size - 1)
+    return a[b[pos] == a]
+
+
 def _topk_with_ties(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     """Top-k by (score desc, doc_id asc) without fully sorting all docs."""
     n = scores.size
@@ -292,36 +297,24 @@ class QueryEngine:
         self._dm_ids: np.ndarray | None = None  # sorted live doc ids
         self._dm_take: pa.Array | None = None  # their rows in the file-order docmap
         self._dm_cols: dict[str, pa.Array] = {}
-        # per-term DECODED postings cache (LRU, byte-capped): varint
-        # decode of a dense term is the serving hot path's dominant cost
-        # (~30 ms/query measured); repeated query vocab hits the cache
-        self._postings_cache: OrderedDict[str, tuple] = OrderedDict()
-        self._postings_cache_bytes = 0
-        self._postings_cache_cap = int(postings_cache_bytes)
+        # The one postings cache: term -> decoded (docs, tfs, dls), docs
+        # sorted by id, tombstones applied; LRU, byte-capped by
+        # postings_cache_bytes (the newest entry always stays). Varint
+        # decode is the serving path's dominant cost, and repeated query
+        # vocabulary hits the cache; cache_stats() reports the counters.
+        self._cache: OrderedDict[str, tuple] = OrderedDict()
+        self._cache_bytes = 0
+        self._cache_cap = int(postings_cache_bytes)
+        self._cache_hits = self._cache_misses = self._cache_evictions = 0
         self.store_positions = bool(self.manifest.get("store_positions", False))
         self._positions_ds = None  # lazy: only phrase queries open the sidecar
         # tombstones (Lucene .liv analogue): docs filtered at decode time;
         # global stats (n_docs/avgdl/df) stay STALE until compaction —
         # exactly Lucene's delete-before-merge semantics, so a delete
-        # never changes a live doc's BM25 score (block upper bounds
-        # remain valid bounds; pruning is just marginally less tight).
+        # never changes a live doc's BM25 score.
         from .lifecycle import load_tombstones
 
         self.deleted, self._del_lf = load_tombstones(index_dir, self.manifest)
-        # per-BLOCK decoded cache for the PRUNED path (LRU, byte-capped):
-        # pruning touches only the blocks that can beat theta, so caching
-        # whole terms wastes budget — repeated query vocab re-decodes just
-        # the few competitive blocks. Keyed (term, chunk first_doc, block):
-        # stable across queries, unique within the index.
-        self._block_cache: OrderedDict[tuple, tuple] = OrderedDict()
-        self._block_cache_bytes = 0
-        self._block_cache_cap = int(postings_cache_bytes) // 2
-        # docs-only per-term cache for multi-term (wildcard/fuzzy/terms)
-        # unions — membership arrays are 1/3 the decoded size and must
-        # not evict the BM25 serving set from _postings_cache
-        self._docs_cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._docs_cache_bytes = 0
-        self._docs_cache_cap = int(postings_cache_bytes) // 2
 
     # ---------- postings access ----------
 
@@ -361,59 +354,84 @@ class QueryEngine:
         return pa.concat_tables(parts)
 
     def term_arrays(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decoded (docs, tfs, dls) of one term across all part files, in
-        (file, row) order — LRU-cached by decoded size."""
-        hit = self._postings_cache.get(term)
-        if hit is not None:
-            self._postings_cache.move_to_end(term)
-            return hit
+        """Decoded (docs, tfs, dls) of one term across all part files,
+        sorted by doc id (read-only, shared with the cache)."""
+        return self._postings([term])[term]
+
+    def _postings(self, terms: list[str]) -> dict[str, tuple]:
+        """``term_arrays`` of each of ``terms`` through the cache; the
+        misses are read with one ``chunks_for`` and one bulk decode."""
+        out: dict[str, tuple] = {}
+        misses = []
+        for t in dict.fromkeys(terms):
+            hit = self._cache.get(t)
+            if hit is None:
+                misses.append(t)
+            else:
+                self._cache.move_to_end(t)
+                out[t] = hit
+        self._cache_hits += len(out)
+        self._cache_misses += len(misses)
+        if not misses:
+            return out
         from .segments import decode_chunks_bulk
 
-        rows = self.chunks_for([term]).to_pylist()
-        if rows:
-            docs, tfs, dls, off = decode_chunks_bulk(rows, int(self.manifest.get("block_size", 128)))
-            if self.deleted.size:
-                slices = np.repeat(
-                    np.asarray([r["slice"] for r in rows], dtype=np.int64),
-                    np.diff(off),
-                )
-                keep = self._live(docs, slices)
-                docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-        else:
-            docs = tfs = dls = np.empty(0, dtype=np.int64)
-        entry = (docs, tfs, dls)
-        nb = docs.nbytes * 3
-        self._postings_cache[term] = entry
-        self._postings_cache_bytes += nb
-        while self._postings_cache_bytes > self._postings_cache_cap and len(self._postings_cache) > 1:
-            _, (d, _, _) = self._postings_cache.popitem(last=False)
-            self._postings_cache_bytes -= d.nbytes * 3
-        return entry
+        rows = self.chunks_for(misses).select(
+            ["term", "slice", "df_chunk", "docs", "tfs", "dls"]).to_pylist()
+        docs, tfs, dls, off = decode_chunks_bulk(rows, int(self.manifest.get("block_size", 128)))
+        counts = np.diff(off)
+        if self.deleted.size:
+            slices = np.repeat(np.asarray([r["slice"] for r in rows], dtype=np.int64), counts)
+            keep = self._live(docs, slices)
+            # per-row counts after the scoped filter
+            counts = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep], minlength=len(rows))
+            docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
+        off = np.concatenate(([0], np.cumsum(counts)))
+        segs: dict[str, list[slice]] = {t: [] for t in misses}
+        for i, r in enumerate(rows):
+            segs[r["term"]].append(slice(off[i], off[i + 1]))
+        for t in misses:
+            parts = [np.concatenate([a[s] for s in segs[t]]) if segs[t] else a[:0]
+                     for a in (docs, tfs, dls)]
+            # a doc gets one contribution per term, added in term order,
+            # so sorting within a term leaves every BM25 sum bit-identical
+            order = np.argsort(parts[0], kind="stable")
+            entry = tuple(a[order] for a in parts)
+            for a in entry:
+                a.setflags(write=False)
+            out[t] = entry
+            self._cache[t] = entry
+            self._cache_bytes += sum(a.nbytes for a in entry)
+        while self._cache_bytes > self._cache_cap and len(self._cache) > 1:
+            _, ev = self._cache.popitem(last=False)
+            self._cache_bytes -= sum(a.nbytes for a in ev)
+            self._cache_evictions += 1
+        return out
 
-    def _term_rows(self, chunks: pa.Table) -> dict[str, list[dict]]:
-        by_term: dict[str, list[dict]] = {}
-        for row in chunks.to_pylist():
-            by_term.setdefault(row["term"], []).append(row)
-        return by_term
+    def cache_stats(self) -> dict[str, int]:
+        """Counters of the postings cache: lookups that hit and missed,
+        entries evicted, bytes and entries held, and the byte cap."""
+        return {
+            "hits": self._cache_hits,
+            "misses": self._cache_misses,
+            "evictions": self._cache_evictions,
+            "bytes": self._cache_bytes,
+            "entries": len(self._cache),
+            "cap_bytes": self._cache_cap,
+        }
 
     # ---------- BM25 ----------
 
     def query_terms(self, query: str) -> list[str]:
         return sorted(set(self.analyzer.tokens(query)))
 
-    def bm25_topk(self, query: str, k: int = 10, prune: bool = True) -> list[tuple[int, float]]:
-        terms = self.query_terms(query)
-        if prune:
-            chunks = self.chunks_for(terms)
-            if chunks.num_rows == 0:
-                return []
-            return self._score_pruned(chunks, k)
-        return self._score_exact(terms, k)
+    def bm25_topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
+        docs, scores = self.bm25_scores(query)
+        return _topk_with_ties(docs, scores, k)
 
     def bm25_scores(self, query: str) -> tuple[np.ndarray, np.ndarray]:
         """Full exact BM25 accumulation: (sorted matching doc_ids, their
-        scores) — the building block multi_match / search_after rank
-        from."""
+        scores) — the building block every ranked query scores from."""
         terms = self.query_terms(query)
         docs_parts, imp_parts = [], []
         for t in terms:
@@ -438,179 +456,24 @@ class QueryEngine:
         np.add.at(scores, inv, imps)
         return uniq.astype(np.int64), scores
 
-    def _score_exact(self, terms: list[str], k: int) -> list[tuple[int, float]]:
-        # re-analysis of already-analyzed terms is idempotent (tokens
-        # tokenize to themselves), so the join round-trip is exact
-        docs, scores = self.bm25_scores(" ".join(terms))
-        if docs.size == 0:
-            return []
-        return _topk_with_ties(docs, scores, k)
-
-    def _score_pruned(self, chunks: pa.Table, k: int) -> list[tuple[int, float]]:
-        # flatten every block of every chunk row: (first, last, ub, row_idx, block_idx)
-        rows = chunks.to_pylist()
-        firsts, lasts, ubs, rowis, blkis = [], [], [], [], []
-        for ri, row in enumerate(rows):
-            w = float(bm25_idf(self.df(row["term"]), self.n_docs))
-            bf = np.asarray(row["block_first"], dtype=np.int64)
-            bl = np.asarray(row["block_last"], dtype=np.int64)
-            ub = w * tf_norm(
-                np.asarray(row["block_max_tf"], dtype=np.float64),
-                np.asarray(row["block_min_dl"], dtype=np.float64),
-                self.avgdl,
-            )
-            firsts.append(bf)
-            lasts.append(bl)
-            ubs.append(ub)
-            rowis.append(np.full(bf.size, ri))
-            blkis.append(np.arange(bf.size))
-        bfirst = np.concatenate(firsts)
-        blast = np.concatenate(lasts)
-        bub = np.concatenate(ubs)
-        brow = np.concatenate(rowis)
-        bblk = np.concatenate(blkis)
-
-        # elementary intervals over doc axis from all block boundaries
-        bounds = np.unique(np.concatenate([bfirst, blast + 1]))
-        lo_idx = np.searchsorted(bounds, bfirst, side="right") - 1
-        hi_idx = np.searchsorted(bounds, blast, side="right") - 1
-        # interval UB via difference array over interval indices
-        diff = np.zeros(bounds.size + 1, dtype=np.float64)
-        np.add.at(diff, lo_idx, bub)
-        np.add.at(diff, hi_idx + 1, -bub)
-        iub = np.cumsum(diff[:-1])  # UB per elementary interval [bounds[i], bounds[i+1])
-
-        live = np.flatnonzero(iub > 0)
-        order = live[np.argsort(-iub[live], kind="stable")]
-
-        # per-block decoded score cache
-        block_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-        def block_scores(ri: int, bi: int) -> tuple[np.ndarray, np.ndarray]:
-            key = (ri, bi)
-            hit = block_cache.get(key)
-            if hit is None:
-                row = rows[ri]
-                pkey = (row["term"], row["first_doc"], bi)
-                hit = self._block_cache.get(pkey)
-                if hit is not None:
-                    self._block_cache.move_to_end(pkey)
-                else:
-                    w = float(bm25_idf(self.df(row["term"]), self.n_docs))
-                    docs, tfs, dls = decode_block(row, bi)
-                    if self.deleted.size:
-                        keep = self._live(docs, int(row["slice"]))
-                        docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-                    hit = (docs, w * tf_norm(tfs, dls, self.avgdl))
-                    self._block_cache[pkey] = hit
-                    self._block_cache_bytes += hit[0].nbytes * 2
-                    while (self._block_cache_bytes > self._block_cache_cap
-                           and len(self._block_cache) > 1):
-                        _, (d, _) = self._block_cache.popitem(last=False)
-                        self._block_cache_bytes -= d.nbytes * 2
-                block_cache[key] = hit
-            return hit
-
-        # running top-k kept as flat arrays (docs partition across
-        # elementary intervals, so each doc's full score arrives in one
-        # interval — merging is concatenate + partition, no per-doc heap)
-        theta = -np.inf
-        top_d = np.empty(0, dtype=np.int64)
-        top_s = np.empty(0, dtype=np.float64)
-
-        for i in order:
-            if iub[i] < theta:
-                break
-            lo, hi = bounds[i], bounds[i + 1] if i + 1 < bounds.size else bounds[i] + 1
-            docs_parts, val_parts = [], []
-            # covering blocks of interval i, computed lazily and vectorized
-            # (round-1 pre-materialized a per-interval block-list dict with
-            # a Python loop over blocks × covered intervals — quadratic for
-            # dense terms; with early termination only the few intervals
-            # actually scored pay this O(blocks) mask)
-            cov = np.flatnonzero((lo_idx <= i) & (hi_idx >= i))
-            for b in cov:
-                docs, vals = block_scores(int(brow[b]), int(bblk[b]))
-                s = np.searchsorted(docs, lo, side="left")
-                e = np.searchsorted(docs, hi, side="left")
-                if e > s:
-                    docs_parts.append(docs[s:e])
-                    val_parts.append(vals[s:e])
-            if not docs_parts:
-                continue
-            d = np.concatenate(docs_parts)
-            v = np.concatenate(val_parts)
-            uniq, inv = np.unique(d, return_inverse=True)
-            sc = np.zeros(uniq.size)
-            np.add.at(sc, inv, v)
-            top_d = np.concatenate([top_d, uniq])
-            top_s = np.concatenate([top_s, sc])
-            if top_s.size >= k:
-                theta = -np.partition(-top_s, k - 1)[k - 1]
-                if top_s.size > 8 * k:
-                    keep = top_s >= theta  # keep score ties for exact doc-id tie-break
-                    top_d, top_s = top_d[keep], top_s[keep]
-
-        if top_s.size == 0:
-            return []
-        return _topk_with_ties(top_d, top_s, k)
-
     # ---------- Boolean ----------
 
     def conjunctive(self, query: str) -> np.ndarray:
         """Sorted doc_ids containing ALL query terms (filter context,
-        SURVEY.md §2.A2 — ``ParseUtils.java:321,370-376``).
-
-        Rarest-first; after the first term, each remaining term decodes
-        ONLY the posting blocks whose [block_first, block_last] doc range
-        intersects the surviving candidates (the block-max metadata
-        doubles as a skip list — round-1 fully decoded every posting of
-        every term before intersecting)."""
-        terms = self.query_terms(query)
+        SURVEY.md §2.A2 — ``ParseUtils.java:321,370-376``): the cached
+        sorted doc arrays intersected rarest term first."""
+        terms = sorted(self.query_terms(query), key=self.df)
         if not terms:
             return np.empty(0, dtype=np.int64)
-        result: np.ndarray | None = None
-        for t in sorted(terms, key=self.df):
-            if self.df(t) == 0:
-                return np.empty(0, dtype=np.int64)
-            if result is None:
-                result = self.term_docs(t)
-            else:
-                docs = self._term_docs_skipped(t, result)
-                result = result[np.isin(result, docs, assume_unique=True)]
+        result = self.term_docs(terms[0])
+        for t in terms[1:]:
             if result.size == 0:
                 break
-        return result if result is not None else np.empty(0, dtype=np.int64)
-
-    def _term_docs_skipped(self, term: str, candidates: np.ndarray) -> np.ndarray:
-        """Sorted doc_ids of ``term`` restricted to blocks that can
-        contain any of the (sorted) candidate doc ids — skips decoding
-        blocks whose doc range misses every candidate."""
-        rows = self.chunks_for([term]).to_pylist()
-        if not rows:
-            return np.empty(0, dtype=np.int64)
-        parts: list[np.ndarray] = []
-        for row in rows:
-            bf = np.asarray(row["block_first"], dtype=np.int64)
-            bl = np.asarray(row["block_last"], dtype=np.int64)
-            # block b can intersect iff a candidate falls inside [bf, bl]
-            keep = np.flatnonzero(
-                np.searchsorted(candidates, bl, side="right")
-                > np.searchsorted(candidates, bf, side="left")
-            )
-            for bi in keep:
-                docs, _, _ = decode_block(row, int(bi))
-                if self.deleted.size:
-                    # scoped filter required here: an updated doc's LIVE
-                    # candidate must not be matched by its DEAD old copy
-                    docs = docs[self._live(docs, int(row["slice"]))]
-                parts.append(docs)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
+            result = _intersect_sorted(result, self.term_docs(t))
+        return result
 
     def term_docs(self, term: str) -> np.ndarray:
-        return np.sort(self.term_arrays(term)[0])
+        return self.term_arrays(term)[0]
 
     def prefix_terms(self, prefix: str, max_expansions: int | None = None) -> list[str]:
         """Dictionary terms starting with ``prefix`` — a binary-search
@@ -633,76 +496,20 @@ class QueryEngine:
 
     def union_docs(self, terms: list[str]) -> np.ndarray:
         """Sorted doc_ids containing ANY of ``terms`` (multi-term query
-        rewrite: postings union). Filter context needs membership only,
-        so this decodes JUST the doc streams of all matched terms in one
-        bulk pass — no tf/dl decode, and the (BM25-serving) postings
-        cache is neither consulted nor polluted by a 100-term wildcard
-        expansion (measured 3-4× on dense expansions)."""
-        if not terms:
-            return np.empty(0, dtype=np.int64)
-        if len(terms) == 1:
-            return self.term_docs(terms[0])
-        parts: list[np.ndarray] = []
-        misses = []
-        for t in set(terms):
-            hit = self._docs_cache.get(t)
-            if hit is not None:
-                self._docs_cache.move_to_end(t)
-                parts.append(hit)
-            else:
-                misses.append(t)
-        if misses:
-            from .segments import decode_docs_bulk
-
-            rows = self.chunks_for(misses).to_pylist()
-            if rows:
-                docs, off = decode_docs_bulk(
-                    rows, int(self.manifest.get("block_size", 128))
-                )
-                counts = np.diff(off)
-                if self.deleted.size:
-                    slices = np.repeat(
-                        np.asarray([r["slice"] for r in rows], dtype=np.int64), counts
-                    )
-                    keep = self._live(docs, slices)
-                    # recompute per-row counts after the scoped filter
-                    row_of = np.repeat(np.arange(len(rows)), counts)[keep]
-                    docs = docs[keep]
-                    counts = np.bincount(row_of, minlength=len(rows))
-                row_terms = [r["term"] for r in rows]
-                bounds = np.concatenate(([0], np.cumsum(counts)))
-                by_term: dict[str, list[np.ndarray]] = {}
-                for i, t in enumerate(row_terms):
-                    by_term.setdefault(t, []).append(docs[bounds[i] : bounds[i + 1]])
-                for t in misses:
-                    segs = by_term.get(t, [])
-                    dt = (
-                        np.unique(np.concatenate(segs)).astype(np.int64)
-                        if segs else np.empty(0, dtype=np.int64)
-                    )
-                    parts.append(dt)
-                    self._docs_cache[t] = dt
-                    self._docs_cache_bytes += dt.nbytes
-                while (
-                    self._docs_cache_bytes > self._docs_cache_cap
-                    and len(self._docs_cache) > 1
-                ):
-                    _, ev = self._docs_cache.popitem(last=False)
-                    self._docs_cache_bytes -= ev.nbytes
-            else:
-                parts.extend(np.empty(0, dtype=np.int64) for _ in misses)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
+        rewrite: postings union), read through the postings cache."""
+        parts = [p[0] for p in self._postings(terms).values()]
+        if len(parts) <= 1:
+            return parts[0] if parts else np.empty(0, dtype=np.int64)
         cat = np.concatenate(parts)
         if cat.size == 0:
-            return cat.astype(np.int64)
+            return cat
         mx = int(cat.max())
         if mx < 8 * max(self.n_docs, 1):
             # dense id space: bitmap dedup is O(n), no sort
             flags = np.zeros(mx + 1, dtype=bool)
             flags[cat] = True
             return np.flatnonzero(flags).astype(np.int64)
-        return np.unique(cat).astype(np.int64)
+        return np.unique(cat)
 
     # ---------- multi-term queries (wildcard / regexp / fuzzy) ----------
 
@@ -898,8 +705,7 @@ class QueryEngine:
         if not expansions:
             return np.empty(0, dtype=np.int64)
         if len(terms) == 1:
-            parts = [self.term_arrays(t)[0] for t in expansions]
-            return np.unique(np.concatenate(parts)).astype(np.int64)
+            return self.union_docs(expansions)
         keys = self._position_keys(terms[:-1] + expansions)
         last_keys = np.unique(np.concatenate([keys[t] for t in expansions]))
         s = keys[terms[0]]
@@ -1051,67 +857,6 @@ class QueryEngine:
             return pa.schema([target.field(c) for c in columns]).empty_table()
         return pa.concat_tables(parts, promote_options="default")
 
-    # ---------- distributed scoring (doc-bucket parallel) ----------
-
-    def bm25_topk_distributed(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        """BM25 top-k as a Ray pipeline: the query's posting chunks are
-        grouped by doc BUCKET (the index's doc-range partitioning), each
-        bucket scores its doc range independently in parallel, and the
-        tiny per-bucket top-k lists merge on the driver — the
-        document-sharded execution model OpenSearch itself uses (per-
-        shard top-k + merge), so results are identical to the local path
-        (tested). This is the shape that serves a 10^12-doc index: no
-        single task ever sees more than one bucket's postings."""
-        import ray.data as rd
-
-        terms = self.query_terms(query)
-        chunks = self.chunks_for(terms)
-        if chunks.num_rows == 0:
-            return []
-        dfs = {t: self.df(t) for t in terms}
-        n_docs, avgdl = self.n_docs, self.avgdl
-        block_size = int(self.manifest.get("block_size", 128))
-
-        import ray
-
-        tombs_ref = (
-            ray.put((self.deleted, self._del_lf)) if self.deleted.size else None
-        )
-
-        def score_bucket(group: pa.Table) -> pa.Table:
-            from .lifecycle import live_mask
-            from .segments import decode_chunks_bulk
-
-            rows = group.to_pylist()
-            docs, tfs, dls, off = decode_chunks_bulk(rows, block_size)
-            idfs = np.asarray([float(bm25_idf(dfs[r["term"]], n_docs)) for r in rows])
-            w = np.repeat(idfs, np.diff(off))
-            if tombs_ref is not None:
-                ids, lf = ray.get(tombs_ref)
-                slices = np.repeat(
-                    np.asarray([r["slice"] for r in rows], dtype=np.int64),
-                    np.diff(off),
-                )
-                keep = live_mask(docs, slices, ids, lf)
-                docs, tfs, dls, w = docs[keep], tfs[keep], dls[keep], w[keep]
-            imps = w * tf_norm(tfs, dls, avgdl)
-            uniq, inv = np.unique(docs, return_inverse=True)
-            scores = np.zeros(uniq.size)
-            np.add.at(scores, inv, imps)
-            top = _topk_with_ties(uniq, scores, k)
-            return pa.table(
-                {"doc_id": pa.array([d for d, _ in top], pa.int64()),
-                 "score": pa.array([s for _, s in top], pa.float64())}
-            )
-
-        parts = (
-            rd.from_arrow(chunks)
-            .groupby("bucket")
-            .map_groups(score_bucket, batch_format="pyarrow")
-            .to_pandas()
-        )
-        return _topk_with_ties(parts["doc_id"].to_numpy(), parts["score"].to_numpy(), k)
-
     # ---------- restricted query DSL (SURVEY §2.A4) ----------
 
     def execute_filter(self, query: dict | None) -> np.ndarray:
@@ -1175,7 +920,7 @@ class QueryEngine:
         terms = sorted(t for _, t in scored[:max_query_terms])
         if not terms:
             return []
-        hits = self._score_exact(terms, k + (1 if exclude_doc is not None else 0))
+        hits = self.bm25_topk(" ".join(terms), k + (1 if exclude_doc is not None else 0))
         if exclude_doc is not None:
             hits = [(d, s) for d, s in hits if d != exclude_doc][:k]
         return hits
@@ -1695,9 +1440,8 @@ class QueryEngine:
         ``(doc_id, score)``, exactly as pages return them — in (score
         desc, doc_id asc) order. Page boundaries are exact because the
         sort key is total: paging through every hit reproduces the full
-        ranking (tested). Uses the exact scoring path — pruning cannot
-        bound a page that starts below the global top-k, the same reason
-        OpenSearch charges deep pagination linearly."""
+        ranking (tested). Scores every match, the same reason OpenSearch
+        charges deep pagination linearly."""
         uniq, scores = _after_cursor(*self.bm25_scores(query), search_after)
         return _topk_with_ties(uniq, scores, k)
 

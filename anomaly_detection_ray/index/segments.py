@@ -236,9 +236,9 @@ def decode_chunks_bulk(rows: list[dict], block_size: int = DEFAULT_BLOCK_SIZE):
 def decode_docs_bulk(rows: list[dict], block_size: int = DEFAULT_BLOCK_SIZE):
     """Docs-only variant of :func:`decode_chunks_bulk` — one
     ``decode_varint`` pass over the doc stream, tf/dl streams untouched.
-    The filter-context hot path for multi-term (wildcard/fuzzy/terms)
-    unions, where only membership matters: 1/3 the varint work and no
-    impact arrays. Returns ``(docs, row_value_offsets)``."""
+    Returns ``(docs, row_value_offsets)``. The query engine no longer
+    calls it (multi-term unions read the postings cache); it stays while
+    ``perfbench/trace.py`` wraps it by name."""
     dfs = np.asarray([r["df_chunk"] for r in rows], dtype=np.int64)
     off = np.concatenate(([0], np.cumsum(dfs)))
     deltas = decode_varint(b"".join(r["docs"] for r in rows))

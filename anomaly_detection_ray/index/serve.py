@@ -35,8 +35,8 @@ class _EngineReplica:
         self._kwargs = engine_kwargs
         self.engine = QueryEngine(index_dir, **engine_kwargs)
 
-    def bm25_many(self, queries: list[str], k: int, prune: bool) -> list:
-        return [self.engine.bm25_topk(q, k=k, prune=prune) for q in queries]
+    def bm25_many(self, queries: list[str], k: int) -> list:
+        return [self.engine.bm25_topk(q, k=k) for q in queries]
 
     def dsl_many(self, queries: list[dict]) -> list:
         return [self.engine.execute_filter(q).tolist() for q in queries]
@@ -103,9 +103,9 @@ class QueryService:
             idle.append(r)
         return out
 
-    def bm25_topk(self, queries: list[str], k: int = 10, prune: bool = True) -> list:
+    def bm25_topk(self, queries: list[str], k: int = 10) -> list:
         """One ranked hit list per query, query order preserved."""
-        return self._scatter(list(queries), "bm25_many", k, prune)
+        return self._scatter(list(queries), "bm25_many", k)
 
     def execute_filter(self, queries: list[dict]) -> list:
         """One sorted doc-id list per DSL filter query."""

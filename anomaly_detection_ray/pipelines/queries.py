@@ -97,7 +97,7 @@ def _hits_frame(hits: list[tuple[int, float]], rank_from: int = 1) -> pd.DataFra
 def q_bm25_topk(sf_dir: str) -> pd.DataFrame:
     """BM25 top-10 (north rule): rank-identical docIDs + scores."""
     eng = index_for(sf_dir)
-    return _hits_frame(eng.bm25_topk(BM25_QUERY, k=10, prune=True))
+    return _hits_frame(eng.bm25_topk(BM25_QUERY, k=10))
 
 
 def q_term_filter_conjunctive(sf_dir: str) -> pd.DataFrame:
@@ -526,7 +526,7 @@ def q_compacted_bm25(sf_dir: str) -> pd.DataFrame:
     stats recomputed exactly over the live docs, so the SQL twin scores
     from the live-doc subset."""
     eng = lifecycle_index_for(sf_dir, "compacted")
-    hits = eng.bm25_topk(BM25_QUERY, k=10, prune=True)
+    hits = eng.bm25_topk(BM25_QUERY, k=10)
     return _hits_frame(hits)
 
 
@@ -575,7 +575,7 @@ def q_highlight_search(sf_dir: str) -> pd.DataFrame:
     from ..stages.highlight import snippets_for_hits
 
     eng = index_for(sf_dir)
-    hits = eng.bm25_topk(BM25_QUERY, k=10, prune=True)
+    hits = eng.bm25_topk(BM25_QUERY, k=10)
     rows = snippets_for_hits(
         eng, [os.path.join(sf_dir, "documents.parquet")], BM25_QUERY, hits,
         text_col="text",

@@ -227,10 +227,8 @@ def write_locality_corpus(out_dir: str, n_docs: int = 30_000, seg_docs: int = 51
     zipf vocabulary, every contiguous segment of ``seg_docs`` docs
     carries its own segment-local identifiers (``seg00042loc0`` …) —
     the repo-clustered layout real code corpora have when files land in
-    repo order. This is the shape block-range pruning exploits: a
-    segment-local high-IDF query term confines the candidate doc range,
-    so block-max interval pruning and the conjunctive block-skip can
-    ignore every other segment's postings."""
+    repo order: a segment-local high-IDF query term confines the
+    candidate doc range (the rare-and-dense conjunctive case)."""
     os.makedirs(out_dir, exist_ok=True)
     base = generate_corpus_fast(n_docs, seed=seed)
     contents = base["content"].to_pylist()

@@ -107,10 +107,7 @@ def bench_suite() -> dict:
         lat = []
         for q in qset:
             t0 = time.perf_counter()
-            # exact vectorized scoring: on this dense synthetic vocab every
-            # query term matches ~all docs, so block-max pruning can't skip
-            # anything (it stays tested + rank-identical for skewed corpora)
-            eng.bm25_topk(q, k=10, prune=False)
+            eng.bm25_topk(q, k=10)
             lat.append(time.perf_counter() - t0)
         return np.asarray(lat)
 
@@ -122,15 +119,14 @@ def bench_suite() -> dict:
     from anomaly_detection_ray.index.serve import QueryService
 
     svc = QueryService(idx_dir, n_replicas=4)
-    svc.bm25_topk(qset[:4], k=10, prune=False)  # replica warm-up
-    timed("bm25_100_queries_4rep", lambda: svc.bm25_topk(qset, k=10, prune=False))
+    svc.bm25_topk(qset[:4], k=10)  # replica warm-up
+    timed("bm25_100_queries_4rep", lambda: svc.bm25_topk(qset, k=10))
     extra["bm25_serve_qps_4rep"] = round(len(qset) / timings["bm25_100_queries_4rep"], 1)
     extra["bm25_serve_qps_1eng"] = round(len(qset) / timings["bm25_100_queries"], 1)
     svc.shutdown()
 
-    # ---- block-max pruning + conjunctive block-skip on a LOCALITY corpus
-    # (segment-local identifiers → confined candidate ranges — the case
-    # where pruning wins; the dense corpus above is its worst case) ----
+    # ---- BM25 and a rare-and-dense conjunctive on a LOCALITY corpus
+    # (segment-local identifiers → confined candidate ranges) ----
     from anomaly_detection_ray.sources.corpus import write_locality_corpus
 
     loc_docs = 30_000
@@ -147,51 +143,26 @@ def bench_suite() -> dict:
     n_segs = loc_docs // 512
     skewq = [f"seg{(g * 7) % n_segs:05d}loc0 value return" for g in range(50)]
 
-    def run_local(flag):
+    def run_local(eng):
         lat = []
         for q in skewq:
             t0 = time.perf_counter()
-            leng.bm25_topk(q, k=10, prune=flag)
+            eng.bm25_topk(q, k=10)
             lat.append(time.perf_counter() - t0)
         return np.asarray(lat)
 
-    lp = timed("bm25_local_pruned", lambda: run_local(True))
-    le = timed("bm25_local_exact", lambda: run_local(False))
-    # pruning's honest comparison point is a CACHE-DISABLED exact path:
-    # with the decoded-postings cache warm, exact wins whenever the
-    # corpus fits the cache budget; block-max pruning is the path for
-    # vocabularies too large to keep decoded (10^9-doc dense terms)
+    le = timed("bm25_local_exact", lambda: run_local(leng))
+    # a one-entry postings cache: every query term decodes again
     cold_eng = QueryEngine(loc_idx, postings_cache_bytes=0)
-
-    def run_cold():
-        lat = []
-        for q in skewq:
-            t0 = time.perf_counter()
-            cold_eng.bm25_topk(q, k=10, prune=False)
-            lat.append(time.perf_counter() - t0)
-        return np.asarray(lat)
-
-    lc = timed("bm25_local_exact_nocache", run_cold)
-    extra["bm25_local_pruned_p50_ms"] = round(float(np.percentile(lp, 50)) * 1000, 2)
+    lc = timed("bm25_local_exact_nocache", lambda: run_local(cold_eng))
     extra["bm25_local_exact_p50_ms"] = round(float(np.percentile(le, 50)) * 1000, 2)
     extra["bm25_local_exact_nocache_p50_ms"] = round(float(np.percentile(lc, 50)) * 1000, 2)
-    extra["bm25_prune_speedup_vs_nocache"] = round(float(lc.sum() / max(lp.sum(), 1e-9)), 2)
-    # sanity: both paths rank-identical on a sample (scores to 1e-9 —
-    # the exact path accumulates term-major off the postings cache)
-    for q in skewq[:5]:
-        p, e = leng.bm25_topk(q, k=10, prune=True), leng.bm25_topk(q, k=10, prune=False)
-        assert [d for d, _ in p] == [d for d, _ in e], q
-        assert all(abs(a - b) < 1e-9 for (_, a), (_, b) in zip(p, e)), q
 
     def run_conj():
         for q in skewq[:25]:
             leng.conjunctive(q)
 
     timed("conj_rare_dense", run_conj)
-    t0 = time.perf_counter()
-    for q in skewq[:25]:  # the cost the block-skip avoids: full dense decode
-        leng.term_docs("value")
-    extra["conj_dense_full_decode_sec"] = round(time.perf_counter() - t0, 3)
 
     # ---- multi-term queries (wildcard / fuzzy) over the corpus
     # dictionary: prefix-bounded scan + vectorized RE2 / batched DP ----

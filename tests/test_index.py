@@ -73,11 +73,10 @@ def test_bm25_rank_identical(built, tiny_corpus):
     n_nonempty = 0
     for q in queries:
         expected = oracle.bm25_topk(q, k=10)
-        for prune in (False, True):
-            got = eng.bm25_topk(q, k=10, prune=prune)
-            assert [d for d, _ in got] == [d for d, _ in expected], (q, prune)
-            for (_, gs), (_, es) in zip(got, expected):
-                assert gs == pytest.approx(es, abs=1e-9), (q, prune)
+        got = eng.bm25_topk(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in expected], q
+        for (_, gs), (_, es) in zip(got, expected):
+            assert gs == pytest.approx(es, abs=1e-9), q
         n_nonempty += bool(expected)
     assert n_nonempty > 10  # the query set actually exercises scoring
 
@@ -87,6 +86,44 @@ def test_conjunctive_parity(built, tiny_corpus):
     eng = QueryEngine(out)
     for q in tiny_corpus["queries"]["query"].to_pylist():
         assert list(eng.conjunctive(q)) == oracle.conjunctive(q), q
+
+
+def test_postings_cache_stats(built, tiny_corpus):
+    """One postings cache serves BM25, conjunctive and multi-term reads:
+    a second pass over the same requests only hits, and the byte count
+    stays under the cap (or the cache holds its single newest entry)."""
+    out, _, _ = built
+    queries = tiny_corpus["queries"]["query"].to_pylist()[:20]
+
+    def run(eng):
+        for q in queries:
+            eng.bm25_topk(q, k=10)
+            eng.conjunctive(q)
+        eng.wildcard_docs("im*")
+        eng.fuzzy_docs("merg")
+
+    def held(eng):
+        return sum(a.nbytes for entry in eng._cache.values() for a in entry)
+
+    eng = QueryEngine(out)
+    run(eng)
+    first = eng.cache_stats()
+    assert first["misses"] > 0 and first["evictions"] == 0
+    assert first["bytes"] == held(eng) <= first["cap_bytes"]
+    run(eng)
+    second = eng.cache_stats()
+    assert second["misses"] == first["misses"] and second["hits"] > first["hits"]
+    assert {k: second[k] for k in ("evictions", "bytes", "entries", "cap_bytes")} == {
+        k: first[k] for k in ("evictions", "bytes", "entries", "cap_bytes")}
+    cap = first["bytes"] // 4
+    small = QueryEngine(out, postings_cache_bytes=cap)
+    run(small)
+    run(small)
+    s = small.cache_stats()
+    assert s["cap_bytes"] == cap and s["evictions"] > 0
+    assert s["hits"] + s["misses"] == second["hits"] + second["misses"]
+    assert s["bytes"] == held(small)
+    assert s["bytes"] <= cap or s["entries"] == 1
 
 
 def test_lineage_sha256_invariant(built, tiny_corpus):
@@ -113,20 +150,6 @@ def test_resume_skips_completed_slices(built, tiny_corpus):
     a = [p["sha256"] for s in first["slices"] for p in s["partitions"]]
     b = [p["sha256"] for s in manifest2["slices"] for p in s["partitions"]]
     assert a == b
-
-
-def test_bm25_distributed_matches_local(built, tiny_corpus):
-    """Doc-bucket-parallel Ray scoring path ≡ local engine ≡ oracle."""
-    out, _, oracle = built
-    eng = QueryEngine(out)
-    for q in tiny_corpus["queries"]["query"].to_pylist()[:8]:
-        dist = eng.bm25_topk_distributed(q, k=10)
-        local = eng.bm25_topk(q, k=10, prune=False)
-        # ranks identical; scores to 1e-9 (the local path accumulates
-        # term-major off the decoded-postings cache, the distributed path
-        # row-major per bucket — a 1-ulp float association difference)
-        assert [d for d, _ in dist] == [d for d, _ in local], q
-        assert all(abs(a - b) < 1e-9 for (_, a), (_, b) in zip(dist, local)), q
 
 
 def test_engine_vs_oracle_random_corpora(ray_session, tmp_path_factory):
@@ -156,11 +179,10 @@ def test_engine_vs_oracle_random_corpora(ray_session, tmp_path_factory):
         for _ in range(10):
             q = " ".join(rng.choice(vocab, size=rng.integers(1, 4)))
             exp = oracle.bm25_topk(q, k=10)
-            for prune in (False, True):
-                got = eng.bm25_topk(q, k=10, prune=prune)
-                assert [x for x, _ in got] == [x for x, _ in exp], (trial, q, prune)
-                for (_, gs), (_, es) in zip(got, exp):
-                    assert abs(gs - es) < 1e-9
+            got = eng.bm25_topk(q, k=10)
+            assert [x for x, _ in got] == [x for x, _ in exp], (trial, q)
+            for (_, gs), (_, es) in zip(got, exp):
+                assert abs(gs - es) < 1e-9
             assert list(eng.conjunctive(q)) == oracle.conjunctive(q)
 
 
@@ -218,11 +240,10 @@ def test_extend_index_segment_add(ray_session, tiny_corpus, tmp_path_factory):
     n_nonempty = 0
     for q in tiny_corpus["queries"]["query"].to_pylist():
         exp = eng_full.bm25_topk(q, k=10)
-        for prune in (False, True):
-            got = eng.bm25_topk(q, k=10, prune=prune)
-            assert [d for d, _ in got] == [d for d, _ in exp], (q, prune)
-            for (_, gs), (_, es) in zip(got, exp):
-                assert gs == _pytest.approx(es, abs=1e-9)
+        got = eng.bm25_topk(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in exp], q
+        for (_, gs), (_, es) in zip(got, exp):
+            assert gs == _pytest.approx(es, abs=1e-9)
         n_nonempty += bool(exp)
     assert n_nonempty > 10
 
@@ -536,8 +557,8 @@ def test_wide_records_byte_capped_batches(ray_session, tmp_path):
     ea, eb = QueryEngine(a), QueryEngine(b)
     assert ea.n_docs == 12 and ea.avgdl == eb.avgdl
     for q in ["shared body", "wide3 filler", "lorem"]:
-        ha = ea.bm25_topk(q, k=12, prune=False)
-        hb = eb.bm25_topk(q, k=12, prune=False)
+        ha = ea.bm25_topk(q, k=12)
+        hb = eb.bm25_topk(q, k=12)
         assert [d for d, _ in ha] == [d for d, _ in hb], q
         for (_, sa), (_, sb) in zip(ha, hb):
             assert sa == pytest.approx(sb, abs=1e-9)
@@ -560,15 +581,13 @@ def test_empty_corpus_build_and_query(ray_session, tmp_path):
     assert list(eng.conjunctive("anything")) == []
 
 
-def test_locality_corpus_prune_and_skip_parity(ray_session, tmp_path_factory):
+def test_locality_corpus_oracle_parity(ray_session, tmp_path_factory):
     """VERDICT r1 #8/#9: on a doc-id-locality corpus (segment-local
-    identifiers) the pruned BM25 path and block-skipping conjunctive
-    stay rank-/set-identical to the exact paths, and the conjunctive
-    skip decodes only a fraction of the dense term's blocks."""
-    import glob
+    identifiers) BM25 stays rank-identical to the brute-force oracle and
+    a rare-and-dense conjunctive equals a brute intersection."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    from anomaly_detection_ray import index as _idx  # noqa: F401
-    from anomaly_detection_ray.index import query as qmod
     from anomaly_detection_ray.sources.corpus import write_locality_corpus
 
     d = tmp_path_factory.mktemp("loc")
@@ -576,32 +595,16 @@ def test_locality_corpus_prune_and_skip_parity(ray_session, tmp_path_factory):
     out = str(d / "idx")
     build_index(files, out, slices=1, num_partitions=8, mode="code",
                 batch_size=512, bucket_shift=12)
-    eng = qmod.QueryEngine(out)
+    eng = QueryEngine(out)
+    table = pa.concat_tables([pq.read_table(f, columns=["doc_id", "content"]) for f in files])
+    oracle = BruteForceIndex(table["doc_id"].to_pylist(), table["content"].to_pylist(),
+                             Analyzer("code"))
     for g in range(0, 15, 3):
         q = f"seg{g:05d}loc0 value return"
-        p, e = eng.bm25_topk(q, 10, prune=True), eng.bm25_topk(q, 10, prune=False)
-        assert [d for d, _ in p] == [d for d, _ in e], q
-        assert all(abs(a - b) < 1e-9 for (_, a), (_, b) in zip(p, e)), q
-    # count decoded blocks through the skip path vs a full decode
-    calls = {"n": 0}
-    orig = qmod.decode_block
-
-    def counting(row, bi):
-        calls["n"] += 1
-        return orig(row, bi)
-
-    qmod.decode_block = counting
-    try:
-        cand = eng.term_docs("seg00003loc0")      # one segment's docs
-        eng._term_docs_skipped("value", cand)
-        skipped_calls = calls["n"]
-    finally:
-        qmod.decode_block = orig
-    total_blocks = sum(
-        len(r["block_first"]) for r in eng.chunks_for(["value"]).to_pylist()
-    )
-    assert skipped_calls < total_blocks / 2, (skipped_calls, total_blocks)
-    # and the skip-based conjunctive equals a brute intersection
+        got, exp = eng.bm25_topk(q, 10), oracle.bm25_topk(q, 10)
+        assert [d for d, _ in got] == [d for d, _ in exp], q
+        assert all(abs(a - b) < 1e-9 for (_, a), (_, b) in zip(got, exp)), q
+    cand = eng.term_docs("seg00003loc0")      # one segment's docs
     full = np.intersect1d(eng.term_docs("value"), cand)
     got = eng.conjunctive("seg00003loc0 value")
     assert np.array_equal(np.sort(full), np.sort(got))

@@ -42,7 +42,7 @@ def deleted_index(ray_session, tiny_corpus, tmp_path_factory):
         mode="code", store_positions=True,
     )
     pre = QueryEngine(out)
-    pre_topk = {q: pre.bm25_topk(q, k=200, prune=False) for q in QUERIES}
+    pre_topk = {q: pre.bm25_topk(q, k=200) for q in QUERIES}
     pre_phrase = {p: list(pre.phrase(p)) for p in PHRASES}
     # tombstone the top hits of the first query plus a doc-id comb —
     # deletes that actually perturb rankings
@@ -78,18 +78,15 @@ def test_delete_filters_every_query_path(deleted_index, tiny_corpus):
 
 def test_delete_keeps_live_scores_stale_stats(deleted_index):
     """Top-k after delete == pre-delete ranking minus tombstones, scores
-    bit-identical — the Lucene stale-stats invariant, on BOTH paths."""
+    bit-identical — the Lucene stale-stats invariant."""
     out, deleted, pre_topk, _ = deleted_index
     eng = QueryEngine(out)
     for q in QUERIES:
         expected = _hits_minus(pre_topk[q], deleted, 10)
-        for prune in (False, True):
-            got = eng.bm25_topk(q, k=10, prune=prune)
-            assert [d for d, _ in got] == [d for d, _ in expected], (q, prune)
-            for (_, gs), (_, es) in zip(got, expected):
-                assert gs == pytest.approx(es, abs=1e-9)
-        dist = eng.bm25_topk_distributed(q, k=10)
-        assert [d for d, _ in dist] == [d for d, _ in expected], q
+        got = eng.bm25_topk(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in expected], q
+        for (_, gs), (_, es) in zip(got, expected):
+            assert gs == pytest.approx(es, abs=1e-9)
 
 
 def test_index_stats_reflects_lifecycle(deleted_index):
@@ -165,12 +162,11 @@ def test_compact_equals_fresh_build_over_live_docs(
         assert ce.df(term) == fe.df(term), term
         assert list(ce.term_docs(term)) == list(fe.term_docs(term)), term
     for q in QUERIES:
-        exp = fe.bm25_topk(q, k=10, prune=False)
-        for prune in (False, True):
-            got = ce.bm25_topk(q, k=10, prune=prune)
-            assert [d for d, _ in got] == [d for d, _ in exp], (q, prune)
-            for (_, gs), (_, es) in zip(got, exp):
-                assert gs == pytest.approx(es, abs=1e-9)
+        exp = fe.bm25_topk(q, k=10)
+        got = ce.bm25_topk(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in exp], q
+        for (_, gs), (_, es) in zip(got, exp):
+            assert gs == pytest.approx(es, abs=1e-9)
     for p in PHRASES:
         assert list(ce.phrase(p)) == list(fe.phrase(p)), p
     # docmap rewritten to live docs only
@@ -271,12 +267,11 @@ def test_update_docs_scoped_tombstones(ray_session, tiny_corpus, tmp_path_factor
     ce, fe = QueryEngine(out), QueryEngine(fresh_idx)
     assert ce.n_docs == fe.n_docs and ce.avgdl == pytest.approx(fe.avgdl)
     for q in QUERIES + ["replacement text body"]:
-        exp = fe.bm25_topk(q, k=10, prune=False)
-        for prune in (False, True):
-            got = ce.bm25_topk(q, k=10, prune=prune)
-            assert [d for d, _ in got] == [d for d, _ in exp], (q, prune)
-            for (_, gs), (_, es) in zip(got, exp):
-                assert gs == pytest.approx(es, abs=1e-9)
+        exp = fe.bm25_topk(q, k=10)
+        got = ce.bm25_topk(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in exp], q
+        for (_, gs), (_, es) in zip(got, exp):
+            assert gs == pytest.approx(es, abs=1e-9)
 
     # a plain delete AFTER an update kills the doc outright
     delete_docs(out, [victims[0]])
@@ -325,7 +320,7 @@ def test_partial_merge_tiered_policy(ray_session, tiny_corpus, tmp_path_factory)
     # tombstone a few docs spread across slices
     delete_docs(out, [0, 80, 150, 901])
     before = QueryEngine(out)
-    ref_top = {q: before.bm25_topk(q, k=10, prune=False) for q in QUERIES}
+    ref_top = {q: before.bm25_topk(q, k=10) for q in QUERIES}
     ref_all = list(before.execute_filter({"match_all": {}}))
     ref_tier = list(before.term_docs("zztier"))
 
@@ -340,13 +335,11 @@ def test_partial_merge_tiered_policy(ray_session, tiny_corpus, tmp_path_factory)
     assert list(after.term_docs("zztier")) == ref_tier == [902]
     # BM25 stats legitimately SHIFT for merged docs (their tombstones
     # were purged from df/avgdl/n_docs — Lucene merges do the same), so
-    # assert live-hit + both-paths-agree rather than score identity
+    # assert live hits rather than score identity
     live = set(ref_all)
     for q in QUERIES:
-        got = after.bm25_topk(q, k=10, prune=False)
+        got = after.bm25_topk(q, k=10)
         assert got and all(d in live for d, _ in got), q
-        pruned = after.bm25_topk(q, k=10, prune=True)
-        assert [d for d, _ in pruned] == [d for d, _ in got], q
     # a later FULL merge still converges and clears tombstones
     m2 = merge_slices(out, gc=True)
     assert "deletes" not in m2 and len(m2["slices"]) == 1
@@ -390,7 +383,7 @@ def test_compact_without_deletes_merges_slices(ray_session, tiny_corpus, tmp_pat
     out = str(tmp_path_factory.mktemp("lifecycle_merge"))
     build_index(tiny_corpus["paths"], out, slices=3, num_partitions=4, mode="code")
     eng = QueryEngine(out)
-    before = {q: eng.bm25_topk(q, k=10, prune=False) for q in QUERIES}
+    before = {q: eng.bm25_topk(q, k=10) for q in QUERIES}
     m = compact_index(out, gc=True)
     assert len(m["slices"]) == 1
     assert m["n_docs"] == 200
@@ -400,7 +393,7 @@ def test_compact_without_deletes_merges_slices(ray_session, tiny_corpus, tmp_pat
     ]
     after = QueryEngine(out)
     for q in QUERIES:
-        got = after.bm25_topk(q, k=10, prune=False)
+        got = after.bm25_topk(q, k=10)
         assert [d for d, _ in got] == [d for d, _ in before[q]]
         for (_, gs), (_, es) in zip(got, before[q]):
             assert gs == pytest.approx(es, abs=1e-9)
@@ -412,7 +405,9 @@ def test_docmap_and_postings_paths_agree(ray_session, tiny_corpus, tmp_path_fact
     postings) answer alike: filters, aggregations, a sorted search, a
     collapse page and ``_source`` — over an index with a delete and a
     scoped update slice that lacks keep columns (null-filled), and over
-    an empty compacted index."""
+    an empty compacted index. So does ``postings_cache_bytes=1``, which
+    evicts on every insert: BM25, conjunctive, wildcard and fuzzy answers,
+    whose doc sets also equal a brute-force oracle over the live text."""
     import pyarrow as pa
 
     from anomaly_detection_ray.index.lifecycle import update_docs
@@ -468,6 +463,27 @@ def test_docmap_and_postings_paths_agree(ray_session, tiny_corpus, tmp_path_fact
                 assert fast.metric_agg(docs, field, op) == slow.metric_agg(docs, field, op)
         for body in bodies:
             assert search(fast, body) == search(slow, body), (idx, body)
+        tiny = QueryEngine(idx, postings_cache_bytes=1)
+        for q in QUERIES + ["zzupd merge body"]:
+            assert tiny.bm25_topk(q, k=10) == fast.bm25_topk(q, k=10), (idx, q)
+            assert list(tiny.conjunctive(q)) == list(fast.conjunctive(q)), (idx, q)
+        for pat in ("mer*", "zzup*", "*ort"):
+            assert list(tiny.wildcard_docs(pat)) == list(fast.wildcard_docs(pat)), (idx, pat)
+        for term in ("merg", "zzupdd", "sortt"):
+            assert list(tiny.fuzzy_docs(term)) == list(fast.fuzzy_docs(term)), (idx, term)
+    # scoped tombstones on every decode: the live text is the corpus minus
+    # the deletes, with docs 7 and 60 replaced by their update
+    text = dict(zip(tiny_corpus["table"]["doc_id"].to_pylist(),
+                    tiny_corpus["table"]["content"].to_pylist()))
+    for d in (3, 50, 51, 120):
+        del text[d]
+    text.update(zip(upd["doc_id"].to_pylist(), upd["content"].to_pylist()))
+    oracle = BruteForceIndex(list(text), list(text.values()), Analyzer("code"))
+    tiny = QueryEngine(out, postings_cache_bytes=1)
+    for q in QUERIES + ["zzupd merge body", "merge body"]:
+        assert list(tiny.conjunctive(q)) == oracle.conjunctive(q), q
+    for prefix in ("mer", "zzup", "sor"):
+        assert list(tiny.wildcard_docs(prefix + "*")) == oracle.prefix(prefix), prefix
     fast, slow = QueryEngine(out), QueryEngine(out, preload_bytes=0)
     assert fast.docmap_in_memory and not slow.docmap_in_memory
     assert not slow._preloaded

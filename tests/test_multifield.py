@@ -64,7 +64,7 @@ def test_multi_match_boosts_and_single_field(mf):
     assert [d for d, _ in got] == [d for d, _ in exp]
     # restricting to one field == that field's own BM25 ranking
     single = eng.multi_match(q, k=10, fields=["path"])
-    own = eng.engine("path").bm25_topk(q, k=10, prune=False)
+    own = eng.engine("path").bm25_topk(q, k=10)
     assert single == own
 
 

@@ -92,7 +92,7 @@ def test_search_after_pagination(eng):
     ranking exactly, page by page."""
     e, _, _ = eng
     q = "merge sort"
-    full = e.bm25_topk(q, k=10_000, prune=False)
+    full = e.bm25_topk(q, k=10_000)
     assert len(full) > 15
     # page 1 without a cursor == the top of the ranking
     assert e.bm25_search_after(q, k=7) == full[:7]
@@ -152,7 +152,7 @@ def test_bm25_topk_filtered(eng):
     assert hits, "filter should leave matches"
     assert all(d in allowed for d, _ in hits)
     # scores must equal the unfiltered scores for the same docs
-    full = dict(e.bm25_topk("merge sort", k=10_000, prune=False))
+    full = dict(e.bm25_topk("merge sort", k=10_000))
     for d, s in hits:
         assert s == pytest.approx(full[d], abs=1e-12)
     # oracle cross-check of the ranking restricted to allowed docs
@@ -181,11 +181,11 @@ def test_search_envelope(eng, tiny_corpus, tmp_path_factory):
 
     # scored match with from/size pagination
     r = search(e, {"query": {"match": {"content": "merge sort"}}, "size": 5})
-    top = e.bm25_topk("merge sort", k=5, prune=False)
+    top = e.bm25_topk("merge sort", k=5)
     assert [h["_id"] for h in r["hits"]["hits"]] == [d for d, _ in top]
     assert all(h["_source"]["lang"] for h in r["hits"]["hits"])  # docmap _source
     r2 = search(e, {"query": {"match": {"content": "merge sort"}}, "size": 5, "from": 5})
-    assert [h["_id"] for h in r2["hits"]["hits"]] == [d for d, _ in e.bm25_topk("merge sort", k=10, prune=False)[5:]]
+    assert [h["_id"] for h in r2["hits"]["hits"]] == [d for d, _ in e.bm25_topk("merge sort", k=10)[5:]]
     # total = docs matching ANY term (OpenSearch OR-match hit count)
     union = set(oracle.postings.get("merge", ())) | set(oracle.postings.get("sort", ()))
     assert r["hits"]["total"]["value"] == len(union)
@@ -218,7 +218,7 @@ def test_search_envelope(eng, tiny_corpus, tmp_path_factory):
     nxt = search(e, {"query": {"match": {"content": "merge sort"}},
                      "size": 4, "search_after": [last["_score"], last["_id"]]})
     assert [h["_id"] for h in nxt["hits"]["hits"]] == \
-        [d for d, _ in e.bm25_topk("merge sort", k=8, prune=False)[4:8]]
+        [d for d, _ in e.bm25_topk("merge sort", k=8)[4:8]]
 
     # highlight requires source files; with them, snippets come back
     r6 = search(e, {"query": {"match": {"content": "merge"}}, "size": 3,
@@ -242,7 +242,7 @@ def test_search_envelope_operator_and_msm(eng):
     e, df, oracle = eng
     q = "merge sort"
     sets = [set(oracle.postings.get(t, ())) for t in ("merge", "sort")]
-    full = dict(e.bm25_topk(q, k=10_000, prune=False))
+    full = dict(e.bm25_topk(q, k=10_000))
 
     r = search(e, {"query": {"match": {"content": {"query": q, "operator": "and"}}},
                    "size": 5})
@@ -345,7 +345,7 @@ def test_msm_percentage_and_negative_forms(eng):
     r = search(e, {"query": {"match": {"content": {
         "query": q, "minimum_should_match": "67%"}}}, "size": 5})
     assert r["hits"]["total"]["value"] == len(exp)
-    full = dict(e.bm25_topk(q, k=10_000, prune=False))
+    full = dict(e.bm25_topk(q, k=10_000))
     top = sorted(((d, full[d]) for d in exp), key=lambda t: (-t[1], t[0]))[:5]
     assert [(h["_id"], h["_score"]) for h in r["hits"]["hits"]] == \
         [(d, pytest.approx(s)) for d, s in top]
@@ -625,7 +625,7 @@ def test_search_match_boost(eng):
     first = search(e, {"query": q, "size": 4})
     last = first["hits"]["hits"][-1]
     nxt = search(e, {"query": q, "size": 4, "search_after": [last["_score"], last["_id"]]})
-    full = e.bm25_topk(q1, k=8, prune=False)
+    full = e.bm25_topk(q1, k=8)
     assert [(h["_id"], h["_score"]) for h in nxt["hits"]["hits"]] == \
         [(d, pytest.approx(2.0 * s, rel=1e-12)) for d, s in full[4:8]]
 
@@ -1082,7 +1082,7 @@ def test_search_collapse(eng):
 
     e, df, oracle = eng
     q = "merge sort"
-    full = e.bm25_topk(q, k=10_000, prune=False)
+    full = e.bm25_topk(q, k=10_000)
     langs = df.set_index("doc_id")["lang"]
 
     r = search(e, {"query": {"match": {"content": q}}, "size": 3,

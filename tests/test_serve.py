@@ -25,10 +25,10 @@ def served(ray_session, tiny_corpus, tmp_path_factory):
 def test_scatter_gather_matches_single_engine(served, tiny_corpus):
     _, svc, eng = served
     queries = tiny_corpus["queries"]["query"].to_pylist()[:10]
-    got = svc.bm25_topk(queries, k=5, prune=False)
+    got = svc.bm25_topk(queries, k=5)
     assert len(got) == len(queries)
     for q, hits in zip(queries, got):
-        assert hits == eng.bm25_topk(q, k=5, prune=False)
+        assert hits == eng.bm25_topk(q, k=5)
     dsl = [{"term": {"lang": "python"}}, {"match_all": {}},
            {"prefix": {"content": "me"}}]
     got_dsl = svc.execute_filter(dsl)
@@ -36,7 +36,7 @@ def test_scatter_gather_matches_single_engine(served, tiny_corpus):
         assert docs == eng.execute_filter(q).tolist()
     # empty batch and single-item batch round-trip
     assert svc.bm25_topk([], k=5) == []
-    assert svc.bm25_topk([queries[0]], k=3, prune=False) == [eng.bm25_topk(queries[0], k=3, prune=False)]
+    assert svc.bm25_topk([queries[0]], k=3) == [eng.bm25_topk(queries[0], k=3)]
     # the _search envelope serves through the replicas too
     from anomaly_detection_ray.index.query import search
 
@@ -98,18 +98,18 @@ def test_refresh_sees_delete_and_compaction(ray_session, tiny_corpus, tmp_path_f
     svc = QueryService(out, n_replicas=2, num_cpus=0.25)
     try:
         q = "merge sort"
-        top = svc.bm25_topk([q], k=3, prune=False)[0]
+        top = svc.bm25_topk([q], k=3)[0]
         victim = top[0][0]
         delete_docs(out, [victim])
         # replicas still serve the old manifest until refresh
-        assert svc.bm25_topk([q], k=3, prune=False)[0] == top
+        assert svc.bm25_topk([q], k=3)[0] == top
         svc.refresh()
-        after = svc.bm25_topk([q], k=3, prune=False)[0]
+        after = svc.bm25_topk([q], k=3)[0]
         assert victim not in [d for d, _ in after]
         compact_index(out, gc=True)
         svc.refresh()
-        compacted = svc.bm25_topk([q], k=3, prune=False)[0]
-        assert compacted == QueryEngine(out).bm25_topk(q, k=3, prune=False)
+        compacted = svc.bm25_topk([q], k=3)[0]
+        assert compacted == QueryEngine(out).bm25_topk(q, k=3)
         assert victim not in [d for d, _ in compacted]
     finally:
         svc.shutdown()
