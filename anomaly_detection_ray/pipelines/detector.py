@@ -7,7 +7,7 @@ pipeline shape:
     events → window_aggregate (groupby entity+window, §2.A)
            → normalize features (B1 NaN semantics)
            → model_id projection (B8: murmur3 entity hash, reference recipe)
-           → groupby(hash(model_id) % n).map_groups(ScoreGroups)  # C1–C4, bounded groups
+           → groupby(hash(model_id) % n).map_groups(score_groups)  # C1–C4, bounded groups
            → results (flat anomaly-result schema)
 
 Transport hops, rate-limited queues, the hash ring, afterKey pagination
@@ -17,7 +17,9 @@ pipelining, placement and backpressure (SURVEY.md §4 table).
 ``detect(..., checkpoint_dir=...)`` gives realtime semantics (models
 continue across runs); without it each run is a self-contained
 historical/preview pass (cold start inside the run, deterministic for a
-fixed config.seed).
+fixed config.seed). No stage of the plan starts an actor pool:
+scoring runs as plain tasks in the session's warm worker processes
+(see ``stages.scorer``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import pyarrow as pa
 
 from ..config import DetectorConfig
 from ..functions.hashing import entity_model_id
-from ..stages.scorer import ScoreGroups
+from ..stages.scorer import score_groups
 from ..stages.window import (
     mergeable,
     normalize_features,
@@ -71,11 +73,9 @@ def _add_model_id(batch: pa.Table, config: DetectorConfig,
 def _project_model_ids(batch: pa.Table, config: DetectorConfig, n_coarse: int,
                        cache: dict) -> pa.Table:
     """Model-id (+ fused ``_coarse`` shuffle key) projection. Runs as a
-    plain TASK-pool map — a stateful actor pool here would chain with the
-    ScoreGroups pool and the two floors together can reserve enough CPUs
-    to starve the read/shuffle tasks (measured: detect crawls). The
-    per-unique-combo murmur3 cache is process-local (Ray reuses worker
-    processes, so it still amortizes across the batches a worker sees)."""
+    plain TASK-pool map, like the scorer it feeds. The per-unique-combo
+    murmur3 cache is process-local (Ray reuses worker processes, so it
+    still amortizes across the batches a worker sees)."""
     out = _add_model_id(batch, config, cache)
     if n_coarse > 0:
         from ..functions.hashing import hash_strings
@@ -128,7 +128,6 @@ def detect(
     ts_col: str = "ts",
     checkpoint_dir: str | None = None,
     time_range_ms: tuple[int, int] | None = None,
-    concurrency: int | None = None,
     detailed: bool = False,
     cold_start_history: bool = True,
     force_fused: bool | None = None,
@@ -148,13 +147,10 @@ def detect(
     ``SearchFeatureDao.java:1149-1169``). Training rows are processed but
     not emitted, so scores inside the range match a run that had seen the
     history live."""
-    from ..util import pool
-
     if config.filter_query:
         from ..functions.rowfilter import apply_filter_query
 
         events_ds = apply_filter_query(events_ds, config.filter_query)
-    concurrency = pool(concurrency)
     feats = config.feature_names()
     agg_range = time_range_ms
     if time_range_ms is not None and cold_start_history:
@@ -164,7 +160,7 @@ def detect(
     # agree; non-mergeable aggs fall back automatically)
     fused = mergeable(config) if force_fused is None else (force_fused and mergeable(config))
     # Coarse-keyed scoring exchange: shuffle on hash(model_id) % n_coarse
-    # (bounded group count — ScoreGroups iterates the models inside one
+    # (bounded group count — score_groups iterates the models inside one
     # group), not one Ray group per model; per-model groups are the
     # per-group-overhead cliff at the reference's 1M-entity HC scale.
     # coarse_groups=0 pins the legacy per-model plan (parity tests).
@@ -189,12 +185,10 @@ def detect(
         )
     group_key = "_coarse" if n_coarse > 0 else "model_id"
     results = agg.groupby(group_key).map_groups(
-        ScoreGroups,
-        fn_constructor_kwargs=dict(config=config, checkpoint_dir=checkpoint_dir,
-                                   detailed=detailed, fused=fused,
-                                   chunk_rows=chunk_rows),
+        score_groups,
+        fn_kwargs=dict(config=config, checkpoint_dir=checkpoint_dir,
+                       detailed=detailed, fused=fused, chunk_rows=chunk_rows),
         batch_format="pandas",
-        concurrency=concurrency,
     )
     if agg_range is not time_range_ms:
         lo = time_range_ms[0]

@@ -3,7 +3,7 @@
 ``RCFCasterResult``), Ray-Data-first:
 
     events → window_aggregate (same §2.A surface as detection)
-           → groupby(entity).map_groups(ForecastGroups)
+           → groupby(hash(entity) % n).map_groups(forecast_groups)
            → one row per (entity, horizon step): value, lower, upper
 
 Each entity's windows are processed in order through a
@@ -26,7 +26,12 @@ from ..stages.window import (
     partial_window_aggregate,
     window_aggregate,
 )
-from ..util import pool
+
+
+def forecast_groups(group: pd.DataFrame, **kw) -> pd.DataFrame:
+    """``map_groups`` task function: one :class:`ForecastGroups` per
+    group (stateless across calls, like ``stages.scorer.score_groups``)."""
+    return ForecastGroups(**kw)(group)
 
 
 class ForecastGroups:
@@ -236,7 +241,6 @@ def forecast(
     period: int = 0,
     ts_col: str = "ts",
     confidence: float = 0.9,
-    concurrency=None,
     checkpoint_dir: str | None = None,
     backend: str = "holt_winters",
     coarse_groups: int | None = None,
@@ -282,8 +286,8 @@ def forecast(
     else:
         group_key = keys
     return agg.groupby(group_key).map_groups(
-        ForecastGroups,
-        fn_constructor_kwargs=dict(
+        forecast_groups,
+        fn_kwargs=dict(
             value_col=feats[0], interval_ms=config.interval_s * 1000,
             horizon=horizon, period=period, output_after=config.model_output_after(),
             confidence=confidence, checkpoint_dir=checkpoint_dir,
@@ -291,5 +295,4 @@ def forecast(
             backend=backend, seed=config.seed, entity_cols=tuple(keys),
         ),
         batch_format="pandas",
-        concurrency=pool(concurrency),
     )

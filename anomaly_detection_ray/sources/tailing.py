@@ -11,9 +11,13 @@ only the files that appeared since the last one.
 (path → (size, mtime)). ``poll()`` lists files that are new **or
 changed** since the last ``commit()``; ``commit()`` persists the
 manifest atomically (temp file + ``os.replace``) and is called only
-AFTER the tick's results are safely written, so a crash between the
-two simply reprocesses the same files on restart — harmless, because
-ticks drop overlapping windows (the idempotence the tick tests prove).
+AFTER the tick's results are written, so a crash between the two
+reprocesses the same files on restart, and ticks drop the overlapping
+windows. That retry is not yet lossless: the scorer saves each model's
+checkpoint BEFORE the results are written, so a tick whose sink fails
+after scoring drops its new windows as out-of-order on the retry
+(``tests/test_realtime_ops.py::test_sink_failure_retry_emits_every_window``,
+a strict xfail until checkpoints commit after the results).
 
 A changed file (size or mtime moved) is treated as wholly new: its old
 rows are re-read and dropped as out-of-order, its appended rows are

@@ -1,6 +1,6 @@
-"""Stateful scoring stage — SURVEY.md §2.C1/C2/C4.
+"""Scoring stage — SURVEY.md §2.C1/C2/C4.
 
-``ScoreGroups`` is the callable-class for
+``score_groups`` is the task function for
 ``groupby(hash(model_id) % n_coarse).map_groups(...)``: one group = a
 BOUNDED set of models' full time-ordered slices (detect() keys the
 shuffle coarsely so the exchange never creates one Ray group per model
@@ -8,16 +8,20 @@ shuffle coarsely so the exchange never creates one Ray group per model
 The coarse hash partitioning replaces the reference's consistent-hash
 ring + per-model locks (``HashRing.java:61-199``,
 ``RealTimeInferencer.java:225-238``) — a model's samples always land in
-one group, processed by one actor, in window order (one group-wide sort
-on (model_id, window_end) = the §2.F ordering requirement; ordering
-across models is irrelevant, models are independent).
+one group of one run, in window order (one group-wide sort on
+(model_id, window_end) = the §2.F ordering requirement; ordering across
+models is irrelevant, models are independent).
 
-With a ``checkpoint_dir`` the stage restores each model before
-processing and saves it after — a later pipeline run over new windows
-continues the same streams (realtime micro-batch semantics, one run per
-interval tick); without it every run is a cold start over its input
-range (historical/preview semantics, ``ADBatchTaskRunner`` /
-``AnomalyDetectorRunner``).
+The stage keeps no state past one group: each model is restored from
+the ``checkpoint_dir`` (or cold-started), scored and saved before the
+next one is touched, so at most one forest is live per task. Because
+nothing outlives a call, the stage runs as plain tasks in the
+session's warm worker processes — an actor pool would start a fresh
+process, and pay all its imports, on every run. A later pipeline
+run over new windows continues the same streams (realtime micro-batch
+semantics, one run per interval tick); without a ``checkpoint_dir``
+every run is a cold start over its input range (historical/preview
+semantics, ``ADBatchTaskRunner`` / ``AnomalyDetectorRunner``).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import pandas as pd
 
 from ..config import DetectorConfig
 from ..state.checkpoint import CheckpointStore
+from ..state.model import TRCFModel
 
 RESULT_COLUMNS = ["anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
 
@@ -124,10 +129,18 @@ def to_nested_results(results_ds, config: DetectorConfig, schema_version: int = 
     return results_ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def score_groups(group: pd.DataFrame, **kw) -> pd.DataFrame:
+    """``map_groups`` task function: one :class:`ScoreGroups` per group.
+    (A callable instance cannot be passed to ``map_groups`` — Ray names
+    the wrapped function after ``fn.__name__``.)"""
+    return ScoreGroups(**kw)(group)
+
+
 class ScoreGroups:
-    """groupby(model_id).map_groups callable. ``detailed=True`` adds the
-    reference's result-row enrichment (``ThresholdingResult.java:323-374``,
-    ``ModelUtil.java:96-133``): per-feature ``{f}_expected`` (forest
+    """One coarse group's scorer (see :func:`score_groups`).
+    ``detailed=True`` adds the reference's result-row enrichment
+    (``ThresholdingResult.java:323-374``, ``ModelUtil.java:96-133``):
+    per-feature ``{f}_expected`` (forest
     leaf-consensus normal value), ``{f}_attribution`` (share of the
     anomaly score, normalized to sum 1 like relevant_attribution) and
     ``{f}_past`` (previous window's actual). When ``config.rules`` is
@@ -136,10 +149,7 @@ class ScoreGroups:
     margin of expected are zeroed and flagged ``suppressed_by_rule``."""
 
     def __init__(self, config: DetectorConfig, checkpoint_dir: str | None = None,
-                 detailed: bool = False, max_cached_models: int = 1024,
-                 fused: bool = False, chunk_rows: int = 65536):
-        from ..state.cache import ModelCache
-
+                 detailed: bool = False, fused: bool = False, chunk_rows: int = 65536):
         self.config = config
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
         self.detailed = bool(detailed) or bool(config.rules)
@@ -151,10 +161,6 @@ class ScoreGroups:
         # object in fixed-size pieces (split ≡ whole is the same streaming
         # invariant the checkpointed split-run tests prove)
         self.chunk_rows = max(1, int(chunk_rows))
-        # PriorityCache analogue (C5): at most max_cached_models TRCF
-        # models live in this actor; LRU victims evict to the checkpoint
-        # store (or a private spill dir) and restore on re-touch.
-        self.cache = ModelCache(config, self.store, max_models=max_cached_models)
 
     def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
         # The group may hold MANY models (coarse-keyed shuffle: detect()
@@ -212,7 +218,9 @@ class ScoreGroups:
         c = self.config
         group = group.reset_index(drop=True)  # pre-sorted by __call__
 
-        model = self.cache.get(model_id)
+        model = self.store.load(model_id) if self.store is not None else None
+        if model is None:
+            model = TRCFModel(c, model_id)
 
         fnames = list(c.feature_names())
         parts = [
@@ -220,7 +228,8 @@ class ScoreGroups:
             for lo in range(0, len(group), self.chunk_rows)
         ]
 
-        self.cache.checkpoint(model_id)
+        if self.store is not None:
+            self.store.save(model)
         if not parts:
             return group
         return parts[0] if len(parts) == 1 else pd.concat(parts)

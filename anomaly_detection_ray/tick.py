@@ -68,7 +68,10 @@ def run_ticks(
     (already-seen windows would drop as out-of-order anyway) — and a
     tick with no new files skips the pipeline entirely. The manifest is
     committed only after the tick's results are written, so a crash
-    between the two harmlessly reprocesses the same files. Caveat
+    between the two reprocesses the same files. Model checkpoints,
+    however, are saved BEFORE the results are written: a tick whose
+    sink fails after scoring loses its new windows on the retry (they
+    drop as out-of-order; see ``sources/tailing.py``). Caveat
     (matches the reference's realtime behavior, which also queries only
     the current window): an entity first appearing mid-stream cold-starts
     from the files of ITS tick, not the full history.

@@ -405,29 +405,22 @@ def hc_bench() -> dict:
         ds = rd.from_arrow(tbl).repartition(max(8, NUM_CPUS))
         _settle(1.0)
         t0 = time.perf_counter()
-        # fixed scoring pool: the scorer sits behind the groupby barrier
-        # and the pre-agg is cheap here, so reserving the CPUs up front
-        # beats the autoscaler's conservative ramp (measured 22 -> 14 s
-        # at 10k entities; keep the autoscale default for streaming
-        # shapes where an idle floor would starve upstream stages)
-        pool_n = max(2, NUM_CPUS - 2)
-        n = detect(ds, cfg(), ts_col="ts", concurrency=(pool_n, pool_n)).count()
+        n = detect(ds, cfg(), ts_col="ts").count()
         dt = time.perf_counter() - t0
         assert n > 0
         return round(dt, 3)
 
-    run(HC_ENTITIES // 20)  # warm-up: actor pool spin-up, code import
+    run(HC_ENTITIES // 20)  # warm-up: worker spin-up, code import
     t_lo = run(HC_ENTITIES // 4)
     t_hi = run(HC_ENTITIES)
 
     # forecast rides the same coarse-keyed exchange — one HC data point
     from anomaly_detection_ray.pipelines.forecast import forecast
 
-    pool_n = max(2, NUM_CPUS - 2)
     ds = rd.from_arrow(events(HC_ENTITIES)).repartition(max(8, NUM_CPUS))
     _settle(1.0)
     t0 = time.perf_counter()
-    nf = forecast(ds, cfg(), horizon=12, concurrency=(pool_n, pool_n)).count()
+    nf = forecast(ds, cfg(), horizon=12).count()
     t_fc = round(time.perf_counter() - t0, 3)
     assert nf == HC_ENTITIES * 12
 

@@ -141,7 +141,7 @@ def test_sink_keep_anomalies(ray_session, events_file, tmp_path):
     from anomaly_detection_ray.pipelines.detector import detect
     from anomaly_detection_ray.stages.sink import write_results
 
-    res = detect(rd.read_parquet(events_file), _cfg(), concurrency=2)
+    res = detect(rd.read_parquet(events_file), _cfg())
     out = str(tmp_path / "anoms")
     write_results(res, out, keep="anomalies")
     tbl = pa.concat_tables(
@@ -170,7 +170,7 @@ def test_nested_result_schema(ray_session, events_file):
     from anomaly_detection_ray.pipelines.detector import detect
     from anomaly_detection_ray.stages.scorer import to_nested_results
 
-    res = detect(rd.read_parquet(events_file), _cfg(), concurrency=2)
+    res = detect(rd.read_parquet(events_file), _cfg())
     nested = to_nested_results(res, _cfg()).to_pandas()
     assert {"detector_id", "schema_version", "feature_data", "entity",
             "data_start_time", "data_end_time", "anomaly_grade"} <= set(nested.columns)
@@ -190,7 +190,7 @@ def test_nested_result_enrichment_fields(ray_session, events_file):
     from anomaly_detection_ray.pipelines.detector import detect
     from anomaly_detection_ray.stages.scorer import to_nested_results
 
-    res = detect(rd.read_parquet(events_file), _cfg(), concurrency=2, detailed=True)
+    res = detect(rd.read_parquet(events_file), _cfg(), detailed=True)
     nested = to_nested_results(res, _cfg()).to_pandas()
     assert {"relevant_attribution", "expected_values", "past_values"} <= set(nested.columns)
     row = nested.sort_values("anomaly_score", ascending=False).iloc[0]
@@ -258,7 +258,7 @@ def test_sink_soft_pressure_shedding(ray_session, events_file, tmp_path):
     from anomaly_detection_ray.pipelines.detector import detect
     from anomaly_detection_ray.stages.sink import write_results
 
-    res = detect(rd.read_parquet(events_file), _cfg(), concurrency=2).materialize()
+    res = detect(rd.read_parquet(events_file), _cfg()).materialize()
     full = res.to_pandas()
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     write_results(res, out1, keep="soft", soft_keep_fraction=0.5)
@@ -287,7 +287,7 @@ def test_sink_rerun_replaces_partitions(ray_session, events_file, tmp_path):
     from anomaly_detection_ray.pipelines.detector import detect
     from anomaly_detection_ray.stages.sink import write_results
 
-    res = detect(rd.read_parquet(events_file), _cfg(), concurrency=2).materialize()
+    res = detect(rd.read_parquet(events_file), _cfg()).materialize()
     out = str(tmp_path / "res")
     write_results(res, out)
     first = pq.read_table(glob.glob(out + "/**/*.parquet", recursive=True))

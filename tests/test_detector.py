@@ -259,7 +259,7 @@ def test_detect_end_to_end_quality(ray_session, stream_table):
 
     cfg = _detector_cfg()
     ds = rd.from_arrow(stream_table)
-    res = detect(ds, cfg, ts_col="ts", concurrency=2).to_pandas()
+    res = detect(ds, cfg, ts_col="ts").to_pandas()
     assert {"model_id", "anomaly_score", "anomaly_grade", "window_end_ms"} <= set(res.columns)
 
     truth = stream_table.to_pandas()
@@ -355,7 +355,7 @@ def test_detect_quality_independent_labeled_fixture(ray_session):
     tbl = pa.Table.from_pandas(ev, preserve_index=False)
 
     cfg = _detector_cfg()
-    res = detect(rd.from_arrow(tbl), cfg, ts_col="ts", concurrency=2).to_pandas()
+    res = detect(rd.from_arrow(tbl), cfg, ts_col="ts").to_pandas()
     res = res[res["anomaly_score"] > 0]
     flagged = res[res["anomaly_grade"] > 0]
     tol = cfg.shingle_size * W
@@ -383,8 +383,8 @@ def test_detect_deterministic(ray_session, stream_table):
 
     cfg = _detector_cfg()
     sort_cols = ["model_id", "window_end_ms"]
-    a = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2).to_pandas().sort_values(sort_cols).reset_index(drop=True)
-    b = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2).to_pandas().sort_values(sort_cols).reset_index(drop=True)
+    a = detect(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas().sort_values(sort_cols).reset_index(drop=True)
+    b = detect(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas().sort_values(sort_cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -403,7 +403,7 @@ def test_detect_coarse_plan_bit_identical(ray_session, stream_table):
     sort_cols = ["model_id", "window_end_ms"]
 
     def run(**kw):
-        return (detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2, **kw)
+        return (detect(rd.from_arrow(stream_table), cfg, ts_col="ts", **kw)
                 .to_pandas().sort_values(sort_cols).reset_index(drop=True))
 
     legacy = run(coarse_groups=0)
@@ -424,7 +424,7 @@ def test_forecast_coarse_plan_bit_identical(ray_session, stream_table):
     sort_cols = ["entity", "horizon_index"]
 
     def run(**kw):
-        return (forecast(rd.from_arrow(stream_table), cfg, horizon=6, concurrency=2, **kw)
+        return (forecast(rd.from_arrow(stream_table), cfg, horizon=6, **kw)
                 .to_pandas().sort_values(sort_cols).reset_index(drop=True)
                 [["entity", "horizon_index", "forecast_value", "forecast_lower",
                   "forecast_upper", "confidence", "forecast_window_start_ms",
@@ -433,6 +433,50 @@ def test_forecast_coarse_plan_bit_identical(ray_session, stream_table):
     legacy = run(coarse_groups=0)
     coarse = run(coarse_groups=3)
     pd.testing.assert_frame_equal(coarse, legacy)
+
+
+def _map_ops(ds):
+    """Every map operator of a Dataset's logical plan."""
+    from ray.data._internal.logical.operators.map_operator import AbstractMap
+
+    out, todo = [], [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        if isinstance(op, AbstractMap):
+            out.append(op)
+        todo.extend(op.input_dependencies)
+    return out
+
+
+def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table):
+    """The scoring and forecasting stages keep no state past one group,
+    so they run as plain tasks in the session's warm workers: no map
+    operator of a detect or forecast plan starts an actor pool (a fresh
+    process per run)."""
+    import ray.data as rd
+    from ray.data import ActorPoolStrategy
+
+    from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.pipelines.forecast import forecast
+
+    cfg = _detector_cfg()
+    ts = pd.to_datetime(stream_table["ts"].to_pandas()).astype("int64") // 10**6
+    mid = int(ts.median()) // 600_000 * 600_000
+    plans = {
+        "score_groups": [
+            detect(rd.from_arrow(stream_table), cfg, ts_col="ts"),
+            detect(rd.from_arrow(stream_table), cfg, ts_col="ts", force_fused=False),
+            detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
+                   time_range_ms=(mid, int(ts.max()) + 600_000)),
+        ],
+        "forecast_groups": [forecast(rd.from_arrow(stream_table), cfg, horizon=6)],
+    }
+    for fn_name, datasets in plans.items():
+        for ds in datasets:
+            ops = _map_ops(ds)
+            pools = [op.name for op in ops if isinstance(op._compute, ActorPoolStrategy)]
+            assert pools == [], pools
+            assert any(fn_name in op.name for op in ops), [op.name for op in ops]
 
 
 def test_process_many_identical_to_process():
@@ -493,7 +537,7 @@ def test_detect_with_rules_suppression(ray_session):
         category_fields=("entity",), num_trees=10, sample_size=64,
     )
     cfg = DetectorConfig(**base_cfg, rules=(Rule("value_avg", "actual_over_expected_margin", 10_000.0),))
-    res = detect(rd.from_arrow(t), cfg, concurrency=1).to_pandas().reset_index(drop=True)
+    res = detect(rd.from_arrow(t), cfg).to_pandas().reset_index(drop=True)
     assert {"value_avg_expected", "value_avg_attribution", "value_avg_past", "suppressed_by_rule"} <= set(res.columns)
     spike = res.loc[res["value_avg"].idxmax()]  # the planted 5000 window itself
     spike_we = spike["window_end_ms"]
@@ -501,7 +545,7 @@ def test_detect_with_rules_suppression(ray_session):
     assert spike["anomaly_score"] > 2.0 and spike["anomaly_grade"] == 0.0 and spike["suppressed_by_rule"]
     # tight margin → the spike survives
     cfg2 = DetectorConfig(**base_cfg, rules=(Rule("value_avg", "actual_over_expected_margin", 5.0),))
-    res2 = detect(rd.from_arrow(t), cfg2, concurrency=1).to_pandas()
+    res2 = detect(rd.from_arrow(t), cfg2).to_pandas()
     spike2 = res2[res2["window_end_ms"] == spike_we].iloc[0]
     assert spike2["anomaly_grade"] > 0.0 and not spike2["suppressed_by_rule"]
     assert not res2["suppressed_by_rule"].iloc[:100].any()
@@ -541,19 +585,19 @@ def test_cold_start_history_parity(ray_session, stream_table):
         history_intervals=160,  # covers every window before the cut
     )
     sort_cols = ["model_id", "window_end_ms"]
-    full = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2)\
+    full = detect(rd.from_arrow(stream_table), cfg, ts_col="ts")\
         .to_pandas().sort_values(sort_cols).reset_index(drop=True)
     w = 600_000
     lo = int(full["window_start_ms"].min() + 150 * w)
     hi = int(full["window_end_ms"].max())
-    ranged = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2,
+    ranged = detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
                     time_range_ms=(lo, hi))\
         .to_pandas().sort_values(sort_cols).reset_index(drop=True)
     want = full[full["window_start_ms"] >= lo].reset_index(drop=True)
     pd.testing.assert_frame_equal(ranged, want)
     # without history the same range cold-starts blind: its warm-up
     # re-runs inside the range (zero scores where the full run scored)
-    blind = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2,
+    blind = detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
                    time_range_ms=(lo, hi), cold_start_history=False)\
         .to_pandas().sort_values(sort_cols).reset_index(drop=True)
     head = blind.groupby("model_id").head(20)
@@ -596,7 +640,7 @@ def test_detect_two_categories_two_features(ray_session):
         category_fields=("entity", "region"),
         num_trees=10, sample_size=64,
     )
-    res = detect(rd.from_arrow(t), cfg, concurrency=2, detailed=True).to_pandas()
+    res = detect(rd.from_arrow(t), cfg, detailed=True).to_pandas()
     assert res["model_id"].nunique() == 4
     assert {"value_avg_expected", "cost_max_expected", "value_avg_attribution",
             "cost_max_attribution"} <= set(res.columns)
@@ -610,7 +654,7 @@ def test_detect_two_categories_two_features(ray_session):
     # the offending feature dominates the attribution
     assert spike["value_avg_attribution"] > 0.7 > spike["cost_max_attribution"]
     # determinism across runs with 2 cats + 2 features
-    res2 = detect(rd.from_arrow(t), cfg, concurrency=2, detailed=True).to_pandas()
+    res2 = detect(rd.from_arrow(t), cfg, detailed=True).to_pandas()
     key = ["model_id", "window_end_ms"]
     pd.testing.assert_frame_equal(
         res.sort_values(key).reset_index(drop=True),
@@ -632,15 +676,15 @@ def test_detect_degenerate_inputs(ray_session):
     empty = pa.table({"entity": pa.array([], pa.string()),
                       "ts": pa.array([], pa.int64()).cast(pa.timestamp("ms")),
                       "value": pa.array([], pa.float64())})
-    assert len(detect(rd.from_arrow(empty), cfg, concurrency=1).to_pandas()) == 0
+    assert len(detect(rd.from_arrow(empty), cfg).to_pandas()) == 0
     one = pa.table({"entity": ["e"], "ts": pa.array([600_000], pa.int64()).cast(pa.timestamp("ms")),
                     "value": [1.0]})
-    out = detect(rd.from_arrow(one), cfg, concurrency=1).to_pandas()
+    out = detect(rd.from_arrow(one), cfg).to_pandas()
     assert len(out) == 1 and out["anomaly_score"].iloc[0] == 0.0
     nan = pa.table({"entity": ["e"] * 40,
                     "ts": pa.array((np.arange(40) + 1) * 600_000, pa.int64()).cast(pa.timestamp("ms")),
                     "value": [float("nan")] * 40})
-    out = detect(rd.from_arrow(nan), cfg, concurrency=1).to_pandas()
+    out = detect(rd.from_arrow(nan), cfg).to_pandas()
     assert len(out) == 40 and (out["anomaly_grade"] == 0).all()
     # empty model-level batch is a no-op
     m = TRCFModel(cfg, "m")
@@ -666,7 +710,7 @@ def test_detect_high_cardinality_quality(ray_session):
         features=(FeatureSpec("value_avg", "value", "avg"),),
         category_fields=("entity",), num_trees=10, sample_size=64,
     )
-    res = detect(rd.from_arrow(t), cfg, ts_col="ts", concurrency=4).to_pandas()
+    res = detect(rd.from_arrow(t), cfg, ts_col="ts").to_pandas()
     assert res["model_id"].nunique() == 100
 
     truth = t.to_pandas()
@@ -703,9 +747,9 @@ def test_fused_plan_equals_two_shuffle_plan(ray_session, stream_table):
 
     cfg = _detector_cfg()
     key = ["model_id", "window_end_ms"]
-    fused = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2)\
+    fused = detect(rd.from_arrow(stream_table), cfg, ts_col="ts")\
         .to_pandas().sort_values(key).reset_index(drop=True)
-    two = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2,
+    two = detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
                  force_fused=False).to_pandas().sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(fused[sorted(fused.columns)], two[sorted(two.columns)],
                                   check_like=True)
@@ -731,9 +775,9 @@ def test_chunked_scoring_byte_identical(ray_session):
         category_fields=("entity",), num_trees=10, sample_size=64,
     )
     key = ["model_id", "window_end_ms"]
-    whole = detect(rd.from_arrow(t), cfg, ts_col="ts", concurrency=1, detailed=True,
+    whole = detect(rd.from_arrow(t), cfg, ts_col="ts", detailed=True,
                    chunk_rows=10**9).to_pandas().sort_values(key).reset_index(drop=True)
-    chunked = detect(rd.from_arrow(t), cfg, ts_col="ts", concurrency=1, detailed=True,
+    chunked = detect(rd.from_arrow(t), cfg, ts_col="ts", detailed=True,
                      chunk_rows=97).to_pandas().sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(whole, chunked)
     assert len(whole) > 1000  # the history actually spanned many chunks
@@ -751,7 +795,7 @@ def test_detect_percentile_feature_two_shuffle(ray_session, stream_table):
         features=(FeatureSpec("value_p90", "value", "percentile", percentile=0.9),),
         category_fields=("entity",), num_trees=5, sample_size=32,
     )
-    res = detect(rd.from_arrow(stream_table), cfg, ts_col="ts", concurrency=2).to_pandas()
+    res = detect(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas()
     assert len(res) > 0 and "value_p90" in res.columns
     assert res["anomaly_score"].max() > 0  # scored past warm-up
 
@@ -796,7 +840,7 @@ def test_read_events_formats_equivalent(ray_session, tmp_path):
     outs = {}
     for name, path in [("parquet", pqp), ("csv", csvp), ("jsonl", jlp)]:
         ds = read_events(path)
-        outs[name] = detect(ds, cfg, concurrency=1).to_pandas().sort_values(key).reset_index(drop=True)
+        outs[name] = detect(ds, cfg).to_pandas().sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(outs["parquet"], outs["csv"])
     pd.testing.assert_frame_equal(outs["parquet"], outs["jsonl"])
     # epoch-SECONDS timestamps auto-detect (magnitude heuristic)
@@ -805,7 +849,7 @@ def test_read_events_formats_equivalent(ray_session, tmp_path):
         f.write("entity,ts,value\n")
         for r in rows:
             f.write(f"{r['entity']},{r['ts'] // 1000},{r['value']}\n")
-    secs = detect(read_events(csv2), cfg, concurrency=1).to_pandas().sort_values(key).reset_index(drop=True)
+    secs = detect(read_events(csv2), cfg).to_pandas().sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(outs["parquet"], secs)
 
 

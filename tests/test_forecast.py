@@ -80,7 +80,7 @@ def test_forecast_pipeline_end_to_end(ray_session):
         category_fields=("entity",),
         features=(FeatureSpec("value_avg", "value", "avg"),),
     )
-    out = forecast(rd.from_arrow(t), cfg, horizon=12, period=48, concurrency=2).to_pandas()
+    out = forecast(rd.from_arrow(t), cfg, horizon=12, period=48).to_pandas()
     assert set(out["entity"]) == {f"entity{e:03d}" for e in range(4)}
     assert len(out) == 4 * 12
     g = out[out["entity"] == "entity000"].sort_values("horizon_index")
@@ -302,7 +302,7 @@ def test_top_forecast_results_planted_extreme(ray_session):
     })
     cfg = DetectorConfig(config_id="fc-top", interval_s=600, category_fields=("entity",),
                          features=(FeatureSpec("value_avg", "value", "avg"),))
-    fc = forecast(rd.from_arrow(t), cfg, horizon=6, concurrency=2).materialize()
+    fc = forecast(rd.from_arrow(t), cfg, horizon=6).materialize()
 
     top = top_forecast_results(fc, cfg, k=2, build_in_query="MAX_VALUE_WITHIN_THE_HORIZON").to_pandas()
     assert list(top["entity"]) == ["hot", "b"]

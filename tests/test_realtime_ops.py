@@ -45,10 +45,10 @@ def test_realtime_continuation_equals_single_run(ray_session, tmp_path):
     cfg = _cfg()
     ckpt = str(tmp_path / "ckpts")
     sort_cols = ["model_id", "window_end_ms"]
-    a1 = detect(rd.from_arrow(first), cfg, checkpoint_dir=ckpt, concurrency=2).to_pandas()
-    a2 = detect(rd.from_arrow(second), cfg, checkpoint_dir=ckpt, concurrency=2).to_pandas()
+    a1 = detect(rd.from_arrow(first), cfg, checkpoint_dir=ckpt).to_pandas()
+    a2 = detect(rd.from_arrow(second), cfg, checkpoint_dir=ckpt).to_pandas()
     split = pd.concat([a1, a2]).sort_values(sort_cols).reset_index(drop=True)
-    full = detect(rd.from_arrow(t), cfg, concurrency=2).to_pandas().sort_values(sort_cols).reset_index(drop=True)
+    full = detect(rd.from_arrow(t), cfg).to_pandas().sort_values(sort_cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(split, full)
 
 
@@ -204,44 +204,6 @@ def test_linear_gap_interpolation():
     assert [p[0] for p in mp.shingle] == pytest.approx([0.0, 0.0, 0.0, 0.0, 10.0])
 
 
-def test_model_cache_lru_spill(tmp_path):
-    """C5 / PriorityCache analogue: a cache capped below the touched
-    model count evicts LRU victims to checkpoint and restores them on
-    re-touch — results byte-identical to never-evicted models."""
-    from anomaly_detection_ray.state.cache import ModelCache
-
-    cfg = _cfg()
-    rng = np.random.default_rng(2)
-    streams = {
-        f"m{i}": (rng.normal(100, 5, (60, 1)), (np.arange(60) + 1) * 600_000)
-        for i in range(5)
-    }
-    base = {}
-    for mid, (v, e) in streams.items():
-        m = TRCFModel(cfg, mid)
-        r1 = m.process_many(v[:30], e[:30])
-        r2 = m.process_many(v[30:], e[30:])
-        base[mid] = np.concatenate([r1["anomaly_score"], r2["anomaly_score"]])
-    cache = ModelCache(cfg, None, max_models=2)
-    got = {mid: [] for mid in streams}
-    for half in (slice(0, 30), slice(30, 60)):
-        for mid, (v, e) in streams.items():
-            m = cache.get(mid)
-            got[mid].append(m.process_many(v[half], e[half])["anomaly_score"])
-    assert cache.n_evictions > 0 and len(cache) <= 2
-    for mid in streams:
-        assert np.array_equal(base[mid], np.concatenate(got[mid])), mid
-    # durable store: checkpoint() persists, eviction spills there too
-    store = CheckpointStore(str(tmp_path))
-    c2 = ModelCache(cfg, store, max_models=1)
-    for mid, (v, e) in streams.items():
-        m = c2.get(mid)
-        m.process_many(v, e)
-        c2.checkpoint(mid)
-    for mid, (v, e) in streams.items():
-        assert store.load(mid) is not None, mid
-
-
 def test_run_ticks_incremental(ray_session, tmp_path):
     """Continuous-tick runner (JobProcessor.java:129-175 analogue): two
     ticks over a growing events dir produce exactly the rows a single
@@ -289,6 +251,69 @@ def test_run_ticks_incremental(ray_session, tmp_path):
     full = api.run_once().to_pandas()
     assert len(got) == len(full)
     assert got["window_end_ms"].max() == full["window_end_ms"].max()
+    # the checkpointed two-tick run equals the single run row for row
+    cols = ["model_id", "window_end_ms", "anomaly_score", "anomaly_grade", "confidence"]
+    key = ["model_id", "window_end_ms"]
+    pd.testing.assert_frame_equal(
+        got[cols].sort_values(key).reset_index(drop=True),
+        full[cols].sort_values(key).reset_index(drop=True),
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="checkpoints are saved before results are written")
+def test_sink_failure_retry_emits_every_window(ray_session, tmp_path, monkeypatch):
+    """A tick whose result write fails after scoring can be retried, and
+    the retry emits every new window. Today the scorer saves each model's
+    checkpoint before the sink writes its rows, so the retry drops the
+    windows as out-of-order and writes nothing."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from anomaly_detection_ray.pipelines.api import DetectorAPI
+    from anomaly_detection_ray.sources.streams import generate_interval_stream
+    from anomaly_detection_ray.sources.tailing import TailingSource
+    from anomaly_detection_ray.tick import run_ticks
+
+    n_entities, n_hist = 10, 40
+    t = generate_interval_stream(n_entities=n_entities, n_windows=n_hist + 1,
+                                 interval_s=600, seed=3)
+    ts_ms = t.to_pandas()["ts"].astype("datetime64[ms]").astype("int64").to_numpy()
+    last = ts_ms.max()
+    evdir = tmp_path / "events"
+    evdir.mkdir()
+    pq.write_table(t.filter(ts_ms < last), str(evdir / "hist.parquet"))
+
+    api = DetectorAPI(_cfg(), str(evdir))
+    src = TailingSource(str(evdir), str(tmp_path / "seen.json"))
+    res_dir, ck_dir = str(tmp_path / "res"), str(tmp_path / "ck")
+
+    def tick():
+        run_ticks(api, res_dir, ck_dir, n_ticks=1, interval_s=0,
+                  sleep=lambda s: None, tail_source=src)
+
+    def results():
+        files = glob.glob(res_dir + "/**/*.parquet", recursive=True)
+        return pq.read_table(files).to_pandas()
+
+    tick()
+    hist_end = results()["window_end_ms"].max()
+    pq.write_table(t.filter(ts_ms == last), str(evdir / "tick.parquet"))
+
+    def failing_write(self, *args, **kwargs):
+        self.materialize()  # scoring (and its checkpoint saves) runs
+        raise RuntimeError("sink unavailable")
+
+    with monkeypatch.context() as m:
+        m.setattr(rd.Dataset, "write_parquet", failing_write)
+        with pytest.raises(RuntimeError, match="sink unavailable"):
+            tick()
+    tick()  # the retry
+
+    got = results()
+    assert not got.duplicated(["model_id", "window_end_ms"]).any()
+    assert (got["window_end_ms"] > hist_end).sum() == n_entities
 
 
 def test_tailing_source_poll_commit(tmp_path):

@@ -185,11 +185,11 @@ def test_detect_fused_plan_with_sketch_features(ray_session, sketch_events):
         num_trees=5, sample_size=32,
     )
     key = ["model_id", "window_end_ms"]
-    fused = detect(rd.from_arrow(sketch_events), cfg, ts_col="ts", concurrency=2)\
+    fused = detect(rd.from_arrow(sketch_events), cfg, ts_col="ts")\
         .to_pandas().sort_values(key).reset_index(drop=True)
     assert len(fused) > 0 and {"uv", "p90", "anomaly_score"} <= set(fused.columns)
     assert fused["uv"].notna().all()
-    two = detect(rd.from_arrow(sketch_events), cfg, ts_col="ts", concurrency=2,
+    two = detect(rd.from_arrow(sketch_events), cfg, ts_col="ts",
                  force_fused=False).to_pandas().sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(fused[sorted(fused.columns)], two[sorted(two.columns)],
                                   check_like=True)
