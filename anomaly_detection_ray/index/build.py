@@ -1,25 +1,34 @@
 """SPIMI-style inverted-index build on Ray Data — SURVEY.md §7.1 M2.
 
 Dataflow per corpus *slice* (a group of input parquet files; slices are
-the unit of incremental build / resume, like Lucene segments):
+the unit of incremental build / resume, like Lucene segments) — ONE read
+and ONE streaming execution:
 
-    read_parquet(slice files, columns=[doc_id, content])     # prune at the read
-      → map_batches(TokenizeCombine, pyarrow, actor pool)    # phase 1: per-batch partial postings
-      → add salted partition key kh = (hash(term) + doc_bucket) % P
-      → groupby(kh).map_groups(merge partition → write part file)   # phase 2: THE shuffle
-    read_parquet(slice files, all meta cols)
-      → map_batches(DocMap) → write_parquet(docmap/)         # sha256 lineage
+    read_parquet(slice files, columns=[doc_id, content, *keep_cols],
+                 blocks sized by footer bytes)
+      → map_batches(_index_block, task pool)    # per read block, same rows:
+            DocMap → docmap/part-<ids hash>.parquet   (sha256 lineage, tmp + rename)
+            TokenizeCombine, batch_size rows at a time → partial posting
+            chunks, tagged with the salted partition key
+            kh = (hash(term) + doc_bucket) % P
+      → hash_exchange_merge: raw-Ray split by kh → one merge task per
+        partition → postings/part-{kh}.parquet
 
 The salt is the doc-id bucket: a hot term ('import') is split across
 its doc buckets, so no single reducer ever materializes a full hot
 posting list — the two-phase combine the north rule requires. Each
-phase-2 group writes its own ``postings/part-{kh}.parquet`` atomically
-(tmp + rename) and emits a manifest row (sha256, counts, input
-fingerprint); a rerun with identical inputs skips the write.
+merge task writes its own ``postings/part-{kh}.parquet`` atomically
+(tmp + rename) and returns a manifest row (sha256, counts, input
+fingerprint); a rerun with identical inputs skips the write. Docmap
+part names derive from the block's doc ids, so a retried block
+rewrites its own file. The optional positional sidecar (``store_positions``) is
+a second read and execution (a term-hash ``groupby``).
 
 Resume is slice-granular: a slice whose ``_slice_manifest.json``
 matches its input fingerprint is skipped entirely, so a killed build
-restarted on the same inputs only recomputes unfinished slices.
+restarted on the same inputs only recomputes unfinished slices; any
+other build of the slice starts from empty ``docmap/`` and
+``positions/`` directories.
 
 Replaces the substrate the reference assumes from OpenSearch/Lucene
 (queries built in ``timeseries/util/ParseUtils.java:308-431`` are
@@ -32,8 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from functools import partial
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -150,13 +157,8 @@ def _split_stats_by_range(path: str, boundaries: list[str]) -> list[pa.Table]:
     return [t.slice(offs[p], offs[p + 1] - offs[p]) for p in range(len(offs) - 1)]
 
 
-def _split_stats_single_range(path: str, boundaries: list[str]) -> pa.Table:
-    """Degenerate one-range split (tiny distributed finalizes)."""
-    return _split_stats_by_range(path, boundaries)[0]
-
-
-def _merge_stats_range(path: str, *parts: pa.Table) -> tuple[int, str | None, str | None, bool]:
-    """Reduce side: merge one term range's partials across all posting
+def _merge_stats_range(p: int, out_dir: str, *parts: pa.Table) -> tuple[int, str | None, str | None, bool]:
+    """Reduce side: merge term range ``p``'s partials across all posting
     files, re-sort, write the part file. Output ranges are disjoint and
     ordered by construction, so the parts concatenate into a globally
     term-sorted dictionary."""
@@ -167,7 +169,7 @@ def _merge_stats_range(path: str, *parts: pa.Table) -> tuple[int, str | None, st
     t = t.group_by("term").aggregate([("df", "sum"), ("cttf", "sum")])
     t = t.select(["term", "df_sum", "cttf_sum"]).rename_columns(_STATS_AGG_COLS)
     t = t.sort_by([("term", "ascending")])
-    return _write_stats_part(t, path)
+    return _write_stats_part(t, os.path.join(out_dir, f"part-{p:05d}.parquet"))
 
 
 def _write_global_stats(posting_files: list[str], stats_path: str,
@@ -249,23 +251,9 @@ def _write_global_stats(posting_files: list[str], stats_path: str,
         tmp_dir = f"{stats_path}.tmp-{os.getpid()}"
         shutil.rmtree(tmp_dir, ignore_errors=True)
         os.makedirs(tmp_dir)
-        if n_parts > 1:
-            split = ray.remote(num_returns=n_parts)(_split_stats_by_range)
-        else:
-            # single range: unwrap the one-element list (num_returns=1
-            # would hand the merge the LIST, not the table)
-            split = ray.remote(_split_stats_single_range)
-        merge = ray.remote(_merge_stats_range)
-        part_refs: list[list] = [[] for _ in range(n_parts)]
-        for f in posting_files:
-            outs = split.remote(f, bounds)
-            if n_parts == 1:
-                outs = [outs]
-            for p, r in enumerate(outs):
-                part_refs[p].append(r)
-        refs = [merge.remote(os.path.join(tmp_dir, f"part-{p:05d}.parquet"), *part_refs[p])
-                for p in range(n_parts)]
-        n = check(ray.get(refs), tmp_dir)
+        results = _exchange(posting_files, _split_stats_by_range, bounds, n_parts,
+                            _merge_stats_range, tmp_dir)
+        n = check(results, tmp_dir)
         return None if n is None else (n, tmp_dir)
 
     def run(explicit_sort: bool) -> tuple[int, str] | None:
@@ -440,9 +428,7 @@ def merge_partition(
         ends,
         block_size,
     )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp, row_group_size=4096)
-    os.replace(tmp, path)
+    _write_part(tbl, path, row_group_size=4096)
     terms = terms_arr  # for the manifest fields below
 
     meta = {
@@ -489,36 +475,54 @@ def _split_table_by_kh(tbl: pa.Table, num_partitions: int) -> list[pa.Table]:
     return [sorted_tbl.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(num_partitions)]
 
 
-def hash_exchange_merge(chunks_ds, num_partitions: int, out_dir: str, block_size: int) -> list[dict]:
-    """Explicit two-stage hash shuffle for phase 2, on raw Ray tasks.
+def _only_piece(split, x, arg):
+    return split(x, arg)[0]
+
+
+def _exchange(inputs, split, split_arg, n_parts: int, reduce, *reduce_args) -> list:
+    """Explicit two-stage exchange on raw Ray tasks: one ``split(x,
+    split_arg)`` task per input (an object ref or a path) returns
+    ``n_parts`` pieces as separate object refs (``num_returns``, moved
+    zero-copy through the object store); then one ``reduce(p,
+    *reduce_args, *pieces_of_p)`` task per part. Splits are submitted as
+    ``inputs`` yields, so a streaming Dataset's map stage and the split
+    stage run without a barrier. Returns the reducers' results in part
+    order.
 
     Ray Data's ``groupby`` is a sort-based shuffle whose fixed overhead
-    dominates this exchange (measured: it neither scales 8→32 CPUs nor
-    beats a plain hash split at this shape). Since the partition key
-    ``kh`` is already materialized on every chunk row, the textbook
-    exchange is enough: map side splits each phase-1 block into P
-    sub-tables (``num_returns=P`` → P object refs, moved zero-copy
-    through the object store), reduce side concatenates its P-th pieces
-    and runs the vectorized merge. This is the documented drop-to-raw-
-    Ray case: a deterministic custom exchange the Dataset API can't
-    express efficiently."""
+    dominates these exchanges (measured: it neither scales 8→32 CPUs nor
+    beats a plain hash split at this shape); this is the documented
+    drop-to-raw-Ray case: a deterministic custom exchange the Dataset
+    API can't express efficiently."""
     import ray
 
-    split = ray.remote(num_returns=num_partitions)(_split_table_by_kh)
-    merge = ray.remote(_merge_remote)
+    if n_parts > 1:
+        split_task = ray.remote(num_returns=n_parts)(split).remote
+    else:
+        # num_returns=1 returns the one-element LIST as a single object;
+        # the reducer needs the piece itself
+        only = ray.remote(_only_piece)
 
-    part_refs: list[list] = [[] for _ in range(num_partitions)]
-    # stream map-side splits as tokenize blocks materialize — no barrier
-    # between the map stage and the split stage
-    for bundle in chunks_ds.iter_internal_ref_bundles():
-        for ref in bundle.block_refs:
-            outs = split.remote(ref, num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p, r in enumerate(outs):
-                part_refs[p].append(r)
-    manifests = [merge.remote(p, out_dir, block_size, *part_refs[p]) for p in range(num_partitions)]
-    return [m for m in ray.get(manifests) if m is not None]
+        def split_task(x, arg):
+            return [only.remote(split, x, arg)]
+
+    pieces: list[list] = [[] for _ in range(n_parts)]
+    for x in inputs:
+        for p, r in enumerate(split_task(x, split_arg)):
+            pieces[p].append(r)
+    reduce_task = ray.remote(reduce)
+    return ray.get([reduce_task.remote(p, *reduce_args, *pieces[p]) for p in range(n_parts)])
+
+
+def hash_exchange_merge(chunks_ds, num_partitions: int, out_dir: str, block_size: int) -> list[dict]:
+    """Phase 2 of the build: the ``kh``-tagged posting chunks of
+    ``chunks_ds`` exchanged by partition (:func:`_exchange`), one
+    :func:`merge_partition` task per partition. Returns the partitions'
+    manifest rows."""
+    blocks = (ref for bundle in chunks_ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
+    rows = _exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
+                     _merge_remote, out_dir, block_size)
+    return [r for r in rows if r is not None]
 
 
 def _merge_remote(kh: int, out_dir: str, block_size: int, *parts: pa.Table) -> dict | None:
@@ -538,6 +542,68 @@ def _slice_fingerprint(files: list[str]) -> str:
     return h.hexdigest()
 
 
+# Read blocks are sized by bytes, not by file count: every block pays a
+# read task and an exchange split whatever it carries, so a small slice
+# reads in one block and only a large one fans out, up to six blocks per
+# CPU of the session. The 4 MiB value is tuned on 1 vCPU; a slice of a
+# few blocks on a many-CPU session gets fewer tokenize tasks than CPUs.
+READ_BLOCK_BYTES = 4 << 20
+
+
+def _read_blocks(n_bytes: int) -> int:
+    import ray
+
+    cap = 6 * int(ray.cluster_resources().get("CPU", 1))
+    return max(1, min(cap, -(-n_bytes // READ_BLOCK_BYTES)))
+
+
+def _write_part(tbl: pa.Table, path: str, **kwargs) -> None:
+    """Atomic part-file write (tmp + rename): a reader or a retried task
+    never sees a half-written file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    pq.write_table(tbl, tmp, **kwargs)
+    os.replace(tmp, path)
+
+
+def _index_block(block: pa.Table, *, tokenizer: TokenizeCombine, docmap: DocMap,
+                 docmap_dir: str, num_partitions: int, batch_size: int) -> pa.Table:
+    """One read block → its docmap part file (written here) and its
+    ``kh``-tagged posting chunks (returned for the exchange), tokenized
+    ``batch_size`` rows at a time. One docmap file per block keeps the
+    file count bounded by the block count. The part is named by a hash
+    of the block's doc ids, so a retried block replaces its own file
+    instead of adding a copy."""
+    if block.num_rows:
+        ids = block[docmap.id_col].to_numpy().astype(np.int64)
+        name = hashlib.sha256(ids.tobytes()).hexdigest()[:16]
+        _write_part(docmap(block), os.path.join(docmap_dir, f"part-{name}.parquet"))
+    chunks = [tokenizer(block.slice(i, batch_size))
+              for i in range(0, max(block.num_rows, 1), batch_size)]
+    return _add_partition_key(pa.concat_tables(chunks), num_partitions)
+
+
+def _position_key(batch: pa.Table, num_partitions: int) -> pa.Table:
+    pk = hash_strings(batch["term"].to_pylist()) % np.int64(num_partitions)
+    return batch.append_column("pk", pa.array(pk.astype(np.int64)))
+
+
+def _sort_positions(group: pa.Table) -> pa.Table:
+    return group.sort_by([("term", "ascending"), ("doc_id", "ascending")]).drop_columns(["pk"])
+
+
+def _write_positions(rows_ds, num_partitions: int, pos_dir: str) -> None:
+    """Positional rows (term, doc_id, positions) → ``pos_dir``, term-hash
+    partitioned and term-sorted within each part, so a phrase lookup
+    touches one file per term with row-group pruning."""
+    (
+        rows_ds.map_batches(_position_key, fn_kwargs={"num_partitions": num_partitions},
+                            batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("pk")
+        .map_groups(_sort_positions, batch_format="pyarrow")
+        .write_parquet(pos_dir)
+    )
+
+
 def build_slice(
     files: list[str],
     slice_dir: str,
@@ -549,7 +615,6 @@ def build_slice(
     bucket_shift: int = 17,
     block_size: int = DEFAULT_BLOCK_SIZE,
     batch_size: int | None = None,
-    concurrency: int | None = None,
     keep_cols=("repo", "path", "commit", "lang"),
     store_positions: bool = False,
 ) -> dict:
@@ -558,9 +623,10 @@ def build_slice(
 
     ``store_positions=True`` additionally writes a positional sidecar
     (``positions/part-*.parquet``: term, doc_id, positions) for phrase
-    queries — term-hash partitioned and term-sorted within each part so
-    a phrase lookup touches one file per term with row-group pruning.
-    The BM25 posting codec is untouched; non-phrase users pay nothing."""
+    queries (:func:`_write_positions`). The BM25 posting codec is
+    untouched; non-phrase users pay nothing."""
+    import shutil
+
     import ray.data as rd
 
     os.makedirs(slice_dir, exist_ok=True)
@@ -575,109 +641,57 @@ def build_slice(
 
     postings_dir = os.path.join(slice_dir, "postings")
     docmap_dir = os.path.join(slice_dir, "docmap")
+    pos_dir = os.path.join(slice_dir, "positions")
+    # docmap and positions rows of an unfinished earlier attempt would be
+    # served twice (the engine globs both directories); posting parts are
+    # named by partition and resume by their input fingerprint
+    for d in (docmap_dir, pos_dir):
+        shutil.rmtree(d, ignore_errors=True)
     os.makedirs(postings_dir, exist_ok=True)
+    os.makedirs(docmap_dir)
 
-    if concurrency is None:
-        import ray
-
-        # fixed-size pool sized to the session (autoscaling ramps too
-        # slowly for a build-shaped burst), minus headroom for the read
-        # and shuffle stages
-        concurrency = max(2, int(ray.cluster_resources().get("CPU", 4)) - 2)
-
-    # doc count from parquet footers — no Ray execution needed
-    n_docs = sum(pq.read_metadata(f).num_rows for f in files)
+    # doc count, bytes and schema from the parquet footers — no Ray
+    # execution needed
+    footers = [pq.read_metadata(f) for f in files]
+    n_docs = sum(md.num_rows for md in footers)
+    tot_bytes = sum(md.row_group(i).total_byte_size for md in footers for i in range(md.num_row_groups))
     if batch_size is None:
         # SURVEY §7.3 "very wide records": cap tokenize batches by BYTES,
         # not rows — a 1024-row batch of MB-scale source files would blow
-        # the worker heap. Average row bytes come from the same footers.
-        tot_bytes = 0
-        for f in files:
-            md = pq.read_metadata(f)
-            tot_bytes += sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+        # the worker heap.
         avg = max(1, tot_bytes // max(n_docs, 1))
         batch_size = int(min(1024, max(16, (32 << 20) // avg)))
-    # split the read well beyond the file count so every tokenize actor
-    # stays busy (a block per file would cap parallelism at len(files))
-    n_blocks = max(len(files), int(concurrency) * 6)
-    corpus = rd.read_parquet(files, columns=[id_col, text_col], override_num_blocks=n_blocks)
+    n_blocks = _read_blocks(tot_bytes)
+    avail = set(footers[0].schema.names) if footers else set()
+    keep = [c for c in keep_cols if c in avail]
 
-    # tokenize runs as a plain TASK pool: the combiner's only state is a
-    # couple of compiled regexes (cheap to pickle), and tasks schedule
-    # elastically with no actor-pool startup ramp — measurably better
-    # utilization than a fixed actor pool for a build-shaped burst.
-    tokenizer = TokenizeCombine(
-        text_col=text_col, id_col=id_col, mode=mode, bucket_shift=bucket_shift, block_size=block_size
-    )
+    # one read, one execution: each block's docmap rows and posting
+    # chunks come from the same rows, its text analyzed once. Plain task
+    # pool: the stage's only state is compiled regexes (cheap to pickle).
+    corpus = rd.read_parquet(files, columns=[id_col, text_col, *keep], override_num_blocks=n_blocks)
     chunks = corpus.map_batches(
-        tokenizer,
+        _index_block,
+        fn_kwargs={
+            "tokenizer": TokenizeCombine(text_col=text_col, id_col=id_col, mode=mode,
+                                         bucket_shift=bucket_shift, block_size=block_size),
+            "docmap": DocMap(text_col=text_col, id_col=id_col, keep_cols=keep_cols),
+            "docmap_dir": docmap_dir,
+            "num_partitions": num_partitions,
+            "batch_size": batch_size,
+        },
         batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-    ).map_batches(
-        partial(_add_partition_key, num_partitions=num_partitions),
-        batch_format="pyarrow",
+        batch_size=None,  # whole read blocks: one docmap file each
         zero_copy_batch=True,
     )
+    manifest_rows = hash_exchange_merge(chunks, num_partitions, postings_dir, block_size)
 
-    def run_postings():
-        return hash_exchange_merge(chunks, num_partitions, postings_dir, block_size)
-
-    def run_docmap():
-        # docmap + lineage pass (projection only — content analyzed once)
-        meta_cols = [id_col, text_col] + [c for c in keep_cols]
-        avail = set(pq.read_schema(files[0]).names)
-        cols = [c for c in meta_cols if c in avail]
-        docmap = DocMap(text_col=text_col, id_col=id_col, keep_cols=keep_cols)
-        rd.read_parquet(files, columns=cols, override_num_blocks=n_blocks).map_batches(
-            docmap,  # stateless → plain task pool, no actor startup cost
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).write_parquet(docmap_dir)
-
-    # sequential executions: two concurrent streaming executors contend
-    # for the same CPUs and finish later than back-to-back runs (measured)
-    import time as _time
-
-    def run_positions():
+    if store_positions:
         from ..stages.tokenize import PositionRows
 
-        pos_dir = os.path.join(slice_dir, "positions")
         extract = PositionRows(text_col=text_col, id_col=id_col, mode=mode)
-
-        def add_pk(b: pa.Table) -> pa.Table:
-            pk = hash_strings(b["term"].to_pylist()) % np.int64(num_partitions)
-            return b.append_column("pk", pa.array(pk.astype(np.int64)))
-
-        def sort_group(g: pa.Table) -> pa.Table:
-            return g.sort_by([("term", "ascending"), ("doc_id", "ascending")]).drop_columns(["pk"])
-
-        (
-            rd.read_parquet(files, columns=[id_col, text_col], override_num_blocks=n_blocks)
-            .map_batches(extract, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
-            .map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("pk")
-            .map_groups(sort_group, batch_format="pyarrow")
-            .write_parquet(pos_dir)
-        )
-
-    timings: dict[str, float] = {}
-    t_start = _time.perf_counter()
-    # docmap FIRST: the exchange leaves the session with lingering
-    # object-store/worker state that measurably slows whatever streaming
-    # execution follows it at higher CPU counts (docmap ran 3-4x slower
-    # AFTER postings than in a fresh session); the small phase goes first
-    t0 = _time.perf_counter()
-    run_docmap()
-    timings["docmap_sec"] = round(_time.perf_counter() - t0, 2)
-    if store_positions:
-        t0 = _time.perf_counter()
-        run_positions()
-        timings["positions_sec"] = round(_time.perf_counter() - t0, 2)
-    t0 = _time.perf_counter()
-    manifest_rows = run_postings()
-    timings["postings_sec"] = round(_time.perf_counter() - t0, 2)
-    timings["slice_total_sec"] = round(_time.perf_counter() - t_start, 2)
+        rows = rd.read_parquet(files, columns=[id_col, text_col], override_num_blocks=n_blocks)
+        _write_positions(rows.map_batches(extract, batch_format="pyarrow", batch_size=batch_size,
+                                         zero_copy_batch=True), num_partitions, pos_dir)
 
     total_tokens = int(sum(r["tf_sum"] for r in manifest_rows))
     manifest = {
@@ -691,7 +705,6 @@ def build_slice(
         "analyzer_mode": mode,
         "store_positions": bool(store_positions),
         "partitions": sorted(manifest_rows, key=lambda r: r["kh"]),
-        "timings": timings,
         "resumed": False,
     }
     with open(manifest_path, "w") as f:

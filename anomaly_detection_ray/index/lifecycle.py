@@ -21,12 +21,17 @@ Lucene's delete/merge model, rebuilt over the parquet segment format:
   removes them, so a crash mid-compact leaves the old index serving
   (the manifest flip is the commit point).
 
-Scale shape: compaction re-partitions the existing posting CHUNKS by
-the same (term-hash + doc-bucket) key used at build time — a raw-Ray
-hash exchange over already-compressed rows (the varint streams ship
-through the object store as-is; only the reducer decodes). No
-re-tokenization, no text access: a 100 TB corpus compacts by moving
-its ~x-times-smaller index, not its documents.
+Merge shape: ONE Ray Data read of every merged slice's posting files
+(``include_paths=True``; each row's slice id comes from its path), the
+rows tagged with the build's (term-hash + doc-bucket) partition key and
+moved through the build's raw-Ray exchange — compressed rows ship
+through the object store as-is, only the reducers decode, drop
+tombstoned postings and re-encode. The docmap files are rewritten by
+one plain task per old file (read, drop tombstoned rows, write),
+submitted before the exchange so the two overlap. No re-tokenization,
+no text access: a 100 TB corpus compacts by moving its ~x-times-smaller
+index, not its documents. The positional sidecar, when the index has
+one, is one more read and a term-hash ``groupby``.
 """
 
 from __future__ import annotations
@@ -34,14 +39,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from glob import glob
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.hashing import hash_strings, sha256_file
-from .build import MANIFEST_NAME, _finalize_index, next_slice_id
+from ..functions.hashing import sha256_file
+from .build import (
+    MANIFEST_NAME,
+    _add_partition_key,
+    _exchange,
+    _finalize_index,
+    _read_blocks,
+    _split_table_by_kh,
+    _write_part,
+    _write_positions,
+    next_slice_id,
+)
 from .segments import DEFAULT_BLOCK_SIZE, decode_chunks_bulk, encode_rows_batched
 
 DELETES_REL = "deletes/deleted.parquet"
@@ -152,12 +168,10 @@ def update_docs(
     manifest = _load_manifest(index_dir)
     fp = _slice_fingerprint(new_files)
     sid = None
-    import re
-
     for s in manifest["slices"]:
         with open(os.path.join(index_dir, s["dir"], "_slice_manifest.json")) as f:
             if json.load(f).get("input_fingerprint") == fp:
-                sid = int(re.search(r"(\d+)$", s["dir"]).group(1))
+                sid = _slice_id(s["dir"])
                 break
     if sid is None:
         sid = next_slice_id(manifest)
@@ -240,9 +254,7 @@ def _compact_partition(
         block_size,
     )
     path = os.path.join(out_dir, f"part-{kh:05d}.parquet")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp, row_group_size=4096)
-    os.replace(tmp, path)
+    _write_part(tbl, path, row_group_size=4096)
     return {
         "kh": kh,
         "path": os.path.basename(path),
@@ -283,6 +295,49 @@ def maybe_merge(index_dir: str, max_slices: int = 8, **kwargs) -> dict | None:
     return merge_slices(index_dir, slice_dirs=victims, **kwargs)
 
 
+def _slice_id(slice_dir: str) -> int:
+    """A slice's id: the trailing integer of its directory name."""
+    return int(re.search(r"(\d+)$", slice_dir).group(1))
+
+
+def _path_slice_ids(batch: pa.Table) -> np.ndarray:
+    """Slice id of each row read with ``include_paths=True`` from
+    ``<slice>/<sub>/*.parquet``."""
+    paths = batch["path"].combine_chunks().dictionary_encode()
+    sids = [_slice_id(os.path.dirname(os.path.dirname(p))) for p in paths.dictionary.to_pylist()]
+    return np.array(sids, np.int64)[paths.indices.to_numpy()]
+
+
+def _tag_postings(batch: pa.Table, *, num_partitions: int) -> pa.Table:
+    """Posting rows → ``kh``-tagged for the exchange, ``path`` replaced
+    by the slice id the reducers apply scoped tombstones with."""
+    sids = _path_slice_ids(batch)
+    batch = _add_partition_key(batch.drop_columns(["path"]), num_partitions)
+    return batch.append_column("slice", pa.array(sids, pa.int64()))
+
+
+def _live_positions(batch: pa.Table, *, tombs: tuple[np.ndarray, np.ndarray]) -> pa.Table:
+    """Positional rows → the live docs' rows, without ``path``."""
+    sids = _path_slice_ids(batch)
+    batch = batch.drop_columns(["path"])
+    if tombs[0].size and batch.num_rows:
+        batch = batch.filter(pa.array(live_mask(batch["doc_id"].to_numpy().astype(np.int64), sids, *tombs)))
+    return batch
+
+
+def _rewrite_docmap(src: str, dst: str, sid: int, tombs: tuple[np.ndarray, np.ndarray]) -> int:
+    """One old docmap file → its live rows (scoped by the old slice id)
+    at ``dst``; returns the rows kept. A file with no live row is not
+    written."""
+    t = pq.read_table(src)
+    del_ids, del_lf = tombs
+    if del_ids.size and t.num_rows:
+        t = t.filter(pa.array(live_mask(t["doc_id"].to_numpy().astype(np.int64), sid, del_ids, del_lf)))
+    if t.num_rows:
+        _write_part(t, dst)
+    return t.num_rows
+
+
 def merge_slices(
     index_dir: str,
     *,
@@ -302,10 +357,10 @@ def merge_slices(
     largest merged slice's partition count). ``gc=True`` removes the
     replaced slice dirs (and, on a full merge, the tombstone file)
     AFTER the manifest flip."""
+    import shutil
+
     import ray
     import ray.data as rd
-
-    import re
 
     manifest = _load_manifest(index_dir)
     block_size = int(manifest.get("block_size", DEFAULT_BLOCK_SIZE))
@@ -321,7 +376,6 @@ def merge_slices(
     merged_entries = [s for s in manifest["slices"] if s["dir"] in set(slice_dirs)]
     kept_entries = [s for s in manifest["slices"] if s["dir"] not in set(slice_dirs)]
     old_dirs = [s["dir"] for s in merged_entries]
-    slice_ids = [int(re.search(r"(\d+)$", d).group(1)) for d in old_dirs]
     slice_manifests = []
     for d in old_dirs:
         with open(os.path.join(index_dir, d, "_slice_manifest.json")) as f:
@@ -336,134 +390,59 @@ def merge_slices(
     sid = next_slice_id(manifest)
     rel_dir = f"segments/slice-{sid:04d}"
     slice_dir = os.path.join(index_dir, rel_dir)
-    if os.path.exists(slice_dir):
-        # leftover from a crashed compact (sid is past every manifest-
-        # referenced slice, so nothing here is being served) — start clean
-        import shutil
-
-        shutil.rmtree(slice_dir)
+    # leftover from a crashed merge (sid is past every manifest-referenced
+    # slice, so nothing here is being served) — start clean
+    shutil.rmtree(slice_dir, ignore_errors=True)
     postings_dir = os.path.join(slice_dir, "postings")
-    os.makedirs(postings_dir, exist_ok=True)
-
-    # --- postings: hash exchange of existing chunks by the same
-    # (term-hash + bucket) % P key, raw-Ray tasks (build.py's exchange
-    # pattern; compressed rows move zero-copy, only reducers decode).
-    # Each slice reads with its slice id attached so the reducers can
-    # apply the SCOPED tombstone rule (updates kill only older copies).
-    def _with_slice(sid_: int):
-        def add(b: pa.Table) -> pa.Table:
-            kh = (
-                hash_strings(b["term"].to_pylist())
-                + b["bucket"].to_numpy().astype(np.uint64)
-            ) % np.uint64(num_partitions)
-            b = b.append_column("kh", pa.array(kh.astype(np.int64)))
-            return b.append_column(
-                "slice", pa.array(np.full(b.num_rows, sid_, np.int64))
-            )
-
-        return add
-
-    per_slice = []
-    for s, sid_ in zip(merged_entries, slice_ids):
-        files = sorted(
-            os.path.join(index_dir, s["dir"], "postings", p["path"])
-            for p in s["partitions"]
-        )
-        if files:
-            per_slice.append(
-                rd.read_parquet(files).map_batches(
-                    _with_slice(sid_), batch_format="pyarrow", zero_copy_batch=True
-                )
-            )
-    chunks = per_slice[0].union(*per_slice[1:]) if len(per_slice) > 1 else per_slice[0]
-
-    from .build import _split_table_by_kh
-
-    split = ray.remote(num_returns=num_partitions)(_split_table_by_kh)
-    compact = ray.remote(_compact_partition)
-    deleted_ref = ray.put((del_ids, del_lf))
-    part_refs: list[list] = [[] for _ in range(num_partitions)]
-    for bundle in chunks.iter_internal_ref_bundles():
-        for ref in bundle.block_refs:
-            outs = split.remote(ref, num_partitions)
-            if num_partitions == 1:
-                outs = [outs]
-            for p, r in enumerate(outs):
-                part_refs[p].append(r)
-    futures = [
-        compact.remote(p, postings_dir, block_size, deleted_ref, *part_refs[p])
-        for p in range(num_partitions)
-    ]
-    manifest_rows = [r for r in ray.get(futures) if r is not None]
-
-    # --- docmap: stream-filter tombstoned rows into the new slice
     docmap_dir = os.path.join(slice_dir, "docmap")
+    os.makedirs(postings_dir)
+    os.makedirs(docmap_dir)
+    tombs = ray.put((del_ids, del_lf))
 
-    def _drop_dead(sid_: int):
-        def drop(b: pa.Table) -> pa.Table:
-            if not del_ids.size:
-                return b
-            keep = live_mask(
-                b["doc_id"].to_numpy().astype(np.int64), sid_, del_ids, del_lf
-            )
-            return b.filter(pa.array(keep))
+    def old_files(sub: str) -> list[str]:
+        return [f for d in old_dirs for f in sorted(glob(os.path.join(index_dir, d, sub, "*.parquet")))]
 
-        return drop
+    # --- docmap: one task per old file, running alongside the exchange
+    rewrite = ray.remote(_rewrite_docmap)
+    docmap_rows = [
+        rewrite.remote(f, os.path.join(docmap_dir, f"part-{i:05d}.parquet"),
+                       _slice_id(os.path.dirname(os.path.dirname(f))), tombs)
+        for i, f in enumerate(old_files("docmap"))
+    ]
 
-    def _per_slice_read(subdir: str, extra=None):
-        slice_files = [
-            (sid_, sorted(glob(os.path.join(index_dir, s["dir"], subdir, "*.parquet"))))
-            for s, sid_ in zip(merged_entries, slice_ids)
-        ]
-        # slices may differ in metadata columns (update files need not
-        # repeat every keep_col): pad every batch to the unified schema
-        target = pa.unify_schemas(
-            [pq.read_schema(f) for _, fs in slice_files for f in fs[:1]]
+    # --- postings: one read of every merged slice's parts, exchanged by
+    # the build's (term-hash + bucket) % P key; reducers apply the SCOPED
+    # tombstone rule by each chunk's slice id (updates kill only older
+    # copies)
+    posting_files = [
+        os.path.join(index_dir, s["dir"], "postings", p["path"])
+        for s in merged_entries for p in s["partitions"]
+    ]
+    manifest_rows = []
+    if posting_files:
+        n_blocks = _read_blocks(sum(os.path.getsize(f) for f in posting_files))
+        chunks = rd.read_parquet(posting_files, include_paths=True, override_num_blocks=n_blocks).map_batches(
+            _tag_postings, fn_kwargs={"num_partitions": num_partitions},
+            batch_format="pyarrow", zero_copy_batch=True,
         )
-
-        def pad(b: pa.Table) -> pa.Table:
-            for name, typ in zip(target.names, target.types):
-                if name not in b.column_names:
-                    b = b.append_column(name, pa.nulls(b.num_rows, typ))
-            return b.select(target.names)
-
-        parts = []
-        for sid_, files in slice_files:
-            if not files:
-                continue
-            ds = rd.read_parquet(files).map_batches(
-                _drop_dead(sid_), batch_format="pyarrow", zero_copy_batch=True
-            ).map_batches(pad, batch_format="pyarrow", zero_copy_batch=True)
-            if extra is not None:
-                ds = ds.map_batches(extra, batch_format="pyarrow", zero_copy_batch=True)
-            parts.append(ds)
-        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-
-    _per_slice_read("docmap").write_parquet(docmap_dir)
-    n_docs = sum(
-        pq.read_metadata(f).num_rows for f in glob(os.path.join(docmap_dir, "*.parquet"))
-    )
+        blocks = (ref for bundle in chunks.iter_internal_ref_bundles() for ref in bundle.block_refs)
+        manifest_rows = [
+            r for r in _exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
+                                 _compact_partition, postings_dir, block_size, tombs)
+            if r is not None
+        ]
+    n_docs = sum(ray.get(docmap_rows))
 
     # --- positions sidecar (phrase queries), if present
     store_positions = bool(manifest.get("store_positions", False))
-    if store_positions:
-        pos_dir = os.path.join(slice_dir, "positions")
-
-        def add_pk(b: pa.Table) -> pa.Table:
-            pk = hash_strings(b["term"].to_pylist()) % np.int64(num_partitions)
-            return b.append_column("pk", pa.array(pk.astype(np.int64)))
-
-        def sort_group(g: pa.Table) -> pa.Table:
-            return g.sort_by(
-                [("term", "ascending"), ("doc_id", "ascending")]
-            ).drop_columns(["pk"])
-
-        (
-            _per_slice_read("positions", extra=add_pk)
-            .groupby("pk")
-            .map_groups(sort_group, batch_format="pyarrow")
-            .write_parquet(pos_dir)
+    pos_files = old_files("positions") if store_positions else []
+    if pos_files:
+        n_blocks = _read_blocks(sum(os.path.getsize(f) for f in pos_files))
+        rows = rd.read_parquet(pos_files, include_paths=True, override_num_blocks=n_blocks).map_batches(
+            _live_positions, fn_kwargs={"tombs": (del_ids, del_lf)},
+            batch_format="pyarrow", zero_copy_batch=True,
         )
+        _write_positions(rows, num_partitions, os.path.join(slice_dir, "positions"))
 
     total_tokens = int(sum(r["tf_sum"] for r in manifest_rows))
     sm = {
@@ -500,8 +479,6 @@ def merge_slices(
     )
 
     if gc:
-        import shutil
-
         for d in old_dirs:
             shutil.rmtree(os.path.join(index_dir, d), ignore_errors=True)
         if full:

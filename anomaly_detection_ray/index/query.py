@@ -831,24 +831,21 @@ class QueryEngine:
             return pa.schema([("doc_id", pa.int64())]).empty_table()
         if "doc_id" not in columns:
             columns = ["doc_id", *columns]  # tombstone filtering needs it
-        # missing columns null-fill with their TRUE type from the union
+        # every file is read against the union schema: a column a file
+        # lacks reads null with its TRUE type (a merged slice may hold
+        # files of both kinds)
         target = self.docmap_schema()
         parts = []
         for sid, files in self._docmap_parts:
             if not files:
                 continue
-            ds = pads.dataset(files, format="parquet")
-            have = set(ds.schema.names)
-            cols = [c for c in columns if c in have]
-            pad_cols = [c for c in columns if c not in have]
+            ds = pads.dataset(files, format="parquet", schema=target)
             try:
-                t = ds.to_table(columns=cols, filter=filter)
+                t = ds.to_table(columns=columns, filter=filter)
             except (pa.ArrowInvalid, KeyError):
-                # predicate references a column this slice lacks → the
-                # column is all-null here → no row can match it
+                # predicate references a column no docmap file has → no
+                # row can match it
                 continue
-            for c in pad_cols:
-                t = t.append_column(c, pa.nulls(t.num_rows, target.field(c).type))
             if self.deleted.size and t.num_rows:
                 keep = self._live(t["doc_id"].to_numpy().astype(np.int64), sid)
                 t = t.filter(pa.array(keep))

@@ -1,16 +1,18 @@
 """Phase-1 SPIMI stage: tokenize + in-batch combine → posting chunks.
 
-The map-side combiner of the index build (SURVEY.md §7.1 M1/M2). Runs
-as a ``map_batches`` actor pool (analyzer compiled once per actor in
-``__init__``). Each input batch of corpus rows produces one output row
-per distinct ``(term, doc_bucket)`` in the batch — a compressed partial
-posting chunk — NOT one row per (term, doc) triple. This is the partial
-pre-aggregation that keeps the ``groupby(term)`` shuffle small: a
-stopword-like hot term ('import', 'return') contributes one chunk per
-batch instead of one row per occurrence.
+The map-side combiner of the index build (SURVEY.md §7.1 M1/M2). The
+build calls it per batch of each read block inside one plain
+``map_batches`` task function (``index.build._index_block``), next to
+:class:`DocMap` on the same rows; the analyzer's regexes are compiled in ``__init__`` and ship
+pickled with the task. Each input batch of corpus rows produces one
+output row per distinct ``(term, doc_bucket)`` in the batch — a
+compressed partial posting chunk — NOT one row per (term, doc) triple.
+This is the partial pre-aggregation that keeps the partition exchange
+small: a stopword-like hot term ('import', 'return') contributes one
+chunk per batch instead of one row per occurrence.
 
-Also emits the per-doc metadata pass (:class:`DocMap`) used for the
-docmap sink and the content-sha256 lineage invariant.
+:class:`DocMap` produces the per-doc metadata rows of the docmap and
+the content-sha256 lineage invariant.
 """
 
 from __future__ import annotations

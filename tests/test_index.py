@@ -128,8 +128,17 @@ def test_postings_cache_stats(built, tiny_corpus):
 
 def test_lineage_sha256_invariant(built, tiny_corpus):
     """Per-row invariant from BASELINE.json input_hint: the docmap's
-    content_sha256 equals sha256 of the source rows' content."""
+    content_sha256 equals sha256 of the source rows' content, and the
+    slices' docmap rows, sorted by doc_id, are exactly DocMap applied to
+    the input rows."""
     import hashlib
+    import os
+    from glob import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from anomaly_detection_ray.stages.tokenize import DocMap
 
     out, _, _ = built
     eng = QueryEngine(out)
@@ -138,6 +147,80 @@ def test_lineage_sha256_invariant(built, tiny_corpus):
     assert len(dm) == len(src)
     expect = src["content"].map(lambda t: hashlib.sha256(t.encode()).hexdigest())
     assert (dm["content_sha256"] == expect).all()
+
+    files = sorted(glob(os.path.join(out, "segments", "slice-*", "docmap", "*.parquet")))
+    got = pa.concat_tables(pq.read_table(f) for f in files).sort_by("doc_id")
+    inputs = pa.concat_tables(pq.read_table(f) for f in sorted(tiny_corpus["paths"]))
+    assert got.equals(DocMap()(inputs).sort_by("doc_id"))
+
+
+def test_small_slice_one_read_one_docmap_file(ray_session, tiny_corpus, tmp_path, monkeypatch):
+    """A small slice without positions is read once, in one block, and
+    its docmap lands in one file."""
+    import os
+    from glob import glob
+
+    import ray.data as rd
+
+    calls = []
+    read_parquet = rd.read_parquet
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("override_num_blocks"))
+        return read_parquet(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "read_parquet", counting)
+    out = str(tmp_path / "idx")
+    m = build_index(tiny_corpus["paths"][:1], out, slices=1, num_partitions=2, mode="code")
+    assert calls == [1]
+    assert len(glob(os.path.join(out, "segments", "slice-0000", "docmap", "*.parquet"))) == 1
+    assert QueryEngine(out).count(None) == m["n_docs"] > 0
+
+
+def test_index_block_retry_rewrites_its_docmap_part(tiny_corpus, tmp_path):
+    """A retried build block (Ray re-runs a task whose worker died)
+    replaces its own docmap part instead of adding a second copy; its
+    posting chunks do not depend on the tokenize batch size."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from anomaly_detection_ray.index.build import _index_block
+    from anomaly_detection_ray.stages.tokenize import DocMap, TokenizeCombine
+
+    block = tiny_corpus["table"].slice(0, 50)
+    kw = dict(tokenizer=TokenizeCombine(), docmap=DocMap(), docmap_dir=str(tmp_path),
+              num_partitions=2)
+    first = _index_block(block, batch_size=16, **kw)
+    assert _index_block(block, batch_size=16, **kw).equals(first)
+    files = os.listdir(tmp_path)
+    assert len(files) == 1 and files[0].endswith(".parquet")
+    assert pq.read_table(os.path.join(tmp_path, files[0])).equals(DocMap()(block))
+    whole = _index_block(block, batch_size=64, **kw)
+    assert first.num_rows > whole.num_rows
+
+    def postings(chunks):
+        return sorted((r["term"], r["kh"], *p) for r in chunks.to_pylist()
+                      for p in zip(*map(np.ndarray.tolist, decode_chunk_row(r))))
+
+    assert postings(first) == postings(whole)
+
+
+def test_rebuild_after_lost_slice_manifest(ray_session, tiny_corpus, tmp_path):
+    """A crash after the docmap write but before the slice manifest:
+    the rerun rebuilds the slice without duplicating its docmap rows."""
+    import os
+
+    out = str(tmp_path / "idx")
+    kwargs = dict(slices=1, num_partitions=4, batch_size=64, mode="code")
+    build_index(tiny_corpus["paths"], out, **kwargs)
+    os.remove(os.path.join(out, "segments", "slice-0000", "_slice_manifest.json"))
+    m = build_index(tiny_corpus["paths"], out, **kwargs)
+    assert m["slices"][0]["resumed"] is False
+    eng = QueryEngine(out)
+    assert eng.docmap().count_rows() == 200
+    assert eng.count(None) == 200
+    assert eng.execute_filter({"match_all": {}}).size == 200
 
 
 def test_resume_skips_completed_slices(built, tiny_corpus):

@@ -490,3 +490,141 @@ def test_docmap_and_postings_paths_agree(ray_session, tiny_corpus, tmp_path_fact
     # doc 7's update slice has no repo column: its _source reads null
     hits = search(fast, {"query": {"ids": {"values": [7, 8]}}, "size": 2})["hits"]["hits"]
     assert hits[0]["_source"]["repo"] is None and hits[1]["_source"]["repo"] is not None
+
+
+def _assert_matches_oracle(eng, ids, texts):
+    oracle = BruteForceIndex(ids, texts, Analyzer("code"))
+    for q in QUERIES:
+        got, exp = eng.bm25_topk(q, k=10), oracle.bm25_topk(q, k=10)
+        assert [d for d, _ in got] == [d for d, _ in exp], q
+        for (_, gs), (_, es) in zip(got, exp):
+            assert gs == pytest.approx(es, abs=1e-9)
+
+
+def test_single_partition_build_and_compact(ray_session, tiny_corpus, tmp_path_factory):
+    """num_partitions=1: the exchange has one reducer; build and
+    compaction stay rank- and score-identical to the oracle."""
+    out = str(tmp_path_factory.mktemp("lifecycle_p1"))
+    table = tiny_corpus["table"]
+    ids, texts = table["doc_id"].to_pylist(), table["content"].to_pylist()
+    m = build_index(tiny_corpus["paths"], out, slices=2, num_partitions=1, batch_size=64,
+                    mode="code")
+    assert all(len(s["partitions"]) == 1 for s in m["slices"])
+    _assert_matches_oracle(QueryEngine(out), ids, texts)
+
+    dead = set(range(0, 200, 5))
+    delete_docs(out, sorted(dead))
+    m = compact_index(out, num_partitions=1, gc=True)
+    assert len(m["slices"]) == 1 and len(m["slices"][0]["partitions"]) == 1
+    live = [(d, t) for d, t in zip(ids, texts) if d not in dead]
+    eng = QueryEngine(out)
+    assert eng.count(None) == len(live) == m["n_docs"]
+    _assert_matches_oracle(eng, [d for d, _ in live], [t for _, t in live])
+
+
+def test_tiered_merge_one_read_keeps_scoped_tombstones(
+    ray_session, tiny_corpus, tmp_path_factory, monkeypatch
+):
+    """A partial merge reads the merged slices' postings in one read and
+    applies scoped tombstones (``live_from``): an updated doc's old copy
+    is purged from the merged slice, stays dead in the untouched one, and
+    its new copy stays live — in postings and docmap alike."""
+    import hashlib
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from anomaly_detection_ray.index.lifecycle import load_tombstones, maybe_merge, update_docs
+
+    base = tmp_path_factory.mktemp("lifecycle_scoped")
+    out = str(base / "idx")
+    paths = sorted(tiny_corpus["paths"])
+    build_index(paths, out, slices=3, num_partitions=4, mode="code")
+    # one victim per corpus slice, re-added by an update into slice 3
+    victims = [int(pq.read_table(f, columns=["doc_id"])["doc_id"][0].as_py()) for f in paths]
+    new_text = [f"zzscoped{d} replacement body" for d in victims]
+    upd = str(base / "upd.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array(victims, pa.int64()),
+                             "content": pa.array(new_text)}), upd)
+    update_docs(out, [upd])
+    before = QueryEngine(out)
+    ref_all = list(before.execute_filter({"match_all": {}}))
+    ref_hits = {q: [d for d, _ in before.bm25_topk(q, k=200)] for q in QUERIES}
+
+    calls = []
+    read_parquet = rd.read_parquet
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return read_parquet(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "read_parquet", counting)
+    # merges the update slice with the smallest corpus slice
+    m = maybe_merge(out, max_slices=3, gc=True)
+    assert m is not None and len(m["slices"]) == 3
+    assert len(calls) == 1 and all("/postings/" in f for f in calls[0])
+    ids, lf = load_tombstones(out)
+    assert ids.tolist() == sorted(victims) and (lf == 3).all()
+
+    eng = QueryEngine(out)
+    assert list(eng.execute_filter({"match_all": {}})) == ref_all == sorted(
+        tiny_corpus["table"]["doc_id"].to_pylist())
+    for d, t in zip(victims, new_text):
+        assert list(eng.term_docs(f"zzscoped{d}")) == [d]
+    sha = eng.docmap_rows(["content_sha256"], np.array(sorted(victims)))
+    want = {d: hashlib.sha256(t.encode()).hexdigest() for d, t in zip(victims, new_text)}
+    assert dict(zip(sha["doc_id"].to_pylist(), sha["content_sha256"].to_pylist())) == want
+    # the hit SETS are unchanged (merged docs' stats shift, so not scores)
+    for q in QUERIES:
+        assert sorted(d for d, _ in eng.bm25_topk(q, k=200)) == sorted(ref_hits[q]), q
+
+
+def test_merged_mixed_schema_docmap_paths_agree(ray_session, tiny_corpus, tmp_path_factory):
+    """A merge of an update slice without keep columns and a later add
+    slice with them puts docmap files of both schemas in one slice, the
+    keep-column-less file first. The over-budget scan (``preload_bytes=0``)
+    and the default engine still answer alike: metadata filters, exists,
+    and ``_source``."""
+    import pyarrow as pa
+
+    from anomaly_detection_ray.index.lifecycle import merge_slices, update_docs
+    from anomaly_detection_ray.index.query import search
+    from anomaly_detection_ray.sources.corpus import generate_corpus
+
+    base = str(tmp_path_factory.mktemp("docmap_mixed"))
+    out = os.path.join(base, "idx")
+    build_index(tiny_corpus["paths"][:1], out, slices=1, num_partitions=4, mode="code")
+    upd = os.path.join(base, "upd.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                             "content": pa.array(["zzmix merge body", "zzmix sort body"])}), upd)
+    update_docs(out, [upd])  # slice 1: doc_id + sha256 only
+    add = generate_corpus(30, seed=7)
+    add = add.set_column(add.schema.get_field_index("doc_id"), "doc_id",
+                         pa.array(np.arange(1000, 1030), pa.int64()))
+    add_path = os.path.join(base, "add.parquet")
+    pq.write_table(add, add_path)
+    extend_index(out, [add_path])  # slice 2: every keep column
+    m = merge_slices(out, slice_dirs=["segments/slice-0001", "segments/slice-0002"], gc=True)
+    merged = os.path.join(out, m["slices"][-1]["dir"], "docmap")
+    schemas = [pq.read_schema(os.path.join(merged, f)) for f in sorted(os.listdir(merged))]
+    assert "repo" not in schemas[0].names and "repo" in schemas[-1].names
+
+    fast, slow = QueryEngine(out), QueryEngine(out, preload_bytes=0)
+    repo = add["repo"][0].as_py()
+    want_repo = sorted(int(d) for d, r in zip(add["doc_id"].to_pylist(), add["repo"].to_pylist())
+                       if r == repo)
+    assert [d for d in slow.execute_filter({"term": {"repo": repo}}) if d >= 1000] == want_repo
+    filters = [
+        {"term": {"repo": repo}},
+        {"prefix": {"repo": repo[:3]}},
+        {"exists": {"field": "repo"}},
+        {"exists": {"field": "path"}},
+        {"bool": {"must_not": [{"exists": {"field": "commit"}}]}},
+        {"ids": {"values": [1, 2, 1000, 1001]}},
+    ]
+    for q in filters:
+        assert list(fast.execute_filter(q)) == list(slow.execute_filter(q)), q
+    body = {"query": {"ids": {"values": [1, 2, 1000, 1001]}}, "size": 4, "sort": [{"doc_id": "asc"}]}
+    hits = search(slow, body)["hits"]["hits"]
+    assert hits == search(fast, body)["hits"]["hits"]
+    assert [h["_source"]["repo"] is None for h in hits] == [True, True, False, False]
