@@ -33,7 +33,7 @@ other build of the slice starts from empty ``docmap/`` and
 Replaces the substrate the reference assumes from OpenSearch/Lucene
 (queries built in ``timeseries/util/ParseUtils.java:308-431`` are
 executed against it); internals follow public literature (SPIMI:
-Manning et al. IIR ch. 4; block-max layout: Ding & Suel SIGIR'11).
+Manning et al. IIR ch. 4).
 """
 
 from __future__ import annotations

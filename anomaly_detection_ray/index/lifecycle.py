@@ -58,7 +58,7 @@ from .build import (
     _write_positions,
     next_slice_id,
 )
-from .segments import DEFAULT_BLOCK_SIZE, decode_chunks_bulk, encode_rows_batched
+from .segments import DECODE_COLUMNS, DEFAULT_BLOCK_SIZE, decode_chunks_bulk, encode_rows_batched
 
 DELETES_REL = "deletes/deleted.parquet"
 # live_from for a plain delete: no slice id ever reaches it → dead everywhere
@@ -421,7 +421,11 @@ def merge_slices(
     manifest_rows = []
     if posting_files:
         n_blocks = _read_blocks(sum(os.path.getsize(f) for f in posting_files))
-        chunks = rd.read_parquet(posting_files, include_paths=True, override_num_blocks=n_blocks).map_batches(
+        # only the columns _compact_partition decodes: an index written
+        # with the older block-max columns merges the same way
+        chunks = rd.read_parquet(
+            posting_files, columns=DECODE_COLUMNS, include_paths=True, override_num_blocks=n_blocks,
+        ).map_batches(
             _tag_postings, fn_kwargs={"num_partitions": num_partitions},
             batch_format="pyarrow", zero_copy_batch=True,
         )

@@ -43,6 +43,7 @@ from ..functions.analyzer import Analyzer
 from ..functions.bm25 import idf as bm25_idf
 from ..functions.bm25 import tf_norm
 from .build import MANIFEST_NAME
+from .segments import DECODE_COLUMNS, POSTINGS_SCHEMA
 # not used here: perfbench/trace.py wraps query.decode_block by this name
 from .segments import decode_block  # noqa: F401
 
@@ -262,7 +263,7 @@ class QueryEngine:
         self._term_cols: list[pa.Array] = []
         for fi, f in enumerate(files):
             if self._preloaded:
-                tbl = pq.read_table(f)
+                tbl = pq.read_table(f, columns=DECODE_COLUMNS)
                 self._tables.append(tbl)
                 self._term_cols.append(tbl["term"].combine_chunks())
             else:
@@ -328,8 +329,7 @@ class QueryEngine:
         return self._dict.df(term)
 
     def chunks_for(self, terms: list[str]) -> pa.Table:
-        from .segments import POSTINGS_SCHEMA
-
+        """The chunk rows (``DECODE_COLUMNS`` + ``slice``) of ``terms``."""
         by_file: dict[int, list[int]] = {}
         for t in terms:
             for fi, col in enumerate(self._term_cols):
@@ -338,13 +338,15 @@ class QueryEngine:
                 if hi > lo:
                     by_file.setdefault(fi, []).extend(range(lo, hi))
         if not by_file:
-            return POSTINGS_SCHEMA.empty_table().append_column(
+            return POSTINGS_SCHEMA.empty_table().select(DECODE_COLUMNS).append_column(
                 "slice", pa.array([], pa.int64())
             )
         parts = []
         for fi, rows in sorted(by_file.items()):
-            src = self._tables[fi] if self._preloaded else self._datasets[fi]
-            t = src.take(sorted(rows))
+            if self._preloaded:
+                t = self._tables[fi].take(sorted(rows))
+            else:
+                t = self._datasets[fi].take(sorted(rows), columns=DECODE_COLUMNS)
             parts.append(
                 t.append_column(
                     "slice",

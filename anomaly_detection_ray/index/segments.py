@@ -12,19 +12,21 @@ A built index directory looks like:
 
 Each postings row is one *chunk*: the posting list of one term restricted
 to one doc-id bucket (``bucket = doc_id >> bucket_shift``), doc-ordered,
-delta + LEB128-varint compressed, with block-max skip metadata every
-``block_size`` postings (classic block-max layout, Ding & Suel, "Faster
-top-k document retrieval using block-max indexes", SIGIR'11):
+delta + LEB128-varint compressed; the delta restarts every ``block_size``
+postings, and ``block_*_off`` hold each block's byte offset in the three
+streams:
 
     term:string, bucket:int64, first_doc:int64, last_doc:int64,
     df_chunk:int32, tf_sum:int64,
     docs:binary (delta-varint), tfs:binary (varint), dls:binary (varint),
-    block_last:list<int64>, block_max_tf:list<int32>, block_min_dl:list<int32>
+    block_doc_off:list<int32>, block_tf_off:list<int32>, block_dl_off:list<int32>
 
 ``dls`` (per-posting document length) rides with the postings so BM25
-scoring needs no doc-side join; the block upper bound
-``tf_norm(max_tf, min_dl)`` is a valid impact bound because tf_norm is
-monotone increasing in tf and decreasing in dl.
+scoring needs no doc-side join. Queries score exactly over whole decoded
+posting lists (``decode_chunks_bulk``) and read only
+``DECODE_COLUMNS``; indexes written with the older block-max columns
+(``block_first``/``block_last``/``block_max_tf``/``block_min_dl``)
+still read and merge, since no reader asks for them.
 
 Rows within a part file are sorted by (term, bucket, first_doc) so
 Parquet row-group statistics prune term lookups.
@@ -48,15 +50,14 @@ POSTINGS_SCHEMA = pa.schema(
         ("docs", pa.binary()),
         ("tfs", pa.binary()),
         ("dls", pa.binary()),
-        ("block_first", pa.list_(pa.int64())),
-        ("block_last", pa.list_(pa.int64())),
-        ("block_max_tf", pa.list_(pa.int32())),
-        ("block_min_dl", pa.list_(pa.int32())),
         ("block_doc_off", pa.list_(pa.int32())),
         ("block_tf_off", pa.list_(pa.int32())),
         ("block_dl_off", pa.list_(pa.int32())),
     ]
 )
+
+# the postings columns that decoding needs (query engine, merges)
+DECODE_COLUMNS = ["term", "bucket", "df_chunk", "docs", "tfs", "dls"]
 
 DEFAULT_BLOCK_SIZE = 128
 
@@ -73,9 +74,8 @@ def encode_chunk(
 
     Delta encoding restarts at every block boundary (first doc of a
     block is stored raw), so a single block can be decoded without
-    touching the preceding bytes — that is what makes block-max skipping
-    an actual skip and not a decode-then-discard. ``block_*_off`` are
-    byte offsets of each block's start in the three streams.
+    touching the preceding bytes. ``block_*_off`` are byte offsets of
+    each block's start in the three streams.
     """
     n = doc_ids.size
     nblocks = -(-n // block_size)
@@ -107,10 +107,6 @@ def encode_chunk(
         "docs": b"".join(doc_parts),
         "tfs": b"".join(tf_parts),
         "dls": b"".join(dl_parts),
-        "block_first": doc_ids[starts].astype(np.int64).tolist(),
-        "block_last": doc_ids[ends - 1].astype(np.int64).tolist(),
-        "block_max_tf": np.maximum.reduceat(tfs, starts).astype(np.int32).tolist(),
-        "block_min_dl": np.minimum.reduceat(dls, starts).astype(np.int32).tolist(),
         "block_doc_off": doc_off.tolist(),
         "block_tf_off": tf_off.tolist(),
         "block_dl_off": dl_off.tolist(),
@@ -143,7 +139,6 @@ def encode_rows_batched(
     run_of_block = np.repeat(np.arange(R), nblocks)
     blk_in_run = np.arange(total_blocks) - first_block_of_run[run_of_block]
     bstarts = starts[run_of_block] + blk_in_run * block_size
-    bends = np.minimum(bstarts + block_size, ends[run_of_block])
 
     deltas = np.empty_like(docs, dtype=np.uint64)
     d64 = docs.astype(np.uint64)
@@ -175,10 +170,6 @@ def encode_rows_batched(
             "docs": pa.array([doc_stream[doc_off[s] : doc_off[e]] for s, e in zip(starts, ends)], type=pa.binary()),
             "tfs": pa.array([tf_stream[tf_off[s] : tf_off[e]] for s, e in zip(starts, ends)], type=pa.binary()),
             "dls": pa.array([dl_stream[dl_off[s] : dl_off[e]] for s, e in zip(starts, ends)], type=pa.binary()),
-            "block_first": lst(d64[bstarts].astype(np.int64), pa.int64()),
-            "block_last": lst(d64[bends - 1].astype(np.int64), pa.int64()),
-            "block_max_tf": lst(np.maximum.reduceat(tfs, bstarts).astype(np.int32), pa.int32()),
-            "block_min_dl": lst(np.minimum.reduceat(dls, bstarts).astype(np.int32), pa.int32()),
             "block_doc_off": lst(blk_rel_doc, pa.int32()),
             "block_tf_off": lst(blk_rel_tf, pa.int32()),
             "block_dl_off": lst(blk_rel_dl, pa.int32()),

@@ -28,28 +28,22 @@ from ..stages.window import add_window_columns
 WINDOW_DELAY_RATIO = 1.2  # TimeSeriesSettings.java:301
 
 
-def _per_entity_map_groups(ds, cats: list[str], fn, coarse_groups: int | None) -> pd.DataFrame:
-    """Run a per-entity pandas UDF over a COARSE-keyed shuffle: group on
-    ``hash(entity) % (8×CPUs)`` and iterate the entities inside each
-    group (same exchange shape as ``detect()``/``forecast()``'s
-    ScoreGroups) — never one Ray group per distinct entity, which is the
-    repo's measured per-group-overhead cliff. ``coarse_groups=0`` pins
-    the legacy per-entity plan for parity tests. Returns the collected
-    pandas result (validation outputs are entity-bounded, tiny rows)."""
-    from .detector import add_coarse_key, resolve_coarse_groups
-
-    n_coarse = resolve_coarse_groups(coarse_groups)
-    if n_coarse <= 0:
-        return ds.groupby(cats).map_groups(fn, batch_format="pandas").to_pandas()
+def _per_entity_map_groups(ds, cats: list[str], fn, fused_config: DetectorConfig | None = None
+                           ) -> pd.DataFrame:
+    """Run a per-entity pandas UDF over the coarse-keyed exchange every
+    Layer B stage uses: group on ``hash(entity) % (8×CPUs)`` and iterate
+    the entities inside each group (``stages.window.per_entity``) —
+    never one Ray group per distinct entity, which is the measured
+    per-group-overhead cliff. ``fused_config`` says the rows are map-side
+    window partials to merge first. ``fn`` on a zero-row frame gives the
+    empty result. Returns the collected pandas result (validation
+    outputs are entity-bounded, tiny rows)."""
+    from ..stages.window import add_coarse_key, per_entity, resolve_coarse_groups
 
     def per_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_coarse"])
-        parts = [fn(sub) for _, sub in g.groupby(cats, sort=True)]
-        if not parts:  # replayed empty group — keep the output schema
-            return fn(g.iloc[0:0])
-        return parts[0] if len(parts) == 1 else pd.concat(parts, ignore_index=True)
+        return per_entity(g, cats, fn, fn, fused_config=fused_config)
 
-    keyed = add_coarse_key(ds, n_coarse, cols=tuple(cats))
+    keyed = add_coarse_key(ds, resolve_coarse_groups(), cols=tuple(cats))
     return keyed.groupby("_coarse").map_groups(per_coarse, batch_format="pandas").to_pandas()
 
 
@@ -143,7 +137,7 @@ class DetectorAPI:
         return self._interval_from_recent(self._recent_distinct_ts_ms(),
                                           self.config.interval_s)
 
-    def suggest_period(self, max_period: int = 96, coarse_groups: int | None = None) -> int:
+    def suggest_period(self, max_period: int = 96) -> int:
         """Seasonal-period suggestion for the forecast side (the
         reference's forecaster validation suggests horizon/interval;
         ``forecast/rest/handler``): per-entity autocorrelation of the
@@ -151,18 +145,13 @@ class DetectorAPI:
         a length-weighted vote across entities. Returns 0 when no lag's
         autocorrelation clears 0.3 — 'no clear seasonality'.
 
-        The per-entity pass shuffles on ``hash(entity) % (8×CPUs)`` and
-        iterates entities INSIDE each group (the detect()/forecast()
-        exchange shape): one Ray/pandas group per DISTINCT entity is the
-        measured per-group-overhead cliff at the reference's 1M-entity
-        HC regime (``SearchFeatureDao.java:316-322``). With mergeable
-        feature aggs the whole pass is detect()'s FUSED single-shuffle
-        plan — map-side window partials, ONE coarse exchange, partial
-        merge + autocorrelation inside the group — instead of a full
-        windowed aggregate followed by a second entity shuffle.
-        ``coarse_groups=0`` pins the legacy two-shuffle per-entity plan
-        (parity tests)."""
-        from ..stages.window import mergeable, window_aggregate
+        The per-entity pass rides the coarse-keyed exchange
+        (``_per_entity_map_groups``). With mergeable feature aggs it is
+        detect()'s FUSED single-shuffle plan — map-side window partials,
+        ONE coarse exchange, partial merge + autocorrelation inside the
+        group — instead of a full windowed aggregate followed by a
+        second entity shuffle."""
+        from ..stages.window import mergeable, partial_window_aggregate, window_aggregate
 
         feats = self.config.feature_names()
         if not feats:
@@ -189,35 +178,15 @@ class DetectorAPI:
             period = lag if acf[lag] >= 0.3 else 0
             return pd.DataFrame({"period": [period], "weight": [n]})
 
-        from .detector import resolve_coarse_groups
-
-        if cats and mergeable(self.config) and resolve_coarse_groups(coarse_groups) > 0:
-            # fused single-shuffle plan: only window-level partial rows
-            # move through the exchange (events-per-window× less volume)
-            from ..stages.window import finalize_partials_multi, partial_window_aggregate
-            from .detector import add_coarse_key
-
-            n_coarse = resolve_coarse_groups(coarse_groups)
-            part = partial_window_aggregate(self._ds(pruned=True), self.config,
-                                            ts_col=self.ts_col)
-            keyed = add_coarse_key(part, n_coarse, cols=tuple(cats))
-            cfg = self.config
-
-            def per_coarse(g: pd.DataFrame) -> pd.DataFrame:
-                g = g.drop(columns=["_coarse"])
-                fin = finalize_partials_multi(g, cfg, cats)
-                parts = [entity_period(sub) for _, sub in fin.groupby(cats, sort=True)]
-                if not parts:  # replayed empty group — keep the schema
-                    return entity_period(fin.iloc[0:0])
-                return parts[0] if len(parts) == 1 else pd.concat(parts, ignore_index=True)
-
-            votes = keyed.groupby("_coarse").map_groups(
-                per_coarse, batch_format="pandas").to_pandas()
-        elif cats:
-            agg = window_aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col)
-            votes = _per_entity_map_groups(agg, cats, entity_period, coarse_groups)
+        # mergeable aggs: only window-level partial rows move through the
+        # exchange (events-per-window× less volume)
+        fused = bool(cats) and mergeable(self.config)
+        aggregate = partial_window_aggregate if fused else window_aggregate
+        agg = aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col)
+        if cats:
+            votes = _per_entity_map_groups(agg, cats, entity_period,
+                                           fused_config=self.config if fused else None)
         else:
-            agg = window_aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col)
             votes = entity_period(agg.to_pandas())
         if "weight" not in votes.columns:  # empty input → no votes at all
             return 0
@@ -229,11 +198,11 @@ class DetectorAPI:
 
     # ---- _validate ----
 
-    def validate(self, coarse_groups: int | None = None) -> dict:
+    def validate(self) -> dict:
         """Shingle-density (B4) + interval sanity + window-delay
         suggestion (WINDOW_DELAY_RATIO × observed ingest delay is the
         reference's rule; with batch files we report the suggested
-        interval instead). ``coarse_groups``: see ``suggest_period``."""
+        interval instead)."""
         from ..stages.priority import decayed_top_entities  # noqa: F401 (import check)
 
         issues: list[str] = []
@@ -283,7 +252,7 @@ class DetectorAPI:
                     feature_nan_rate[f] = round(rate, 4)
                     if rate > 0.9:
                         issues.append(f"feature {f!r} is >90% missing over the last 64 intervals")
-        density = self.shingle_density(coarse_groups=coarse_groups)
+        density = self.shingle_density()
         weak = [e for e, d in density.items() if d < 0.25]
         if weak:
             issues.append(f"sparse shingles (<25% full windows) for {len(weak)} entities")
@@ -296,7 +265,7 @@ class DetectorAPI:
             "feature_nan_rate": feature_nan_rate,
         }
 
-    def shingle_density(self, coarse_groups: int | None = None) -> dict[str, float]:
+    def shingle_density(self) -> dict[str, float]:
         """Fraction of fully-populated shingle windows per entity (B4) —
         computed per entity inside map_groups (one tiny row per entity
         reaches the driver; round-1 pulled every distinct (entity,
@@ -322,9 +291,7 @@ class DetectorAPI:
             return pd.DataFrame({"entity": [key], "density": [full / max(1, a.size)]})
 
         if cats:
-            dens = _per_entity_map_groups(
-                ds.select_columns(cols), cats, entity_density, coarse_groups
-            )
+            dens = _per_entity_map_groups(ds.select_columns(cols), cats, entity_density)
             # empty input → map_groups yields a columnless empty frame
             return (dict(zip(dens["entity"], dens["density"]))
                     if "entity" in dens.columns else {})

@@ -28,12 +28,13 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import DetectorConfig
-from ..functions.hashing import entity_model_id
+from ..functions.hashing import entity_model_id, hash_strings
 from ..stages.scorer import score_groups
 from ..stages.window import (
     mergeable,
     normalize_features,
     partial_window_aggregate,
+    resolve_coarse_groups,
     window_aggregate,
 )
 
@@ -72,54 +73,14 @@ def _add_model_id(batch: pa.Table, config: DetectorConfig,
 
 def _project_model_ids(batch: pa.Table, config: DetectorConfig, n_coarse: int,
                        cache: dict) -> pa.Table:
-    """Model-id (+ fused ``_coarse`` shuffle key) projection. Runs as a
-    plain TASK-pool map, like the scorer it feeds. The per-unique-combo
+    """Model-id + ``_coarse`` shuffle key projection. Runs as a plain
+    TASK-pool map, like the scorer it feeds. The per-unique-combo
     murmur3 cache is process-local (Ray reuses worker processes, so it
     still amortizes across the batches a worker sees)."""
     out = _add_model_id(batch, config, cache)
-    if n_coarse > 0:
-        from ..functions.hashing import hash_strings
-
-        mids = out["model_id"].to_numpy(zero_copy_only=False)
-        ck = (hash_strings(mids) % np.uint64(n_coarse)).astype(np.int64)
-        out = out.append_column("_coarse", pa.array(ck))
-    return out
-
-
-def resolve_coarse_groups(coarse_groups: int | None) -> int:
-    """Group count for the scoring exchange. ``None`` → 8× the cluster's
-    CPUs (enough groups that the slowest is <13% of one core's share,
-    bounded so the shuffle never creates one Ray group per model — the
-    per-group-overhead cliff at the reference's 1M-entity HC scale,
-    ``SearchFeatureDao.java:316-322``). ``0`` → legacy per-model groups
-    (parity tests). On a real cluster CPU count scales with nodes, so
-    group count (and per-group memory) scales with the cluster, not with
-    entity count."""
-    if coarse_groups is not None:
-        return int(coarse_groups)
-    import ray
-
-    return max(32, int(ray.cluster_resources().get("CPU", 4)) * 8)
-
-
-def add_coarse_key(ds, n_coarse: int, cols: tuple[str, ...] = ("model_id",)):
-    """Append ``_coarse`` = hash(cols) % n_coarse — the bounded shuffle
-    key for stateful per-model stages. Vectorized (pandas hash_array over
-    the concatenated key strings)."""
-    from ..functions.hashing import hash_strings
-
-    def add(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("_coarse", pa.array([], pa.int64()))
-        import pyarrow.compute as pc
-
-        key = pc.cast(batch[cols[0]], pa.string())
-        for c in cols[1:]:
-            key = pc.binary_join_element_wise(key, pc.cast(batch[c], pa.string()), "\x1f")
-        ck = hash_strings(key.to_numpy(zero_copy_only=False)) % np.uint64(n_coarse)
-        return batch.append_column("_coarse", pa.array(ck.astype(np.int64)))
-
-    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
+    mids = out["model_id"].to_numpy(zero_copy_only=False)
+    ck = (hash_strings(mids) % np.uint64(n_coarse)).astype(np.int64)
+    return out.append_column("_coarse", pa.array(ck))
 
 
 def detect(
@@ -130,9 +91,6 @@ def detect(
     time_range_ms: tuple[int, int] | None = None,
     detailed: bool = False,
     cold_start_history: bool = True,
-    force_fused: bool | None = None,
-    chunk_rows: int = 65536,
-    coarse_groups: int | None = None,
 ):
     """events Dataset → anomaly results Dataset (one row per entity-window).
 
@@ -156,15 +114,12 @@ def detect(
     if time_range_ms is not None and cold_start_history:
         n_hist = max(32, config.history_intervals) + config.shingle_size
         agg_range = (time_range_ms[0] - n_hist * config.interval_s * 1000, time_range_ms[1])
-    # force_fused=False pins the two-shuffle plan (tests assert both plans
-    # agree; non-mergeable aggs fall back automatically)
-    fused = mergeable(config) if force_fused is None else (force_fused and mergeable(config))
+    fused = mergeable(config)  # non-mergeable aggs take the two-shuffle plan
     # Coarse-keyed scoring exchange: shuffle on hash(model_id) % n_coarse
     # (bounded group count — score_groups iterates the models inside one
     # group), not one Ray group per model; per-model groups are the
     # per-group-overhead cliff at the reference's 1M-entity HC scale.
-    # coarse_groups=0 pins the legacy per-model plan (parity tests).
-    n_coarse = resolve_coarse_groups(coarse_groups)
+    n_coarse = resolve_coarse_groups()
     _mid_cache: dict = {}  # deserialized once per worker → amortizes there
 
     def project(b: pa.Table) -> pa.Table:
@@ -172,7 +127,7 @@ def detect(
 
     if fused:
         # single-shuffle plan: map-side window partials (combiner) →
-        # ONE groupby(model_id) that merges partials and scores. Only
+        # ONE coarse exchange that merges partials and scores. Only
         # window-level partial rows move through the exchange; the
         # two-shuffle fallback below sort-shuffles every raw event twice.
         agg = partial_window_aggregate(events_ds, config, ts_col=ts_col, time_range_ms=agg_range)
@@ -183,11 +138,10 @@ def detect(
             lambda b: project(normalize_features(b, feats)), batch_format="pyarrow",
             zero_copy_batch=True,
         )
-    group_key = "_coarse" if n_coarse > 0 else "model_id"
-    results = agg.groupby(group_key).map_groups(
+    results = agg.groupby("_coarse").map_groups(
         score_groups,
         fn_kwargs=dict(config=config, checkpoint_dir=checkpoint_dir,
-                       detailed=detailed, fused=fused, chunk_rows=chunk_rows),
+                       detailed=detailed, fused=fused),
         batch_format="pandas",
     )
     if agg_range is not time_range_ms:

@@ -21,9 +21,12 @@ import pandas as pd
 
 from ..config import DetectorConfig
 from ..stages.window import (
+    add_coarse_key,
     mergeable,
     normalize_features,
     partial_window_aggregate,
+    per_entity,
+    resolve_coarse_groups,
     window_aggregate,
 )
 
@@ -35,18 +38,18 @@ def forecast_groups(group: pd.DataFrame, **kw) -> pd.DataFrame:
 
 
 class ForecastGroups:
-    """One group = one entity's windows in order. With ``checkpoint_dir``
-    the forecaster state is restored before processing and saved after —
-    a later run over newer windows CONTINUES the stream (the forecast
-    job tick, ``forecast/ForecastJobProcessor`` semantics); overlapping
-    windows are dropped as out-of-order, so reruns are idempotent."""
+    """One coarse group's forecaster: each entity's windows in order.
+    With ``checkpoint_dir`` the forecaster state is restored before
+    processing and saved after — a later run over newer windows
+    CONTINUES the stream (the forecast job tick,
+    ``forecast/ForecastJobProcessor`` semantics); overlapping windows
+    are dropped as out-of-order, so reruns are idempotent."""
 
     def __init__(self, value_col: str, interval_ms: int, horizon: int, period: int,
-                 output_after: int = 32, confidence: float = 0.9,
-                 checkpoint_dir: str | None = None, config_id: str = "forecast",
-                 fused_config: DetectorConfig | None = None,
-                 backend: str = "holt_winters", seed: int = 0,
-                 entity_cols: tuple[str, ...] = ()):
+                 entity_cols: tuple[str, ...], output_after: int = 32,
+                 confidence: float = 0.9, checkpoint_dir: str | None = None,
+                 config_id: str = "forecast", fused_config: DetectorConfig | None = None,
+                 backend: str = "holt_winters", seed: int = 0):
         from ..state.checkpoint import CheckpointStore
 
         if backend not in ("holt_winters", "rcf"):
@@ -55,6 +58,7 @@ class ForecastGroups:
         self.interval_ms = interval_ms
         self.horizon = horizon
         self.period = period
+        self.entity_cols = list(entity_cols)
         self.output_after = output_after
         self.confidence = confidence
         self.config_id = config_id
@@ -62,7 +66,6 @@ class ForecastGroups:
         self.fused_config = fused_config  # group rows are window partials
         self.backend = backend
         self.seed = seed
-        self.entity_cols = tuple(entity_cols)  # split key for coarse groups
 
     def _new_forecaster(self, model_id: str):
         from ..functions.hashing import murmur3_x64_128
@@ -80,34 +83,25 @@ class ForecastGroups:
         )
 
     def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        # The group may hold MANY entities (coarse-keyed shuffle — see
-        # ScoreGroups): ONE vectorized partial-merge + ONE stable sort
-        # for the whole group, then split on the entity columns and
-        # forecast each stream independently, in stable entity order.
-        if "_coarse" in group.columns:
-            group = group.drop(columns=["_coarse"])
-        keys = [c for c in self.entity_cols if c in group.columns]
-        if self.fused_config is not None:
-            from ..stages.window import finalize_partials_multi
+        # The group holds MANY entities (see ``stages.window.per_entity``);
+        # each stream is forecast independently, in entity order.
+        return per_entity(group, self.entity_cols, self._forecast_entity, self._empty_result,
+                          fused_config=self.fused_config)
 
-            group = finalize_partials_multi(group, self.fused_config, keys)
-        group = group.sort_values([*keys, "window_end_ms"], kind="stable")
-        if keys:
-            parts = [
-                self._forecast_entity(sub)
-                for _, sub in group.groupby(keys, sort=True)
-            ]
-            if not parts:
-                return pd.DataFrame()
-            return parts[0] if len(parts) == 1 else pd.concat(parts)
-        return self._forecast_entity(group)
+    def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
+        """Zero-row frame with the columns ``_forecast_entity`` emits."""
+        i64, f64 = np.empty(0, np.int64), np.empty(0, np.float64)
+        out = pd.DataFrame({"horizon_index": i64, "forecast_window_start_ms": i64,
+                            "forecast_window_end_ms": i64, "forecast_value": f64,
+                            "forecast_lower": f64, "forecast_upper": f64, "confidence": f64})
+        for c in self.entity_cols:
+            out[c] = group[c].iloc[0:0].to_numpy()
+        return out
 
     def _forecast_entity(self, group: pd.DataFrame) -> pd.DataFrame:
-        # pre-merged and pre-sorted by __call__
-        entity_cols = [c for c in group.columns if c not in
-                       {self.value_col, "window_start_ms", "window_end_ms"}]
+        # pre-merged and pre-sorted by per_entity
         model_id = "forecast_" + self.config_id + "_" + "|".join(
-            str(group[c].iloc[0]) for c in entity_cols
+            str(group[c].iloc[0]) for c in self.entity_cols
         )
         f = None
         last_end = None
@@ -132,7 +126,7 @@ class ForecastGroups:
             )
         fc = f.forecast()
         if fc is None or last_end is None:
-            return pd.DataFrame()
+            return self._empty_result(group)
         h = np.arange(1, self.horizon + 1, dtype=np.int64)
         out = pd.DataFrame(
             {
@@ -145,7 +139,7 @@ class ForecastGroups:
                 "confidence": fc["confidence"],
             }
         )
-        for c in entity_cols:
+        for c in self.entity_cols:
             out[c] = group[c].iloc[0]
         return out
 
@@ -243,7 +237,6 @@ def forecast(
     confidence: float = 0.9,
     checkpoint_dir: str | None = None,
     backend: str = "holt_winters",
-    coarse_groups: int | None = None,
 ):
     """events Dataset → forecast rows (one per entity × horizon step).
 
@@ -262,37 +255,31 @@ def forecast(
         from ..functions.rowfilter import apply_filter_query
 
         events_ds = apply_filter_query(events_ds, config.filter_query)
+    keys = list(config.category_fields)
+    if not keys:
+        raise ValueError("forecast() needs category fields (one model per entity)")
     fused = mergeable(config)
     if fused:
         # single-shuffle plan (see detect()): map-side window partials,
-        # one groupby(entity) merging + forecasting
+        # one coarse exchange merging + forecasting
         agg = partial_window_aggregate(events_ds, config, ts_col=ts_col)
     else:
         agg = window_aggregate(events_ds, config, ts_col=ts_col)
         agg = agg.map_batches(
             lambda b: normalize_features(b, feats), batch_format="pyarrow", zero_copy_batch=True
         )
-    keys = list(config.category_fields) or None
-    if keys is None:
-        raise ValueError("forecast() needs category fields (one model per entity)")
     # coarse-keyed exchange (see detect()): bounded group count, entities
-    # iterated inside each group; coarse_groups=0 pins per-entity groups
-    from .detector import add_coarse_key, resolve_coarse_groups
-
-    n_coarse = resolve_coarse_groups(coarse_groups)
-    if n_coarse > 0:
-        agg = add_coarse_key(agg, n_coarse, cols=tuple(keys))
-        group_key = ["_coarse"]
-    else:
-        group_key = keys
-    return agg.groupby(group_key).map_groups(
+    # iterated inside each group
+    agg = add_coarse_key(agg, resolve_coarse_groups(), cols=tuple(keys))
+    return agg.groupby("_coarse").map_groups(
         forecast_groups,
         fn_kwargs=dict(
             value_col=feats[0], interval_ms=config.interval_s * 1000,
-            horizon=horizon, period=period, output_after=config.model_output_after(),
+            horizon=horizon, period=period, entity_cols=tuple(keys),
+            output_after=config.model_output_after(),
             confidence=confidence, checkpoint_dir=checkpoint_dir,
             config_id=config.config_id, fused_config=config if fused else None,
-            backend=backend, seed=config.seed, entity_cols=tuple(keys),
+            backend=backend, seed=config.seed,
         ),
         batch_format="pandas",
     )

@@ -1950,7 +1950,7 @@ REGISTRY = {
     # term_suggest's freq column and BM25's df-dependent scores
     "term_stats": q_term_stats,
     # shingle_density: green r1-r4; the windowed-distinct counting also
-    # has a dedicated parity pytest (validate density coarse vs legacy)
+    # has a dedicated parity pytest (validate density vs pandas)
     "shingle_density": q_shingle_density,
     # impute_linear: green r1-r4; the imputation function carries
     # reference-exact integer-sensitive unit tests and the stride

@@ -9,8 +9,9 @@ The coarse hash partitioning replaces the reference's consistent-hash
 ring + per-model locks (``HashRing.java:61-199``,
 ``RealTimeInferencer.java:225-238``) — a model's samples always land in
 one group of one run, in window order (one group-wide sort on
-(model_id, window_end) = the §2.F ordering requirement; ordering across
-models is irrelevant, models are independent).
+(model_id, window) = the §2.F ordering requirement; ordering across
+models is irrelevant, models are independent). The in-group loop is
+``stages.window.per_entity``, shared with forecasting and validation.
 
 The stage keeps no state past one group: each model is restored from
 the ``checkpoint_dir`` (or cold-started), scored and saved before the
@@ -32,8 +33,16 @@ import pandas as pd
 from ..config import DetectorConfig
 from ..state.checkpoint import CheckpointStore
 from ..state.model import TRCFModel
+from .window import per_entity
 
 RESULT_COLUMNS = ["anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
+
+# In-run chunking: one model's slice of a group can span its whole
+# history (a historical run over years of 1-min intervals), so the
+# derived work arrays (feature matrix, score/attribution outputs, result
+# copies) are bounded by CHUNK_ROWS rows instead of the history length.
+# The model streams through the chunks in order, so split ≡ whole.
+CHUNK_ROWS = 65536
 
 
 def to_nested_results(results_ds, config: DetectorConfig, schema_version: int = 7):
@@ -149,59 +158,24 @@ class ScoreGroups:
     margin of expected are zeroed and flagged ``suppressed_by_rule``."""
 
     def __init__(self, config: DetectorConfig, checkpoint_dir: str | None = None,
-                 detailed: bool = False, fused: bool = False, chunk_rows: int = 65536):
+                 detailed: bool = False, fused: bool = False):
         self.config = config
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
         self.detailed = bool(detailed) or bool(config.rules)
         self.fused = fused  # group rows are map-side partials → merge here
-        # in-run chunking: one group = one model's FULL history, so the
-        # derived work arrays (feature matrix, score/attribution outputs,
-        # result copies) are bounded by chunk_rows instead of the history
-        # length — years of 1-min intervals stream through the same model
-        # object in fixed-size pieces (split ≡ whole is the same streaming
-        # invariant the checkpointed split-run tests prove)
-        self.chunk_rows = max(1, int(chunk_rows))
 
     def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        # The group may hold MANY models (coarse-keyed shuffle: detect()
-        # hash-partitions on hash(model_id) % n_coarse so the exchange
-        # produces a BOUNDED number of groups instead of one Ray group
-        # per model — at the reference's HC scale of 10^6 entities
-        # (SearchFeatureDao.java:316-322) per-model groups hit the
-        # per-group-overhead cliff). Models are scored independently, in
-        # stable model_id order, each in window order.
+        # The group holds MANY models (see ``stages.window.per_entity``);
+        # each is scored independently, in model_id order, each in
+        # window order. Empty per-model frames are kept: they carry the
+        # result columns, so an all-empty group still emits its schema.
         c = self.config
-        if "_coarse" in group.columns:
-            group = group.drop(columns=["_coarse"])
-        if self.fused:
-            # ONE vectorized finalize for the whole coarse group (all
-            # models at once) — a per-model finalize was ~45% of the
-            # per-model wall at HC scale
-            from .window import finalize_partials_multi
-
-            carry = [col for col in c.category_fields if col in group.columns]
-            if "model_id" in group.columns:
-                carry.append("model_id")
-            group = finalize_partials_multi(group, c, carry)
-        # one stable sort for the whole group; pandas groupby preserves
-        # intra-group row order, so each model's slice arrives sorted
-        group = group.sort_values(["model_id", "window_end_ms"], kind="stable")
-        parts = [
-            self._score_model(str(mid), sub)
-            for mid, sub in group.groupby("model_id", sort=True)
-        ]
-        if not parts:
-            # empty group (Ray's map_groups never produces one, but a
-            # retried/replayed task could): emit the RESULT schema, not
-            # the input schema — a block-schema mismatch here would
-            # poison the downstream block stream
-            return self._empty_result(group)
-        # keep empty per-model frames: they carry the result columns, so
-        # an all-empty group still emits the right schema
-        return parts[0] if len(parts) == 1 else pd.concat(parts)
+        return per_entity(group, ["model_id"], self._score_model, self._empty_result,
+                          fused_config=c if self.fused else None, carry=c.category_fields)
 
     def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
-        """Zero-row frame with the same columns ``_score_chunk`` emits."""
+        """Zero-row frame with the same columns ``_score_chunk`` emits
+        (a block-schema mismatch would poison the downstream stream)."""
         res = group.iloc[0:0].copy()
         for col in ("anomaly_score", "anomaly_grade", "confidence"):
             res[col] = np.array([], dtype=np.float64)
@@ -214,9 +188,10 @@ class ScoreGroups:
                 res["suppressed_by_rule"] = np.array([], dtype=bool)
         return res
 
-    def _score_model(self, model_id: str, group: pd.DataFrame) -> pd.DataFrame:
+    def _score_model(self, group: pd.DataFrame) -> pd.DataFrame:
         c = self.config
-        group = group.reset_index(drop=True)  # pre-sorted by __call__
+        group = group.reset_index(drop=True)  # pre-sorted by per_entity
+        model_id = str(group["model_id"].iloc[0])
 
         model = self.store.load(model_id) if self.store is not None else None
         if model is None:
@@ -224,14 +199,12 @@ class ScoreGroups:
 
         fnames = list(c.feature_names())
         parts = [
-            self._score_chunk(model, group.iloc[lo:lo + self.chunk_rows], fnames)
-            for lo in range(0, len(group), self.chunk_rows)
+            self._score_chunk(model, group.iloc[lo:lo + CHUNK_ROWS], fnames)
+            for lo in range(0, len(group), CHUNK_ROWS)
         ]
 
         if self.store is not None:
             self.store.save(model)
-        if not parts:
-            return group
         return parts[0] if len(parts) == 1 else pd.concat(parts)
 
     def _score_chunk(self, model, sub: pd.DataFrame, fnames: list[str]) -> pd.DataFrame:

@@ -104,21 +104,15 @@ class TokenizeCombine:
         tf_off = np.concatenate(([0], np.cumsum(tf_sz)))
         dl_off = np.concatenate(([0], np.cumsum(dl_sz)))
 
-        n_runs = starts.size
-        firsts = did_arr[starts]
-        lasts = did_arr[ends - 1]
-        tf_sums = np.add.reduceat(tf_arr, starts)
-        max_tfs = np.maximum.reduceat(tf_arr, starts)
-        min_dls = np.minimum.reduceat(dl_arr, starts)
-        zero32 = pa.array([[0]] * n_runs, type=pa.list_(pa.int32()))
+        zero32 = pa.array([[0]] * starts.size, type=pa.list_(pa.int32()))
         return pa.table(
             {
                 "term": pa.array([str(uniq[codes[s]]) for s in starts]),
                 "bucket": pa.array(bucket_arr[starts], type=pa.int64()),
-                "first_doc": pa.array(firsts, type=pa.int64()),
-                "last_doc": pa.array(lasts, type=pa.int64()),
+                "first_doc": pa.array(did_arr[starts], type=pa.int64()),
+                "last_doc": pa.array(did_arr[ends - 1], type=pa.int64()),
                 "df_chunk": pa.array((ends - starts).astype(np.int32)),
-                "tf_sum": pa.array(tf_sums, type=pa.int64()),
+                "tf_sum": pa.array(np.add.reduceat(tf_arr, starts), type=pa.int64()),
                 "docs": pa.array(
                     [doc_stream[doc_off[s] : doc_off[e]] for s, e in zip(starts, ends)], type=pa.binary()
                 ),
@@ -128,10 +122,6 @@ class TokenizeCombine:
                 "dls": pa.array(
                     [dl_stream[dl_off[s] : dl_off[e]] for s, e in zip(starts, ends)], type=pa.binary()
                 ),
-                "block_first": pa.array([[int(x)] for x in firsts], type=pa.list_(pa.int64())),
-                "block_last": pa.array([[int(x)] for x in lasts], type=pa.list_(pa.int64())),
-                "block_max_tf": pa.array([[int(x)] for x in max_tfs], type=pa.list_(pa.int32())),
-                "block_min_dl": pa.array([[int(x)] for x in min_dls], type=pa.list_(pa.int32())),
                 "block_doc_off": zero32,
                 "block_tf_off": zero32,
                 "block_dl_off": zero32,
@@ -182,8 +172,8 @@ class PositionRows:
     for the OPTIONAL phrase-query sidecar (``build_index(
     store_positions=True)``). Lucene keeps positions inline in its
     postings; here they live in a separate parquet sidecar so the
-    BM25/conjunctive hot path's codec and block-max layout stay
-    untouched and non-phrase users pay nothing.
+    BM25/conjunctive hot path's postings codec stays untouched and
+    non-phrase users pay nothing.
 
     Vectorized per batch: one global lexsort of (term code, doc) over
     the concatenated token stream, positions per (term, doc) are the

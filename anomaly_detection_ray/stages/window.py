@@ -156,12 +156,14 @@ def window_aggregate(
         raise ValueError("calendar_interval is not supported with sketch aggregations")
     if any(f.agg in SKETCH_AGGS for f in config.features):
         # sketch aggs have no Ray builtin: run the mergeable-partial plan
-        # (combiner → shuffle of window-level sketch rows → merge) — the
-        # same single-shuffle shape the fused detect plan uses
-        part = partial_window_aggregate(ds, config, ts_col, time_range_ms)
-        group_keys = list(config.category_fields) or ["window_start_ms"]
-        return part.groupby(group_keys).map_groups(
-            lambda df: finalize_partial_group(df, config), batch_format="pandas")
+        # (combiner → coarse exchange of window-level sketch rows → merge),
+        # the same single-shuffle shape the fused detect plan uses
+        cats = list(config.category_fields)
+        part = add_coarse_key(partial_window_aggregate(ds, config, ts_col, time_range_ms),
+                              resolve_coarse_groups(), cols=tuple(cats or ["window_start_ms"]))
+        return part.groupby("_coarse").map_groups(
+            lambda df: finalize_partials_multi(df.drop(columns=["_coarse"]), config, cats),
+            batch_format="pandas")
     interval_ms = config.interval_s * 1000
     needed = {ts_col, *config.category_fields, *(f.column for f in config.features)}
     ds = ds.select_columns([c for c in ds.schema().names if c in needed])
@@ -277,7 +279,7 @@ def partial_window_aggregate(
     (every event moves), while this reduces each block to its distinct
     (entity, window) partials first — the shuffle then moves only
     window-level rows (events-per-window× less volume) and the scoring
-    group merges partials with :func:`finalize_partial_group`."""
+    group merges partials with :func:`finalize_partials_multi`."""
     interval_ms = config.interval_s * 1000
     needed = {ts_col, *config.category_fields, *(f.column for f in config.features)}
     keys = list(config.category_fields) + ["window_start_ms", "window_end_ms"]
@@ -355,62 +357,19 @@ def _tdigest_q(series, q: float) -> float:
     return sk.tdigest_quantile(sk.tdigest_merge([b for b in series if b]), q)
 
 
-def finalize_partial_group(df, config: DetectorConfig):
-    """Merge one scoring group's partial rows into final feature values
-    (one row per window, columns named like ``window_aggregate``'s
-    output, B1 NaN semantics applied). Partial rows are sorted by all
-    columns first so float merge order is deterministic regardless of
-    shuffle arrival order."""
-    import pandas as pd
-
-    keys = ["window_start_ms", "window_end_ms"]
-    carry = [c for c in config.category_fields if c in df.columns]
-    if "model_id" in df.columns:
-        carry.append("model_id")
-    df = df.sort_values([c for c in df.columns if c not in carry], kind="stable")
-    gb = df.groupby(keys, sort=True, dropna=False)
-    out = {}
-    for f in config.features:
-        if f.agg == "min":
-            out[f.name] = gb[f"{f.name}__min"].min()
-        elif f.agg == "max":
-            out[f.name] = gb[f"{f.name}__max"].max()
-        elif f.agg == "sum":
-            out[f.name] = gb[f"{f.name}__sum"].sum(min_count=1)
-        elif f.agg == "value_count":
-            out[f.name] = gb[f"{f.name}__cnt"].sum()
-        elif f.agg == "cardinality_hll":
-            out[f.name] = gb[f"{f.name}__hll"].agg(_hll_count)
-        elif f.agg == "percentile_tdigest":
-            out[f.name] = gb[f"{f.name}__td"].agg(
-                lambda s, q=f.percentile: _tdigest_q(s, q))
-        else:  # avg
-            s = gb[f"{f.name}__sum"].sum(min_count=1)
-            c = gb[f"{f.name}__cnt"].sum()
-            out[f.name] = s / c.where(c > 0)
-    res = pd.DataFrame(out).reset_index()
-    for f in config.feature_names():
-        v = res[f].to_numpy(dtype=np.float64, copy=True)
-        v[~np.isfinite(v)] = np.nan
-        res[f] = v
-    for c in carry:
-        res[c] = df[c].iloc[0]
-    return res
-
-
 def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
-    """Vectorized :func:`finalize_partial_group` for a frame holding MANY
-    models' partial rows (the coarse-keyed scoring exchange): ONE pandas
-    groupby over (group_cols…, window) replaces a per-model finalize —
-    identical per-model output (the per-(group, window) merge order is
-    the same sorted order), ~10× less pandas overhead at tens of models
-    per coarse group."""
+    """Merge the partial rows of MANY entities (one group of the
+    coarse-keyed exchange) into final feature values: one row per
+    (group_cols…, window), columns named like ``window_aggregate``'s
+    output, B1 NaN semantics applied. ONE pandas groupby for the whole
+    group; ~10× less pandas overhead than a per-model finalize at tens
+    of models per coarse group."""
     import pandas as pd
 
     keys = [*group_cols, "window_start_ms", "window_end_ms"]
-    # same intra-model ordering as finalize_partial_group: stable sort by
-    # every non-carry column, with the group columns leading so rows of
-    # one (group, window) stay contiguous in that deterministic order
+    # stable sort by the group columns, then every other column, so the
+    # float merge order of one (group, window) is deterministic whatever
+    # order the exchange delivered its partial rows in
     noncarry = [c for c in df.columns if c not in group_cols]
     df = df.sort_values([*group_cols, *noncarry], kind="stable")
     gb = df.groupby(keys, sort=True, dropna=False)
@@ -438,9 +397,61 @@ def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
         v = res[f].to_numpy(dtype=np.float64, copy=True)
         v[~np.isfinite(v)] = np.nan
         res[f] = v
-    # column order parity with finalize_partial_group: window keys,
-    # features, then the carried group columns
+    # window keys, features, then the carried group columns
     return res[["window_start_ms", "window_end_ms", *config.feature_names(), *group_cols]]
+
+
+def resolve_coarse_groups() -> int:
+    """Group count of the per-entity exchange every Layer B stage uses:
+    8× the cluster's CPUs (enough groups that the slowest is <13% of one
+    core's share), at least 32, and never one Ray group per model — the
+    per-group-overhead cliff at the reference's 1M-entity HC scale,
+    ``SearchFeatureDao.java:316-322``. On a real cluster CPU count
+    scales with nodes, so group count (and per-group memory) scales with
+    the cluster, not with entity count."""
+    import ray
+
+    return max(32, int(ray.cluster_resources().get("CPU", 4)) * 8)
+
+
+def add_coarse_key(ds, n_coarse: int, cols: tuple[str, ...]):
+    """Append ``_coarse`` = hash(cols) % n_coarse — the bounded shuffle
+    key for the per-entity stages. Vectorized (pandas hash_array over
+    the concatenated key strings)."""
+    from ..functions.hashing import hash_strings
+
+    def add(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return batch.append_column("_coarse", pa.array([], pa.int64()))
+        key = pc.cast(batch[cols[0]], pa.string())
+        for c in cols[1:]:
+            key = pc.binary_join_element_wise(key, pc.cast(batch[c], pa.string()), "\x1f")
+        ck = hash_strings(key.to_numpy(zero_copy_only=False)) % np.uint64(n_coarse)
+        return batch.append_column("_coarse", pa.array(ck.astype(np.int64)))
+
+    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def per_entity(group, keys: list[str], fn, empty, fused_config: DetectorConfig | None = None,
+               carry: tuple[str, ...] = ()):
+    """The in-group loop of every Layer B stage behind the coarse-keyed
+    exchange (``groupby(hash(entity) % n).map_groups``): one group holds
+    many entities. Drops ``_coarse``; with ``fused_config`` merges the
+    map-side window partials of the whole group at once (keeping the
+    ``carry`` columns next to ``keys``); sorts once, stably, on ``keys``
+    and window start (an entity's windows are distinct, so this is its
+    window order); calls ``fn`` on each entity's slice in key order.
+    ``empty(group)`` gives the zero-row result when no entity is left."""
+    import pandas as pd
+
+    group = group.drop(columns=["_coarse"], errors="ignore")
+    if fused_config is not None:
+        group = finalize_partials_multi(group, fused_config, [*carry, *keys])
+    group = group.sort_values([*keys, "window_start_ms"], kind="stable")
+    parts = [fn(sub) for _, sub in group.groupby(keys, sort=True)]
+    if not parts:
+        return empty(group)
+    return parts[0] if len(parts) == 1 else pd.concat(parts)
 
 
 def date_range_aggregate(ds, config: DetectorConfig, ranges_ms: list[tuple[int, int]], ts_col: str = "ts"):

@@ -425,8 +425,7 @@ def hc_bench() -> dict:
     assert nf == HC_ENTITIES * 12
 
     # validation front door (api.validate / suggest_period) at HC scale:
-    # the coarse-keyed per-entity pass vs the legacy one-Ray-group-per-
-    # entity plan it replaced (the same cliff detect() had at r3)
+    # the coarse-keyed per-entity pass
     import os
 
     import pyarrow.parquet as pq
@@ -443,13 +442,9 @@ def hc_bench() -> dict:
     # full validate() adds interval/NaN checks that dominate end-to-end
     _settle(1.0)
     t0 = time.perf_counter()
-    d_legacy = api.shingle_density(coarse_groups=0)  # one Ray group/entity
-    t_dens_legacy = round(time.perf_counter() - t0, 3)
-    _settle(1.0)
-    t0 = time.perf_counter()
     d_coarse = api.shingle_density()
     t_dens = round(time.perf_counter() - t0, 3)
-    assert d_legacy == d_coarse and len(d_coarse) == HC_ENTITIES
+    assert len(d_coarse) == HC_ENTITIES
     _settle(1.0)
     t0 = time.perf_counter()
     assert api.validate()["ok"]
@@ -469,7 +464,6 @@ def hc_bench() -> dict:
                     f"detect_{HC_ENTITIES}_entities": t_hi,
                     f"forecast_{HC_ENTITIES}_entities": t_fc,
                     f"shingle_density_{HC_ENTITIES}_entities": t_dens,
-                    f"shingle_density_{HC_ENTITIES}_entities_legacy_per_entity": t_dens_legacy,
                     f"validate_{HC_ENTITIES}_entities": t_val,
                     f"suggest_period_{HC_ENTITIES}_entities": t_sp},
         "sf": f"synthetic {HC_ENTITIES} entities x {HC_WINDOWS} windows",

@@ -47,22 +47,59 @@ def test_validate_and_suggest(ray_session, events_file):
     assert all(d > 0.5 for d in v["shingle_density"].values())
 
 
+def _windows(events_path: str, cats: list[str], interval_ms: int) -> pd.DataFrame:
+    """Whole events file in pandas: entity key columns + window start."""
+    t = pq.read_table(events_path).to_pandas()
+    ts = t["ts"].astype("datetime64[ms]").astype("int64")
+    return t.assign(window_start_ms=ts - ts % interval_ms)[[*cats, "window_start_ms", "value"]]
+
+
+def _pandas_density(events_path: str, cats: list[str], interval_ms: int, s: int) -> dict:
+    """Shingle density per entity: the share of an entity's windows
+    whose ``s``-window span back from them is fully present."""
+    out = {}
+    for k, g in _windows(events_path, cats, interval_ms).groupby(cats):
+        have = set(g["window_start_ms"])
+        full = sum(all(w - i * interval_ms in have for i in range(s)) for w in have)
+        out[str(tuple(str(v) for v in k))] = full / len(have)
+    return out
+
+
+def _pandas_period(events_path: str, cats: list[str], interval_ms: int,
+                   max_period: int = 96) -> int:
+    """Length-weighted vote of each entity's autocorrelation peak over
+    its windowed mean value (direct correlation, lags 2..n/2)."""
+    votes: dict[int, int] = {}
+    for _, g in _windows(events_path, cats, interval_ms).groupby(cats):
+        x = g.groupby("window_start_ms")["value"].mean().sort_index().to_numpy()
+        n = x.size
+        x = x - x.mean()
+        acf = np.correlate(x, x, mode="full")[n - 1:] / np.dot(x, x)
+        hi = min(max_period, n // 2)
+        lag = int(np.argmax(acf[2:hi + 1])) + 2
+        p = lag if acf[lag] >= 0.3 else 0
+        votes[p] = votes.get(p, 0) + n
+    return max(votes, key=votes.get)
+
+
 def test_validate_suggest_coarse_parity(ray_session, events_file):
     """The coarse-keyed per-entity exchange (hash(entity) % 8×CPUs,
-    entities iterated inside the group) is a pure plan change:
-    validate() and suggest_period() outputs are identical to the legacy
-    one-Ray-group-per-entity plan (coarse_groups=0)."""
+    entities iterated inside the group) gives the densities and the
+    period that pandas computes over the whole events file."""
     from anomaly_detection_ray.pipelines.api import DetectorAPI
 
     api = DetectorAPI(_cfg(), events_file)
-    assert api.validate() == api.validate(coarse_groups=0)
-    assert api.suggest_period() == api.suggest_period(coarse_groups=0)
+    density = _pandas_density(events_file, ["entity"], 600_000, 8)
+    assert len(density) == 4
+    assert api.validate()["shingle_density"] == density
+    period = api.suggest_period()
+    assert period == _pandas_period(events_file, ["entity"], 600_000) and period > 0
 
 
 def test_validate_coarse_parity_multi_category(ray_session, events_file, tmp_path):
     """Coarse keys concatenate MULTIPLE category fields (\\x1f-joined in
-    add_coarse_key); the per-entity pass must stay plan-identical to the
-    legacy per-entity groups with a composite entity key too."""
+    add_coarse_key); with a composite entity key the per-entity pass
+    still matches pandas over the whole events file."""
     import pyarrow.parquet as pq_
 
     from anomaly_detection_ray.pipelines.api import DetectorAPI
@@ -78,9 +115,9 @@ def test_validate_coarse_parity_multi_category(ray_session, events_file, tmp_pat
     )
     api = DetectorAPI(cfg, p)
     a = api.shingle_density()
-    b = api.shingle_density(coarse_groups=0)
-    assert a == b and len(a) == 12  # 4 entities × 3 regions
-    assert api.suggest_period() == api.suggest_period(coarse_groups=0)
+    assert a == _pandas_density(p, ["entity", "region"], 600_000, 8)
+    assert len(a) == 12  # 4 entities × 3 regions
+    assert api.suggest_period() == _pandas_period(p, ["entity", "region"], 600_000)
 
 
 def test_preview_deterministic(ray_session, events_file):

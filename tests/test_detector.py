@@ -5,6 +5,8 @@ Quality floors mirror the reference's e2e assertion
 ≥ 0.7 on labeled synthetic data) plus exact determinism (preview's
 randomSeed(0) promise)."""
 
+import dataclasses
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -388,51 +390,102 @@ def test_detect_deterministic(ray_session, stream_table):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_detect_coarse_plan_bit_identical(ray_session, stream_table):
-    """Coarse-keyed scoring exchange (hash(model_id) % n groups, many
-    models per group) must be bit-identical to the legacy one-group-per-
-    model plan — models are independent and each is still processed in
-    window order. coarse_groups=3 forces multiple models per group (8
-    entities); both fused plans are covered since mergeable(cfg) is True,
-    and force_fused=False covers the raw two-shuffle plan too."""
+def _frame(ds) -> pa.Table:
+    return pa.Table.from_pandas(ds.to_pandas(), preserve_index=False)
+
+
+def _score_input(table: pa.Table, cfg: DetectorConfig, fused: bool) -> pd.DataFrame:
+    """detect()'s scoring-stage input rows, collected as ONE pandas
+    group: map-side window partials (fused) or finished windows."""
     import ray.data as rd
 
+    from anomaly_detection_ray.pipelines.detector import _add_model_id
+    from anomaly_detection_ray.stages.window import (
+        normalize_features,
+        partial_window_aggregate,
+        window_aggregate,
+    )
+
+    ds = rd.from_arrow(table)
+    if fused:
+        t = _frame(partial_window_aggregate(ds, cfg, ts_col="ts"))
+    else:
+        t = normalize_features(_frame(window_aggregate(ds, cfg, ts_col="ts")),
+                               cfg.feature_names())
+    return _add_model_id(t, cfg).to_pandas()
+
+
+def _sorted(df: pd.DataFrame, key: list[str]) -> pd.DataFrame:
+    return df.sort_values(key).reset_index(drop=True)[sorted(df.columns)]
+
+
+def test_detect_coarse_plan_bit_identical(ray_session, stream_table):
+    """The coarse-keyed scoring exchange (hash(model_id) % n groups, many
+    models per group) is a pure plan change: detect() equals the same
+    stage scoring the whole input as ONE group in-process, both from
+    map-side partials and from the two-shuffle plan's finished windows.
+    The fixture really puts several models in one coarse group."""
+    import ray.data as rd
+
+    from anomaly_detection_ray.functions.hashing import hash_strings
     from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.stages.scorer import ScoreGroups
+    from anomaly_detection_ray.stages.window import resolve_coarse_groups
 
     cfg = _detector_cfg()
-    sort_cols = ["model_id", "window_end_ms"]
-
-    def run(**kw):
-        return (detect(rd.from_arrow(stream_table), cfg, ts_col="ts", **kw)
-                .to_pandas().sort_values(sort_cols).reset_index(drop=True))
-
-    legacy = run(coarse_groups=0)
-    coarse = run(coarse_groups=3)
-    assert "_coarse" not in coarse.columns
-    pd.testing.assert_frame_equal(coarse, legacy)
-    coarse_raw = run(coarse_groups=3, force_fused=False)
-    legacy_raw = run(coarse_groups=0, force_fused=False)
-    pd.testing.assert_frame_equal(coarse_raw, legacy_raw)
+    key = ["model_id", "window_end_ms"]
+    got = _sorted(detect(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas(), key)
+    assert "_coarse" not in got.columns
+    mids = got["model_id"].unique()
+    groups = hash_strings(mids) % np.uint64(resolve_coarse_groups())
+    assert len(mids) == 8 and np.bincount(groups.astype(np.int64)).max() >= 2
+    for fused in (True, False):
+        whole = ScoreGroups(cfg, fused=fused)(_score_input(stream_table, cfg, fused))
+        pd.testing.assert_frame_equal(got, _sorted(whole, key))
 
 
 def test_forecast_coarse_plan_bit_identical(ray_session, stream_table):
+    """forecast() over the coarse-keyed exchange equals the same stage
+    forecasting the whole input as ONE group in-process."""
     import ray.data as rd
 
-    from anomaly_detection_ray.pipelines.forecast import forecast
+    from anomaly_detection_ray.pipelines.forecast import ForecastGroups, forecast
+    from anomaly_detection_ray.stages.window import partial_window_aggregate
 
     cfg = _detector_cfg()
-    sort_cols = ["entity", "horizon_index"]
+    key = ["entity", "horizon_index"]
+    got = forecast(rd.from_arrow(stream_table), cfg, horizon=6).to_pandas()
+    stage = ForecastGroups(
+        value_col="value_avg", interval_ms=600_000, horizon=6, period=0,
+        entity_cols=("entity",), output_after=cfg.model_output_after(),
+        config_id=cfg.config_id, fused_config=cfg, seed=cfg.seed,
+    )
+    part = partial_window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas()
+    whole = stage(part)
+    assert got["entity"].nunique() == 8 and len(got) == 8 * 6
+    pd.testing.assert_frame_equal(_sorted(got, key), _sorted(whole, key))
 
-    def run(**kw):
-        return (forecast(rd.from_arrow(stream_table), cfg, horizon=6, **kw)
-                .to_pandas().sort_values(sort_cols).reset_index(drop=True)
-                [["entity", "horizon_index", "forecast_value", "forecast_lower",
-                  "forecast_upper", "confidence", "forecast_window_start_ms",
-                  "forecast_window_end_ms"]])
 
-    legacy = run(coarse_groups=0)
-    coarse = run(coarse_groups=3)
-    pd.testing.assert_frame_equal(coarse, legacy)
+def test_forecast_empty_keeps_result_schema(ray_session):
+    """No entity reaches ``output_after`` points: the forecast stage
+    still emits its result columns (entity, horizon, forecast bounds,
+    confidence, window bounds), and top_forecast_results runs over the
+    empty rows. (Ray's ``to_pandas`` skips zero-row blocks, so the
+    columns show in the Dataset schema.)"""
+    import ray.data as rd
+
+    from anomaly_detection_ray.pipelines.forecast import forecast, top_forecast_results
+    from anomaly_detection_ray.sources.streams import generate_interval_stream
+
+    t = generate_interval_stream(n_entities=3, n_windows=10, interval_s=600, seed=3)
+    cfg = _detector_cfg()
+    fc = forecast(rd.from_arrow(t), cfg, horizon=6).materialize()
+    assert fc.count() == 0
+    assert fc.schema() is not None and set(fc.schema().names) == {
+        "entity", "horizon_index", "forecast_window_start_ms", "forecast_window_end_ms",
+        "forecast_value", "forecast_lower", "forecast_upper", "confidence",
+    }
+    assert top_forecast_results(fc, cfg, k=3).count() == 0
 
 
 def _map_ops(ds):
@@ -460,12 +513,15 @@ def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table):
     from anomaly_detection_ray.pipelines.forecast import forecast
 
     cfg = _detector_cfg()
+    # a percentile feature is not mergeable: detect takes the two-shuffle plan
+    pct = dataclasses.replace(
+        cfg, features=(FeatureSpec("value_p90", "value", "percentile", percentile=0.9),))
     ts = pd.to_datetime(stream_table["ts"].to_pandas()).astype("int64") // 10**6
     mid = int(ts.median()) // 600_000 * 600_000
     plans = {
         "score_groups": [
             detect(rd.from_arrow(stream_table), cfg, ts_col="ts"),
-            detect(rd.from_arrow(stream_table), cfg, ts_col="ts", force_fused=False),
+            detect(rd.from_arrow(stream_table), pct, ts_col="ts"),
             detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
                    time_range_ms=(mid, int(ts.max()) + 600_000)),
         ],
@@ -738,31 +794,35 @@ def test_detect_high_cardinality_quality(ray_session):
 
 
 def test_fused_plan_equals_two_shuffle_plan(ray_session, stream_table):
-    """The single-shuffle fused plan (map-side partials) and the
-    two-shuffle groupby-aggregate plan must produce identical results
-    for mergeable aggs — same windows, same feature values, same scores."""
+    """The single-shuffle fused plan (map-side partials merged in the
+    scoring group) and the two-shuffle groupby-aggregate plan give the
+    same windows and feature values for mergeable aggs."""
     import ray.data as rd
 
-    from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.stages.window import (
+        finalize_partials_multi,
+        normalize_features,
+        partial_window_aggregate,
+        window_aggregate,
+    )
 
     cfg = _detector_cfg()
-    key = ["model_id", "window_end_ms"]
-    fused = detect(rd.from_arrow(stream_table), cfg, ts_col="ts")\
-        .to_pandas().sort_values(key).reset_index(drop=True)
-    two = detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
-                 force_fused=False).to_pandas().sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(fused[sorted(fused.columns)], two[sorted(two.columns)],
-                                  check_like=True)
+    key = ["entity", "window_end_ms"]
+    fused = finalize_partials_multi(
+        partial_window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas(),
+        cfg, ["entity"])
+    two = normalize_features(_frame(window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts")),
+                             cfg.feature_names()).to_pandas()
+    assert len(fused) == 8 * 300
+    pd.testing.assert_frame_equal(_sorted(fused, key), _sorted(two, key))
 
 
-def test_chunked_scoring_byte_identical(ray_session):
+def test_chunked_scoring_byte_identical(ray_session, monkeypatch):
     """In-run chunked stateful scoring: one entity with a long history
     scored under a tiny chunk cap must be byte-identical to the unchunked
     path (bounds per-group work-array memory — VERDICT r2 item #2)."""
-    import ray.data as rd
-
-    from anomaly_detection_ray.pipelines.detector import detect
     from anomaly_detection_ray.sources.streams import generate_interval_stream
+    from anomaly_detection_ray.stages import scorer
 
     t = generate_interval_stream(
         n_entities=2, n_windows=1200, interval_s=600, seed=9,
@@ -774,12 +834,14 @@ def test_chunked_scoring_byte_identical(ray_session):
                   FeatureSpec("value_max", "value", "max")),
         category_fields=("entity",), num_trees=10, sample_size=64,
     )
-    key = ["model_id", "window_end_ms"]
-    whole = detect(rd.from_arrow(t), cfg, ts_col="ts", detailed=True,
-                   chunk_rows=10**9).to_pandas().sort_values(key).reset_index(drop=True)
-    chunked = detect(rd.from_arrow(t), cfg, ts_col="ts", detailed=True,
-                     chunk_rows=97).to_pandas().sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(whole, chunked)
+    group = _score_input(t, cfg, fused=True)
+
+    def score(chunk_rows: int) -> pd.DataFrame:
+        monkeypatch.setattr(scorer, "CHUNK_ROWS", chunk_rows)
+        return scorer.ScoreGroups(cfg, detailed=True, fused=True)(group)
+
+    whole = score(10**9)
+    pd.testing.assert_frame_equal(whole, score(97))
     assert len(whole) > 1000  # the history actually spanned many chunks
 
 

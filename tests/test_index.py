@@ -23,9 +23,9 @@ def test_chunk_roundtrip_blocks():
     row = encode_chunk("t", 0, docs, tfs, dls, block_size=128)
     rd_, rt, rl = decode_chunk_row(row)
     assert np.array_equal(rd_, docs) and np.array_equal(rt, tfs) and np.array_equal(rl, dls)
-    assert row["block_last"][-1] == docs[-1]
+    assert row["last_doc"] == docs[-1]
     assert row["df_chunk"] == 1000
-    assert len(row["block_first"]) == 8
+    assert len(row["block_doc_off"]) == 8
 
 
 @pytest.fixture(scope="module")

@@ -628,3 +628,59 @@ def test_merged_mixed_schema_docmap_paths_agree(ray_session, tiny_corpus, tmp_pa
     hits = search(slow, body)["hits"]["hits"]
     assert hits == search(fast, body)["hits"]["hits"]
     assert [h["_source"]["repo"] is None for h in hits] == [True, True, False, False]
+
+
+def _older_postings_layout(index_dir: str, slice_dir: str, block_size: int = 128) -> None:
+    """Rewrite one slice's postings parts in the older layout, which also
+    carried per-block ``block_first``/``block_last``/``block_max_tf``/
+    ``block_min_dl`` lists."""
+    from glob import glob
+
+    import pyarrow as pa
+
+    from anomaly_detection_ray.index.segments import decode_chunk_row
+
+    names = [("block_first", pa.int64()), ("block_last", pa.int64()),
+             ("block_max_tf", pa.int32()), ("block_min_dl", pa.int32())]
+    for f in glob(os.path.join(index_dir, slice_dir, "postings", "*.parquet")):
+        t = pq.read_table(f)
+        if "block_first" in t.column_names:
+            continue  # already the older layout
+        cols: dict[str, list] = {name: [] for name, _ in names}
+        for row in t.to_pylist():
+            docs, tfs, dls = decode_chunk_row(row)
+            starts = np.arange(0, docs.size, block_size)
+            ends = np.minimum(starts + block_size, docs.size)
+            cols["block_first"].append(docs[starts].tolist())
+            cols["block_last"].append(docs[ends - 1].tolist())
+            cols["block_max_tf"].append(np.maximum.reduceat(tfs, starts).tolist())
+            cols["block_min_dl"].append(np.minimum.reduceat(dls, starts).tolist())
+        at = t.column_names.index("block_doc_off")
+        for i, (name, typ) in enumerate(names):
+            t = t.add_column(at + i, name, pa.array(cols[name], pa.list_(typ)))
+        pq.write_table(t, f)
+
+
+def test_merge_reads_older_postings_layout(ray_session, tiny_corpus, tmp_path_factory):
+    """A slice written with the older block-max postings columns (no
+    reader uses them) serves queries next to a slice without them, and
+    merges into the current layout with every result kept."""
+    from anomaly_detection_ray.index.lifecycle import merge_slices
+
+    out = str(tmp_path_factory.mktemp("older_layout"))
+    build_index(tiny_corpus["paths"], out, slices=2, num_partitions=4, mode="code")
+    ref = QueryEngine(out)
+    ref_top = {q: ref.bm25_topk(q, k=10) for q in QUERIES}
+    ref_all = list(ref.execute_filter({"match_all": {}}))
+    _older_postings_layout(out, "segments/slice-0000")
+    for eng in (QueryEngine(out), QueryEngine(out, preload_bytes=0)):
+        assert {q: eng.bm25_topk(q, k=10) for q in QUERIES} == ref_top
+
+    m = merge_slices(out, gc=True)
+    assert len(m["slices"]) == 1
+    merged = QueryEngine(out)
+    assert list(merged.execute_filter({"match_all": {}})) == ref_all
+    for q in QUERIES:
+        got, exp = merged.bm25_topk(q, k=10), ref_top[q]
+        assert [d for d, _ in got] == [d for d, _ in exp], q
+        assert [s for _, s in got] == pytest.approx([s for _, s in exp], abs=1e-9), q

@@ -172,10 +172,21 @@ def test_window_aggregate_sketch_deterministic(ray_session, sketch_events):
 
 def test_detect_fused_plan_with_sketch_features(ray_session, sketch_events):
     """Sketch features are mergeable → detect takes the fused single-shuffle
-    plan and scores on the sketch feature values."""
+    plan and scores on the sketch feature values. Merging every entity's
+    partials at once in the scoring group (finalize_partials_multi)
+    equals the two-shuffle plan's window aggregate, and detect() equals
+    the scorer run in-process on those finished windows as ONE group."""
+    import pyarrow as pa
     import ray.data as rd
 
-    from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.pipelines.detector import _add_model_id, detect
+    from anomaly_detection_ray.stages.scorer import ScoreGroups
+    from anomaly_detection_ray.stages.window import (
+        finalize_partials_multi,
+        normalize_features,
+        partial_window_aggregate,
+        window_aggregate,
+    )
 
     cfg = DetectorConfig(
         config_id="sk-det", interval_s=3600, shingle_size=2, output_after=2,
@@ -184,12 +195,25 @@ def test_detect_fused_plan_with_sketch_features(ray_session, sketch_events):
                   FeatureSpec("p90", "value", "percentile_tdigest", percentile=0.9)),
         num_trees=5, sample_size=32,
     )
+
+    def ordered(df, key):
+        return df.sort_values(key).reset_index(drop=True)[sorted(df.columns)]
+
     key = ["model_id", "window_end_ms"]
-    fused = detect(rd.from_arrow(sketch_events), cfg, ts_col="ts")\
-        .to_pandas().sort_values(key).reset_index(drop=True)
+    fused = ordered(detect(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas(), key)
     assert len(fused) > 0 and {"uv", "p90", "anomaly_score"} <= set(fused.columns)
     assert fused["uv"].notna().all()
-    two = detect(rd.from_arrow(sketch_events), cfg, ts_col="ts",
-                 force_fused=False).to_pandas().sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(fused[sorted(fused.columns)], two[sorted(two.columns)],
-                                  check_like=True)
+
+    merged = finalize_partials_multi(
+        partial_window_aggregate(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas(),
+        cfg, ["event_type"])
+    two = normalize_features(
+        pa.Table.from_pandas(window_aggregate(rd.from_arrow(sketch_events), cfg,
+                                              ts_col="ts").to_pandas(), preserve_index=False),
+        cfg.feature_names())
+    wkey = ["event_type", "window_end_ms"]
+    assert len(merged) == 3 * 6
+    pd.testing.assert_frame_equal(ordered(merged, wkey), ordered(two.to_pandas(), wkey))
+
+    whole = ScoreGroups(cfg)(_add_model_id(two, cfg).to_pandas())
+    pd.testing.assert_frame_equal(fused, ordered(whole, key))
