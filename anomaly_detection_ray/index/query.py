@@ -68,6 +68,8 @@ _SUB_METRIC_ARROW = {
     "min": "min", "max": "max", "avg": "mean", "sum": "sum",
     "value_count": "count", "cardinality": "count_distinct",
 }
+# a stats agg's response keys → the Arrow aggregate behind each
+_STATS_KERNEL = {"count": "count", "min": "min", "max": "max", "avg": "mean", "sum": "sum"}
 
 
 def _calendar_boundaries(lo_ms: int, hi_ms: int, unit: str) -> np.ndarray:
@@ -117,61 +119,103 @@ def _py_scalar(v):
     return v.item() if hasattr(v, "item") else v
 
 
-def _terms_order_key(order: dict | None, plan: list[tuple[str, str, str]]):
-    """Bucket sort key for the OpenSearch terms-agg ``order`` option:
-    ``_count`` (default, desc) / ``_key`` / a metric sub-agg name / a
-    dotted ``name.metric`` path into a stats sub-agg. Ties break on
-    (key asc), like OpenSearch's total ordering."""
+def _terms_ranking(g: pa.Table, key: str, order: dict | None,
+                   plan: list[tuple[str, str, str]]) -> pa.Array:
+    """Row order of the grouped terms table ``g`` (one row per bucket)
+    for the OpenSearch terms-agg ``order`` option: ``_count`` (default,
+    desc) / ``_key`` / a metric sub-agg name / a dotted ``name.metric``
+    path into a stats sub-agg. Ties break on (key asc), like
+    OpenSearch's total ordering; a null metric (an empty bucket's
+    avg/min/max) sorts last either direction."""
     if not order:
-        return lambda b: (-b["doc_count"], b["key"])
+        return pc.sort_indices(g, [("doc_id_count", "descending"), (key, "ascending")])
     if len(order) != 1:
         raise ValueError("terms order must name exactly one sort target")
     ((target, direction),) = order.items()
-    sign = 1 if str(direction).lower() == "asc" else -1
+    d = "ascending" if str(direction).lower() == "asc" else "descending"
     if target == "_key":
-        # _key ordering is total already; honor direction via reverse
-        # sort on the key alone (keys are unique per bucket)
-        if sign == 1:
-            return lambda b: b["key"]
-        return lambda b: _Reversed(b["key"])
+        return pc.sort_indices(g, [(key, d)])  # keys are unique per bucket
     if target == "_count":
-        return lambda b: (sign * b["doc_count"], b["key"])
+        return pc.sort_indices(g, [("doc_id_count", d), (key, "ascending")])
     name, dot, stat = target.partition(".")
-    names = {n for n, _, _ in plan}
-    if name not in names:
+    ops = {n: (o, f) for n, o, f in plan}
+    if name not in ops:
         raise ValueError(f"terms order references unknown sub-aggregation {target!r}")
-    op = next(o for n, o, _ in plan if n == name)
+    op, field = ops[name]
     if op == "stats":
         if not dot:
             raise ValueError(f"ordering on stats agg {name!r} needs a dotted path (e.g. {name}.avg)")
-        get = lambda b: b[name][stat]  # noqa: E731
+        if stat not in _STATS_KERNEL:
+            raise ValueError(f"stats agg {name!r} has no {stat!r} value")
+        kernel = _STATS_KERNEL[stat]
     else:
         if dot:
             raise ValueError(f"sub-aggregation {name!r} is single-valued; drop the .{stat}")
-        get = lambda b: b[name]["value"]  # noqa: E731
-    # null metric values (empty buckets) sort last either direction,
-    # matching OpenSearch's missing-bucket treatment
-    def key(b):
-        v = get(b)
-        return (v is None, (sign * v) if v is not None else 0.0, b["key"])
-
-    return key
+        kernel = _SUB_METRIC_ARROW[op]
+    v = g[f"{field}_{kernel}"]
+    if kernel == "sum":
+        v = pc.fill_null(v, 0)  # the sum of no values reads 0.0, not null
+    return pc.sort_indices(pa.table({"v": v, "k": g[key]}),
+                           [("v", d), ("k", "ascending")], null_placement="at_end")
 
 
-class _Reversed:
-    """Inverts comparison for descending _key ordering of arbitrary
-    (string or numeric) bucket keys."""
+def _metric_value(op: str, n: int, kernel):
+    """The OpenSearch value of metric ``op`` over ``n`` non-null values,
+    at the top level and in every bucket alike: ``kernel(name)`` reads
+    one Arrow aggregate (``min``/``max``/``mean``/``sum``/
+    ``count_distinct``) of those values. Over no values avg/min/max are
+    null, sum is 0.0 and the counts 0; ``stats`` is the composite dict.
+    ``cardinality`` is EXACT distinct here (OpenSearch's is an
+    approximate HLL — documented difference, same contract otherwise);
+    min/max keep the column's own type."""
+    if op == "value_count":
+        return n
+    if op == "stats":
+        if n == 0:
+            return {"count": 0, "min": None, "max": None, "avg": None, "sum": 0.0}
+        return {"count": n, "min": kernel("min"), "max": kernel("max"),
+                "avg": float(kernel("mean")), "sum": float(kernel("sum"))}
+    if n == 0:
+        return {"sum": 0.0, "cardinality": 0}.get(op)
+    v = kernel(_SUB_METRIC_ARROW[op])
+    return float(v) if op in ("avg", "sum") else v
 
-    __slots__ = ("v",)
 
-    def __init__(self, v):
-        self.v = v
+class _FixedWidth:
+    """Histogram key rule ``floor(v / interval) × interval`` (OpenSearch
+    semantics incl. negative values); the gap-fill steps by ``interval``.
+    ``dtype`` is the key type: float for ``histogram``, int64 epoch-ms
+    for a ``fixed_interval`` date_histogram (the same tumbling-window
+    rule as the events side, ``dataStart -= dataStart % interval``)."""
 
-    def __lt__(self, other):
-        return other.v < self.v
+    def __init__(self, interval: float, dtype=np.float64):
+        self.interval, self.dtype = float(interval), dtype
 
-    def __eq__(self, other):
-        return self.v == other.v
+    def keys(self, vals: np.ndarray) -> np.ndarray:
+        iv = self.interval
+        return (np.floor(vals.astype(np.float64) / iv) * iv).astype(self.dtype)
+
+    def fill(self, lo, hi) -> np.ndarray:
+        iv = self.interval
+        return np.arange(lo, hi + iv / 2, iv).astype(self.dtype)
+
+
+class _Calendar:
+    """Histogram key rule for a ``calendar_interval`` date_histogram
+    (week/month/quarter/year — variable-width UTC buckets, which modulo
+    arithmetic can't express): epoch-ms calendar floors; the gap-fill
+    enumerates calendar boundaries."""
+
+    def __init__(self, unit: str):
+        self.unit = unit
+
+    def keys(self, vals: np.ndarray) -> np.ndarray:
+        from ..stages.window import calendar_floor_ms
+
+        return calendar_floor_ms(vals.astype(np.int64), self.unit)[0]
+
+    def fill(self, lo, hi) -> np.ndarray:
+        return _calendar_boundaries(lo, hi, self.unit)
 
 
 def _sub_agg_plan(sub_aggs: dict) -> list[tuple[str, str, str]]:
@@ -937,49 +981,43 @@ class QueryEngine:
     def _agg_floats(self, docs: np.ndarray, field: str) -> np.ndarray:
         return self._agg_values(docs, field).to_numpy().astype(np.float64)
 
-    def facets(self, docs: np.ndarray, field: str, k: int = 10) -> list[tuple[object, int]]:
-        """Terms-aggregation facet over ``docs``: top-k (value,
-        doc_count) of a docmap column, count desc then
-        value asc — the aggs-on-hits shape OpenSearch pairs with every
-        search (the reference composes exactly this in ParseUtils'
-        generated queries: a filtered search wrapping a terms agg)."""
-        t = self.docmap_rows([field], docs)
-        # missing values drop out of the buckets (OpenSearch terms aggs
-        # default) — a null bucket would also poison the (count, value)
-        # sort when it ties a string bucket
+    def terms_agg(self, docs: np.ndarray, field: str, size: int = 10,
+                  sub_aggs: dict | None = None, order: dict | None = None) -> list[dict]:
+        """Terms aggregation over ``docs``: the top-``size`` buckets of a
+        docmap column, each ``{"key", "doc_count"}`` plus its nested
+        metric SUB-AGGREGATIONS keyed by name — the reference's central
+        agg composition (a terms/composite bucket per entity wrapping
+        per-feature metric aggs, the shape
+        ``AbstractRetriever.parseBucket`` consumes and ParseUtils
+        generates; without sub-aggs it is the facet OpenSearch pairs
+        with every search). ``order`` follows OpenSearch terms-agg
+        ordering (see :func:`_terms_ranking`; default doc_count desc,
+        key asc). Missing values drop out of the buckets (OpenSearch's
+        default). One column-pruned scan and one Arrow group_by serve
+        every metric; the buckets are ranked in Arrow and only the
+        returned ones become Python dicts."""
+        sub_aggs = sub_aggs or {}
+        top_hits = {n: s["top_hits"] for n, s in sub_aggs.items()
+                    if isinstance(s, dict) and "top_hits" in s}
+        plan = _sub_agg_plan({n: s for n, s in sub_aggs.items() if n not in top_hits})
+        th_fields = {f for th in top_hits.values()
+                     for f, _ in _parse_sort_keys(th.get("sort"))}
+        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan), *th_fields}), docs)
         t = t.filter(pc.is_valid(t[field]))
-        counts = t.group_by(field).aggregate([("doc_id", "count")])
-        rows = sorted(
-            zip(counts[field].to_pylist(), counts["doc_id_count"].to_pylist()),
-            key=lambda r: (-r[1], r[0]),
-        )
-        return [(v, int(c)) for v, c in rows[:k]]
+        g = self._grouped(t, plan, (field,))
+        rows = g.take(_terms_ranking(g, field, order, plan)[:size]).to_pylist()
+        buckets = [{"key": r[field], **self._bucket(r, plan)} for r in rows]
+        if top_hits:
+            self._attach_top_hits(t, field, buckets, top_hits)
+        return buckets
 
     def metric_agg(self, docs: np.ndarray, field: str, op: str):
-        """Metric aggregation over ``docs`` —
-        the min/max/avg/sum/value_count/cardinality/stats single-value
-        aggs OpenSearch pairs with searches (the reference issues these
-        shapes over its result indices, e.g. the max-ts agg in
-        ``SearchFeatureDao``). ``value_count`` counts non-null values,
-        ``cardinality`` is EXACT distinct here (OpenSearch's is an
-        approximate HLL — documented difference, same contract
-        otherwise), ``stats`` returns the composite dict."""
+        """Metric aggregation over ``docs`` — the min/max/avg/sum/
+        value_count/cardinality/stats/extended_stats aggs OpenSearch
+        pairs with searches (the reference issues these shapes over its
+        result indices, e.g. the max-ts agg in ``SearchFeatureDao``);
+        values per :func:`_metric_value`, from direct Arrow kernels."""
         valid = self._agg_values(docs, field)
-        if op == "value_count":
-            return int(len(valid))
-        if op == "cardinality":
-            return int(len(pc.unique(valid)))
-        if op == "stats":
-            n = int(len(valid))
-            if n == 0:
-                return {"count": 0, "min": None, "max": None, "avg": None, "sum": 0.0}
-            return {
-                "count": n,
-                "min": pc.min(valid).as_py(),
-                "max": pc.max(valid).as_py(),
-                "avg": float(pc.mean(valid).as_py()),
-                "sum": float(pc.sum(valid).as_py()),
-            }
         if op == "extended_stats":
             n = int(len(valid))
             if n == 0:
@@ -1002,65 +1040,60 @@ class QueryEngine:
                 "std_deviation_bounds": {"upper": avg + 2 * std,
                                          "lower": avg - 2 * std},
             }
-        if op in ("min", "max"):
-            if len(valid) == 0:
-                return None
-            return (pc.min if op == "min" else pc.max)(valid).as_py()
-        if op in ("avg", "sum"):
-            if len(valid) == 0:
-                return None if op == "avg" else 0.0
-            fn = pc.mean if op == "avg" else pc.sum
-            return float(fn(valid).as_py())
-        raise ValueError(f"unsupported metric aggregation {op!r}")
+        if op != "stats" and op not in _SUB_METRIC_ARROW:
+            raise ValueError(f"unsupported metric aggregation {op!r}")
+        return _metric_value(op, len(valid), lambda k: getattr(pc, k)(valid).as_py())
 
-    def histogram_agg(self, docs: np.ndarray, field: str,
-                      interval: float, min_doc_count: int = 0) -> list[dict]:
-        """Histogram aggregation: fixed-width buckets keyed
-        ``floor(v / interval) × interval`` over the matching docs' column
-        (OpenSearch semantics incl. negative values; empty buckets
-        between populated ones are emitted unless ``min_doc_count`` > 0,
-        matching min_doc_count=0's default gap-filling)."""
-        vals = self._agg_floats(docs, field)
-        if vals.size == 0:
+    def histogram_agg(self, docs: np.ndarray, field: str, rule,
+                      sub_aggs: dict | None = None, min_doc_count: int = 0) -> list[dict]:
+        """Histogram-family aggregation: buckets keyed by ``rule.keys`` of
+        the docs' column (:class:`_FixedWidth` for ``histogram`` and a
+        ``fixed_interval`` date_histogram, :class:`_Calendar` for a
+        ``calendar_interval`` one), each with its nested metric
+        sub-aggregations. Empty buckets between populated ones
+        (``rule.fill``) are emitted with the empty-set metric values
+        unless ``min_doc_count`` > 0, matching min_doc_count=0's default
+        gap-filling."""
+        plan = _sub_agg_plan(sub_aggs or {})
+        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
+        t = t.filter(pc.is_valid(t[field]))
+        if t.num_rows == 0:
             return []
-        keys = np.floor(vals / float(interval)) * float(interval)
-        uniq, counts = np.unique(keys, return_counts=True)
+        keys = rule.keys(t[field].to_numpy(zero_copy_only=False))
+        g = self._grouped(t.append_column("__key", pa.array(keys)), plan)
+        by_key = {r["__key"]: r for r in g.to_pylist()}
+        ks = sorted(by_key)
         if min_doc_count <= 0:
-            # gap-fill empty buckets across the populated span
-            full = np.arange(uniq[0], uniq[-1] + float(interval) / 2, float(interval))
-            cmap = dict(zip(uniq.tolist(), counts.tolist()))
-            return [{"key": float(k), "doc_count": int(cmap.get(float(k), 0))} for k in full]
-        return [{"key": float(k), "doc_count": int(c)}
-                for k, c in zip(uniq, counts) if c >= min_doc_count]
+            ks = rule.fill(ks[0], ks[-1]).tolist()
+        else:
+            ks = [k for k in ks if by_key[k]["doc_id_count"] >= min_doc_count]
+        return [{"key": k, **self._bucket(by_key.get(k, {}), plan)} for k in ks]
 
-    def date_histogram_agg(self, docs: np.ndarray, field: str,
-                           fixed_interval: str, min_doc_count: int = 0) -> list[dict]:
-        """date_histogram with a ``fixed_interval`` (``"30s"``/``"5m"``/
-        ``"1h"``/``"1d"`` — OpenSearch's fixed units; calendar intervals
-        like ``"1M"`` are not supported and raise): epoch-ms bucket keys
-        floored to the interval, the same tumbling-window rule as the
-        events side (``dataStart -= dataStart % interval``)."""
-        ms = _parse_fixed_interval_ms(fixed_interval)
-        return self.histogram_agg(docs, field, float(ms),
-                                  min_doc_count=min_doc_count)
-
-    def range_agg(self, docs: np.ndarray, field: str,
-                  ranges: list[dict]) -> list[dict]:
+    def range_agg(self, docs: np.ndarray, field: str, ranges: list[dict],
+                  sub_aggs: dict | None = None) -> list[dict]:
         """Range aggregation: explicit [from, to) buckets (half-open like
-        OpenSearch; either bound optional), doc counts over the matching
-        docs' column. Buckets may overlap — each is counted
-        independently, exactly like OpenSearch."""
-        vals = self._agg_floats(docs, field)
+        OpenSearch; either bound optional) over the docs' column, each
+        with its nested metric sub-aggregations. Buckets may overlap —
+        each aggregates its own rows, exactly like OpenSearch; one Arrow
+        group_by over the (bucket, row) pairs serves them all."""
+        plan = _sub_agg_plan(sub_aggs or {})
+        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
+        t = t.filter(pc.is_valid(t[field]))
+        vals = t[field].to_numpy(zero_copy_only=False).astype(np.float64)
+        inside = np.ones((len(ranges), vals.size), dtype=bool)
+        for i, r in enumerate(ranges):
+            if r.get("from") is not None:
+                inside[i] &= vals >= float(r["from"])
+            if r.get("to") is not None:
+                inside[i] &= vals < float(r["to"])
+        which, rows = np.nonzero(inside)
+        g = self._grouped(t.take(rows).append_column("__key", pa.array(which)), plan)
+        by_bucket = {r["__key"]: r for r in g.to_pylist()}
         out = []
-        for r in ranges:
+        for i, r in enumerate(ranges):
             lo, hi = r.get("from"), r.get("to")
-            mask = np.ones(vals.size, dtype=bool)
-            if lo is not None:
-                mask &= vals >= float(lo)
-            if hi is not None:
-                mask &= vals < float(hi)
             key = r.get("key") or f"{'*' if lo is None else lo}-{'*' if hi is None else hi}"
-            b = {"key": key, "doc_count": int(mask.sum())}
+            b = {"key": key, **self._bucket(by_bucket.get(i, {}), plan)}
             if lo is not None:
                 b["from"] = float(lo)
             if hi is not None:
@@ -1171,82 +1204,30 @@ class QueryEngine:
 
     # -------------------------------------------------- sub-aggregations
 
-    def _grouped_subagg_rows(self, t, plan: list[tuple[str, str, str]],
-                             keys: tuple[str, ...] = ("__key",)):
-        """One Arrow ``group_by(keys)`` pass computing doc_count plus
-        every distinct (field, kernel) the sub-agg plan needs; returns
-        the raw group rows (key columns + named aggregate columns)."""
+    @staticmethod
+    def _grouped(t: pa.Table, plan: list[tuple[str, str, str]],
+                 keys: tuple[str, ...] = ("__key",)) -> pa.Table:
+        """One Arrow ``group_by(keys)`` pass computing ``doc_id_count``
+        plus every distinct (field, kernel) the sub-agg plan needs, each
+        field's non-null ``count`` among them; one row per bucket."""
         aggs = {("doc_id", "count")}
         for _, op, f in plan:
-            for o in (("count", "min", "max", "mean", "sum")
-                      if op == "stats" else (_SUB_METRIC_ARROW[op],)):
+            aggs.add((f, "count"))
+            for o in (_STATS_KERNEL.values() if op == "stats" else (_SUB_METRIC_ARROW[op],)):
                 aggs.add((f, o))
-        g = t.group_by(list(keys)).aggregate(sorted(aggs))
-        return g.to_pylist()
+        return t.group_by(list(keys)).aggregate(sorted(aggs))
 
     @staticmethod
-    def _subagg_values(row: dict, plan: list[tuple[str, str, str]]) -> dict:
-        """Nest one group row's aggregate columns into the OpenSearch
-        response shapes: single-value aggs → {"value": v} (avg/min/max of
-        nothing = null, sum = 0.0, counts = 0), stats → the composite."""
-        out = {}
+    def _bucket(row: dict, plan: list[tuple[str, str, str]]) -> dict:
+        """A bucket's ``doc_count`` and sub-agg values from its group row
+        (``{}`` for an empty bucket): single-value aggs → {"value": v},
+        stats → the composite, per :func:`_metric_value`."""
+        out = {"doc_count": int(row.get("doc_id_count", 0))}
         for name, op, f in plan:
-            if op == "stats":
-                n = int(row.get(f"{f}_count") or 0)
-                if n == 0:
-                    out[name] = {"count": 0, "min": None, "max": None,
-                                 "avg": None, "sum": 0.0}
-                else:
-                    out[name] = {
-                        "count": n,
-                        "min": row[f"{f}_min"],
-                        "max": row[f"{f}_max"],
-                        "avg": float(row[f"{f}_mean"]),
-                        "sum": float(row[f"{f}_sum"]),
-                    }
-            elif op == "avg":
-                v = row.get(f"{f}_mean")
-                out[name] = {"value": None if v is None else float(v)}
-            elif op == "sum":
-                v = row.get(f"{f}_sum")
-                out[name] = {"value": 0.0 if v is None else float(v)}
-            elif op in ("value_count", "cardinality"):
-                out[name] = {"value": int(row.get(f"{f}_{_SUB_METRIC_ARROW[op]}") or 0)}
-            else:  # min / max keep the column's own type
-                out[name] = {"value": row.get(f"{f}_{op}")}
+            v = _metric_value(op, int(row.get(f"{f}_count") or 0),
+                              lambda k, f=f: row[f"{f}_{k}"])
+            out[name] = v if op == "stats" else {"value": v}
         return out
-
-    def terms_agg_subs(self, docs: np.ndarray, field: str,
-                       size: int, sub_aggs: dict,
-                       order: dict | None = None) -> list[dict]:
-        """Terms aggregation with nested METRIC SUB-AGGREGATIONS — the
-        reference's central agg composition (a terms/composite bucket per
-        entity wrapping per-feature metric aggs, the shape
-        ``AbstractRetriever.parseBucket`` consumes and ParseUtils
-        generates): top-``size`` buckets, each carrying its nested
-        metric values keyed by sub-agg name. ``order`` follows
-        OpenSearch terms-agg ordering: ``{"_count": "desc"}`` (default),
-        ``{"_key": "asc"}``, a sub-agg name, or a dotted
-        ``"name.avg"`` path into a stats sub-agg; (key asc) breaks
-        ties. One column-pruned scan + one Arrow group_by for ALL
-        metrics."""
-        top_hits = {n: s["top_hits"] for n, s in sub_aggs.items()
-                    if isinstance(s, dict) and "top_hits" in s}
-        metrics = {n: s for n, s in sub_aggs.items() if n not in top_hits}
-        plan = _sub_agg_plan(metrics)
-        th_fields = {f for th in top_hits.values()
-                     for f, _ in _parse_sort_keys(th.get("sort"))}
-        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan), *th_fields}), docs)
-        t = t.filter(pc.is_valid(t[field]))
-        t = t.append_column("__key", t[field])
-        rows = self._grouped_subagg_rows(t, plan)
-        buckets = [{"key": r["__key"], "doc_count": int(r["doc_id_count"]),
-                    **self._subagg_values(r, plan)} for r in rows]
-        buckets.sort(key=_terms_order_key(order, plan))
-        buckets = buckets[:size]
-        if top_hits:
-            self._attach_top_hits(t, field, buckets, top_hits)
-        return buckets
 
     @staticmethod
     def _attach_top_hits(t, field: str, buckets: list[dict],
@@ -1259,7 +1240,7 @@ class QueryEngine:
 
         df_all = t.to_pandas()
         keys = {b["key"] for b in buckets}
-        df_all = df_all[df_all["__key"].isin(keys)]
+        df_all = df_all[df_all[field].isin(keys)]
         for name, th in top_hits.items():
             n = int(th.get("size", 3))
             sort_keys = _parse_sort_keys(th.get("sort"))
@@ -1267,7 +1248,7 @@ class QueryEngine:
             asc = [a for _, a in sort_keys] + [True]
             d = df_all.sort_values(by=by, ascending=asc,
                                    na_position="last", kind="mergesort")
-            groups = d.groupby("__key", sort=False)
+            groups = d.groupby(field, sort=False)
             per_key: dict = {}
             for key, g in groups:
                 hits = []
@@ -1285,71 +1266,6 @@ class QueryEngine:
                     "total": {"value": b["doc_count"], "relation": "eq"},
                     "hits": per_key.get(b["key"], []),
                 }}
-
-    def histogram_agg_subs(self, docs: np.ndarray, field: str,
-                           interval: float, sub_aggs: dict,
-                           min_doc_count: int = 0) -> list[dict]:
-        """Histogram buckets (same keying/gap-fill rules as
-        :meth:`histogram_agg`) with nested metric sub-aggregations; empty
-        gap-filled buckets carry the empty-set metric values."""
-        plan = _sub_agg_plan(sub_aggs)
-        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
-        t = t.filter(pc.is_valid(t[field]))
-        if t.num_rows == 0:
-            return []
-        vals = t[field].to_numpy(zero_copy_only=False).astype(np.float64)
-        keys = np.floor(vals / float(interval)) * float(interval)
-        t = t.append_column("__key", pa.array(keys))
-        rows = self._grouped_subagg_rows(t, plan)
-        by_key = {float(r["__key"]): r for r in rows}
-        ks = sorted(by_key)
-        if min_doc_count <= 0:
-            full = np.arange(ks[0], ks[-1] + float(interval) / 2, float(interval))
-            empty = self._subagg_values({}, plan)
-            return [
-                {"key": float(k), "doc_count": int(by_key[float(k)]["doc_id_count"]),
-                 **self._subagg_values(by_key[float(k)], plan)}
-                if float(k) in by_key else
-                {"key": float(k), "doc_count": 0, **empty}
-                for k in full
-            ]
-        return [{"key": k, "doc_count": int(by_key[k]["doc_id_count"]),
-                 **self._subagg_values(by_key[k], plan)}
-                for k in ks if by_key[k]["doc_id_count"] >= min_doc_count]
-
-    def calendar_histogram_agg(self, docs: np.ndarray, field: str,
-                               calendar_interval: str, min_doc_count: int = 0,
-                               sub_aggs: dict | None = None) -> list[dict]:
-        """date_histogram with a CALENDAR interval (week/month/quarter/
-        year — variable-width UTC calendar buckets, which modulo
-        arithmetic can't express; OpenSearch's ``calendar_interval``).
-        Bucket keys are the epoch-ms calendar floor; gap-fill enumerates
-        calendar boundaries (min_doc_count=0 default). Metric sub-aggs
-        ride the same single Arrow group_by."""
-        from ..stages.window import calendar_floor_ms
-
-        plan = _sub_agg_plan(sub_aggs or {})
-        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
-        t = t.filter(pc.is_valid(t[field]))
-        if t.num_rows == 0:
-            return []
-        vals = t[field].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys, _ = calendar_floor_ms(vals, calendar_interval)
-        t = t.append_column("__key", pa.array(keys))
-        rows = self._grouped_subagg_rows(t, plan)
-        by_key = {int(r["__key"]): r for r in rows}
-        ks = sorted(by_key)
-        if min_doc_count <= 0:
-            empty = self._subagg_values({}, plan)
-            return [
-                {"key": int(k), "doc_count": int(by_key[k]["doc_id_count"]),
-                 **self._subagg_values(by_key[k], plan)}
-                if k in by_key else {"key": int(k), "doc_count": 0, **empty}
-                for k in _calendar_boundaries(ks[0], ks[-1], calendar_interval)
-            ]
-        return [{"key": k, "doc_count": int(by_key[k]["doc_id_count"]),
-                 **self._subagg_values(by_key[k], plan)}
-                for k in ks if by_key[k]["doc_id_count"] >= min_doc_count]
 
     def composite_agg(self, docs: np.ndarray, sources: list[dict],
                       size: int = 10, after: dict | None = None,
@@ -1379,7 +1295,7 @@ class QueryEngine:
         t = self.docmap_rows(sorted({*fields, *(f for _, _, f in plan)}), docs)
         for f in fields:
             t = t.filter(pc.is_valid(t[f]))
-        rows = self._grouped_subagg_rows(t, plan, keys=tuple(fields))
+        rows = self._grouped(t, plan, tuple(fields)).to_pylist()
 
         def key_tuple(r):
             return tuple(r[f] for f in fields)
@@ -1392,43 +1308,10 @@ class QueryEngine:
         buckets = []
         for r in page:
             kt = key_tuple(r)
-            buckets.append({"key": dict(zip(names, kt)),
-                            "doc_count": int(r["doc_id_count"]),
-                            **self._subagg_values(r, plan)})
+            buckets.append({"key": dict(zip(names, kt)), **self._bucket(r, plan)})
         out = {"buckets": buckets}
         if buckets and len(rows) > size:
             out["after_key"] = dict(buckets[-1]["key"])
-        return out
-
-    def range_agg_subs(self, docs: np.ndarray, field: str,
-                       ranges: list[dict], sub_aggs: dict) -> list[dict]:
-        """Range buckets ([from, to) half-open, overlap allowed) with
-        nested metric sub-aggregations — each bucket aggregates its own
-        row mask independently, exactly like OpenSearch."""
-        plan = _sub_agg_plan(sub_aggs)
-        t = self.docmap_rows(sorted({field, *(f for _, _, f in plan)}), docs)
-        t = t.filter(pc.is_valid(t[field]))
-        vals = t[field].to_numpy(zero_copy_only=False).astype(np.float64)
-        out = []
-        for r in ranges:
-            lo, hi = r.get("from"), r.get("to")
-            mask = np.ones(vals.size, dtype=bool)
-            if lo is not None:
-                mask &= vals >= float(lo)
-            if hi is not None:
-                mask &= vals < float(hi)
-            sub = t.filter(pa.array(mask)).append_column(
-                "__key", pa.array(np.zeros(int(mask.sum()), dtype=np.int64)))
-            rows = self._grouped_subagg_rows(sub, plan)
-            row = rows[0] if rows else {}
-            key = r.get("key") or f"{'*' if lo is None else lo}-{'*' if hi is None else hi}"
-            b = {"key": key, "doc_count": int(mask.sum()),
-                 **self._subagg_values(row, plan)}
-            if lo is not None:
-                b["from"] = float(lo)
-            if hi is not None:
-                b["to"] = float(hi)
-            out.append(b)
         return out
 
     def bm25_search_after(
@@ -1443,16 +1326,6 @@ class QueryEngine:
         charges deep pagination linearly."""
         uniq, scores = _after_cursor(*self.bm25_scores(query), search_after)
         return _topk_with_ties(uniq, scores, k)
-
-    def bm25_topk_filtered(self, query: str, filter_query: dict | None, k: int = 10) -> list[tuple[int, float]]:
-        """BM25 top-k restricted to filter_query matches — the composed
-        shape of generateInternalFeatureQuery (ParseUtils.java:314-331):
-        bool(filter_query ∧ ...) wrapping the scored part."""
-        if not filter_query or "match_all" in filter_query:
-            return self.bm25_topk(query, k=k)
-        docs, scores = self.bm25_scores(query)
-        keep = np.isin(docs, self.execute_filter(filter_query), assume_unique=True)
-        return _topk_with_ties(docs[keep], scores[keep], k)
 
 
 def _after_cursor(uniq: np.ndarray, scores: np.ndarray,
@@ -1493,7 +1366,9 @@ def _match_boost(body: dict) -> float:
     return float(spec.get("boost", 1.0)) if isinstance(spec, dict) else 1.0
 
 
-def _split_scoring_clause(query: dict | None) -> tuple[str | None, dict | None]:
+def _split_scoring_clause(
+    query: dict | None,
+) -> tuple[str | None, list[tuple], dict | None, bool, float]:
     """Separate the SCORING part of an OpenSearch-shaped query from its
     filter-context remainder: a top-level ``match`` (or a bool whose
     ``must`` contains exactly one match) scores with BM25; everything
@@ -1541,18 +1416,11 @@ def _split_scoring_clause(query: dict | None) -> tuple[str | None, dict | None]:
         optional: list[tuple] = []
         all_scorable = True
         for s in shoulds:
-            if not isinstance(s, dict) or len(s) != 1:
+            tagged = _tag_clause(s)
+            if tagged is None:
                 all_scorable = False
-                continue
-            (s_kind,) = s.keys()
-            if s_kind == "match":
-                txt, default = _match_text_and_default(s["match"])
-                optional.append(("match", txt, None if default else s,
-                                 _match_boost(s["match"])))
-            elif s_kind in _LEAF_SHOULD_KINDS:
-                optional.append(("leaf", s))
             else:
-                all_scorable = False
+                optional.append(tagged)
         msm_explicit = body.get("minimum_should_match") is not None
         if msm_explicit:
             # an explicit bool-level msm makes shoulds hit-set-defining —
@@ -1635,43 +1503,61 @@ def _leaf_should_scores(engine: QueryEngine, clause: dict) -> tuple[np.ndarray, 
     return docs, np.full(docs.size, w, dtype=np.float64)
 
 
+def _tag_clause(clause) -> tuple | None:
+    """Tag one should / dis_max clause for :func:`_clause_scores`:
+    ``("match", text, constraint, boost)`` for a match (``constraint``
+    = the clause itself when operator/msm shrink its matching set),
+    ``("leaf", clause)`` for a scorable leaf kind, None for a clause
+    this engine can't score (phrase, nested bool)."""
+    if not isinstance(clause, dict) or len(clause) != 1:
+        return None
+    (kind,) = clause.keys()
+    if kind == "match":
+        text, default = _match_text_and_default(clause["match"])
+        return ("match", text, None if default else clause, _match_boost(clause["match"]))
+    return ("leaf", clause) if kind in _LEAF_SHOULD_KINDS else None
+
+
+def _clause_scores(engine: QueryEngine, entry: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(matching docs, per-doc scores) of one tagged clause: a match
+    scores BM25 × its boost over the docs its own operator/msm admit; a
+    leaf scores through :func:`_leaf_should_scores`."""
+    if entry[0] == "leaf":
+        return _leaf_should_scores(engine, entry[1])
+    _, text, constraint, boost = entry
+    d, s = engine.bm25_scores(text)
+    if boost != 1.0:
+        s = s * boost
+    if constraint is not None:
+        keep = np.isin(d, engine.execute_filter(constraint), assume_unique=True)
+        d, s = d[keep], s[keep]
+    return d, s
+
+
+def _scored_union(
+    engine: QueryEngine, entries: list[tuple]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score every tagged clause: (sorted union of their matching docs,
+    the union index of each scored (clause, doc) pair, its score)."""
+    parts = [_clause_scores(engine, e) for e in entries]
+    docs = np.concatenate([d for d, _ in parts] + [np.empty(0, dtype=np.int64)])
+    sc = np.concatenate([s for _, s in parts] + [np.empty(0, dtype=np.float64)])
+    uniq, inv = np.unique(docs, return_inverse=True)
+    return uniq.astype(np.int64), inv, sc
+
+
 def _bm25_scores_multi(
     engine: QueryEngine, clauses: list[tuple]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Additive scoring over independent should/must clauses — Lucene's
     BooleanQuery sums every matching clause's score, so a term repeated
     across clauses counts once PER CLAUSE (a single concatenated query
-    would dedupe it). Each clause is tagged (see
-    :func:`_split_scoring_clause`): ``("match", text, constraint)``
-    scores BM25 over the text — a non-default match (operator=and / msm)
-    only scores, and only matches, on the docs satisfying its own
-    filter-context semantics; ``("leaf", clause)`` scores through
-    :func:`_leaf_should_scores`. Returns (sorted doc_ids, summed scores,
-    union of per-clause matching doc sets) — the union IS the hit set of
-    a should-only bool, so callers never re-decode postings to count
-    hits."""
-    docs_parts, score_parts = [], []
-    for entry in clauses:
-        if entry[0] == "leaf":
-            d, s = _leaf_should_scores(engine, entry[1])
-        else:
-            _, text, clause, boost = entry
-            d, s = engine.bm25_scores(text)
-            if boost != 1.0:
-                s = s * boost
-            if clause is not None:
-                allowed = engine.execute_filter(clause)
-                keep = np.isin(d, allowed, assume_unique=True)
-                d, s = d[keep], s[keep]
-        if d.size:
-            docs_parts.append(d)
-            score_parts.append(s)
-    if not docs_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64), empty
-    docs = np.concatenate(docs_parts)
-    sc = np.concatenate(score_parts)
-    uniq, inv = np.unique(docs, return_inverse=True)
+    would dedupe it). Each clause is tagged (see :func:`_tag_clause`)
+    and scored by :func:`_clause_scores`. Returns (sorted doc_ids,
+    summed scores, union of per-clause matching doc sets) — the union
+    IS the hit set of a should-only bool, so callers never re-decode
+    postings to count hits."""
+    uniq, inv, sc = _scored_union(engine, clauses)
     out = np.zeros(uniq.size)
     np.add.at(out, inv, sc)
     # each part is exactly its clause's matching set, so uniq is the
@@ -1702,36 +1588,18 @@ def _dis_max_scores(engine: QueryEngine, spec: dict) -> tuple[np.ndarray, np.nda
     unscorable sub-query (phrase, nested bool) raises rather than score
     wrong. Returns (sorted matching docs — the union, per-doc scores)."""
     tie = float(spec.get("tie_breaker", 0.0))
-    docs_parts, score_parts = [], []
+    entries = []
     for c in spec.get("queries", []):
-        ((k, _b),) = c.items()
-        if k == "match":
-            txt, default = _match_text_and_default(c["match"])
-            d, s = engine.bm25_scores(txt)
-            b = _match_boost(c["match"])
-            if b != 1.0:
-                s = s * b
-            if not default:
-                allowed = engine.execute_filter(c)
-                keep = np.isin(d, allowed, assume_unique=True)
-                d, s = d[keep], s[keep]
-        elif k in _LEAF_SHOULD_KINDS:
-            d, s = _leaf_should_scores(engine, c)
-        else:
-            raise ValueError(f"dis_max cannot score sub-query kind {k!r}")
-        if d.size:
-            docs_parts.append(d)
-            score_parts.append(s)
-    if not docs_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    docs = np.concatenate(docs_parts)
-    sc = np.concatenate(score_parts)
-    uniq, inv = np.unique(docs, return_inverse=True)
+        entry = _tag_clause(c)
+        if entry is None:
+            raise ValueError(f"dis_max cannot score sub-query kind {list(c)}")
+        entries.append(entry)
+    uniq, inv, sc = _scored_union(engine, entries)
     total = np.zeros(uniq.size, dtype=np.float64)
     best = np.zeros(uniq.size, dtype=np.float64)
     np.add.at(total, inv, sc)
     np.maximum.at(best, inv, sc)
-    return uniq.astype(np.int64), best + tie * (total - best)
+    return uniq, best + tie * (total - best)
 
 
 def search(engine: QueryEngine, body: dict, source_files: list[str] | None = None,
@@ -1752,9 +1620,11 @@ def search(engine: QueryEngine, body: dict, source_files: list[str] | None = Non
     set it leaves is what the page ranks, ``hits.total`` counts and
     every aggregation reads;
     pure filter context returns constant score 1.0 in doc_id order
-    (OpenSearch's filter/constant_score behavior). ``aggs`` = terms
-    facets over the full matching set (not just the page), like
-    OpenSearch. ``highlight`` needs ``source_files`` — this index stores
+    (OpenSearch's filter/constant_score behavior). ``aggs`` = terms,
+    histogram / date_histogram, range, composite, filters, metric,
+    percentile and significant_terms aggregations over the full matching
+    set (not just the page), like OpenSearch; bucket aggs take metric
+    sub-aggs. ``highlight`` needs ``source_files`` — this index stores
     metadata + lineage hashes in the docmap, not the text, so snippets
     read exactly the hit rows back from the source parquet (predicate
     pushdown), trading _source storage for corpus-scale index size."""
@@ -1932,18 +1802,10 @@ def _apply_aggs(engine: QueryEngine, body: dict, docs: np.ndarray, out: dict) ->
         for name, spec in aggs.items():
             sub = spec.get("aggs") or spec.get("aggregations")
             if "terms" in spec:
-                field = spec["terms"]["field"]
-                k = int(spec["terms"].get("size", 10))
-                torder = spec["terms"].get("order")
-                if sub or torder:
-                    out["aggregations"][name] = {
-                        "buckets": engine.terms_agg_subs(docs, field, k,
-                                                         sub or {}, order=torder)}
-                    continue
-                buckets = engine.facets(docs, field, k=k)
-                out["aggregations"][name] = {
-                    "buckets": [{"key": v, "doc_count": c} for v, c in buckets]
-                }
+                tm = spec["terms"]
+                out["aggregations"][name] = {"buckets": engine.terms_agg(
+                    docs, tm["field"], int(tm.get("size", 10)),
+                    sub_aggs=sub, order=tm.get("order"))}
                 continue
             if "percentiles" in spec:
                 p_spec = spec["percentiles"]
@@ -1962,23 +1824,22 @@ def _apply_aggs(engine: QueryEngine, body: dict, docs: np.ndarray, out: dict) ->
                 out["aggregations"][name] = {"buckets": engine.significant_terms_agg(
                     docs, sg["field"], size=int(sg.get("size", 10)))}
                 continue
-            if "histogram" in spec:
-                h = spec["histogram"]
-                mdc = int(h.get("min_doc_count", 0))
-                out["aggregations"][name] = {"buckets": (
-                    engine.histogram_agg_subs(
-                        docs, h["field"], float(h["interval"]), sub,
-                        min_doc_count=mdc)
-                    if sub else engine.histogram_agg(
-                        docs, h["field"], float(h["interval"]),
-                        min_doc_count=mdc))}
+            if "histogram" in spec or "date_histogram" in spec:
+                h = spec.get("histogram") or spec["date_histogram"]
+                if "histogram" in spec:
+                    rule = _FixedWidth(h["interval"])
+                elif "calendar_interval" in h:
+                    rule = _Calendar(h["calendar_interval"])
+                else:
+                    rule = _FixedWidth(_parse_fixed_interval_ms(h["fixed_interval"]), np.int64)
+                out["aggregations"][name] = {"buckets": engine.histogram_agg(
+                    docs, h["field"], rule, sub_aggs=sub,
+                    min_doc_count=int(h.get("min_doc_count", 0)))}
                 continue
             if "range" in spec:
                 r = spec["range"]
-                out["aggregations"][name] = {"buckets": (
-                    engine.range_agg_subs(docs, r["field"], list(r["ranges"]), sub)
-                    if sub else
-                    engine.range_agg(docs, r["field"], list(r["ranges"])))}
+                out["aggregations"][name] = {"buckets": engine.range_agg(
+                    docs, r["field"], list(r["ranges"]), sub_aggs=sub)}
                 continue
             if "composite" in spec:
                 c = spec["composite"]
@@ -1997,23 +1858,6 @@ def _apply_aggs(engine: QueryEngine, body: dict, docs: np.ndarray, out: dict) ->
                     buckets[key] = {"doc_count": int(np.intersect1d(
                         docs, engine.execute_filter(fq), assume_unique=True).size)}
                 out["aggregations"][name] = {"buckets": buckets}
-                continue
-            if "date_histogram" in spec:
-                dh = spec["date_histogram"]
-                mdc = int(dh.get("min_doc_count", 0))
-                if "calendar_interval" in dh:
-                    out["aggregations"][name] = {
-                        "buckets": engine.calendar_histogram_agg(
-                            docs, dh["field"], dh["calendar_interval"],
-                            min_doc_count=mdc, sub_aggs=sub)}
-                    continue
-                ms = float(_parse_fixed_interval_ms(dh["fixed_interval"]))
-                out["aggregations"][name] = {"buckets": (
-                    engine.histogram_agg_subs(docs, dh["field"], ms, sub,
-                                              min_doc_count=mdc)
-                    if sub else engine.date_histogram_agg(
-                        docs, dh["field"], dh["fixed_interval"],
-                        min_doc_count=mdc))}
                 continue
             op = next((o for o in metric_ops if o in spec), None)
             if op is None:

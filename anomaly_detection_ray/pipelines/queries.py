@@ -42,6 +42,19 @@ def _rd():
     return rd
 
 
+def _frame(ds, columns: list[str]) -> pd.DataFrame:
+    """``ds.to_pandas()``, keeping the result columns when no row comes
+    back. Ray's ``to_pandas`` skips zero-row blocks and returns a 0×0
+    frame, which callers that sort or select result columns can't index:
+    the empty frame takes the Dataset's schema, or ``columns`` (the ones
+    the caller reads) when an input without rows left no schema."""
+    df = ds.to_pandas()
+    if len(df.columns) == 0:
+        schema = ds.schema()
+        df = pd.DataFrame(columns=columns if schema is None else schema.names)
+    return df
+
+
 def _round(df: pd.DataFrame, cols: dict[str, int]) -> pd.DataFrame:
     for c, n in cols.items():
         df[c] = df[c].astype(np.float64).round(n)
@@ -553,10 +566,10 @@ def q_search_facets(sf_dir: str) -> pd.DataFrame:
     """Terms-agg facet over search hits: lang distribution of docs
     matching 'data' (count desc, value asc)."""
     eng = index_for(sf_dir)
-    rows = eng.facets(eng.execute_filter({"match": {"text": "data"}}), "lang", k=10)
+    rows = eng.terms_agg(eng.execute_filter({"match": {"text": "data"}}), "lang", 10)
     return pd.DataFrame(
-        {"lang": [v for v, _ in rows],
-         "doc_count": np.asarray([c for _, c in rows], dtype=np.int64)}
+        {"lang": [b["key"] for b in rows],
+         "doc_count": np.asarray([b["doc_count"] for b in rows], dtype=np.int64)}
     )
 
 
@@ -1554,12 +1567,11 @@ def q_detect_anomalies(sf_dir: str) -> pd.DataFrame:
 
     cfg = detector_config()
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    res = detect(ds, cfg, ts_col="ts").to_pandas()
+    cols = ["event_type", "window_start_ms", "window_end_ms", "value_avg", "model_id",
+            "anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
+    res = _frame(detect(ds, cfg, ts_col="ts"), cols)
     res = res.sort_values(["model_id", "window_end_ms"]).reset_index(drop=True)
-    return res[
-        ["event_type", "window_start_ms", "window_end_ms", "value_avg", "model_id",
-         "anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
-    ]
+    return res[cols]
 
 
 def q_detect_hc(sf_dir: str) -> pd.DataFrame:
@@ -1586,10 +1598,11 @@ def q_detect_hc(sf_dir: str) -> pd.DataFrame:
         return b.append_column("user_bucket", pa.array(ub))
 
     ds = ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    res = detect(ds, cfg, ts_col="ts").to_pandas()
+    cols = ["event_type", "user_bucket", "window_end_ms", "value_avg", "value_max",
+            "anomaly_score", "anomaly_grade"]
+    res = _frame(detect(ds, cfg, ts_col="ts"), ["model_id", *cols])
     res = res.sort_values(["model_id", "window_end_ms"]).reset_index(drop=True)
-    out = res[["event_type", "user_bucket", "window_end_ms", "value_avg", "value_max",
-               "anomaly_score", "anomaly_grade"]].copy()
+    out = res[cols].copy()
     out["user_bucket"] = out["user_bucket"].astype("int64")
     return _round(out, {"value_avg": 6, "value_max": 6, "anomaly_score": 6, "anomaly_grade": 6})
 
@@ -1615,12 +1628,11 @@ def q_detect_with_rules(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    res = detect(ds, cfg, ts_col="ts").to_pandas()
+    cols = ["event_type", "window_end_ms", "value_avg", "anomaly_score", "anomaly_grade",
+            "value_avg_expected", "value_avg_attribution", "value_avg_past", "suppressed_by_rule"]
+    res = _frame(detect(ds, cfg, ts_col="ts"), ["model_id", *cols])
     res = res.sort_values(["model_id", "window_end_ms"]).reset_index(drop=True)
-    out = res[
-        ["event_type", "window_end_ms", "value_avg", "anomaly_score", "anomaly_grade",
-         "value_avg_expected", "value_avg_attribution", "value_avg_past", "suppressed_by_rule"]
-    ].copy()
+    out = res[cols].copy()
     return _round(out, {"value_avg": 6, "anomaly_score": 6, "anomaly_grade": 6,
                         "value_avg_expected": 6, "value_avg_attribution": 6, "value_avg_past": 6})
 
@@ -1723,7 +1735,8 @@ def q_forecast_events(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    out = forecast(ds, cfg, horizon=12, period=24).to_pandas()
+    out = _frame(forecast(ds, cfg, horizon=12, period=24),
+                 ["event_type", "horizon_index"])
     return out.sort_values(["event_type", "horizon_index"]).reset_index(drop=True)
 
 
@@ -1741,7 +1754,8 @@ def q_forecast_events_rcf(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    out = forecast(ds, cfg, horizon=12, backend="rcf").to_pandas()
+    out = _frame(forecast(ds, cfg, horizon=12, backend="rcf"),
+                 ["event_type", "horizon_index"])
     return out.sort_values(["event_type", "horizon_index"]).reset_index(drop=True)
 
 

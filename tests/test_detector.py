@@ -488,6 +488,46 @@ def test_forecast_empty_keeps_result_schema(ray_session):
     assert top_forecast_results(fc, cfg, k=3).count() == 0
 
 
+def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
+    """An events file that emits no window: the ``detect_anomalies`` and
+    ``forecast_events`` query frames come back empty with their result
+    columns, not a ``KeyError`` from sorting a 0×0 frame (Ray's
+    ``to_pandas`` skips zero-row blocks)."""
+    import pyarrow.parquet as pq
+
+    from anomaly_detection_ray.pipelines.queries import q_detect_anomalies, q_forecast_events
+
+    pq.write_table(pa.table({
+        "event_id": pa.array([], pa.int64()),
+        "ts": pa.array([], pa.timestamp("us")),
+        "user_id": pa.array([], pa.int64()),
+        "event_type": pa.array([], pa.string()),
+        "value": pa.array([], pa.float64()),
+        "props": pa.array([], pa.string()),
+    }), str(tmp_path / "events.parquet"))
+    det = q_detect_anomalies(str(tmp_path))
+    assert len(det) == 0
+    assert list(det.columns) == [
+        "event_type", "window_start_ms", "window_end_ms", "value_avg", "model_id",
+        "anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
+    fc = q_forecast_events(str(tmp_path))
+    assert len(fc) == 0 and {"event_type", "horizon_index"} <= set(fc.columns)
+    # two hourly windows: too few for a forecast, so the empty frame
+    # carries the stage's own result columns
+    pq.write_table(pa.table({
+        "event_id": pa.array([0, 1], pa.int64()),
+        "ts": pa.array(np.array(["2024-01-01T00:10", "2024-01-01T01:10"],
+                                dtype="datetime64[us]")),
+        "user_id": pa.array([1, 2], pa.int64()),
+        "event_type": ["error", "signup"],
+        "value": [1.0, 2.0],
+        "props": ["{}", "{}"],
+    }), str(tmp_path / "events.parquet"))
+    fc = q_forecast_events(str(tmp_path))
+    assert len(fc) == 0
+    assert {"event_type", "horizon_index", "forecast_value", "confidence"} <= set(fc.columns)
+
+
 def _map_ops(ds):
     """Every map operator of a Dataset's logical plan."""
     from ray.data._internal.logical.operators.map_operator import AbstractMap

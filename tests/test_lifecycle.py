@@ -105,7 +105,8 @@ def test_facets_count_highlight_respect_tombstones(deleted_index, tiny_corpus):
     df = tiny_corpus["table"].to_pandas()
     live = df[~df["doc_id"].isin(deleted)]
     assert eng.count(None) == len(live)
-    rows = dict(eng.facets(eng.execute_filter(None), "lang", k=100))
+    rows = {b["key"]: b["doc_count"]
+            for b in eng.terms_agg(eng.execute_filter(None), "lang", 100)}
     assert rows == live["lang"].value_counts().to_dict()
     # highlighted hits never include tombstoned docs
     from anomaly_detection_ray.stages.highlight import snippets_for_hits
@@ -458,7 +459,7 @@ def test_docmap_and_postings_paths_agree(ray_session, tiny_corpus, tmp_path_fact
         for q in filters:
             docs = fast.execute_filter(q)
             assert list(docs) == list(slow.execute_filter(q)), (idx, q)
-            assert fast.facets(docs, "lang") == slow.facets(docs, "lang"), (idx, q)
+            assert fast.terms_agg(docs, "lang") == slow.terms_agg(docs, "lang"), (idx, q)
             for field, op in (("repo", "cardinality"), ("doc_id", "stats")):
                 assert fast.metric_agg(docs, field, op) == slow.metric_agg(docs, field, op)
         for body in bodies:

@@ -110,7 +110,8 @@ def test_search_after_pagination(eng):
 
 def test_facets(eng):
     e, df, oracle = eng
-    rows = e.facets(e.execute_filter({"match": {"content": "merge"}}), "lang", k=3)
+    rows = [(b["key"], b["doc_count"])
+            for b in e.terms_agg(e.execute_filter({"match": {"content": "merge"}}), "lang", 3)]
     hits = set(oracle.postings.get("merge", ()))
     exp = (
         df[df["doc_id"].isin(hits)]
@@ -121,7 +122,8 @@ def test_facets(eng):
     )
     assert rows == list(zip(exp["lang"], exp["doc_id"]))[:3]
     # match_all facet = whole-corpus distribution
-    rows_all = e.facets(e.execute_filter(None), "lang", k=100)
+    rows_all = [(b["key"], b["doc_count"])
+                for b in e.terms_agg(e.execute_filter(None), "lang", 100)]
     assert dict(rows_all) == df["lang"].value_counts().to_dict()
 
 
@@ -145,10 +147,17 @@ def test_count_and_more_like_this(eng):
 
 
 def test_bm25_topk_filtered(eng):
+    """BM25 top-k restricted to a filter — the composed
+    bool(filter ∧ must match) shape of generateInternalFeatureQuery
+    (ParseUtils.java:314-331) — through ``search``."""
+    from anomaly_detection_ray.index.query import search
+
     e, df, oracle = eng
     filt = {"term": {"lang": "java"}}
     allowed = set(df[df["lang"] == "java"]["doc_id"])
-    hits = e.bm25_topk_filtered("merge sort", filt, k=10)
+    r = search(e, {"query": {"bool": {"must": [{"match": {"content": "merge sort"}}],
+                                      "filter": [filt]}}, "size": 10})
+    hits = [(h["_id"], h["_score"]) for h in r["hits"]["hits"]]
     assert hits, "filter should leave matches"
     assert all(d in allowed for d, _ in hits)
     # scores must equal the unfiltered scores for the same docs
@@ -194,9 +203,9 @@ def test_search_envelope(eng, tiny_corpus, tmp_path_factory):
     q = {"bool": {"must": [{"match": {"content": "merge sort"}}],
                   "filter": [{"term": {"lang": "java"}}]}}
     r3 = search(e, {"query": q, "size": 5})
-    fhits = e.bm25_topk_filtered("merge sort", {"bool": {"filter": [{"term": {"lang": "java"}}]}}, k=5)
-    assert [h["_id"] for h in r3["hits"]["hits"]] == [d for d, _ in fhits]
     allowed = set(df[df["lang"] == "java"]["doc_id"])
+    exp = [d for d, _ in oracle.bm25_topk("merge sort", k=10_000) if d in allowed][:5]
+    assert [h["_id"] for h in r3["hits"]["hits"]] == exp
     assert r3["hits"]["total"]["value"] == len(union & allowed)
 
     # pure filter context: score 1.0, doc order, exact total
@@ -206,11 +215,11 @@ def test_search_envelope(eng, tiny_corpus, tmp_path_factory):
     assert all(h["_score"] == 1.0 for h in r4["hits"]["hits"])
     assert r4["hits"]["total"]["value"] == len(pys)
 
-    # terms aggs ≡ facets over the whole matching set
+    # terms aggs ≡ terms_agg over the whole matching set
     r5 = search(e, {"query": {"match": {"content": "merge"}}, "size": 1,
                     "aggs": {"langs": {"terms": {"field": "lang", "size": 3}}}})
-    assert [(b["key"], b["doc_count"]) for b in r5["aggregations"]["langs"]["buckets"]] == \
-        e.facets(e.execute_filter({"match": {"content": "merge"}}), "lang", k=3)
+    assert r5["aggregations"]["langs"]["buckets"] == \
+        e.terms_agg(e.execute_filter({"match": {"content": "merge"}}), "lang", 3)
 
     # search_after pages equal the cursor API's
     first = search(e, {"query": {"match": {"content": "merge sort"}}, "size": 4})
@@ -571,6 +580,9 @@ def test_search_metric_aggs(eng):
         "h": {"histogram": {"field": "doc_id", "interval": 50,
                             "min_doc_count": 1}}}})
     assert rd_["aggregations"]["d"]["buckets"] == rh1["aggregations"]["h"]["buckets"]
+    # date keys are epoch-ms longs, plain histogram keys floats (OpenSearch)
+    assert all(type(b["key"]) is int for b in rd_["aggregations"]["d"]["buckets"])
+    assert all(type(b["key"]) is float for b in rh1["aggregations"]["h"]["buckets"])
     from anomaly_detection_ray.index.query import _parse_fixed_interval_ms
     assert _parse_fixed_interval_ms("5m") == 300_000
     assert _parse_fixed_interval_ms("1d") == 86_400_000
@@ -709,6 +721,7 @@ def test_search_sub_aggregations(eng):
               "aggs": {"mean_id": {"avg": {"field": "doc_id"}},
                        "sum_id": {"sum": {"field": "doc_id"}}}}}})
     assert rdh["aggregations"]["h"]["buckets"] == hb
+    assert all(type(b["key"]) is int for b in rdh["aggregations"]["h"]["buckets"])
 
     # range + sub-aggs: overlapping half-open buckets, independent metrics
     rr = search(e, {"query": {"match": {"content": "merge"}}, "size": 0, "aggs": {
@@ -919,6 +932,62 @@ def test_terms_agg_order_by_subagg(eng):
         search(e, body({"nope": "desc"}))
     with pytest.raises(ValueError, match="dotted path"):
         search(e, body({"st": "desc"}))
+
+
+def test_terms_agg_ties_at_size_cut(ray_session, tmp_path):
+    """Terms buckets with doc_count ties across the ``size`` cut, vs a
+    pandas groupby: doc_count desc then key asc by default, ``_key`` in
+    both directions, ``_count`` asc, and a sub-agg order whose empty
+    (null-metric) buckets sort last either direction. The forms with
+    and without sub-aggs return the same buckets."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from anomaly_detection_ray.index.query import search
+
+    # r0, r2, r4 tie at 3 docs across the size-3 cut; every lang of r0
+    # and r4 is missing, so their min(lang) is null
+    repos = ["r3"] * 4 + ["r0"] * 3 + ["r2"] * 3 + ["r4"] * 3 + ["r1"]
+    langs = ["go", "rust", "go", "java"] + [None] * 3 + ["python", "c", "go"] \
+        + [None] * 3 + ["java"]
+    df = pd.DataFrame({
+        "doc_id": np.arange(len(repos), dtype=np.int64),
+        "content": [f"alpha beta {i}" for i in range(len(repos))],
+        "repo": repos, "path": "p", "commit": "c", "lang": langs,
+    }).sample(frac=1.0, random_state=0)
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), src)
+    out = str(tmp_path / "index")
+    build_index([src], out, slices=1, num_partitions=2, mode="code")
+    e = QueryEngine(out)
+
+    g = df.groupby("repo").agg(n=("doc_id", "count"), m=("lang", "min"))
+    expect = {
+        None: g.sort_values(["n"], ascending=False, kind="stable").index,
+        ("_key", "asc"): g.index,
+        ("_key", "desc"): g.index[::-1],
+        ("_count", "asc"): g.sort_values(["n"], kind="stable").index,
+        ("m", "asc"): g.sort_values(["m"], na_position="last", kind="stable").index,
+        ("m", "desc"): g.sort_values(["m"], ascending=False, na_position="last",
+                                     kind="stable").index,
+    }
+    for order, keys in expect.items():
+        terms = {"field": "repo", "size": 3}
+        if order is not None:
+            terms["order"] = dict([order])
+        subs = search(e, {"size": 0, "aggs": {"t": {
+            "terms": terms, "aggs": {"m": {"min": {"field": "lang"}}}}}})
+        bs = subs["aggregations"]["t"]["buckets"]
+        exp = [(k, int(g.loc[k, "n"])) for k in list(keys)[:3]]
+        assert [(b["key"], b["doc_count"]) for b in bs] == exp, order
+        if order is None or order[0] != "m":
+            plain = search(e, {"size": 0, "aggs": {"t": {"terms": terms}}})
+            assert [(b["key"], b["doc_count"])
+                    for b in plain["aggregations"]["t"]["buckets"]] == exp, order
+        for b in bs:
+            m = g.loc[b["key"], "m"]
+            assert b["m"]["value"] == (None if pd.isna(m) else m), order
 
 
 def test_composite_agg_pagination(eng):
