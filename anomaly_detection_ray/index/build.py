@@ -22,7 +22,8 @@ merge task writes its own ``postings/part-{kh}.parquet`` atomically
 fingerprint); a rerun with identical inputs skips the write. Docmap
 part names derive from the block's doc ids, so a retried block
 rewrites its own file. The optional positional sidecar (``store_positions``) is
-a second read and execution (a term-hash ``groupby``).
+a second read whose rows go through the same raw-Ray exchange, split by
+term hash (:func:`_write_positions`).
 
 Resume is slice-granular: a slice whose ``_slice_manifest.json``
 matches its input fingerprint is skipped entirely, so a killed build
@@ -51,17 +52,19 @@ from .segments import DEFAULT_BLOCK_SIZE
 
 MANIFEST_NAME = "manifest.json"
 
-# global-term-stats finalize: below this total posting-stat size the
-# driver aggregates inline (instant, byte-stable); above it the stats
-# pass runs as a distributed groupby + range-partitioned sort and the
-# dictionary is written as a DIRECTORY of globally-sorted part files —
-# the driver only ever holds one part's manifest metadata, never the
-# vocabulary (a 10⁹-term dictionary would OOM a driver-side sort)
-STATS_INLINE_BYTES = 512 * 1024 * 1024
+# global-term-stats finalize: ONE range exchange for every index size,
+# with P = ceil(posting bytes / STATS_PART_BYTES) term ranges (at most
+# 256). P = 1 — every index under 512 MiB of posting parts — runs the
+# two range functions in the driver and writes ONE file; a bigger index
+# runs them as raw-Ray tasks and writes a DIRECTORY of globally-sorted
+# part files, so a reducer holds at most what the one-file driver does
+# and no process ever holds the whole vocabulary
+STATS_PART_BYTES = 512 << 20
 # modest row groups: the term-sorted dictionary's row-group statistics
 # are the LAZY serving mode's prune index (termdict.TermDictionary) —
 # one giant group would force every dictionary scan to read the file
 STATS_ROW_GROUP = 131072
+_STATS_AGG_COLS = ["term", "df", "cttf"]
 
 
 def _stats_sha256(path: str) -> str:
@@ -77,18 +80,16 @@ def _stats_sha256(path: str) -> str:
     return sha256_file(path)
 
 
-def _write_stats_part(block, path: str) -> tuple[int, str | None, str | None, bool]:
-    """Write one globally-sorted stats block as a part file; returns
+def _write_stats_part(tbl: pa.Table, path: str) -> tuple[int, str | None, str | None, bool]:
+    """Write one globally-sorted stats table as a part file; returns
     (n_terms, first_term, last_term, internally_sorted) for the driver's
     order check — the boundary comparison alone can't see disorder
-    INSIDE a block, and both dictionary serving modes bisect, so an
-    unsorted part must never be committed."""
+    INSIDE a part, and both dictionary serving modes bisect, so an
+    unsorted part is never written."""
     import pyarrow.compute as pc
 
-    tbl = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
     if tbl.num_rows == 0:
         return 0, None, None, True
-    tbl = tbl.select(["term", "df", "cttf"])
     col = tbl["term"].combine_chunks()
     ordered = bool(
         tbl.num_rows < 2
@@ -99,47 +100,29 @@ def _write_stats_part(block, path: str) -> tuple[int, str | None, str | None, bo
     return tbl.num_rows, col[0].as_py(), col[len(col) - 1].as_py(), ordered
 
 
-def _stats_term_boundaries(posting_files: list[str], n_parts: int) -> list[str] | None:
+def _stats_term_boundaries(posting_files: list[str], n_parts: int) -> list[str]:
     """Range-partition boundaries for the stats exchange, sampled from
-    the posting files' per-row-group ``term`` column statistics — footer
-    metadata only, no data pages read. Statistics truncation (long terms)
-    only blurs boundary PLACEMENT, never correctness: every term still
-    lands in exactly one range by binary search. Returns ``None`` when
-    any file lacks term statistics (→ caller falls back to the Ray-Data
-    sort path)."""
+    the posting files' per-row-group ``term`` column minimums — footer
+    metadata only, no data pages read. A row group without a usable
+    minimum (no statistics, or a bound pyarrow dropped as ``''`` because
+    the term is over its 4096-byte statistics limit) is skipped: the
+    boundaries only PLACE the ranges, and the bisect in
+    :func:`_split_stats_by_range` puts every term in exactly one range
+    whatever they are. Fewer boundaries than ``n_parts - 1`` (duplicate
+    or missing minimums) means fewer parts."""
     mins: list[str] = []
     for f in posting_files:
         md = pq.read_metadata(f)
-        try:
-            ti = md.schema.names.index("term")
-        except ValueError:
-            return None
+        ti = md.schema.names.index("term")
         for rg in range(md.num_row_groups):
             st = md.row_group(rg).column(ti).statistics
-            if st is None or not st.has_min_max or st.min is None:
-                return None
-            mins.append(st.min if isinstance(st.min, str) else st.min.decode("utf-8", "replace"))
+            if st is not None and st.has_min_max and st.min:
+                mins.append(st.min if isinstance(st.min, str) else st.min.decode("utf-8", "replace"))
     if not mins:
-        return None
+        return []
     mins.sort()
-    # dedupe keeps ranges non-empty by construction; fewer parts is fine
+    # dedupe keeps ranges non-empty by construction
     return sorted({mins[len(mins) * p // n_parts] for p in range(1, n_parts)})
-
-
-def _bisect_left_arrow(col, value: str) -> int:
-    """First index with ``col[i] >= value`` in a term-sorted Arrow
-    column — O(log n) scalar accesses, no materialization."""
-    lo, hi = 0, len(col)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if col[mid].as_py() < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-_STATS_AGG_COLS = ["term", "df", "cttf"]
 
 
 def _split_stats_by_range(path: str, boundaries: list[str]) -> list[pa.Table]:
@@ -148,12 +131,14 @@ def _split_stats_by_range(path: str, boundaries: list[str]) -> list[pa.Table]:
     ``len(boundaries)+1`` range partitions (terms equal to a boundary go
     right). All heavy work is Arrow C kernels; the split offsets come
     from binary search on the sorted column."""
+    from .termdict import _arrow_bisect
+
     t = pq.read_table(path, columns=["term", "df_chunk", "tf_sum"])
     t = t.group_by("term").aggregate([("df_chunk", "sum"), ("tf_sum", "sum")])
     t = t.select(["term", "df_chunk_sum", "tf_sum_sum"]).rename_columns(_STATS_AGG_COLS)
     t = t.sort_by([("term", "ascending")])
     col = t["term"].combine_chunks()
-    offs = [0] + [_bisect_left_arrow(col, b) for b in boundaries] + [t.num_rows]
+    offs = [0] + [_arrow_bisect(col, b, "left") for b in boundaries] + [t.num_rows]
     return [t.slice(offs[p], offs[p + 1] - offs[p]) for p in range(len(offs) - 1)]
 
 
@@ -172,136 +157,67 @@ def _merge_stats_range(p: int, out_dir: str, *parts: pa.Table) -> tuple[int, str
     return _write_stats_part(t, os.path.join(out_dir, f"part-{p:05d}.parquet"))
 
 
-def _write_global_stats(posting_files: list[str], stats_path: str,
-                        inline_bytes: int = STATS_INLINE_BYTES) -> int:
+def _write_global_stats(posting_files: list[str], stats_path: str) -> int:
     """Global (term, df, cttf) dictionary from the posting parts' chunk
     stat columns, term-sorted, written atomically to ``stats_path``.
     Returns the term count.
 
-    Small indexes (≤ ``inline_bytes`` of posting parts): driver-side
-    pandas aggregation into ONE file — instant and byte-stable. Bigger:
-    a raw-Ray RANGE exchange (boundaries sampled from parquet row-group
-    statistics, map-side local combine, one reduce per term range) — the
+    One RANGE exchange over ``P`` term ranges (see ``STATS_PART_BYTES``;
+    boundaries sampled from parquet row-group statistics): each posting
+    file is combined locally and sliced by range
+    (:func:`_split_stats_by_range`), each range merged and written
+    (:func:`_merge_stats_range`). P = 1 runs both in the driver and
+    writes ONE file; P > 1 runs them through :func:`_exchange` — the
     same drop-to-raw-Ray shape as the posting merge, because Ray Data's
-    sort-based groupby paid a full extra exchange here (measured ~2-6×).
-    Each reduce writes its own part file under a ``stats.parquet/``
-    DIRECTORY — the vocabulary never materializes on the driver (only
-    per-part boundaries do), so a 10⁹-term build finalizes with flat
-    driver RSS. Files without term statistics fall back to the Ray-Data
-    groupby+sort path. Both layouts serve identically through
-    ``termdict.TermDictionary``."""
-    import pandas as pd
-
-    total_bytes = sum(os.path.getsize(f) for f in posting_files)
-    if not posting_files or total_bytes < inline_bytes:
-        if not posting_files:
-            stats_tbl = pd.DataFrame({"term": pd.Series(dtype="object"),
-                                      "df": pd.Series(dtype="int64"),
-                                      "cttf": pd.Series(dtype="int64")})
-        else:
-            stats_tbl = (
-                pa.concat_tables(pq.read_table(f, columns=["term", "df_chunk", "tf_sum"]) for f in posting_files)
-                .to_pandas()
-                .groupby("term", as_index=False)
-                .agg(df=("df_chunk", "sum"), cttf=("tf_sum", "sum"))
-            )
-        stats_tbl = stats_tbl.sort_values("term").reset_index(drop=True)
-        tmp_stats = f"{stats_path}.tmp-{os.getpid()}"
-        pq.write_table(pa.Table.from_pandas(stats_tbl, preserve_index=False), tmp_stats,
-                       row_group_size=STATS_ROW_GROUP)
-        _swap_into_place(tmp_stats, stats_path)
-        return int(len(stats_tbl))
-
+    sort-based groupby paid a full extra exchange here (measured ~2-6×)
+    — and each reduce writes its own part file under a
+    ``stats.parquet/`` DIRECTORY; the driver holds per-part boundaries
+    only. Both layouts serve identically through
+    ``termdict.TermDictionary``. Parts out of global term order raise
+    ``RuntimeError`` and leave the previous dictionary in place."""
     import shutil
 
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    def check(results, tmp_dir) -> int | None:
-        """Drop empty parts; verify global order across the kept
-        boundaries. An out-of-order result would corrupt every lazy
-        dictionary prune downstream, so it must never be served."""
-        n_terms, last_hi = 0, None
-        for n, lo, hi, ordered in results:
-            if n == 0:
-                continue
-            if not ordered or (last_hi is not None and lo < last_hi):
-                shutil.rmtree(tmp_dir, ignore_errors=True)
-                return None
-            last_hi = hi
-            n_terms += n
-        return n_terms
-
-    def run_range() -> tuple[int, str] | None:
-        """Raw-Ray range exchange: boundaries from footer statistics,
-        map-side local combine + sort + slice, one reduce (merge + part
-        write) per term range. Driver holds boundaries and refs only."""
-        # ~96 MB of posting bytes per reduce (stats columns are a small
-        # slice of that, so real reducers run well under the bound);
-        # floor at 2 parts whenever there are ≥2 inputs so a FORCED
-        # distributed finalize still exercises the multi-part layout the
-        # lazy dictionary serves
-        n_target = max(2 if len(posting_files) > 1 else 1,
-                       min(256, int(total_bytes // (96 << 20)) + 1))
-        bounds = _stats_term_boundaries(posting_files, n_target)
-        if bounds is None:
-            return None
-        n_parts = len(bounds) + 1
-        tmp_dir = f"{stats_path}.tmp-{os.getpid()}"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        os.makedirs(tmp_dir)
+    total_bytes = sum(os.path.getsize(f) for f in posting_files)
+    n_parts = max(1, min(256, -(-total_bytes // STATS_PART_BYTES)))
+    bounds = _stats_term_boundaries(posting_files, n_parts) if n_parts > 1 else []
+    n_parts = len(bounds) + 1
+    tmp_dir = f"{stats_path}.tmp-{os.getpid()}"
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    os.makedirs(tmp_dir)
+    if n_parts == 1:
+        results = [_merge_stats_range(0, tmp_dir, *(_split_stats_by_range(f, [])[0] for f in posting_files))]
+    else:
         results = _exchange(posting_files, _split_stats_by_range, bounds, n_parts,
                             _merge_stats_range, tmp_dir)
-        n = check(results, tmp_dir)
-        return None if n is None else (n, tmp_dir)
-
-    def run(explicit_sort: bool) -> tuple[int, str] | None:
-        """Ray-Data fallback attempt (files without term statistics) →
-        (n_terms, tmp_dir), or None when the parts came out of global
-        order (possible only on the first, sort-free attempt — Ray's
-        groupby is itself a sort-based shuffle, so its aggregate output
-        is normally already in key order)."""
-        stats = (
-            rd.read_parquet(posting_files, columns=["term", "df_chunk", "tf_sum"])
-            .groupby("term")
-            .aggregate(Sum("df_chunk", alias_name="df"), Sum("tf_sum", alias_name="cttf"))
-        )
-        if explicit_sort:
-            stats = stats.sort("term")
-        tmp_dir = f"{stats_path}.tmp-{os.getpid()}"
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        os.makedirs(tmp_dir)
-        write = ray.remote(_write_stats_part)
-        refs = []
-        # stream blocks straight to per-part writes: the driver holds
-        # refs and part counters only, never the vocabulary
-        for bundle in stats.iter_internal_ref_bundles():
-            for ref in bundle.block_refs:
-                refs.append(write.remote(ref, os.path.join(tmp_dir, f"part-{len(refs):05d}.parquet")))
-        n = check(ray.get(refs), tmp_dir)
-        return None if n is None else (n, tmp_dir)
-
-    got = run_range()
-    if got is None:
-        got = run(explicit_sort=False)
-    if got is None:
-        got = run(explicit_sort=True)
-        if got is None:  # sorted output out of order = engine bug
-            raise RuntimeError("stats parts out of global term order after explicit sort")
-    n_terms, tmp_dir = got
-    if n_terms == 0:
-        # degenerate: all-empty posting stats → fall back to one empty file
-        shutil.rmtree(tmp_dir, ignore_errors=True)
-        return _write_global_stats([], stats_path, inline_bytes)
-    # consistency manifest INSIDE the directory: the dir swap is two
-    # renames, so a reader racing a re-finalize could list one layout and
-    # open the other — the part-count/row-count check turns that torn
-    # read into a loud error instead of a silently mis-ordered dictionary
-    n_parts = len([n for n in os.listdir(tmp_dir) if n.endswith(".parquet")])
-    with open(os.path.join(tmp_dir, "_dict_meta.json"), "w") as f:
-        json.dump({"n_parts": n_parts, "n_terms": int(n_terms)}, f)
-    _swap_into_place(tmp_dir, stats_path)
+    # an out-of-order part would corrupt every dictionary bisect
+    # downstream, so it is never served
+    n_terms, last_hi = 0, None
+    for n, lo, hi, ordered in results:
+        if n == 0:
+            continue
+        if not ordered or (last_hi is not None and lo < last_hi):
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            raise RuntimeError("stats parts out of global term order; dictionary not replaced")
+        last_hi = hi
+        n_terms += n
+    if n_parts > 1:
+        # consistency manifest INSIDE the directory: the dir swap is two
+        # renames, so a reader racing a re-finalize could list one layout
+        # and open the other — the part-count/row-count check turns that
+        # torn read into a loud error instead of a mis-ordered dictionary
+        n_files = len([n for n in os.listdir(tmp_dir) if n.endswith(".parquet")])
+        with open(os.path.join(tmp_dir, "_dict_meta.json"), "w") as f:
+            json.dump({"n_parts": n_files, "n_terms": int(n_terms)}, f)
+        _swap_into_place(tmp_dir, stats_path)
+        return n_terms
+    tmp_file = f"{stats_path}.tmp-{os.getpid()}.parquet"
+    if n_terms:
+        os.rename(os.path.join(tmp_dir, "part-00000.parquet"), tmp_file)
+    else:  # no terms: an empty dictionary with the stats schema
+        pq.write_table(pa.table({"term": pa.array([], pa.string()), "df": pa.array([], pa.int64()),
+                                 "cttf": pa.array([], pa.int64())}), tmp_file)
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    _swap_into_place(tmp_file, stats_path)
     return n_terms
 
 
@@ -460,6 +376,15 @@ def _manifest_row(meta: dict) -> dict:
     }
 
 
+def _split_by_key(tbl: pa.Table, key: np.ndarray, n_parts: int) -> list[pa.Table]:
+    """``tbl``'s rows grouped by ``key`` (values in ``[0, n_parts)``) →
+    one slice per key value, rows in their input order within a slice."""
+    order = np.argsort(key, kind="stable")
+    sorted_tbl = tbl.take(pa.array(order))
+    bounds = np.searchsorted(key[order], np.arange(n_parts + 1))
+    return [sorted_tbl.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(n_parts)]
+
+
 def _split_table_by_kh(tbl: pa.Table, num_partitions: int) -> list[pa.Table]:
     if tbl.num_rows == 0 or "kh" not in tbl.column_names:
         # empty read blocks pass through the map stages schema-less
@@ -467,12 +392,7 @@ def _split_table_by_kh(tbl: pa.Table, num_partitions: int) -> list[pa.Table]:
 
         empty = POSTINGS_SCHEMA.empty_table().append_column("kh", pa.array([], pa.int64()))
         return [empty] * num_partitions
-    kh = tbl["kh"].to_numpy()
-    order = np.argsort(kh, kind="stable")
-    sorted_tbl = tbl.take(pa.array(order))
-    skh = kh[order]
-    bounds = np.searchsorted(skh, np.arange(num_partitions + 1))
-    return [sorted_tbl.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(num_partitions)]
+    return _split_by_key(tbl, tbl["kh"].to_numpy(), num_partitions)
 
 
 def _only_piece(split, x, arg):
@@ -582,26 +502,33 @@ def _index_block(block: pa.Table, *, tokenizer: TokenizeCombine, docmap: DocMap,
     return _add_partition_key(pa.concat_tables(chunks), num_partitions)
 
 
-def _position_key(batch: pa.Table, num_partitions: int) -> pa.Table:
-    pk = hash_strings(batch["term"].to_pylist()) % np.int64(num_partitions)
-    return batch.append_column("pk", pa.array(pk.astype(np.int64)))
+def _split_positions(block: pa.Table, n_parts: int) -> list[pa.Table]:
+    """Positional rows → ``n_parts`` pieces by ``hash(term) % n_parts``."""
+    if block.num_rows == 0:
+        return [block] * n_parts
+    key = hash_strings(block["term"].to_pylist()) % np.uint64(n_parts)
+    return _split_by_key(block, key.astype(np.int64), n_parts)
 
 
-def _sort_positions(group: pa.Table) -> pa.Table:
-    return group.sort_by([("term", "ascending"), ("doc_id", "ascending")]).drop_columns(["pk"])
+def _write_positions_part(p: int, pos_dir: str, *parts: pa.Table) -> int:
+    """One term-hash part of the positional sidecar, sorted by (term,
+    doc_id); an empty part writes no file. Returns the row count."""
+    live = [t for t in parts if t.num_rows]
+    if not live:
+        return 0
+    t = pa.concat_tables(live).sort_by([("term", "ascending"), ("doc_id", "ascending")])
+    _write_part(t, os.path.join(pos_dir, f"part-{p:05d}.parquet"))
+    return t.num_rows
 
 
 def _write_positions(rows_ds, num_partitions: int, pos_dir: str) -> None:
-    """Positional rows (term, doc_id, positions) → ``pos_dir``, term-hash
-    partitioned and term-sorted within each part, so a phrase lookup
-    touches one file per term with row-group pruning."""
-    (
-        rows_ds.map_batches(_position_key, fn_kwargs={"num_partitions": num_partitions},
-                            batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(_sort_positions, batch_format="pyarrow")
-        .write_parquet(pos_dir)
-    )
+    """Positional rows (term, doc_id, positions) → ``pos_dir`` through
+    the build's raw-Ray :func:`_exchange`: term-hash partitioned and
+    sorted by (term, doc_id) within each part, so a phrase lookup finds
+    each term in one file."""
+    os.makedirs(pos_dir, exist_ok=True)
+    blocks = (ref for bundle in rows_ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
+    _exchange(blocks, _split_positions, num_partitions, num_partitions, _write_positions_part, pos_dir)
 
 
 def build_slice(
@@ -722,7 +649,6 @@ def build_index(
     """Build a full index: input files → ``slices`` incremental slices →
     global stats + manifest. Returns the global manifest dict."""
     os.makedirs(out_dir, exist_ok=True)
-    stats_inline_bytes = kwargs.pop("stats_inline_bytes", STATS_INLINE_BYTES)
     file_groups = [list(g) for g in np.array_split(sorted(input_files), slices) if len(g)]
     slice_manifests = []
     for i, files in enumerate(file_groups):
@@ -736,7 +662,6 @@ def build_index(
         block_size=kwargs.get("block_size", DEFAULT_BLOCK_SIZE),
         store_positions=kwargs.get("store_positions", False),
         text_field=kwargs.get("text_col", "content"),
-        stats_inline_bytes=stats_inline_bytes,
     )
 
 
@@ -745,8 +670,7 @@ def _finalize_index(out_dir: str, slice_manifests: list[dict], *,
                     store_positions: bool = False,
                     dirs: list[str] | None = None,
                     deletes: dict | None = None,
-                    text_field: str | None = None,
-                    stats_inline_bytes: int = STATS_INLINE_BYTES) -> dict:
+                    text_field: str | None = None) -> dict:
     """Global stats + manifest over the given slices (in slice-id order).
     Pure recompute from the slices' chunk-stat columns — no dependence on
     a previous ``stats.parquet``, so re-finalizing after a crash or a
@@ -758,16 +682,16 @@ def _finalize_index(out_dir: str, slice_manifests: list[dict], *,
     tombstone record through a re-finalize (segment adds keep deletes)."""
     if dirs is None:
         dirs = [f"segments/slice-{i:04d}" for i in range(len(slice_manifests))]
-    # global term stats (df, cttf): groupby over the chunk-stat columns —
-    # driver-inline for small indexes, distributed sort + part-file
-    # directory for vocabulary-scale ones (see _write_global_stats)
+    # global term stats (df, cttf) from the chunk-stat columns: one file
+    # for small indexes, a part-file directory for vocabulary-scale ones
+    # (see _write_global_stats)
     posting_files = sorted(
         os.path.join(out_dir, d, "postings", p["path"])
         for d, m in zip(dirs, slice_manifests)
         for p in m["partitions"]
     )
     stats_path = os.path.join(out_dir, "stats.parquet")
-    n_terms = _write_global_stats(posting_files, stats_path, stats_inline_bytes)
+    n_terms = _write_global_stats(posting_files, stats_path)
 
     n_docs = int(sum(m["n_docs"] for m in slice_manifests))
     total_tokens = int(sum(m["total_tokens"] for m in slice_manifests))
@@ -834,7 +758,6 @@ def extend_index(index_dir: str, new_files: list[str], **kwargs) -> dict:
     with open(manifest_path) as f:
         manifest = json.load(f)
 
-    stats_inline_bytes = kwargs.pop("stats_inline_bytes", STATS_INLINE_BYTES)
     defaults = {"analyzer_mode": "code", "bucket_shift": 17,
                 "block_size": DEFAULT_BLOCK_SIZE, "store_positions": False}
     for arg_key, manifest_key in (("mode", "analyzer_mode"),
@@ -869,7 +792,6 @@ def extend_index(index_dir: str, new_files: list[str], **kwargs) -> dict:
         dirs=[s["dir"] for s in manifest["slices"]] + [rel_dir],
         deletes=manifest.get("deletes"),
         text_field=manifest.get("text_field"),
-        stats_inline_bytes=stats_inline_bytes,
     )
 
 

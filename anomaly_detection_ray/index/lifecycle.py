@@ -31,7 +31,7 @@ one plain task per old file (read, drop tombstoned rows, write),
 submitted before the exchange so the two overlap. No re-tokenization,
 no text access: a 100 TB corpus compacts by moving its ~x-times-smaller
 index, not its documents. The positional sidecar, when the index has
-one, is one more read and a term-hash ``groupby``.
+one, is one more read through the same exchange, split by term hash.
 """
 
 from __future__ import annotations

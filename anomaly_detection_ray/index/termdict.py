@@ -16,8 +16,9 @@ Two serving modes:
   128k-term group, so a 10⁹-term dictionary costs ~0.4 MB resident);
   point lookups and range scans read JUST the intersecting row groups
   through a small LRU. Parquet statistics may be truncated, but the spec
-  keeps them VALID bounds (truncated max ≥ real max), so pruning can
-  only over-read a neighbouring group, never miss a term.
+  keeps them VALID bounds (truncated max ≥ real max), and a max pyarrow
+  dropped (``''`` for a term over 4096 bytes) counts as unbounded, so
+  pruning can only over-read, never miss a term.
 
 Row groups are written term-sorted by ``build._finalize_index``
 (row_group_size=131072), so the groups' ranges are ordered and pruning
@@ -74,8 +75,8 @@ def _arrow_bisect(col: pa.Array, needle: str, side: str) -> int:
 
 class TermDictionary:
     """``path`` is either ONE term-sorted parquet file or a DIRECTORY of
-    globally-sorted part files (the distributed finalize's layout for
-    vocabulary-scale indexes, ``build._write_global_stats``). Both modes
+    globally-sorted part files (``build._write_global_stats``' layout
+    for indexes of more than one term range). Both modes
     flatten to one ordered row-group list; everything downstream (eager
     load, boundary pruning, the LRU) is layout-blind."""
 
@@ -128,11 +129,17 @@ class TermDictionary:
                 meta = self._pfs[fi].metadata
                 term_idx = meta.schema.to_arrow_schema().get_field_index("term")
                 st = meta.row_group(gi).column(term_idx).statistics
-                if st is None or st.min is None or st.max is None:
+                if st is None:
                     mins = None
                     break
-                mins.append(st.min if isinstance(st.min, str) else st.min.decode())
-                maxs.append(st.max if isinstance(st.max, str) else st.max.decode())
+                # pyarrow drops a bound over its 4096-byte statistics
+                # limit (as '', or both bounds via has_min_max=False); no
+                # term is empty, so a dropped min reads as '' and a
+                # dropped max as unbounded above — else the group would
+                # be pruned from every lookup
+                lo, hi = (st.min, st.max) if st.has_min_max else ("", "")
+                mins.append(lo if isinstance(lo, str) else lo.decode())
+                maxs.append((hi if isinstance(hi, str) else hi.decode()) or MAX_CODEPOINT)
             if mins is None:
                 self.eager = True  # no usable statistics → load it all
             else:

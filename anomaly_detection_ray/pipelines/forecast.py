@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..config import DetectorConfig
 from ..stages.window import (
     add_coarse_key,
+    arrow_if_empty,
     mergeable,
     normalize_features,
     partial_window_aggregate,
@@ -31,7 +33,7 @@ from ..stages.window import (
 )
 
 
-def forecast_groups(group: pd.DataFrame, **kw) -> pd.DataFrame:
+def forecast_groups(group: pd.DataFrame, **kw) -> pd.DataFrame | pa.Table:
     """``map_groups`` task function: one :class:`ForecastGroups` per
     group (stateless across calls, like ``stages.scorer.score_groups``)."""
     return ForecastGroups(**kw)(group)
@@ -82,11 +84,12 @@ class ForecastGroups:
             output_after=self.output_after, confidence=self.confidence,
         )
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
+    def __call__(self, group: pd.DataFrame) -> pd.DataFrame | pa.Table:
         # The group holds MANY entities (see ``stages.window.per_entity``);
-        # each stream is forecast independently, in entity order.
-        return per_entity(group, self.entity_cols, self._forecast_entity, self._empty_result,
-                          fused_config=self.fused_config)
+        # each stream is forecast independently, in entity order. A group
+        # that forecasts nothing emits its columns as a typed Arrow table.
+        return arrow_if_empty(per_entity(group, self.entity_cols, self._forecast_entity,
+                                         self._empty_result, fused_config=self.fused_config))
 
     def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
         """Zero-row frame with the columns ``_forecast_entity`` emits."""
@@ -178,7 +181,6 @@ def top_forecast_results(
       vs ``threshold`` per ``relation`` (GREATER_THAN[_OR_EQUAL_TO] →
       max desc; LESS_THAN[_OR_EQUAL_TO] → min asc).
     """
-    import pyarrow as pa
     import pyarrow.compute as pc
     from ray.data.aggregate import Max, Min
 

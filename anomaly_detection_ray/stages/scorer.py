@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..config import DetectorConfig
 from ..state.checkpoint import CheckpointStore
 from ..state.model import TRCFModel
-from .window import per_entity
+from .window import arrow_if_empty, per_entity
 
 RESULT_COLUMNS = ["anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
 
@@ -53,7 +54,6 @@ def to_nested_results(results_ds, config: DetectorConfig, schema_version: int = 
     epoch-millis time fields). The flat layout stays the engine-native
     one; this is the compatibility projection (the reference's custom-
     index "flattening" run in reverse)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     feats = list(config.feature_names())
@@ -138,7 +138,7 @@ def to_nested_results(results_ds, config: DetectorConfig, schema_version: int = 
     return results_ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def score_groups(group: pd.DataFrame, **kw) -> pd.DataFrame:
+def score_groups(group: pd.DataFrame, **kw) -> pd.DataFrame | pa.Table:
     """``map_groups`` task function: one :class:`ScoreGroups` per group.
     (A callable instance cannot be passed to ``map_groups`` — Ray names
     the wrapped function after ``fn.__name__``.)"""
@@ -164,14 +164,16 @@ class ScoreGroups:
         self.detailed = bool(detailed) or bool(config.rules)
         self.fused = fused  # group rows are map-side partials → merge here
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
+    def __call__(self, group: pd.DataFrame) -> pd.DataFrame | pa.Table:
         # The group holds MANY models (see ``stages.window.per_entity``);
         # each is scored independently, in model_id order, each in
         # window order. Empty per-model frames are kept: they carry the
-        # result columns, so an all-empty group still emits its schema.
+        # result columns, so an all-empty group still emits its schema,
+        # as a typed Arrow table.
         c = self.config
-        return per_entity(group, ["model_id"], self._score_model, self._empty_result,
-                          fused_config=c if self.fused else None, carry=c.category_fields)
+        return arrow_if_empty(per_entity(group, ["model_id"], self._score_model, self._empty_result,
+                                         fused_config=c if self.fused else None,
+                                         carry=c.category_fields))
 
     def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
         """Zero-row frame with the same columns ``_score_chunk`` emits

@@ -454,6 +454,18 @@ def per_entity(group, keys: list[str], fn, empty, fused_config: DetectorConfig |
     return parts[0] if len(parts) == 1 else pd.concat(parts)
 
 
+def arrow_if_empty(result):
+    """A stage's zero-row pandas result → a zero-row Arrow table with
+    typed columns (object columns → string); a result with rows passes
+    through. Ray sizes a zero-row pandas block's object column with a
+    logged error and types it ``null`` in ``to_arrow_refs()``."""
+    if len(result):
+        return result
+    schema = pa.Schema.from_pandas(result, preserve_index=False)
+    return pa.schema([f.with_type(pa.string()) if pa.types.is_null(f.type) else f
+                      for f in schema]).empty_table()
+
+
 def date_range_aggregate(ds, config: DetectorConfig, ranges_ms: list[tuple[int, int]], ts_col: str = "ts"):
     """A7: N explicit [from, to) buckets + per-feature sub-aggs
     (``ParseUtils.java:338-395``; used for cold-start samples). Empty

@@ -41,5 +41,33 @@ def tiny_corpus(tmp_path_factory):
     }
 
 
+@pytest.fixture
+def check_positions_layout():
+    """``check(index_dir)``: every live slice's positional sidecar has
+    each part file sorted by (term, doc_id), and each term in exactly
+    one part of its slice."""
+    import json
+    from glob import glob
+
+    import pyarrow.parquet as pq
+
+    def check(index_dir: str) -> None:
+        with open(os.path.join(index_dir, "manifest.json")) as f:
+            slices = json.load(f)["slices"]
+        for s in slices:
+            files = sorted(glob(os.path.join(index_dir, s["dir"], "positions", "*.parquet")))
+            assert files, s["dir"]
+            seen: set[str] = set()
+            for path in files:
+                t = pq.read_table(path, columns=["term", "doc_id"])
+                keys = list(zip(t["term"].to_pylist(), t["doc_id"].to_pylist()))
+                assert keys == sorted(keys), path
+                terms = set(t["term"].to_pylist())
+                assert not terms & seen, path
+                seen |= terms
+
+    return check
+
+
 SF_DIR = "/root/testdata/sf0.001"
 SF01_DIR = "/root/testdata/sf0.01"

@@ -488,6 +488,51 @@ def test_forecast_empty_keeps_result_schema(ray_session):
     assert top_forecast_results(fc, cfg, k=3).count() == 0
 
 
+def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
+    """A scoring group that emits nothing (a replay of windows its
+    checkpoints already hold) and a forecast group with too few points:
+    each stage returns a zero-row Arrow table with typed columns, which
+    Ray sizes without logging an error (a zero-row pandas frame's object
+    column does not size, and converts to ``null``)."""
+    import logging
+
+    from ray.data.block import BlockAccessor
+
+    from anomaly_detection_ray.pipelines.forecast import forecast_groups
+    from anomaly_detection_ray.sources.streams import generate_interval_stream
+    from anomaly_detection_ray.stages.scorer import score_groups
+
+    cfg = _detector_cfg()
+    t = generate_interval_stream(n_entities=3, n_windows=6, interval_s=600, seed=3)
+    group = _score_input(t, cfg, fused=True)
+    kw = dict(config=cfg, checkpoint_dir=str(tmp_path / "ckpt"), fused=True)
+    assert len(score_groups(group, **kw)) == 18
+    scored = score_groups(group, **kw)
+    forecasts = forecast_groups(
+        group.drop(columns=["model_id", "_coarse"], errors="ignore"),
+        value_col="value_avg", interval_ms=600_000, horizon=6, period=0,
+        entity_cols=("entity",), output_after=cfg.model_output_after(),
+        config_id=cfg.config_id, fused_config=cfg,
+    )
+    ray_data_log = logging.getLogger("ray.data")
+    ray_data_log.addHandler(caplog.handler)
+    try:
+        with caplog.at_level(logging.WARNING, logger="ray.data"):
+            for out in (scored, forecasts):
+                assert isinstance(out, pa.Table) and out.num_rows == 0
+                BlockAccessor.for_block(out).size_bytes()
+    finally:
+        ray_data_log.removeHandler(caplog.handler)
+    assert "Error calculating size" not in caplog.text
+    s = scored.schema
+    assert s.field("entity").type == s.field("model_id").type == pa.string()
+    assert s.field("anomaly_score").type == pa.float64() and s.field("is_anomaly").type == pa.bool_()
+    assert s.field("window_start_ms").type == pa.int64()
+    f = forecasts.schema
+    assert f.field("entity").type == pa.string() and f.field("horizon_index").type == pa.int64()
+    assert f.field("forecast_value").type == pa.float64()
+
+
 def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
     """An events file that emits no window: the ``detect_anomalies`` and
     ``forecast_events`` query frames come back empty with their result

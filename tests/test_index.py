@@ -338,22 +338,27 @@ def test_extend_index_segment_add(ray_session, tiny_corpus, tmp_path_factory):
         extend_index(base, [paths[0]], mode="simple")
 
 
-def test_distributed_stats_finalize_parity(ray_session, tiny_corpus, tmp_path_factory):
-    """Vocabulary-scale finalize (stats_inline_bytes=0 forces it): global
-    term stats come from a distributed groupby + range-partitioned sort
-    and land as a DIRECTORY of globally-sorted part files — the driver
-    never materializes the vocabulary. Content must be value-identical
-    to the inline single-file path, and every dictionary surface (eager
-    AND lazy row-group-pruned) must serve identically."""
+def test_distributed_stats_finalize_parity(ray_session, tiny_corpus, tmp_path_factory, monkeypatch):
+    """Vocabulary-scale finalize (a tiny ``STATS_PART_BYTES`` forces
+    P > 1 term ranges): global term stats come from the raw-Ray range
+    exchange and land as a DIRECTORY of globally-sorted part files — the
+    driver never materializes the vocabulary. Content must be
+    value-identical to the P = 1 single-file layout, and every
+    dictionary surface (eager AND lazy row-group-pruned) must serve
+    identically."""
     import os
 
     import pyarrow.parquet as _pq
+
+    from anomaly_detection_ray.index import build
 
     a_dir = str(tmp_path_factory.mktemp("stats_inline"))
     b_dir = str(tmp_path_factory.mktemp("stats_dist"))
     kwargs = dict(slices=2, num_partitions=4, batch_size=64, mode="code")
     ma = build_index(tiny_corpus["paths"], a_dir, **kwargs)
-    mb = build_index(tiny_corpus["paths"], b_dir, stats_inline_bytes=0, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(build, "STATS_PART_BYTES", 1024)
+        mb = build_index(tiny_corpus["paths"], b_dir, **kwargs)
 
     assert os.path.isfile(os.path.join(a_dir, "stats.parquet"))
     assert os.path.isdir(os.path.join(b_dir, "stats.parquet"))
@@ -374,8 +379,8 @@ def test_distributed_stats_finalize_parity(ray_session, tiny_corpus, tmp_path_fa
     assert ea.prefix_terms("me") == eb.prefix_terms("me") == lazy.prefix_terms("me")
     assert ea.wildcard_terms("me*e") == lazy.wildcard_terms("me*e")
 
-    # a later default-threshold re-finalize (segment add / compaction
-    # path) flips the layout back to ONE file atomically and serves
+    # a later default-size re-finalize (segment add / compaction path)
+    # flips the layout back to ONE file atomically and serves
     # identical results — the dir→file swap in _swap_into_place
     import json
 
@@ -396,10 +401,10 @@ def test_distributed_stats_finalize_parity(ray_session, tiny_corpus, tmp_path_fa
 
 
 def test_write_stats_part_order_guard(tmp_path):
-    """The per-part writer refuses to commit an internally-unsorted block
+    """The per-part writer refuses to commit an internally-unsorted part
     (both dictionary serving modes bisect; the driver's boundary check
-    alone can't see disorder inside a block) — the signal that triggers
-    the explicit-sort fallback in _write_global_stats."""
+    alone can't see disorder inside a part) — the signal on which
+    _write_global_stats raises instead of replacing the dictionary."""
     import os
 
     import pyarrow as _pa
@@ -414,6 +419,95 @@ def test_write_stats_part_order_guard(tmp_path):
     n, lo, hi, ok = _write_stats_part(bad, p2)
     assert not ok and not os.path.exists(p2)  # never committed
     assert _write_stats_part(good.slice(0, 0), str(tmp_path / "e.parquet"))[3] is True
+
+
+def test_stats_finalize_long_terms(ray_session, tiny_corpus, tmp_path_factory, monkeypatch):
+    """Terms over pyarrow's 4096-byte statistics limit: their row
+    groups' dropped bounds read back as ``''``. The range boundaries
+    skip them, so P > 1 still gives the P = 1 values; the lazy
+    dictionary reads a dropped max as unbounded, so it serves the same
+    ``df`` / ``prefix_terms`` as the eager one."""
+    import os
+
+    import pyarrow as _pa
+    import pyarrow.parquet as _pq
+
+    from anomaly_detection_ray.index import build
+
+    lo_term, mid_term, hi_term = "0" * 5000, "ab" * 2600, "z" * 5000
+    t = tiny_corpus["table"].select(["doc_id", "content"])
+    extra = {0: lo_term, 7: mid_term, 9: hi_term, 50: f"{hi_term} {lo_term}", 120: mid_term}
+    content = [c + (" " + extra[i] if i in extra else "") for i, c in enumerate(t["content"].to_pylist())]
+    t = t.set_column(1, "content", _pa.array(content))
+    src = tmp_path_factory.mktemp("long_src")
+    paths = []
+    for i, lo in enumerate(range(0, t.num_rows, 70)):
+        paths.append(str(src / f"part-{i}.parquet"))
+        _pq.write_table(t.slice(lo, 70), paths[-1])
+
+    a_dir = str(tmp_path_factory.mktemp("long_one"))
+    b_dir = str(tmp_path_factory.mktemp("long_parts"))
+    kwargs = dict(slices=2, num_partitions=4, batch_size=64, mode="code")
+    ma = build_index(paths, a_dir, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(build, "STATS_PART_BYTES", 1024)
+        mb = build_index(paths, b_dir, **kwargs)
+    assert os.path.isfile(os.path.join(a_dir, "stats.parquet"))
+    assert os.path.isdir(os.path.join(b_dir, "stats.parquet"))
+    assert ma["n_terms"] == mb["n_terms"]
+    ta = _pq.read_table(os.path.join(a_dir, "stats.parquet"))
+    tb = _pq.read_table(os.path.join(b_dir, "stats.parquet"))
+    assert ta.to_pylist() == tb.to_pylist()
+    assert ta["term"][ta.num_rows - 1].as_py() == hi_term
+
+    eager, lazy = QueryEngine(a_dir), QueryEngine(b_dir, dict_budget_bytes=0)
+    assert not lazy._dict.eager
+    for term, df in ((lo_term, 2), (mid_term, 2), (hi_term, 2)):
+        assert eager.df(term) == lazy.df(term) == df
+    for term in ta["term"].to_pylist()[-3:]:
+        assert eager.df(term) == lazy.df(term) > 0
+    for prefix in ("0", "ab", "z", "s"):
+        assert eager.prefix_terms(prefix) == lazy.prefix_terms(prefix)
+    assert mid_term in eager.prefix_terms("ab", max_expansions=10_000)
+
+
+def test_stats_finalize_order_failure_keeps_old_index(ray_session, tiny_corpus, tmp_path, monkeypatch):
+    """A stats part out of term order fails the finalize loudly: it
+    raises, and the previous ``manifest.json`` and ``stats.parquet``
+    stay in place byte for byte (no half-replaced dictionary)."""
+    import json
+    import os
+
+    import pyarrow.parquet as _pq
+
+    from anomaly_detection_ray.functions.hashing import sha256_file
+    from anomaly_detection_ray.index import build
+
+    out = str(tmp_path / "idx")
+    build_index(tiny_corpus["paths"], out, slices=2, num_partitions=4, batch_size=64)
+    manifest_path, stats_path = os.path.join(out, "manifest.json"), os.path.join(out, "stats.parquet")
+    before = (sha256_file(manifest_path), sha256_file(stats_path))
+    manifest = json.load(open(manifest_path))
+    sms = [json.load(open(os.path.join(out, s["dir"], "_slice_manifest.json")))
+           for s in manifest["slices"]]
+    real_merge = build._merge_stats_range
+
+    def reversed_merge(p, out_dir, *parts):
+        """The real part, written in descending term order."""
+        real_merge(p, out_dir, *parts)
+        path = os.path.join(out_dir, f"part-{p:05d}.parquet")
+        t = _pq.read_table(path)
+        os.remove(path)
+        return build._write_stats_part(t.sort_by([("term", "descending")]), path)
+
+    monkeypatch.setattr(build, "_merge_stats_range", reversed_merge)
+    with pytest.raises(RuntimeError, match="order"):
+        build._finalize_index(out, sms, mode="code", bucket_shift=manifest["bucket_shift"],
+                              block_size=manifest["block_size"],
+                              dirs=[s["dir"] for s in manifest["slices"]],
+                              text_field=manifest.get("text_field"))
+    assert (sha256_file(manifest_path), sha256_file(stats_path)) == before
+    assert sorted(os.listdir(out)) == ["manifest.json", "segments", "stats.parquet"]
 
 
 def test_tail_index_ticks(ray_session, tiny_corpus, tmp_path_factory):
@@ -560,7 +654,7 @@ def test_prefix_queries_vs_oracle(built, tiny_corpus):
     assert list(qc.execute({"prefix": {"content": p}})) == oracle.prefix(p)
 
 
-def test_extend_index_with_positions(ray_session, tiny_corpus, tmp_path_factory):
+def test_extend_index_with_positions(ray_session, tiny_corpus, tmp_path_factory, check_positions_layout):
     """Segment adds preserve the positional sidecar: phrases spanning
     both the original and the appended slice resolve identically to a
     from-scratch positional build."""
@@ -575,6 +669,8 @@ def test_extend_index_with_positions(ray_session, tiny_corpus, tmp_path_factory)
 
     full = str(tmp_path_factory.mktemp("posfull"))
     build_index(paths, full, slices=1, **kwargs)
+    check_positions_layout(base)
+    check_positions_layout(full)
     eng, eng_full = QueryEngine(base), QueryEngine(full)
     table = tiny_corpus["table"]
     oracle = BruteForceIndex(

@@ -134,12 +134,13 @@ def test_delete_union_and_by_query(ray_session, tiny_corpus, tmp_path_factory):
 
 
 def test_compact_equals_fresh_build_over_live_docs(
-    deleted_index, tiny_corpus, tmp_path_factory
+    deleted_index, tiny_corpus, tmp_path_factory, check_positions_layout
 ):
     out, deleted, _, _ = deleted_index
     manifest = compact_index(out)
     assert "deletes" not in manifest
     assert len(manifest["slices"]) == 1
+    check_positions_layout(out)
     assert manifest["n_docs"] == 200 - len(deleted)
 
     # fresh build over only the live docs

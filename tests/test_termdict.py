@@ -27,29 +27,46 @@ def dict_file(tmp_path_factory):
     return path, vocab
 
 
-def test_lazy_matches_eager(dict_file):
-    path, vocab = dict_file
-    eager = TermDictionary(path)                       # fits the budget
-    lazy = TermDictionary(path, budget_bytes=0)        # forced lazy
-    assert eager.eager and not lazy.eager
-    assert len(eager) == len(lazy) == len(vocab)
-    # point lookups: every 37th term + misses that fall between terms
-    for t in vocab[::37]:
-        assert lazy.df(t) == eager.df(t) == vocab.index(t) + 1
-    for miss in ("", "zzz", vocab[10] + "q", "aaa"):
-        assert lazy.df(miss) == eager.df(miss)
-    # prefix ranges: every 1- and 2-char prefix
-    prefixes = [c for c in "abcdefg"] + [a + b for a in "abc" for b in "def"]
-    for p in prefixes:
-        want = [t for t in vocab if t.startswith(p)]
-        got_e = [t for sl in eager.iter_slices(p) for t in sl.to_pylist()]
-        got_l = [t for sl in lazy.iter_slices(p) for t in sl.to_pylist()]
-        assert got_e == want, p
-        assert got_l == want, p
-    # full scan (empty prefix) streams the whole vocabulary in order
-    assert [t for sl in lazy.iter_slices("") for t in sl.to_pylist()] == vocab
-    # the LRU held at most cache_groups groups
-    assert len(lazy._cache) <= lazy._cache_groups
+@pytest.fixture(scope="module")
+def long_term_file(tmp_path_factory):
+    """A row group whose largest term is over pyarrow's 4096-byte
+    statistics limit: its max statistic reads back as ``''``."""
+    vocab = ["a1", "a2", "b" * 5000, "c1", "c2", "c3"]
+    path = str(tmp_path_factory.mktemp("dict_long") / "stats.parquet")
+    pq.write_table(
+        pa.table({
+            "term": pa.array(vocab),
+            "df": pa.array(np.arange(1, len(vocab) + 1, dtype=np.int64)),
+            "cttf": pa.array(np.arange(1, len(vocab) + 1, dtype=np.int64)),
+        }),
+        path, row_group_size=3,
+    )
+    return path, vocab
+
+
+def test_lazy_matches_eager(dict_file, long_term_file):
+    for (path, vocab), step in ((dict_file, 37), (long_term_file, 1)):
+        eager = TermDictionary(path)                       # fits the budget
+        lazy = TermDictionary(path, budget_bytes=0)        # forced lazy
+        assert eager.eager and not lazy.eager
+        assert len(eager) == len(lazy) == len(vocab)
+        # point lookups: every step-th term + misses that fall between terms
+        for t in vocab[::step]:
+            assert lazy.df(t) == eager.df(t) == vocab.index(t) + 1
+        for miss in ("", "zzz", vocab[min(10, len(vocab) - 1)] + "q", "aaa"):
+            assert lazy.df(miss) == eager.df(miss)
+        # prefix ranges: every 1- and 2-char prefix
+        prefixes = [c for c in "abcdefg"] + [a + b for a in "abc" for b in "def"]
+        for p in prefixes:
+            want = [t for t in vocab if t.startswith(p)]
+            got_e = [t for sl in eager.iter_slices(p) for t in sl.to_pylist()]
+            got_l = [t for sl in lazy.iter_slices(p) for t in sl.to_pylist()]
+            assert got_e == want, p
+            assert got_l == want, p
+        # full scan (empty prefix) streams the whole vocabulary in order
+        assert [t for sl in lazy.iter_slices("") for t in sl.to_pylist()] == vocab
+        # the LRU held at most cache_groups groups
+        assert len(lazy._cache) <= lazy._cache_groups
 
 
 def test_lazy_cache_bounded(dict_file):

@@ -2,15 +2,17 @@
 
 Synthesizes posting-stat parquet files with N distinct terms (default
 5×10⁷ — the 10⁹-vocab feature's test point at 1/20 scale, far beyond
-anything a driver-side pandas sort survives comfortably), runs
-``build._write_global_stats`` with the distributed path forced, and
-reports wall time + DRIVER peak-RSS growth. The vocabulary never lands
-on the driver: generation happens in Ray tasks, the finalize streams
-sorted blocks to per-part writers, and the driver holds only part
-boundaries.
+anything one process sorts comfortably), runs
+``build._write_global_stats`` with more than one term range forced
+(``build.STATS_PART_BYTES`` lowered so the synthetic files split into
+about one range per file), and reports wall time + DRIVER peak-RSS
+growth. The vocabulary never lands on the driver: generation happens in
+Ray tasks, the range exchange's reducers write their own part files,
+and the driver holds only the range boundaries.
 
     python tools/bench_stats_finalize.py [n_terms] [n_files]
 
+Runs on ``RAY_GRAFT_CPUS`` CPUs (default: all of this machine's).
 Prints one JSON line.
 """
 
@@ -28,7 +30,7 @@ def main(n_terms: int = 50_000_000, n_files: int = 50) -> dict:
     import numpy as np
     import ray
 
-    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count())),
              include_dashboard=False, ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
 
@@ -71,12 +73,14 @@ def main(n_terms: int = 50_000_000, n_files: int = 50) -> dict:
     files = ray.get([gen.remote(i) for i in range(n_files)])
     gen_sec = round(time.perf_counter() - t0, 1)
 
-    from anomaly_detection_ray.index.build import _write_global_stats
+    from anomaly_detection_ray.index import build
 
+    # about one term range per synthetic file
+    build.STATS_PART_BYTES = max(1, sum(os.path.getsize(f) for f in files) // n_files)
     rss0_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
     stats_path = os.path.join(work, "stats.parquet")
     t0 = time.perf_counter()
-    got_terms = _write_global_stats(sorted(files), stats_path, inline_bytes=0)
+    got_terms = build._write_global_stats(sorted(files), stats_path)
     finalize_sec = round(time.perf_counter() - t0, 1)
     rss1_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
 
