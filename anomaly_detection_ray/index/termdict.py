@@ -17,8 +17,9 @@ Two serving modes:
   point lookups and range scans read JUST the intersecting row groups
   through a small LRU. Parquet statistics may be truncated, but the spec
   keeps them VALID bounds (truncated max ≥ real max), and a max pyarrow
-  dropped (``''`` for a term over 4096 bytes) counts as unbounded, so
-  pruning can only over-read, never miss a term.
+  dropped (``''`` for a term over 4096 bytes) is bounded by the next
+  group's max (unbounded if no later group has one), so pruning can only
+  over-read, never miss a term.
 
 Row groups are written term-sorted by ``build._finalize_index``
 (row_group_size=131072), so the groups' ranges are ordered and pruning
@@ -50,8 +51,18 @@ def _monotone_bounds(mins: list[str], maxs: list[str]) -> tuple[list[str], list[
     group's stat ≥ its true max; for mins, every earlier group's stat is
     ≤ its own true min ≤ this group's true min (groups are sorted), so
     cummax(min stats)[g] ≤ true min[g]. Either replacement can only
-    OVER-read a neighbouring group, never miss one."""
+    OVER-read a neighbouring group, never miss one.
+
+    A max pyarrow dropped (``MAX_CODEPOINT``, unbounded) would carry to
+    every later group through the cummax, so first, in a backward pass,
+    it is bounded by the next group's max statistic: group g's true max
+    < group g+1's true min ≤ its true max ≤ its max statistic. The last
+    group's dropped max (or one with no bounded max after it) stays
+    unbounded."""
     mins, maxs = list(mins), list(maxs)
+    for i in range(len(maxs) - 2, -1, -1):
+        if maxs[i] == MAX_CODEPOINT:
+            maxs[i] = maxs[i + 1]
     for i in range(1, len(mins)):
         if mins[i] < mins[i - 1]:
             mins[i] = mins[i - 1]

@@ -14,10 +14,19 @@ keyed by sha256(model_id).
 Blobs are stamped with a ``format_version`` (the reference keeps golden
 checkpoints of every historical schema and reads them all —
 ``ADCheckpointDao.java:60-138`` legacy-JSON handling,
-``src/test/resources/.../checkpoint_1..4.json``): blobs WITHOUT the
-field are version 1 (the pre-stamp shape, still the current layout), a
-known version loads, an unknown/newer version refuses with a clear
-message instead of mis-deserializing a running job's state.
+``src/test/resources/.../checkpoint_1..4.json``); a known version loads,
+an unknown/newer version refuses with a clear message instead of
+mis-deserializing a running job's state.
+
+- **Version 2** (written now): each pickled ``RCForest`` carries its
+  reservoir, its build snapshot and its tree topology (``_topo``: the
+  packed "is internal" bitmap in node-id order, each split's ``dim`` and
+  ``cut``). Unpickling re-derives boxes, counts and extents from the
+  snapshot (``RCForest._restore_from``) — a restore never rebuilds.
+- **Version 1** (blobs without the stamp, or stamped 1): the same
+  state dict, but forests carry no topology, so unpickling rebuilds each
+  forest from its snapshot and epoch (``RCForest._build_from``) — the
+  same forest, bit for bit. Re-saving writes version 2.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from .model import TRCFModel
 
 # bump when the state-dict layout changes; add a migration branch in
 # load_state for every version this reader still accepts
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 class CheckpointStore:
@@ -51,22 +61,23 @@ class CheckpointStore:
     # ---- generic state blobs (shared by the AD and forecast sides) ----
 
     def load_state(self, model_id: str) -> dict | None:
-        p = self._path(model_id)
-        if not os.path.exists(p):
+        try:
+            with open(self._path(model_id), "rb") as f:
+                state = pickle.load(f)
+        except FileNotFoundError:
             return None
-        with open(p, "rb") as f:
-            state = pickle.load(f)
         if state.get("model_id") != model_id:
             return None  # hash-prefix collision — treat as cold start
-        # BWC: a blob without the stamp predates versioning = format 1,
-        # which is still the live layout — read it as-is. An UNKNOWN
+        # A blob without the stamp predates versioning = format 1. Its
+        # migration happened while unpickling: forests without a topology
+        # rebuild from their snapshot (RCForest.__setstate__). An UNKNOWN
         # version must refuse loudly (silently mis-reading a newer
         # engine's state would corrupt a running job), never cold-start.
         version = int(state.get("format_version", 1))
-        if version != FORMAT_VERSION:
+        if version not in READABLE_VERSIONS:
             raise ValueError(
                 f"checkpoint for {model_id!r} has format_version={version}; "
-                f"this engine reads version {FORMAT_VERSION} — upgrade the "
+                f"this engine reads versions {READABLE_VERSIONS} — upgrade the "
                 "engine or re-train the model"
             )
         return state

@@ -37,9 +37,13 @@ chasing):
   exponential, cut position) is a counter-based splitmix64 hash of
   (seed, stream position | epoch, node id), so scores are independent
   of call batching — ``score_and_update`` point-by-point and
-  ``score_then_observe_batch`` over the same stream are bit-identical,
-  and checkpoint/restore reproduces the exact forest by rebuilding
-  from the snapshot with the stored epoch.
+  ``score_then_observe_batch`` over the same stream are bit-identical.
+- **Restore without a rebuild**: a pickled forest keeps its snapshot and
+  its topology (which nodes split, each split's dim and cut, ~9 bytes a
+  split); unpickling routes the snapshot through the stored cuts and
+  recomputes boxes, counts and extents bottom-up — the exact arrays the
+  build made, ~4× cheaper than re-running it. ``_build_from`` is the only
+  builder; it runs at schedule positions and for pre-topology pickles.
 
 Scores are scored-then-observed (the point never sees itself), unlike
 the round-1 insert-then-CoDisp order; the expectation form replaces the
@@ -116,7 +120,7 @@ class RCForest:
         # reservoir: key → (log_v, point); heap of (-log_v, key) for eviction
         self._res: dict[int, tuple[float, np.ndarray]] = {}
         self._heap: list[tuple[float, int]] = []
-        # built forest (derived state — reconstructed on unpickle)
+        # built forest (pickled as its topology — re-derived on unpickle)
         self._snapshot: np.ndarray | None = None   # (K, D) points at last build
         self._built = False
         self._roots = None
@@ -457,7 +461,9 @@ class RCForest:
         return s
 
     # ------------------------------------------------------------------
-    # serde — forest arrays are derived; pickle only reservoir + snapshot
+    # serde — pickle the reservoir, the snapshot and the forest TOPOLOGY
+    # (which nodes split, each split's dim and cut); boxes, counts and
+    # extents are derived from the snapshot on restore, never rebuilt
     # ------------------------------------------------------------------
 
     def __getstate__(self):
@@ -465,9 +471,117 @@ class RCForest:
         for k in ("_roots", "_lo", "_hi", "_cut", "_dim", "_left", "_right", "_count", "_ext_sum"):
             state[k] = None
         state["_built"] = False
+        state["_topo"] = None
+        if self._built:
+            internal = self._left >= 0
+            dims = self._dim[internal].astype(np.min_scalar_type(self._lo.shape[1] - 1))
+            state["_topo"] = (np.packbits(internal), dims, self._cut[internal], len(internal))
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # reproduce the exact forest: same snapshot, same epoch → same cuts
-        self._build_from(self._snapshot, self._epoch)
+        topo = self.__dict__.pop("_topo", None)
+        if topo is not None:
+            self._restore_from(self._snapshot, topo)
+        elif self._snapshot is not None:
+            # a format-1 pickle carries no topology: same snapshot, same
+            # epoch → the same cuts
+            self._build_from(self._snapshot, self._epoch)
+
+    def _restore_from(self, snap: np.ndarray, topo: tuple) -> None:
+        """Re-derive a built forest from its snapshot and topology,
+        bit-identical to the ``_build_from`` that produced it.
+
+        Node ids are assigned level by level, so the k-th internal node
+        in id order has children ``T + 2k`` and ``T + 2k + 1``, and each
+        level is a contiguous id range. Routing every snapshot point
+        with the build's own rule (``pv <= cut``) lands it in the leaf
+        the build put it in; a leaf's box is the min/max of its points
+        (reduced in the build's order), a parent's box the min/max of
+        its children's. min and max are exact, so the boxes equal the
+        build's."""
+        bits, dims, cuts, n_nodes = topo
+        K, D = snap.shape
+        T = self.num_trees
+        n_nodes = int(n_nodes)
+        internal = np.unpackbits(bits, count=n_nodes).view(bool)
+        inodes = np.flatnonzero(internal)
+        n_int = inodes.size
+        if (n_nodes != T + 2 * n_int or len(dims) != n_int or len(cuts) != n_int
+                or (n_int and int(dims.max()) >= D)):
+            raise ValueError(
+                f"corrupt forest topology: {n_nodes} nodes, {n_int} internal, "
+                f"{len(dims)} dims, {len(cuts)} cuts for {T} trees of {D} dims"
+            )
+        left = np.full(n_nodes, -1, dtype=np.int64)
+        left[inodes] = T + 2 * np.arange(n_int, dtype=np.int64)
+        right = np.where(internal, left + 1, -1)
+        dim = np.zeros(n_nodes, dtype=np.int64)
+        dim[inodes] = dims
+        cut = np.zeros(n_nodes)
+        cut[inodes] = cuts
+
+        # route each (tree, point) slot to its leaf; slots are tree-major,
+        # points ascending within a tree — the build's stable order
+        flat = snap.ravel()
+        slot = np.arange(T * K, dtype=np.int64)
+        pt_all = np.tile(np.arange(K, dtype=np.int64), T)
+        pt = pt_all
+        node = np.repeat(np.arange(T, dtype=np.int64), K)
+        leaf = np.empty(T * K, dtype=np.int64)
+        while slot.size:
+            at_leaf = ~internal[node]
+            if at_leaf.any():
+                leaf[slot[at_leaf]] = node[at_leaf]
+                go = ~at_leaf
+                slot, pt, node = slot[go], pt[go], node[go]
+            right_of = flat[pt * D + dim[node]] > cut[node]
+            node = left[node] + right_of
+
+        count = np.bincount(leaf, minlength=n_nodes)
+        if (count[~internal] == 0).any():
+            raise ValueError("corrupt forest topology: a leaf holds no snapshot point")
+        lo = np.empty((n_nodes, D))
+        hi = np.empty((n_nodes, D))
+        # most leaves hold one point: scatter those, reduce the rest
+        single = count[leaf] == 1
+        lo[leaf[single]] = hi[leaf[single]] = snap[pt_all[single]]
+        multi = np.flatnonzero(~single)
+        if multi.size:
+            m_leaf = leaf[multi]
+            order = np.argsort(m_leaf, kind="stable")
+            m_leaf = m_leaf[order]
+            starts = np.flatnonzero(np.r_[True, m_leaf[1:] != m_leaf[:-1]])
+            pts = snap[pt_all[multi[order]]]
+            lo[m_leaf[starts]] = np.minimum.reduceat(pts, starts, axis=0)
+            hi[m_leaf[starts]] = np.maximum.reduceat(pts, starts, axis=0)
+
+        # bottom-up, one level at a time: the internal nodes of level
+        # [a, b) are ranks k0..k1 of the internal order, and their
+        # children are the next level's ids T+2·k0 .. T+2·k1
+        levels = []
+        a, b, k0 = 0, T, 0
+        while a < b:
+            k1 = k0 + int(np.count_nonzero(internal[a:b]))
+            levels.append((k0, k1))
+            a, b, k0 = b, T + 2 * k1, k1
+        for k0, k1 in reversed(levels):
+            if k0 == k1:
+                continue
+            p = inodes[k0:k1]
+            c0, c1 = T + 2 * k0, T + 2 * k1
+            lo[p] = np.minimum(lo[c0:c1:2], lo[c0 + 1:c1:2])
+            hi[p] = np.maximum(hi[c0:c1:2], hi[c0 + 1:c1:2])
+            count[p] = count[c0:c1:2] + count[c0 + 1:c1:2]
+
+        self._roots = np.arange(T, dtype=np.int64)
+        self._lo = lo
+        self._hi = hi
+        self._ext_sum = (hi - lo).sum(axis=1)
+        self._cut = cut
+        self._dim = dim
+        self._left = left
+        self._right = right
+        self._count = count
+        self._built = True
+        self._built_size = K

@@ -133,6 +133,18 @@ def test_forecast_checkpoint_continuation_equals_single_run(ray_session, tmp_pat
     """Forecast job tick (C6 for the forecast side): two checkpointed runs
     over consecutive halves emit exactly the forecast of one run over the
     whole stream."""
+    _check_split_equals_single(tmp_path, "holt_winters")
+
+
+def test_forecast_rcf_checkpoint_continuation_equals_single_run(ray_session, tmp_path):
+    """The same for the RCF backend: the second run's forecasters restore
+    their forests from the checkpointed topology, and ``impute_batch``
+    walks the restored boxes and counts (heavier child on the missing
+    dim), so a restore that differs from the build moves the forecast."""
+    _check_split_equals_single(tmp_path, "rcf")
+
+
+def _check_split_equals_single(tmp_path, backend: str) -> None:
     import ray.data as rd
 
     from anomaly_detection_ray.pipelines.forecast import forecast
@@ -152,14 +164,16 @@ def test_forecast_checkpoint_continuation_equals_single_run(ray_session, tmp_pat
     second = pa.Table.from_pandas(df[ts_ms >= cut], preserve_index=False)
     ck = str(tmp_path / "fc")
     sort_cols = ["entity", "horizon_index"]
-    forecast(rd.from_arrow(first), cfg, horizon=8, period=24, checkpoint_dir=ck).to_pandas()
-    split = forecast(rd.from_arrow(second), cfg, horizon=8, period=24, checkpoint_dir=ck)\
+    kw = dict(horizon=8, period=24, backend=backend)
+    forecast(rd.from_arrow(first), cfg, checkpoint_dir=ck, **kw).to_pandas()
+    split = forecast(rd.from_arrow(second), cfg, checkpoint_dir=ck, **kw)\
         .to_pandas().sort_values(sort_cols).reset_index(drop=True)
-    full = forecast(rd.from_arrow(t), cfg, horizon=8, period=24)\
+    full = forecast(rd.from_arrow(t), cfg, **kw)\
         .to_pandas().sort_values(sort_cols).reset_index(drop=True)
+    assert len(full) == 3 * 8
     pd.testing.assert_frame_equal(split[full.columns], full)
     # rerunning the same tick is idempotent (all windows drop as OOO)
-    again = forecast(rd.from_arrow(second), cfg, horizon=8, period=24, checkpoint_dir=ck)\
+    again = forecast(rd.from_arrow(second), cfg, checkpoint_dir=ck, **kw)\
         .to_pandas().sort_values(sort_cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(again[full.columns], full)
 

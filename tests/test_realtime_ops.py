@@ -119,6 +119,44 @@ def test_checkpoint_v1_golden_bwc(tmp_path):
         store.load("golden-v1-model")
 
 
+def test_checkpoint_v2_golden_restores_without_rebuild(tmp_path, monkeypatch):
+    """A GOLDEN format-2 checkpoint (the ``checkpoint_v1`` stream recipe:
+    config ``golden-v2`` = the v1 fixture's config, 200 windows of
+    ``100 + 10·sin(i/6)``) restores its forest from the stored topology —
+    ``RCForest._build_from`` is never called — and continues the stream
+    with frozen expected scores."""
+    import json
+    import os
+    import pickle
+    import shutil
+
+    from anomaly_detection_ray.functions.hashing import sha256_hex
+    from anomaly_detection_ray.state.rcf import RCForest
+
+    golden = os.path.join(os.path.dirname(__file__), "data", "checkpoint_v2")
+    root = str(tmp_path / "store")
+    shutil.copytree(golden, root)
+    expected = json.load(open(os.path.join(root, "expected.json")))
+    store = CheckpointStore(root)
+    blob = open(store._path("golden-v2-model"), "rb").read()
+    assert sha256_hex(blob) == expected["sha256"]
+    assert pickle.loads(blob)["format_version"] == 2
+
+    def no_rebuild(*a, **k):
+        raise AssertionError("a format-2 restore must not rebuild the forest")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(RCForest, "_build_from", no_rebuild)
+        m = store.load("golden-v2-model")
+    assert m is not None and m.n_points == 200 and m.forest._built
+    t0 = 1704067200000
+    cont = []
+    for i in range(200, 220):
+        r = m.process(np.array([100.0 + 10 * np.sin(i / 6)]), t0 + (i + 1) * 600_000)
+        cont.append([float(r["anomaly_score"]), float(r["anomaly_grade"])])
+    assert cont == expected["continuation"]
+
+
 def test_generate_insights():
     clusters = pd.DataFrame(
         {

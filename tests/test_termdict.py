@@ -69,6 +69,32 @@ def test_lazy_matches_eager(dict_file, long_term_file):
         assert len(lazy._cache) <= lazy._cache_groups
 
 
+def test_dropped_max_bounded_by_next_group(tmp_path):
+    """A group whose max statistic pyarrow dropped (a 5000-byte term) is
+    bounded by the next group's max, so lookups past it still prune: a
+    term in the last of 11 groups reads at most 2 groups, not all 11."""
+    vocab = [f"a{i:03d}" for i in range(30)] + ["a" + "z" * 4999] + [f"c{i:03d}" for i in range(300)]
+    assert vocab == sorted(vocab) and len(vocab) == 331
+    path = str(tmp_path / "stats.parquet")
+    pq.write_table(
+        pa.table({
+            "term": pa.array(vocab),
+            "df": pa.array(np.arange(1, len(vocab) + 1, dtype=np.int64)),
+            "cttf": pa.array(np.arange(1, len(vocab) + 1, dtype=np.int64)),
+        }),
+        path, row_group_size=31,
+    )
+    eager = TermDictionary(path)
+    lazy = TermDictionary(path, budget_bytes=0)
+    assert len(lazy._grp) == 11
+    assert len(lazy._groups_for_range("c290", "c290\x00")) <= 2
+    for t in vocab + ["a0295", "b", "azz", "c9"]:
+        assert lazy.df(t) == eager.df(t), t[:8]
+    for p in ("a", "az", "b", "c2", "c29", ""):
+        want = [t for t in vocab if t.startswith(p)]
+        assert [t for sl in lazy.iter_slices(p) for t in sl.to_pylist()] == want, p
+
+
 def test_lazy_cache_bounded(dict_file):
     path, vocab = dict_file
     lazy = TermDictionary(path, budget_bytes=0, cache_groups=2)
