@@ -47,6 +47,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.hashing import hash_strings, sha256_file
+from ..stages.exchange import exchange, split_by_key
 from ..stages.tokenize import DocMap, TokenizeCombine
 from .segments import DEFAULT_BLOCK_SIZE
 
@@ -167,7 +168,7 @@ def _write_global_stats(posting_files: list[str], stats_path: str) -> int:
     file is combined locally and sliced by range
     (:func:`_split_stats_by_range`), each range merged and written
     (:func:`_merge_stats_range`). P = 1 runs both in the driver and
-    writes ONE file; P > 1 runs them through :func:`_exchange` — the
+    writes ONE file; P > 1 runs them through ``stages.exchange`` — the
     same drop-to-raw-Ray shape as the posting merge, because Ray Data's
     sort-based groupby paid a full extra exchange here (measured ~2-6×)
     — and each reduce writes its own part file under a
@@ -176,6 +177,8 @@ def _write_global_stats(posting_files: list[str], stats_path: str) -> int:
     ``termdict.TermDictionary``. Parts out of global term order raise
     ``RuntimeError`` and leave the previous dictionary in place."""
     import shutil
+
+    import ray
 
     total_bytes = sum(os.path.getsize(f) for f in posting_files)
     n_parts = max(1, min(256, -(-total_bytes // STATS_PART_BYTES)))
@@ -187,8 +190,8 @@ def _write_global_stats(posting_files: list[str], stats_path: str) -> int:
     if n_parts == 1:
         results = [_merge_stats_range(0, tmp_dir, *(_split_stats_by_range(f, [])[0] for f in posting_files))]
     else:
-        results = _exchange(posting_files, _split_stats_by_range, bounds, n_parts,
-                            _merge_stats_range, tmp_dir)
+        results = ray.get(exchange(posting_files, _split_stats_by_range, bounds, n_parts,
+                                   _merge_stats_range, tmp_dir))
     # an out-of-order part would corrupt every dictionary bisect
     # downstream, so it is never served
     n_terms, last_hi = 0, None
@@ -376,15 +379,6 @@ def _manifest_row(meta: dict) -> dict:
     }
 
 
-def _split_by_key(tbl: pa.Table, key: np.ndarray, n_parts: int) -> list[pa.Table]:
-    """``tbl``'s rows grouped by ``key`` (values in ``[0, n_parts)``) →
-    one slice per key value, rows in their input order within a slice."""
-    order = np.argsort(key, kind="stable")
-    sorted_tbl = tbl.take(pa.array(order))
-    bounds = np.searchsorted(key[order], np.arange(n_parts + 1))
-    return [sorted_tbl.slice(bounds[p], bounds[p + 1] - bounds[p]) for p in range(n_parts)]
-
-
 def _split_table_by_kh(tbl: pa.Table, num_partitions: int) -> list[pa.Table]:
     if tbl.num_rows == 0 or "kh" not in tbl.column_names:
         # empty read blocks pass through the map stages schema-less
@@ -392,56 +386,19 @@ def _split_table_by_kh(tbl: pa.Table, num_partitions: int) -> list[pa.Table]:
 
         empty = POSTINGS_SCHEMA.empty_table().append_column("kh", pa.array([], pa.int64()))
         return [empty] * num_partitions
-    return _split_by_key(tbl, tbl["kh"].to_numpy(), num_partitions)
-
-
-def _only_piece(split, x, arg):
-    return split(x, arg)[0]
-
-
-def _exchange(inputs, split, split_arg, n_parts: int, reduce, *reduce_args) -> list:
-    """Explicit two-stage exchange on raw Ray tasks: one ``split(x,
-    split_arg)`` task per input (an object ref or a path) returns
-    ``n_parts`` pieces as separate object refs (``num_returns``, moved
-    zero-copy through the object store); then one ``reduce(p,
-    *reduce_args, *pieces_of_p)`` task per part. Splits are submitted as
-    ``inputs`` yields, so a streaming Dataset's map stage and the split
-    stage run without a barrier. Returns the reducers' results in part
-    order.
-
-    Ray Data's ``groupby`` is a sort-based shuffle whose fixed overhead
-    dominates these exchanges (measured: it neither scales 8→32 CPUs nor
-    beats a plain hash split at this shape); this is the documented
-    drop-to-raw-Ray case: a deterministic custom exchange the Dataset
-    API can't express efficiently."""
-    import ray
-
-    if n_parts > 1:
-        split_task = ray.remote(num_returns=n_parts)(split).remote
-    else:
-        # num_returns=1 returns the one-element LIST as a single object;
-        # the reducer needs the piece itself
-        only = ray.remote(_only_piece)
-
-        def split_task(x, arg):
-            return [only.remote(split, x, arg)]
-
-    pieces: list[list] = [[] for _ in range(n_parts)]
-    for x in inputs:
-        for p, r in enumerate(split_task(x, split_arg)):
-            pieces[p].append(r)
-    reduce_task = ray.remote(reduce)
-    return ray.get([reduce_task.remote(p, *reduce_args, *pieces[p]) for p in range(n_parts)])
+    return split_by_key(tbl, tbl["kh"].to_numpy(), num_partitions)
 
 
 def hash_exchange_merge(chunks_ds, num_partitions: int, out_dir: str, block_size: int) -> list[dict]:
     """Phase 2 of the build: the ``kh``-tagged posting chunks of
-    ``chunks_ds`` exchanged by partition (:func:`_exchange`), one
+    ``chunks_ds`` exchanged by partition (``stages.exchange``), one
     :func:`merge_partition` task per partition. Returns the partitions'
     manifest rows."""
+    import ray
+
     blocks = (ref for bundle in chunks_ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
-    rows = _exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
-                     _merge_remote, out_dir, block_size)
+    rows = ray.get(exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
+                            _merge_remote, out_dir, block_size))
     return [r for r in rows if r is not None]
 
 
@@ -507,7 +464,7 @@ def _split_positions(block: pa.Table, n_parts: int) -> list[pa.Table]:
     if block.num_rows == 0:
         return [block] * n_parts
     key = hash_strings(block["term"].to_pylist()) % np.uint64(n_parts)
-    return _split_by_key(block, key.astype(np.int64), n_parts)
+    return split_by_key(block, key.astype(np.int64), n_parts)
 
 
 def _write_positions_part(p: int, pos_dir: str, *parts: pa.Table) -> int:
@@ -523,12 +480,15 @@ def _write_positions_part(p: int, pos_dir: str, *parts: pa.Table) -> int:
 
 def _write_positions(rows_ds, num_partitions: int, pos_dir: str) -> None:
     """Positional rows (term, doc_id, positions) → ``pos_dir`` through
-    the build's raw-Ray :func:`_exchange`: term-hash partitioned and
-    sorted by (term, doc_id) within each part, so a phrase lookup finds
-    each term in one file."""
+    the build's raw-Ray exchange (``stages.exchange``): term-hash
+    partitioned and sorted by (term, doc_id) within each part, so a
+    phrase lookup finds each term in one file."""
+    import ray
+
     os.makedirs(pos_dir, exist_ok=True)
     blocks = (ref for bundle in rows_ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
-    _exchange(blocks, _split_positions, num_partitions, num_partitions, _write_positions_part, pos_dir)
+    ray.get(exchange(blocks, _split_positions, num_partitions, num_partitions,
+                     _write_positions_part, pos_dir))
 
 
 def build_slice(

@@ -47,10 +47,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.hashing import sha256_file
+from ..stages.exchange import exchange
 from .build import (
     MANIFEST_NAME,
     _add_partition_key,
-    _exchange,
     _finalize_index,
     _read_blocks,
     _split_table_by_kh,
@@ -431,8 +431,8 @@ def merge_slices(
         )
         blocks = (ref for bundle in chunks.iter_internal_ref_bundles() for ref in bundle.block_refs)
         manifest_rows = [
-            r for r in _exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
-                                 _compact_partition, postings_dir, block_size, tombs)
+            r for r in ray.get(exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
+                                        _compact_partition, postings_dir, block_size, tombs))
             if r is not None
         ]
     n_docs = sum(ray.get(docmap_rows))

@@ -17,34 +17,30 @@ operations (configs are not Datasets) and need no engine support.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
 import pandas as pd
 
 from ..config import DetectorConfig
-from ..stages.window import add_window_columns
+from ..stages.exchange import exchange_by_key
+from ..stages.window import add_window_columns, per_entity
 
 WINDOW_DELAY_RATIO = 1.2  # TimeSeriesSettings.java:301
 
 
-def _per_entity_map_groups(ds, cats: list[str], fn, fused_config: DetectorConfig | None = None
-                           ) -> pd.DataFrame:
-    """Run a per-entity pandas UDF over the coarse-keyed exchange every
-    Layer B stage uses: group on ``hash(entity) % (8×CPUs)`` and iterate
-    the entities inside each group (``stages.window.per_entity``) —
-    never one Ray group per distinct entity, which is the measured
-    per-group-overhead cliff. ``fused_config`` says the rows are map-side
-    window partials to merge first. ``fn`` on a zero-row frame gives the
-    empty result. Returns the collected pandas result (validation
-    outputs are entity-bounded, tiny rows)."""
-    from ..stages.window import add_coarse_key, per_entity, resolve_coarse_groups
+def _per_entity(ds, cats: list[str], fn, empty, fused_config: DetectorConfig | None = None
+                ) -> pd.DataFrame:
+    """Run a per-entity pandas UDF over Layer B's per-entity exchange
+    (``stages.exchange.exchange_by_key``); ``fused_config`` says the rows
+    are window partials to merge first, ``fn`` on a zero-row frame gives
+    the empty result. Returns the collected (entity-bounded) result."""
+    import pyarrow as pa
+    import ray
 
-    def per_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        return per_entity(g, cats, fn, fn, fused_config=fused_config)
-
-    keyed = add_coarse_key(ds, resolve_coarse_groups(), cols=tuple(cats))
-    return keyed.groupby("_coarse").map_groups(per_coarse, batch_format="pandas").to_pandas()
+    stage = functools.partial(per_entity, keys=cats, fn=fn, empty=fn, fused_config=fused_config)
+    return pa.concat_tables(ray.get(exchange_by_key(ds, cats, stage, empty))).to_pandas()
 
 
 class DetectorAPI:
@@ -52,6 +48,12 @@ class DetectorAPI:
         self.config = config
         self.events_path = events_path
         self.ts_col = ts_col
+
+    def _schema(self):
+        """The events' schema from parquet METADATA (before any filter)."""
+        import ray.data as rd
+
+        return rd.read_parquet(self.events_path).schema()
 
     def _ds(self, pruned: bool = False, columns: list[str] | None = None):
         """Events Dataset. ``columns`` prunes the SCAN to exactly those
@@ -141,17 +143,17 @@ class DetectorAPI:
         """Seasonal-period suggestion for the forecast side (the
         reference's forecaster validation suggests horizon/interval;
         ``forecast/rest/handler``): per-entity autocorrelation of the
-        windowed feature series (FFT-based, inside ``map_groups``), then
-        a length-weighted vote across entities. Returns 0 when no lag's
-        autocorrelation clears 0.3 — 'no clear seasonality'.
+        windowed feature series (FFT-based, inside the exchange's
+        reducers), then a length-weighted vote across entities. Returns 0
+        when no lag's autocorrelation clears 0.3 — 'no clear seasonality'.
 
-        The per-entity pass rides the coarse-keyed exchange
-        (``_per_entity_map_groups``). With mergeable feature aggs it is
-        detect()'s FUSED single-shuffle plan — map-side window partials,
-        ONE coarse exchange, partial merge + autocorrelation inside the
-        group — instead of a full windowed aggregate followed by a
-        second entity shuffle."""
-        from ..stages.window import mergeable, partial_window_aggregate, window_aggregate
+        The per-entity pass rides the per-entity exchange
+        (``_per_entity``). With mergeable feature aggs it is detect()'s
+        FUSED single-exchange plan — map-side window partials, ONE
+        exchange, partial merge + autocorrelation inside the reducer —
+        instead of a full windowed aggregate followed by a second entity
+        exchange."""
+        from ..stages.window import entity_windows, window_aggregate
 
         feats = self.config.feature_names()
         if not feats:
@@ -178,18 +180,15 @@ class DetectorAPI:
             period = lag if acf[lag] >= 0.3 else 0
             return pd.DataFrame({"period": [period], "weight": [n]})
 
-        # mergeable aggs: only window-level partial rows move through the
-        # exchange (events-per-window× less volume)
-        fused = bool(cats) and mergeable(self.config)
-        aggregate = partial_window_aggregate if fused else window_aggregate
-        agg = aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col)
         if cats:
-            votes = _per_entity_map_groups(agg, cats, entity_period,
-                                           fused_config=self.config if fused else None)
+            # mergeable aggs: only window-level partial rows move through
+            # the exchange (events-per-window× less volume)
+            agg, fused, empty = entity_windows(self._ds(pruned=True), self.config, self.ts_col)
+            votes = _per_entity(agg, cats, entity_period, empty,
+                                fused_config=self.config if fused else None)
         else:
-            votes = entity_period(agg.to_pandas())
-        if "weight" not in votes.columns:  # empty input → no votes at all
-            return 0
+            votes = entity_period(
+                window_aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col).to_pandas())
         votes = votes[votes["weight"] > 0]
         if not len(votes):
             return 0
@@ -224,9 +223,7 @@ class DetectorAPI:
         # filter_query only drops rows, never columns — probing the
         # filtered stream would execute its first block just to list
         # names).
-        import ray.data as rd
-
-        schema_names = set(rd.read_parquet(self.events_path).schema().names)
+        schema_names = set(self._schema().names)
         missing_cols = [f.column for f in self.config.features if f.column not in schema_names]
         if missing_cols:
             issues.append(f"feature source columns missing from input: {sorted(set(missing_cols))}")
@@ -267,10 +264,10 @@ class DetectorAPI:
 
     def shingle_density(self) -> dict[str, float]:
         """Fraction of fully-populated shingle windows per entity (B4) —
-        computed per entity inside map_groups (one tiny row per entity
-        reaches the driver; round-1 pulled every distinct (entity,
-        window) pair driver-side). With category fields the pass rides
-        the coarse-keyed exchange (``_per_entity_map_groups``)."""
+        computed per entity inside the exchange's reducers (one tiny row
+        per entity reaches the caller; round-1 pulled every distinct
+        (entity, window) pair into the calling process). With category
+        fields the pass rides the per-entity exchange (``_per_entity``)."""
         interval_ms = self.config.interval_s * 1000
         s = self.config.shingle_size
         cats = list(self.config.category_fields)
@@ -291,10 +288,12 @@ class DetectorAPI:
             return pd.DataFrame({"entity": [key], "density": [full / max(1, a.size)]})
 
         if cats:
-            dens = _per_entity_map_groups(ds.select_columns(cols), cats, entity_density)
-            # empty input → map_groups yields a columnless empty frame
-            return (dict(zip(dens["entity"], dens["density"]))
-                    if "entity" in dens.columns else {})
+            def empty() -> pa.Table:
+                return add_window_columns(self._schema().base_schema.empty_table(), self.ts_col,
+                                          interval_ms).select(cols)
+
+            dens = _per_entity(ds.select_columns(cols), cats, entity_density, empty)
+            return dict(zip(dens["entity"], dens["density"]))
         # no categories: distinct windows computed DISTRIBUTED; the driver
         # receives one row per distinct window (bounded by
         # time-range/interval), not one per event

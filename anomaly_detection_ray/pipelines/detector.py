@@ -4,15 +4,17 @@ The reference's realtime-HC interval tick (§3.1), historical batch run
 (§3.2) and deterministic preview (§3.3) all collapse into one Ray Data
 pipeline shape:
 
-    events → window_aggregate (groupby entity+window, §2.A)
-           → normalize features (B1 NaN semantics)
+    events → map-side window partials (entity+window, §2.A; B1 NaN semantics)
            → model_id projection (B8: murmur3 entity hash, reference recipe)
-           → groupby(hash(model_id) % n).map_groups(score_groups)  # C1–C4, bounded groups
+           → exchange_by_key: raw-Ray split by hash(model_id) % P parts,
+             one ScoreGroups reducer task per part           # C1–C4
            → results (flat anomaly-result schema)
 
 Transport hops, rate-limited queues, the hash ring, afterKey pagination
-and piece scheduling all disappear — Ray's streaming executor provides
-pipelining, placement and backpressure (SURVEY.md §4 table).
+and piece scheduling all disappear (SURVEY.md §4 table): Ray Data streams
+the map side, and the exchange is a barrier behind it — every scoring
+task is submitted once the whole map side has run, when ``detect()`` is
+called, not when its result is consumed.
 
 ``detect(..., checkpoint_dir=...)`` gives realtime semantics (models
 continue across runs); without it each run is a self-contained
@@ -28,15 +30,10 @@ import numpy as np
 import pyarrow as pa
 
 from ..config import DetectorConfig
-from ..functions.hashing import entity_model_id, hash_strings
-from ..stages.scorer import score_groups
-from ..stages.window import (
-    mergeable,
-    normalize_features,
-    partial_window_aggregate,
-    resolve_coarse_groups,
-    window_aggregate,
-)
+from ..functions.hashing import entity_model_id
+from ..stages.exchange import exchange_by_key
+from ..stages.scorer import ScoreGroups
+from ..stages.window import entity_windows
 
 
 def needed_columns(config: DetectorConfig, ts_col: str = "ts") -> list[str]:
@@ -56,7 +53,7 @@ def _add_model_id(batch: pa.Table, config: DetectorConfig,
                   cache: dict | None = None) -> pa.Table:
     cats = list(config.category_fields)
     if not cats:
-        mid = pa.array([config.config_id] * batch.num_rows)
+        mid = pa.array([config.config_id] * batch.num_rows, pa.string())
         return batch.append_column("model_id", mid)
     # vectorize over unique entity combos: compute the murmur3 id once per
     # combo, then gather (batches repeat few entities many times); the
@@ -68,19 +65,7 @@ def _add_model_id(batch: pa.Table, config: DetectorConfig,
         if combo not in uniq:
             uniq[combo] = entity_model_id(config.config_id, dict(zip(cats, map(str, combo))))
     mid = np.asarray([uniq[c] for c in combos], dtype=object)
-    return batch.append_column("model_id", pa.array(mid))
-
-
-def _project_model_ids(batch: pa.Table, config: DetectorConfig, n_coarse: int,
-                       cache: dict) -> pa.Table:
-    """Model-id + ``_coarse`` shuffle key projection. Runs as a plain
-    TASK-pool map, like the scorer it feeds. The per-unique-combo
-    murmur3 cache is process-local (Ray reuses worker processes, so it
-    still amortizes across the batches a worker sees)."""
-    out = _add_model_id(batch, config, cache)
-    mids = out["model_id"].to_numpy(zero_copy_only=False)
-    ck = (hash_strings(mids) % np.uint64(n_coarse)).astype(np.int64)
-    return out.append_column("_coarse", pa.array(ck))
+    return batch.append_column("model_id", pa.array(mid, pa.string()))
 
 
 def detect(
@@ -93,6 +78,10 @@ def detect(
     cold_start_history: bool = True,
 ):
     """events Dataset → anomaly results Dataset (one row per entity-window).
+
+    Not lazy: the call runs the map side and submits the scoring tasks,
+    which save each model's checkpoint (``checkpoint_dir``) before the
+    caller writes the results (ROADMAP item 1).
 
     ``detailed=True`` (implied by ``config.rules``) adds per-feature
     expected values, attribution and past values to each row.
@@ -109,50 +98,28 @@ def detect(
         from ..functions.rowfilter import apply_filter_query
 
         events_ds = apply_filter_query(events_ds, config.filter_query)
-    feats = config.feature_names()
     agg_range = time_range_ms
     if time_range_ms is not None and cold_start_history:
         n_hist = max(32, config.history_intervals) + config.shingle_size
         agg_range = (time_range_ms[0] - n_hist * config.interval_s * 1000, time_range_ms[1])
-    fused = mergeable(config)  # non-mergeable aggs take the two-shuffle plan
-    # Coarse-keyed scoring exchange: shuffle on hash(model_id) % n_coarse
-    # (bounded group count — score_groups iterates the models inside one
-    # group), not one Ray group per model; per-model groups are the
-    # per-group-overhead cliff at the reference's 1M-entity HC scale.
-    n_coarse = resolve_coarse_groups()
     _mid_cache: dict = {}  # deserialized once per worker → amortizes there
 
     def project(b: pa.Table) -> pa.Table:
-        return _project_model_ids(b, config, n_coarse, _mid_cache)
+        return _add_model_id(b, config, _mid_cache)
 
-    if fused:
-        # single-shuffle plan: map-side window partials (combiner) →
-        # ONE coarse exchange that merges partials and scores. Only
-        # window-level partial rows move through the exchange; the
-        # two-shuffle fallback below sort-shuffles every raw event twice.
-        agg = partial_window_aggregate(events_ds, config, ts_col=ts_col, time_range_ms=agg_range)
-        agg = agg.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        agg = window_aggregate(events_ds, config, ts_col=ts_col, time_range_ms=agg_range)
-        agg = agg.map_batches(
-            lambda b: project(normalize_features(b, feats)), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    results = agg.groupby("_coarse").map_groups(
-        score_groups,
-        fn_kwargs=dict(config=config, checkpoint_dir=checkpoint_dir,
-                       detailed=detailed, fused=fused),
-        batch_format="pandas",
-    )
+    agg, fused, empty = entity_windows(events_ds, config, ts_col, agg_range)
+    agg = agg.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    score = ScoreGroups(config, checkpoint_dir=checkpoint_dir, detailed=detailed, fused=fused)
     if agg_range is not time_range_ms:
-        lo = time_range_ms[0]
-        import pyarrow.compute as pc
+        stage, lo = score, time_range_ms[0]
 
-        results = results.map_batches(
-            lambda b: b.filter(pc.greater_equal(b["window_start_ms"], lo)),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-    return results
+        def score(group):  # cold-start training rows are scored, not emitted
+            out = stage(group)
+            return out[out["window_start_ms"] >= lo] if len(out) else out
+
+    import ray.data as rd
+
+    return rd.from_arrow_refs(exchange_by_key(agg, ["model_id"], score, lambda: project(empty())))
 
 
 def top_anomaly_results(results_ds, config: DetectorConfig, k: int = 10, by: str = "anomaly_grade"):

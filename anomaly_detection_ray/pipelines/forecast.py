@@ -2,8 +2,9 @@
 (``ForecastJobProcessor`` / ``ForecastRealTimeInferencer`` /
 ``RCFCasterResult``), Ray-Data-first:
 
-    events → window_aggregate (same §2.A surface as detection)
-           → groupby(hash(entity) % n).map_groups(forecast_groups)
+    events → window partials (same §2.A surface as detection)
+           → exchange_by_key(entity): raw-Ray split by hash(entity) % P,
+             one ForecastGroups reducer task per part
            → one row per (entity, horizon step): value, lower, upper
 
 Each entity's windows are processed in order through a
@@ -21,26 +22,12 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import DetectorConfig
-from ..stages.window import (
-    add_coarse_key,
-    arrow_if_empty,
-    mergeable,
-    normalize_features,
-    partial_window_aggregate,
-    per_entity,
-    resolve_coarse_groups,
-    window_aggregate,
-)
-
-
-def forecast_groups(group: pd.DataFrame, **kw) -> pd.DataFrame | pa.Table:
-    """``map_groups`` task function: one :class:`ForecastGroups` per
-    group (stateless across calls, like ``stages.scorer.score_groups``)."""
-    return ForecastGroups(**kw)(group)
+from ..stages.exchange import exchange_by_key
+from ..stages.window import arrow_if_empty, entity_windows, per_entity
 
 
 class ForecastGroups:
-    """One coarse group's forecaster: each entity's windows in order.
+    """One exchange part's forecaster: each entity's windows in order.
     With ``checkpoint_dir`` the forecaster state is restored before
     processing and saved after — a later run over newer windows
     CONTINUES the stream (the forecast job tick,
@@ -87,7 +74,7 @@ class ForecastGroups:
     def __call__(self, group: pd.DataFrame) -> pd.DataFrame | pa.Table:
         # The group holds MANY entities (see ``stages.window.per_entity``);
         # each stream is forecast independently, in entity order. A group
-        # that forecasts nothing emits its columns as a typed Arrow table.
+        # that forecasts nothing returns its columns as a typed Arrow table.
         return arrow_if_empty(per_entity(group, self.entity_cols, self._forecast_entity,
                                          self._empty_result, fused_config=self.fused_config))
 
@@ -242,6 +229,9 @@ def forecast(
 ):
     """events Dataset → forecast rows (one per entity × horizon step).
 
+    Not lazy: the call runs the map side and submits the forecaster
+    tasks (which save checkpoints); the Dataset reads their tables.
+
     With ``checkpoint_dir``, forecaster streams continue across runs
     (the forecast job tick); without it each run is a self-contained
     cold start (the run-once semantics).
@@ -260,28 +250,15 @@ def forecast(
     keys = list(config.category_fields)
     if not keys:
         raise ValueError("forecast() needs category fields (one model per entity)")
-    fused = mergeable(config)
-    if fused:
-        # single-shuffle plan (see detect()): map-side window partials,
-        # one coarse exchange merging + forecasting
-        agg = partial_window_aggregate(events_ds, config, ts_col=ts_col)
-    else:
-        agg = window_aggregate(events_ds, config, ts_col=ts_col)
-        agg = agg.map_batches(
-            lambda b: normalize_features(b, feats), batch_format="pyarrow", zero_copy_batch=True
-        )
-    # coarse-keyed exchange (see detect()): bounded group count, entities
-    # iterated inside each group
-    agg = add_coarse_key(agg, resolve_coarse_groups(), cols=tuple(keys))
-    return agg.groupby("_coarse").map_groups(
-        forecast_groups,
-        fn_kwargs=dict(
-            value_col=feats[0], interval_ms=config.interval_s * 1000,
-            horizon=horizon, period=period, entity_cols=tuple(keys),
-            output_after=config.model_output_after(),
-            confidence=confidence, checkpoint_dir=checkpoint_dir,
-            config_id=config.config_id, fused_config=config if fused else None,
-            backend=backend, seed=config.seed,
-        ),
-        batch_format="pandas",
+    import ray.data as rd
+
+    agg, fused, empty = entity_windows(events_ds, config, ts_col)
+    stage = ForecastGroups(
+        value_col=feats[0], interval_ms=config.interval_s * 1000,
+        horizon=horizon, period=period, entity_cols=tuple(keys),
+        output_after=config.model_output_after(),
+        confidence=confidence, checkpoint_dir=checkpoint_dir,
+        config_id=config.config_id, fused_config=config if fused else None,
+        backend=backend, seed=config.seed,
     )
+    return rd.from_arrow_refs(exchange_by_key(agg, keys, stage, empty))

@@ -42,16 +42,14 @@ def _rd():
     return rd
 
 
-def _frame(ds, columns: list[str]) -> pd.DataFrame:
+def _frame(ds) -> pd.DataFrame:
     """``ds.to_pandas()``, keeping the result columns when no row comes
     back. Ray's ``to_pandas`` skips zero-row blocks and returns a 0×0
     frame, which callers that sort or select result columns can't index:
-    the empty frame takes the Dataset's schema, or ``columns`` (the ones
-    the caller reads) when an input without rows left no schema."""
+    the empty frame takes the Dataset's schema."""
     df = ds.to_pandas()
     if len(df.columns) == 0:
-        schema = ds.schema()
-        df = pd.DataFrame(columns=columns if schema is None else schema.names)
+        df = pd.DataFrame(columns=ds.schema().names)
     return df
 
 
@@ -1569,7 +1567,7 @@ def q_detect_anomalies(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
     cols = ["event_type", "window_start_ms", "window_end_ms", "value_avg", "model_id",
             "anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
-    res = _frame(detect(ds, cfg, ts_col="ts"), cols)
+    res = _frame(detect(ds, cfg, ts_col="ts"))
     res = res.sort_values(["model_id", "window_end_ms"]).reset_index(drop=True)
     return res[cols]
 
@@ -1600,7 +1598,7 @@ def q_detect_hc(sf_dir: str) -> pd.DataFrame:
     ds = ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
     cols = ["event_type", "user_bucket", "window_end_ms", "value_avg", "value_max",
             "anomaly_score", "anomaly_grade"]
-    res = _frame(detect(ds, cfg, ts_col="ts"), ["model_id", *cols])
+    res = _frame(detect(ds, cfg, ts_col="ts"))
     res = res.sort_values(["model_id", "window_end_ms"]).reset_index(drop=True)
     out = res[cols].copy()
     out["user_bucket"] = out["user_bucket"].astype("int64")
@@ -1630,7 +1628,7 @@ def q_detect_with_rules(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
     cols = ["event_type", "window_end_ms", "value_avg", "anomaly_score", "anomaly_grade",
             "value_avg_expected", "value_avg_attribution", "value_avg_past", "suppressed_by_rule"]
-    res = _frame(detect(ds, cfg, ts_col="ts"), ["model_id", *cols])
+    res = _frame(detect(ds, cfg, ts_col="ts"))
     res = res.sort_values(["model_id", "window_end_ms"]).reset_index(drop=True)
     out = res[cols].copy()
     return _round(out, {"value_avg": 6, "anomaly_score": 6, "anomaly_grade": 6,
@@ -1735,8 +1733,7 @@ def q_forecast_events(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    out = _frame(forecast(ds, cfg, horizon=12, period=24),
-                 ["event_type", "horizon_index"])
+    out = _frame(forecast(ds, cfg, horizon=12, period=24))
     return out.sort_values(["event_type", "horizon_index"]).reset_index(drop=True)
 
 
@@ -1754,8 +1751,7 @@ def q_forecast_events_rcf(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    out = _frame(forecast(ds, cfg, horizon=12, backend="rcf"),
-                 ["event_type", "horizon_index"])
+    out = _frame(forecast(ds, cfg, horizon=12, backend="rcf"))
     return out.sort_values(["event_type", "horizon_index"]).reset_index(drop=True)
 
 

@@ -1,16 +1,12 @@
 """Scoring stage — SURVEY.md §2.C1/C2/C4.
 
-``score_groups`` is the task function for
-``groupby(hash(model_id) % n_coarse).map_groups(...)``: one group = a
-BOUNDED set of models' full time-ordered slices (detect() keys the
-shuffle coarsely so the exchange never creates one Ray group per model
-— the per-group-overhead cliff at the reference's 1M-entity HC scale).
-The coarse hash partitioning replaces the reference's consistent-hash
-ring + per-model locks (``HashRing.java:61-199``,
-``RealTimeInferencer.java:225-238``) — a model's samples always land in
-one group of one run, in window order (one group-wide sort on
-(model_id, window) = the §2.F ordering requirement; ordering across
-models is irrelevant, models are independent). The in-group loop is
+:class:`ScoreGroups` is the reducer of detect()'s exchange
+(``stages.exchange.exchange_by_key``): one call = one part, the
+time-ordered slices of every model hashed to it. The hash partitioning
+replaces the reference's hash ring + per-model locks
+(``HashRing.java:61-199``, ``RealTimeInferencer.java:225-238``): a
+model's samples reach one reducer of one run, in window order (the §2.F
+ordering requirement; models are independent). The in-group loop is
 ``stages.window.per_entity``, shared with forecasting and validation.
 
 The stage keeps no state past one group: each model is restored from
@@ -138,15 +134,8 @@ def to_nested_results(results_ds, config: DetectorConfig, schema_version: int = 
     return results_ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def score_groups(group: pd.DataFrame, **kw) -> pd.DataFrame | pa.Table:
-    """``map_groups`` task function: one :class:`ScoreGroups` per group.
-    (A callable instance cannot be passed to ``map_groups`` — Ray names
-    the wrapped function after ``fn.__name__``.)"""
-    return ScoreGroups(**kw)(group)
-
-
 class ScoreGroups:
-    """One coarse group's scorer (see :func:`score_groups`).
+    """One exchange part's scorer (see the module docstring).
     ``detailed=True`` adds the reference's result-row enrichment
     (``ThresholdingResult.java:323-374``, ``ModelUtil.java:96-133``):
     per-feature ``{f}_expected`` (forest

@@ -25,6 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DetectorConfig, FeatureSpec
+from .exchange import exchange_by_key
 
 _BUILTIN_AGGS = {"min", "max", "sum", "avg", "value_count", "cardinality", "percentile",
                  "cardinality_hll", "percentile_tdigest"}
@@ -151,19 +152,22 @@ def window_aggregate(
     """events Dataset → one row per (entities…, window) with feature
     columns. ``calendar_interval`` (week/month/quarter/year) switches
     the tumbling windows from fixed-width to UTC-calendar buckets
-    (OpenSearch date_histogram's calendar_interval)."""
+    (OpenSearch date_histogram's calendar_interval). With a sketch
+    aggregation the call itself runs the map side and the exchange's
+    merge tasks (not lazy); otherwise the result is a lazy Dataset."""
     if calendar_interval is not None and any(f.agg in SKETCH_AGGS for f in config.features):
         raise ValueError("calendar_interval is not supported with sketch aggregations")
     if any(f.agg in SKETCH_AGGS for f in config.features):
         # sketch aggs have no Ray builtin: run the mergeable-partial plan
-        # (combiner → coarse exchange of window-level sketch rows → merge),
-        # the same single-shuffle shape the fused detect plan uses
+        # (combiner → per-entity exchange of window-level sketch rows → merge),
+        # the same single-exchange shape the fused detect plan uses
+        import ray.data as rd
+
         cats = list(config.category_fields)
-        part = add_coarse_key(partial_window_aggregate(ds, config, ts_col, time_range_ms),
-                              resolve_coarse_groups(), cols=tuple(cats or ["window_start_ms"]))
-        return part.groupby("_coarse").map_groups(
-            lambda df: finalize_partials_multi(df.drop(columns=["_coarse"]), config, cats),
-            batch_format="pandas")
+        part, _, empty = entity_windows(ds, config, ts_col, time_range_ms)
+        return rd.from_arrow_refs(exchange_by_key(
+            part, cats or ["window_start_ms"], lambda df: finalize_partials_multi(df, config, cats),
+            empty))
     interval_ms = config.interval_s * 1000
     needed = {ts_col, *config.category_fields, *(f.column for f in config.features)}
     ds = ds.select_columns([c for c in ds.schema().names if c in needed])
@@ -280,64 +284,99 @@ def partial_window_aggregate(
     (entity, window) partials first — the shuffle then moves only
     window-level rows (events-per-window× less volume) and the scoring
     group merges partials with :func:`finalize_partials_multi`."""
+    return ds.map_batches(window_partials, batch_format="pyarrow", zero_copy_batch=True,
+                          fn_kwargs=dict(config=config, ts_col=ts_col, time_range_ms=time_range_ms))
+
+
+def window_partials(batch: pa.Table, config: DetectorConfig, ts_col: str = "ts",
+                    time_range_ms: tuple[int, int] | None = None) -> pa.Table:
+    """One batch's window partials (see :func:`partial_window_aggregate`)."""
     interval_ms = config.interval_s * 1000
     needed = {ts_col, *config.category_fields, *(f.column for f in config.features)}
     keys = list(config.category_fields) + ["window_start_ms", "window_end_ms"]
+    b = add_window_columns(batch, ts_col, interval_ms)
+    if time_range_ms is not None:
+        lo, hi = time_range_ms
+        b = b.filter(
+            pc.and_(pc.greater_equal(b["window_start_ms"], lo), pc.less(b["window_end_ms"], hi + 1))
+        )
+    b = b.select([c for c in b.column_names if c in needed or c in keys])
+    # (zero-row batches flow through the same aggregate below — Arrow
+    # preserves key dtypes on empty group_by, so an empty block emits
+    # the exact schema of a populated one, incl. non-string categories)
+    # Arrow-native group_by: preserves key dtypes exactly and keeps
+    # null keys. (A pandas round-trip coerced int64-with-nulls key
+    # columns to float64 PER BATCH, so the same entity stringified as
+    # '1' in null-free blocks and '1.0' elsewhere — splitting one
+    # entity's stream across two model_ids.)
+    # one arrow aggregation per distinct (column, fn); several features
+    # may share one (e.g. sum + avg of the same column)
+    wanted: dict[tuple[str, str], list[str]] = {}
+    sketch_feats = [f for f in config.features if f.agg in SKETCH_AGGS]
+    for f in config.features:
+        if f.agg in SKETCH_AGGS:
+            continue  # fixed-size mergeable sketches, built below
+        if f.agg == "min":
+            wanted.setdefault((f.column, "min"), []).append(f"{f.name}__min")
+        elif f.agg == "max":
+            wanted.setdefault((f.column, "max"), []).append(f"{f.name}__max")
+        elif f.agg == "sum":
+            wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
+        elif f.agg == "value_count":
+            wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
+        else:  # avg
+            wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
+            wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
+    aggs_list = sorted(wanted)
+    if sketch_feats:
+        # first-occurrence row index per group → aligns the code-grouped
+        # sketch rows with Arrow's group_by output order
+        b = b.append_column("__rowidx", pa.array(np.arange(b.num_rows, dtype=np.int64)))
+        aggs_list = aggs_list + [("__rowidx", "min")]
+    # use_threads=False: threaded accumulation order would make the
+    # float partials 1-ulp nondeterministic run-to-run
+    g = b.group_by(keys, use_threads=False).aggregate(aggs_list)
+    cols = {k: g[k] for k in keys}
+    for (col_name, fn), targets in wanted.items():
+        col = g[f"{col_name}_{fn}"]
+        col = pc.cast(col, pa.int64() if fn == "count" else pa.float64())
+        for t in targets:
+            cols[t] = col
+    if sketch_feats:
+        cols.update(_sketch_partial_columns(b, keys, sketch_feats, g))
+    return pa.table(cols)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        b = add_window_columns(batch, ts_col, interval_ms)
-        if time_range_ms is not None:
-            lo, hi = time_range_ms
-            b = b.filter(
-                pc.and_(pc.greater_equal(b["window_start_ms"], lo), pc.less(b["window_end_ms"], hi + 1))
-            )
-        b = b.select([c for c in b.column_names if c in needed or c in keys])
-        # (zero-row batches flow through the same aggregate below — Arrow
-        # preserves key dtypes on empty group_by, so an empty block emits
-        # the exact schema of a populated one, incl. non-string categories)
-        # Arrow-native group_by: preserves key dtypes exactly and keeps
-        # null keys. (A pandas round-trip coerced int64-with-nulls key
-        # columns to float64 PER BATCH, so the same entity stringified as
-        # '1' in null-free blocks and '1.0' elsewhere — splitting one
-        # entity's stream across two model_ids.)
-        # one arrow aggregation per distinct (column, fn); several features
-        # may share one (e.g. sum + avg of the same column)
-        wanted: dict[tuple[str, str], list[str]] = {}
-        sketch_feats = [f for f in config.features if f.agg in SKETCH_AGGS]
-        for f in config.features:
-            if f.agg in SKETCH_AGGS:
-                continue  # fixed-size mergeable sketches, built below
-            if f.agg == "min":
-                wanted.setdefault((f.column, "min"), []).append(f"{f.name}__min")
-            elif f.agg == "max":
-                wanted.setdefault((f.column, "max"), []).append(f"{f.name}__max")
-            elif f.agg == "sum":
-                wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
-            elif f.agg == "value_count":
-                wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
-            else:  # avg
-                wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
-                wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
-        aggs_list = sorted(wanted)
-        if sketch_feats:
-            # first-occurrence row index per group → aligns the code-grouped
-            # sketch rows with Arrow's group_by output order
-            b = b.append_column("__rowidx", pa.array(np.arange(b.num_rows, dtype=np.int64)))
-            aggs_list = aggs_list + [("__rowidx", "min")]
-        # use_threads=False: threaded accumulation order would make the
-        # float partials 1-ulp nondeterministic run-to-run
-        g = b.group_by(keys, use_threads=False).aggregate(aggs_list)
-        cols = {k: g[k] for k in keys}
-        for (col_name, fn), targets in wanted.items():
-            col = g[f"{col_name}_{fn}"]
-            col = pc.cast(col, pa.int64() if fn == "count" else pa.float64())
-            for t in targets:
-                cols[t] = col
-        if sketch_feats:
-            cols.update(_sketch_partial_columns(b, keys, sketch_feats, g))
-        return pa.table(cols)
 
-    return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+def entity_windows(ds, config: DetectorConfig, ts_col: str = "ts",
+                   time_range_ms: tuple[int, int] | None = None):
+    """The map side every per-entity Layer B stage hands its exchange:
+    window partials when every agg is mergeable (``fused``), else
+    finished, normalized windows. Returns ``(Dataset, fused, empty)``:
+    ``empty()`` is the map side's zero-row table, typed from
+    ``ds.schema()`` because Ray Data turns a row-less input into
+    column-less blocks."""
+    # a sketch agg always takes the partial plan, as window_aggregate does
+    fused = mergeable(config) or any(f.agg in SKETCH_AGGS for f in config.features)
+    feats = config.feature_names()
+    if fused:
+        agg = partial_window_aggregate(ds, config, ts_col, time_range_ms)
+    else:
+        agg = window_aggregate(ds, config, ts_col, time_range_ms).map_batches(
+            lambda b: normalize_features(b, feats), batch_format="pyarrow", zero_copy_batch=True)
+
+    def empty() -> pa.Table:
+        in_schema = ds.schema()
+        # an input whose own map or filter stages saw no rows has no schema
+        # either: type its columns by their role (callers read the names)
+        in_schema = in_schema.base_schema if in_schema is not None else pa.schema(list({
+            ts_col: pa.int64(), **{c: pa.string() for c in config.category_fields},
+            **{f.column: pa.float64() for f in config.features}}.items()))
+        return window_partials(in_schema.empty_table(), config, ts_col) if fused else pa.schema([
+            *(in_schema.field(c) for c in config.category_fields),
+            pa.field("window_start_ms", pa.int64()), pa.field("window_end_ms", pa.int64()),
+            *(pa.field(f, pa.float64()) for f in feats)]).empty_table()
+
+    return agg, fused, empty
 
 
 def _hll_count(series) -> float:
@@ -358,12 +397,12 @@ def _tdigest_q(series, q: float) -> float:
 
 
 def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
-    """Merge the partial rows of MANY entities (one group of the
-    coarse-keyed exchange) into final feature values: one row per
+    """Merge the partial rows of MANY entities (one part of the
+    per-entity exchange) into final feature values: one row per
     (group_cols…, window), columns named like ``window_aggregate``'s
     output, B1 NaN semantics applied. ONE pandas groupby for the whole
     group; ~10× less pandas overhead than a per-model finalize at tens
-    of models per coarse group."""
+    of models per part."""
     import pandas as pd
 
     keys = [*group_cols, "window_start_ms", "window_end_ms"]
@@ -401,50 +440,18 @@ def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
     return res[["window_start_ms", "window_end_ms", *config.feature_names(), *group_cols]]
 
 
-def resolve_coarse_groups() -> int:
-    """Group count of the per-entity exchange every Layer B stage uses:
-    8× the cluster's CPUs (enough groups that the slowest is <13% of one
-    core's share), at least 32, and never one Ray group per model — the
-    per-group-overhead cliff at the reference's 1M-entity HC scale,
-    ``SearchFeatureDao.java:316-322``. On a real cluster CPU count
-    scales with nodes, so group count (and per-group memory) scales with
-    the cluster, not with entity count."""
-    import ray
-
-    return max(32, int(ray.cluster_resources().get("CPU", 4)) * 8)
-
-
-def add_coarse_key(ds, n_coarse: int, cols: tuple[str, ...]):
-    """Append ``_coarse`` = hash(cols) % n_coarse — the bounded shuffle
-    key for the per-entity stages. Vectorized (pandas hash_array over
-    the concatenated key strings)."""
-    from ..functions.hashing import hash_strings
-
-    def add(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("_coarse", pa.array([], pa.int64()))
-        key = pc.cast(batch[cols[0]], pa.string())
-        for c in cols[1:]:
-            key = pc.binary_join_element_wise(key, pc.cast(batch[c], pa.string()), "\x1f")
-        ck = hash_strings(key.to_numpy(zero_copy_only=False)) % np.uint64(n_coarse)
-        return batch.append_column("_coarse", pa.array(ck.astype(np.int64)))
-
-    return ds.map_batches(add, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def per_entity(group, keys: list[str], fn, empty, fused_config: DetectorConfig | None = None,
                carry: tuple[str, ...] = ()):
-    """The in-group loop of every Layer B stage behind the coarse-keyed
-    exchange (``groupby(hash(entity) % n).map_groups``): one group holds
-    many entities. Drops ``_coarse``; with ``fused_config`` merges the
-    map-side window partials of the whole group at once (keeping the
-    ``carry`` columns next to ``keys``); sorts once, stably, on ``keys``
-    and window start (an entity's windows are distinct, so this is its
-    window order); calls ``fn`` on each entity's slice in key order.
-    ``empty(group)`` gives the zero-row result when no entity is left."""
+    """The in-group loop of every Layer B stage: one reducer of the
+    per-entity exchange (``stages.exchange.exchange_by_key``) holds
+    many entities. With ``fused_config`` merges the map-side window
+    partials of the whole group at once (keeping the ``carry`` columns
+    next to ``keys``); sorts once, stably, on ``keys`` and window start
+    (an entity's windows are distinct, so this is its window order);
+    calls ``fn`` on each entity's slice in key order. ``empty(group)``
+    gives the zero-row result when no entity is left."""
     import pandas as pd
 
-    group = group.drop(columns=["_coarse"], errors="ignore")
     if fused_config is not None:
         group = finalize_partials_multi(group, fused_config, [*carry, *keys])
     group = group.sort_values([*keys, "window_start_ms"], kind="stable")
@@ -456,10 +463,11 @@ def per_entity(group, keys: list[str], fn, empty, fused_config: DetectorConfig |
 
 def arrow_if_empty(result):
     """A stage's zero-row pandas result → a zero-row Arrow table with
-    typed columns (object columns → string); a result with rows passes
-    through. Ray sizes a zero-row pandas block's object column with a
-    logged error and types it ``null`` in ``to_arrow_refs()``."""
-    if len(result):
+    typed columns (object columns → string); a result with rows, or an
+    Arrow table, passes through. Ray sizes a zero-row pandas block's
+    object column with a logged error and types it ``null`` in
+    ``to_arrow_refs()``."""
+    if isinstance(result, pa.Table) or len(result):
         return result
     schema = pa.Schema.from_pandas(result, preserve_index=False)
     return pa.schema([f.with_type(pa.string()) if pa.types.is_null(f.type) else f

@@ -362,8 +362,8 @@ HC_WINDOWS = int(os.environ.get("ADR_HC_WINDOWS", "40"))
 
 def hc_bench() -> dict:
     """High-cardinality detect: wall time vs entity count (N/4 then N
-    entities, same windows per entity). The coarse-keyed scoring exchange
-    (hash(model_id) % groups) must keep this near-linear in entity count —
+    entities, same windows per entity). The per-entity scoring exchange
+    (hash(model_id) % P parts) must keep this near-linear in entity count —
     per-model Ray groups were the r3 scale cliff (one group per entity)."""
     import numpy as np
     import pyarrow as pa
@@ -414,7 +414,7 @@ def hc_bench() -> dict:
     t_lo = run(HC_ENTITIES // 4)
     t_hi = run(HC_ENTITIES)
 
-    # forecast rides the same coarse-keyed exchange — one HC data point
+    # forecast rides the same per-entity exchange — one HC data point
     from anomaly_detection_ray.pipelines.forecast import forecast
 
     ds = rd.from_arrow(events(HC_ENTITIES)).repartition(max(8, NUM_CPUS))
@@ -425,7 +425,7 @@ def hc_bench() -> dict:
     assert nf == HC_ENTITIES * 12
 
     # validation front door (api.validate / suggest_period) at HC scale:
-    # the coarse-keyed per-entity pass
+    # the per-entity exchange
     import os
 
     import pyarrow.parquet as pq
@@ -442,9 +442,9 @@ def hc_bench() -> dict:
     # full validate() adds interval/NaN checks that dominate end-to-end
     _settle(1.0)
     t0 = time.perf_counter()
-    d_coarse = api.shingle_density()
+    dens = api.shingle_density()
     t_dens = round(time.perf_counter() - t0, 3)
-    assert len(d_coarse) == HC_ENTITIES
+    assert len(dens) == HC_ENTITIES
     _settle(1.0)
     t0 = time.perf_counter()
     assert api.validate()["ok"]

@@ -82,24 +82,55 @@ def _pandas_period(events_path: str, cats: list[str], interval_ms: int,
     return max(votes, key=votes.get)
 
 
-def test_validate_suggest_coarse_parity(ray_session, events_file):
-    """The coarse-keyed per-entity exchange (hash(entity) % 8×CPUs,
-    entities iterated inside the group) gives the densities and the
+def _forced_parts(monkeypatch) -> list[int]:
+    """Force the per-entity exchange to P > 1 parts whatever the
+    session's CPU count (the fixtures' map sides are tens of KB; 4 KB a
+    part). Returns the part counts the exchange then used."""
+    from anomaly_detection_ray.stages import exchange
+
+    used, real = [], exchange.exchange
+
+    def spy(inputs, split, split_arg, n_parts, *rest):
+        used.append(n_parts)
+        return real(inputs, split, split_arg, n_parts, *rest)
+
+    monkeypatch.setattr(exchange, "PART_BYTES", 4 << 10)
+    monkeypatch.setattr(exchange, "exchange", spy)
+    return used
+
+
+def _spread(events_path: str, cats: list[str], used: list[int]) -> None:
+    """Each forced exchange had P ≥ 2 parts and put entities in ≥ 2."""
+    from anomaly_detection_ray.stages.exchange import split_by_keys
+
+    keys = pa.Table.from_pandas(_windows(events_path, cats, 600_000)[cats].drop_duplicates(),
+                                preserve_index=False)
+    assert used and min(used) >= 2, used
+    for n_parts in used:
+        assert sum(1 for p in split_by_keys(keys, (tuple(cats), n_parts)) if p.num_rows) >= 2
+
+
+def test_validate_suggest_coarse_parity(ray_session, events_file, monkeypatch):
+    """The per-entity exchange (hash(entity) % P parts, P forced ≥ 2,
+    entities iterated inside each part) gives the densities and the
     period that pandas computes over the whole events file."""
     from anomaly_detection_ray.pipelines.api import DetectorAPI
 
+    used = _forced_parts(monkeypatch)
     api = DetectorAPI(_cfg(), events_file)
     density = _pandas_density(events_file, ["entity"], 600_000, 8)
     assert len(density) == 4
     assert api.validate()["shingle_density"] == density
     period = api.suggest_period()
     assert period == _pandas_period(events_file, ["entity"], 600_000) and period > 0
+    _spread(events_file, ["entity"], used)
 
 
-def test_validate_coarse_parity_multi_category(ray_session, events_file, tmp_path):
-    """Coarse keys concatenate MULTIPLE category fields (\\x1f-joined in
-    add_coarse_key); with a composite entity key the per-entity pass
-    still matches pandas over the whole events file."""
+def test_validate_coarse_parity_multi_category(ray_session, events_file, tmp_path, monkeypatch):
+    """Exchange keys concatenate MULTIPLE category fields (\\x1f-joined
+    in ``stages.exchange.split_by_keys``); with a composite entity key and P
+    forced ≥ 2 the per-entity pass still matches pandas over the whole
+    events file."""
     import pyarrow.parquet as pq_
 
     from anomaly_detection_ray.pipelines.api import DetectorAPI
@@ -113,11 +144,25 @@ def test_validate_coarse_parity_multi_category(ray_session, events_file, tmp_pat
         features=(FeatureSpec("value_avg", "value", "avg"),),
         category_fields=("entity", "region"), num_trees=10, sample_size=64,
     )
+    used = _forced_parts(monkeypatch)
     api = DetectorAPI(cfg, p)
     a = api.shingle_density()
     assert a == _pandas_density(p, ["entity", "region"], 600_000, 8)
     assert len(a) == 12  # 4 entities × 3 regions
     assert api.suggest_period() == _pandas_period(p, ["entity", "region"], 600_000)
+    _spread(p, ["entity", "region"], used)
+
+
+def test_empty_input_density_and_period(ray_session, events_file, tmp_path):
+    """An events file without rows: no densities and no period, from
+    the typed empty result of the per-entity exchange."""
+    from anomaly_detection_ray.pipelines.api import DetectorAPI
+
+    p = str(tmp_path / "empty.parquet")
+    pq.write_table(pq.read_table(events_file).slice(0, 0), p)
+    api = DetectorAPI(_cfg(), p)
+    assert api.shingle_density() == {}
+    assert api.suggest_period() == 0
 
 
 def test_preview_deterministic(ray_session, events_file):

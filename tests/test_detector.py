@@ -419,42 +419,95 @@ def _sorted(df: pd.DataFrame, key: list[str]) -> pd.DataFrame:
     return df.sort_values(key).reset_index(drop=True)[sorted(df.columns)]
 
 
-def test_detect_coarse_plan_bit_identical(ray_session, stream_table):
-    """The coarse-keyed scoring exchange (hash(model_id) % n groups, many
-    models per group) is a pure plan change: detect() equals the same
-    stage scoring the whole input as ONE group in-process, both from
-    map-side partials and from the two-shuffle plan's finished windows.
-    The fixture really puts several models in one coarse group."""
+def _forced_parts(monkeypatch):
+    """Force the per-entity exchange to P > 1 parts whatever the
+    session's CPU count: the fixture's 100-250 KB of map-side rows at
+    40 KB a part."""
+    from anomaly_detection_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "PART_BYTES", 40 << 10)
+
+
+def test_exchange_parts_fill_whole_cpu_waves(ray_session, monkeypatch):
+    """P is the smallest multiple of the session's CPUs whose parts hold
+    ≤ ``PART_BYTES``: map-side bytes worth CPUs + 1 parts give two full
+    waves, not a lone last part that doubles the stage's wall time. Each
+    key's rows reach one part, none lost."""
+    import ray
     import ray.data as rd
 
-    from anomaly_detection_ray.functions.hashing import hash_strings
+    from anomaly_detection_ray.stages import exchange
+
+    tbl = pa.table({"k": [f"e{i % 300}" for i in range(3000)], "v": np.arange(3000.0)})
+    ds = rd.from_arrow(tbl)
+    cpus = int(ray.cluster_resources()["CPU"])
+    nbytes = sum(b.size_bytes() for b in ds.iter_internal_ref_bundles())
+    used, real = [], exchange.exchange
+
+    def spy(inputs, split, split_arg, n_parts, *rest):
+        used.append(n_parts)
+        return real(inputs, split, split_arg, n_parts, *rest)
+
+    monkeypatch.setattr(exchange, "exchange", spy)
+    monkeypatch.setattr(exchange, "PART_BYTES", -(-nbytes // (cpus + 1)))
+    parts = ray.get(exchange.exchange_by_key(ds, ["k"], lambda df: df, lambda: tbl.slice(0, 0)))
+    assert used == [2 * cpus]
+    keys = [set(p["k"].to_pylist()) for p in parts]
+    assert sum(map(len, keys)) == len(set().union(*keys)) == 300
+    assert sorted(pa.concat_tables(parts)["v"].to_pylist()) == tbl["v"].to_pylist()
+
+
+def _part_tables(ds) -> list[pa.Table]:
+    """The result's blocks: one per exchange part."""
+    import ray
+
+    return [ray.get(r) for r in ds.to_arrow_refs()]
+
+
+def test_detect_coarse_plan_bit_identical(ray_session, stream_table, monkeypatch):
+    """The per-model scoring exchange (hash(model_id) % P parts, many
+    models per part) is a pure plan change: detect() with P forced ≥ 2
+    equals the same stage scoring the whole input as ONE group
+    in-process, both from map-side partials and from the two-shuffle
+    plan's finished windows. The fixture really spreads the models over
+    several parts and puts several models in one part."""
+    import ray.data as rd
+
     from anomaly_detection_ray.pipelines.detector import detect
     from anomaly_detection_ray.stages.scorer import ScoreGroups
-    from anomaly_detection_ray.stages.window import resolve_coarse_groups
 
+    _forced_parts(monkeypatch)
     cfg = _detector_cfg()
+    # a percentile feature is not mergeable: detect takes the two-shuffle plan
+    pct = dataclasses.replace(
+        cfg, features=(FeatureSpec("value_p90", "value", "percentile", percentile=0.9),))
     key = ["model_id", "window_end_ms"]
-    got = _sorted(detect(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas(), key)
-    assert "_coarse" not in got.columns
-    mids = got["model_id"].unique()
-    groups = hash_strings(mids) % np.uint64(resolve_coarse_groups())
-    assert len(mids) == 8 and np.bincount(groups.astype(np.int64)).max() >= 2
-    for fused in (True, False):
-        whole = ScoreGroups(cfg, fused=fused)(_score_input(stream_table, cfg, fused))
-        pd.testing.assert_frame_equal(got, _sorted(whole, key))
+    for c, stage_plans in ((cfg, (True, False)), (pct, (False,))):
+        res = detect(rd.from_arrow(stream_table), c, ts_col="ts")
+        models = [set(t["model_id"].to_pylist()) for t in _part_tables(res)]
+        assert sum(1 for m in models if m) >= 2 and max(map(len, models)) >= 2
+        got = _sorted(res.to_pandas(), key)
+        assert got["model_id"].nunique() == 8
+        for fused in stage_plans:
+            whole = ScoreGroups(c, fused=fused)(_score_input(stream_table, c, fused))
+            pd.testing.assert_frame_equal(got, _sorted(whole, key))
 
 
-def test_forecast_coarse_plan_bit_identical(ray_session, stream_table):
-    """forecast() over the coarse-keyed exchange equals the same stage
-    forecasting the whole input as ONE group in-process."""
+def test_forecast_coarse_plan_bit_identical(ray_session, stream_table, monkeypatch):
+    """forecast() over the per-entity exchange, P forced ≥ 2, equals the
+    same stage forecasting the whole input as ONE group in-process."""
     import ray.data as rd
 
     from anomaly_detection_ray.pipelines.forecast import ForecastGroups, forecast
     from anomaly_detection_ray.stages.window import partial_window_aggregate
 
+    _forced_parts(monkeypatch)
     cfg = _detector_cfg()
     key = ["entity", "horizon_index"]
-    got = forecast(rd.from_arrow(stream_table), cfg, horizon=6).to_pandas()
+    res = forecast(rd.from_arrow(stream_table), cfg, horizon=6)
+    entities = [set(t["entity"].to_pylist()) for t in _part_tables(res)]
+    assert sum(1 for e in entities if e) >= 2 and max(map(len, entities)) >= 2
+    got = res.to_pandas()
     stage = ForecastGroups(
         value_col="value_avg", interval_ms=600_000, horizon=6, period=0,
         entity_cols=("entity",), output_after=cfg.model_output_after(),
@@ -485,7 +538,32 @@ def test_forecast_empty_keeps_result_schema(ray_session):
         "entity", "horizon_index", "forecast_window_start_ms", "forecast_window_end_ms",
         "forecast_value", "forecast_lower", "forecast_upper", "confidence",
     }
+    # every part's block, with or without an entity, has that schema
+    blocks = _part_tables(fc)
+    assert len(blocks) >= 1 and all(b.schema == fc.schema().base_schema for b in blocks)
     assert top_forecast_results(fc, cfg, k=3).count() == 0
+
+
+def test_empty_input_keeps_result_schema(ray_session, stream_table):
+    """detect() and forecast() over an input with no rows return the
+    schema a populated run returns (Ray Data turns a row-less input into
+    column-less blocks, so the map side alone carries no type)."""
+    import ray.data as rd
+
+    from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.pipelines.forecast import forecast
+
+    cfg = _detector_cfg()
+    pct = dataclasses.replace(
+        cfg, features=(FeatureSpec("value_p90", "value", "percentile", percentile=0.9),))
+    empty = stream_table.slice(0, 0)
+    for c in (cfg, pct):
+        full = detect(rd.from_arrow(stream_table), c, ts_col="ts")
+        none = detect(rd.from_arrow(empty), c, ts_col="ts")
+        assert none.count() == 0 and none.schema() == full.schema()
+    full = forecast(rd.from_arrow(stream_table), cfg, horizon=6)
+    none = forecast(rd.from_arrow(empty), cfg, horizon=6)
+    assert none.count() == 0 and none.schema() == full.schema()
 
 
 def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
@@ -498,22 +576,21 @@ def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
 
     from ray.data.block import BlockAccessor
 
-    from anomaly_detection_ray.pipelines.forecast import forecast_groups
+    from anomaly_detection_ray.pipelines.forecast import ForecastGroups
     from anomaly_detection_ray.sources.streams import generate_interval_stream
-    from anomaly_detection_ray.stages.scorer import score_groups
+    from anomaly_detection_ray.stages.scorer import ScoreGroups
 
     cfg = _detector_cfg()
     t = generate_interval_stream(n_entities=3, n_windows=6, interval_s=600, seed=3)
     group = _score_input(t, cfg, fused=True)
     kw = dict(config=cfg, checkpoint_dir=str(tmp_path / "ckpt"), fused=True)
-    assert len(score_groups(group, **kw)) == 18
-    scored = score_groups(group, **kw)
-    forecasts = forecast_groups(
-        group.drop(columns=["model_id", "_coarse"], errors="ignore"),
+    assert len(ScoreGroups(**kw)(group)) == 18
+    scored = ScoreGroups(**kw)(group)
+    forecasts = ForecastGroups(
         value_col="value_avg", interval_ms=600_000, horizon=6, period=0,
         entity_cols=("entity",), output_after=cfg.model_output_after(),
         config_id=cfg.config_id, fused_config=cfg,
-    )
+    )(group.drop(columns=["model_id"]))
     ray_data_log = logging.getLogger("ray.data")
     ray_data_log.addHandler(caplog.handler)
     try:
@@ -540,7 +617,11 @@ def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
     ``to_pandas`` skips zero-row blocks)."""
     import pyarrow.parquet as pq
 
-    from anomaly_detection_ray.pipelines.queries import q_detect_anomalies, q_forecast_events
+    from anomaly_detection_ray.pipelines.queries import (
+        q_detect_anomalies,
+        q_detect_hc,
+        q_forecast_events,
+    )
 
     pq.write_table(pa.table({
         "event_id": pa.array([], pa.int64()),
@@ -557,6 +638,12 @@ def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
         "anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
     fc = q_forecast_events(str(tmp_path))
     assert len(fc) == 0 and {"event_type", "horizon_index"} <= set(fc.columns)
+    # a mapped input (the user bucket) that saw no rows has no schema of
+    # its own; the result still has its columns
+    hc = q_detect_hc(str(tmp_path))
+    assert len(hc) == 0 and list(hc.columns) == [
+        "event_type", "user_bucket", "window_end_ms", "value_avg", "value_max",
+        "anomaly_score", "anomaly_grade"]
     # two hourly windows: too few for a forecast, so the empty frame
     # carries the stage's own result columns
     pq.write_table(pa.table({
@@ -573,51 +660,65 @@ def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
     assert {"event_type", "horizon_index", "forecast_value", "confidence"} <= set(fc.columns)
 
 
-def _map_ops(ds):
-    """Every map operator of a Dataset's logical plan."""
-    from ray.data._internal.logical.operators.map_operator import AbstractMap
-
+def _plan_ops(ds):
+    """Every operator of a Dataset's logical plan."""
     out, todo = [], [ds._logical_plan.dag]
     while todo:
         op = todo.pop()
-        if isinstance(op, AbstractMap):
-            out.append(op)
+        out.append(op)
         todo.extend(op.input_dependencies)
     return out
 
 
-def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table):
-    """The scoring and forecasting stages keep no state past one group,
+def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, monkeypatch):
+    """The scoring and forecasting stages keep no state past one call,
     so they run as plain tasks in the session's warm workers: no map
-    operator of a detect or forecast plan starts an actor pool (a fresh
-    process per run)."""
+    operator of a detect or forecast plan — the map side handed to the
+    per-entity exchange, nor the returned result — starts an actor pool
+    (a fresh process per run). The fused plans run no sort shuffle: no
+    ``Sort`` or ``MapGroups`` operator is left in them."""
     import ray.data as rd
     from ray.data import ActorPoolStrategy
+    from ray.data._internal.logical.operators.map_operator import AbstractMap
 
-    from anomaly_detection_ray.pipelines.detector import detect
-    from anomaly_detection_ray.pipelines.forecast import forecast
+    from anomaly_detection_ray.pipelines import detector
+    from anomaly_detection_ray.pipelines import forecast as forecast_mod
 
+    map_sides = []
+
+    def spy(real):
+        def exchange_by_key(ds, *args):
+            map_sides.append(ds)
+            return real(ds, *args)
+        return exchange_by_key
+
+    for mod in (detector, forecast_mod):
+        monkeypatch.setattr(mod, "exchange_by_key", spy(mod.exchange_by_key))
     cfg = _detector_cfg()
     # a percentile feature is not mergeable: detect takes the two-shuffle plan
     pct = dataclasses.replace(
         cfg, features=(FeatureSpec("value_p90", "value", "percentile", percentile=0.9),))
     ts = pd.to_datetime(stream_table["ts"].to_pandas()).astype("int64") // 10**6
     mid = int(ts.median()) // 600_000 * 600_000
-    plans = {
-        "score_groups": [
-            detect(rd.from_arrow(stream_table), cfg, ts_col="ts"),
-            detect(rd.from_arrow(stream_table), pct, ts_col="ts"),
-            detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
-                   time_range_ms=(mid, int(ts.max()) + 600_000)),
-        ],
-        "forecast_groups": [forecast(rd.from_arrow(stream_table), cfg, horizon=6)],
-    }
-    for fn_name, datasets in plans.items():
-        for ds in datasets:
-            ops = _map_ops(ds)
-            pools = [op.name for op in ops if isinstance(op._compute, ActorPoolStrategy)]
+    plans = [
+        (detector.detect(rd.from_arrow(stream_table), cfg, ts_col="ts"), True),
+        (detector.detect(rd.from_arrow(stream_table), pct, ts_col="ts"), False),
+        (detector.detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
+                         time_range_ms=(mid, int(ts.max()) + 600_000)), True),
+        (forecast_mod.forecast(rd.from_arrow(stream_table), cfg, horizon=6), True),
+    ]
+    assert len(map_sides) == len(plans)
+    for (result, fused), map_side in zip(plans, map_sides):
+        for ds in (map_side, result):
+            ops = _plan_ops(ds)
+            pools = [op.name for op in ops
+                     if isinstance(op, AbstractMap) and isinstance(op._compute, ActorPoolStrategy)]
             assert pools == [], pools
-            assert any(fn_name in op.name for op in ops), [op.name for op in ops]
+            if fused:
+                shuffles = [op.name for op in ops
+                            if type(op).__name__ == "Sort" or "MapGroups" in op.name]
+                assert shuffles == [], shuffles
+        assert any("partial" in op.name for op in _plan_ops(map_side)) == fused
 
 
 def test_process_many_identical_to_process():
