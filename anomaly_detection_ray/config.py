@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 class FeatureSpec:
     """One named feature aggregation (``timeseries/model/Feature.java:43-55``).
 
-    ``agg`` ∈ {min, max, sum, avg, value_count, cardinality, percentile}
-    — the single-valued metric aggs the reference accepts at parse time
-    (``ParseUtils.java:148-306``, ``AbstractRetriever.java:35-89``).
+    ``agg`` ∈ {min, max, sum, avg, value_count, cardinality, percentile,
+    cardinality_hll, percentile_tdigest} — the single-valued metric aggs
+    the reference accepts at parse time (``ParseUtils.java:148-306``,
+    ``AbstractRetriever.java:35-89``); ``cardinality`` and ``percentile``
+    are exact, the ``_hll``/``_tdigest`` variants fixed-size sketches.
+    Another value raises when a window plan is built.
     """
 
     name: str

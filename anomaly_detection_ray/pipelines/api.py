@@ -17,6 +17,7 @@ operations (configs are not Datasets) and need no engine support.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 
@@ -30,16 +31,15 @@ from ..stages.window import add_window_columns, per_entity
 WINDOW_DELAY_RATIO = 1.2  # TimeSeriesSettings.java:301
 
 
-def _per_entity(ds, cats: list[str], fn, empty, fused_config: DetectorConfig | None = None
-                ) -> pd.DataFrame:
+def _per_entity(ds, cats: list[str], fn, empty, config: DetectorConfig) -> pd.DataFrame:
     """Run a per-entity pandas UDF over Layer B's per-entity exchange
-    (``stages.exchange.exchange_by_key``); ``fused_config`` says the rows
-    are window partials to merge first, ``fn`` on a zero-row frame gives
-    the empty result. Returns the collected (entity-bounded) result."""
+    (``stages.exchange.exchange_by_key``) of ``entity_windows(…, config)``
+    partials, merged first; ``fn`` on a zero-row frame gives the empty
+    result. Returns the collected (entity-bounded) result."""
     import pyarrow as pa
     import ray
 
-    stage = functools.partial(per_entity, keys=cats, fn=fn, empty=fn, fused_config=fused_config)
+    stage = functools.partial(per_entity, keys=cats, fn=fn, empty=fn, config=config)
     return pa.concat_tables(ray.get(exchange_by_key(ds, cats, stage, empty))).to_pandas()
 
 
@@ -147,12 +147,9 @@ class DetectorAPI:
         reducers), then a length-weighted vote across entities. Returns 0
         when no lag's autocorrelation clears 0.3 — 'no clear seasonality'.
 
-        The per-entity pass rides the per-entity exchange
-        (``_per_entity``). With mergeable feature aggs it is detect()'s
-        FUSED single-exchange plan — map-side window partials, ONE
-        exchange, partial merge + autocorrelation inside the reducer —
-        instead of a full windowed aggregate followed by a second entity
-        exchange."""
+        The per-entity pass rides detect()'s plan (``_per_entity``):
+        map-side window partials, ONE exchange, partial merge +
+        autocorrelation inside the reducer."""
         from ..stages.window import entity_windows, window_aggregate
 
         feats = self.config.feature_names()
@@ -181,11 +178,8 @@ class DetectorAPI:
             return pd.DataFrame({"period": [period], "weight": [n]})
 
         if cats:
-            # mergeable aggs: only window-level partial rows move through
-            # the exchange (events-per-window× less volume)
-            agg, fused, empty = entity_windows(self._ds(pruned=True), self.config, self.ts_col)
-            votes = _per_entity(agg, cats, entity_period, empty,
-                                fused_config=self.config if fused else None)
+            agg, empty = entity_windows(self._ds(pruned=True), self.config, self.ts_col)
+            votes = _per_entity(agg, cats, entity_period, empty, self.config)
         else:
             votes = entity_period(
                 window_aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col).to_pandas())
@@ -229,7 +223,7 @@ class DetectorAPI:
             issues.append(f"feature source columns missing from input: {sorted(set(missing_cols))}")
         feature_nan_rate: dict[str, float] = {}
         if not missing_cols and self.config.features:
-            from ..stages.window import normalize_features, window_aggregate
+            from ..stages.window import window_aggregate
 
             interval_ms_v = self.config.interval_s * 1000
             if recent.size == 0:
@@ -239,12 +233,8 @@ class DetectorAPI:
                 hi = (int(recent[-1]) // interval_ms_v + 1) * interval_ms_v
                 lo = int(hi) - 64 * interval_ms_v  # recent sample only — never the full table
                 sample = window_aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col,
-                                          time_range_ms=(lo, int(hi)))
-                feats = self.config.feature_names()
-                sample = sample.map_batches(
-                    lambda b: normalize_features(b, feats), batch_format="pyarrow", zero_copy_batch=True
-                ).to_pandas()
-                for f in feats:
+                                          time_range_ms=(lo, int(hi))).to_pandas()
+                for f in self.config.feature_names():
                     rate = float(np.isnan(sample[f]).mean()) if len(sample) else 1.0
                     feature_nan_rate[f] = round(rate, 4)
                     if rate > 0.9:
@@ -267,15 +257,14 @@ class DetectorAPI:
         computed per entity inside the exchange's reducers (one tiny row
         per entity reaches the caller; round-1 pulled every distinct
         (entity, window) pair into the calling process). With category
-        fields the pass rides the per-entity exchange (``_per_entity``)."""
+        fields the pass rides detect()'s plan (``_per_entity``) over the
+        featureless window partials: each entity's distinct windows."""
+        from ..stages.window import entity_windows
+
         interval_ms = self.config.interval_s * 1000
         s = self.config.shingle_size
         cats = list(self.config.category_fields)
-        ds = self._ds(columns=cats + [self.ts_col]).map_batches(
-            lambda b: add_window_columns(b, self.ts_col, interval_ms),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        cols = cats + ["window_start_ms"]
+        ds = self._ds(columns=cats + [self.ts_col])
 
         def entity_density(g: pd.DataFrame) -> pd.DataFrame:
             if not len(g):
@@ -288,11 +277,9 @@ class DetectorAPI:
             return pd.DataFrame({"entity": [key], "density": [full / max(1, a.size)]})
 
         if cats:
-            def empty() -> pa.Table:
-                return add_window_columns(self._schema().base_schema.empty_table(), self.ts_col,
-                                          interval_ms).select(cols)
-
-            dens = _per_entity(ds.select_columns(cols), cats, entity_density, empty)
+            keys_only = dataclasses.replace(self.config, features=())
+            agg, empty = entity_windows(ds, keys_only, self.ts_col)
+            dens = _per_entity(agg, cats, entity_density, empty, keys_only)
             return dict(zip(dens["entity"], dens["density"]))
         # no categories: distinct windows computed DISTRIBUTED; the driver
         # receives one row per distinct window (bounded by
@@ -300,7 +287,9 @@ class DetectorAPI:
         from ray.data.aggregate import Count as _Count
 
         a = np.sort(
-            ds.select_columns(["window_start_ms"])
+            ds.map_batches(lambda b: add_window_columns(b, self.ts_col, interval_ms),
+                           batch_format="pyarrow", zero_copy_batch=True)
+            .select_columns(["window_start_ms"])
             .groupby("window_start_ms")
             .aggregate(_Count(alias_name="__n"))
             .select_columns(["window_start_ms"])

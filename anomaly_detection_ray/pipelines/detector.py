@@ -4,10 +4,11 @@ The reference's realtime-HC interval tick (§3.1), historical batch run
 (§3.2) and deterministic preview (§3.3) all collapse into one Ray Data
 pipeline shape:
 
-    events → map-side window partials (entity+window, §2.A; B1 NaN semantics)
+    events → map-side window partials (entity+window, §2.A)
            → model_id projection (B8: murmur3 entity hash, reference recipe)
            → exchange_by_key: raw-Ray split by hash(model_id) % P parts,
-             one ScoreGroups reducer task per part           # C1–C4
+             one ScoreGroups reducer task per part: partials merged
+             (B1 NaN semantics), models scored           # C1–C4
            → results (flat anomaly-result schema)
 
 Transport hops, rate-limited queues, the hash ring, afterKey pagination
@@ -107,9 +108,9 @@ def detect(
     def project(b: pa.Table) -> pa.Table:
         return _add_model_id(b, config, _mid_cache)
 
-    agg, fused, empty = entity_windows(events_ds, config, ts_col, agg_range)
+    agg, empty = entity_windows(events_ds, config, ts_col, agg_range)
     agg = agg.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
-    score = ScoreGroups(config, checkpoint_dir=checkpoint_dir, detailed=detailed, fused=fused)
+    score = ScoreGroups(config, checkpoint_dir=checkpoint_dir, detailed=detailed)
     if agg_range is not time_range_ms:
         stage, lo = score, time_range_ms[0]
 

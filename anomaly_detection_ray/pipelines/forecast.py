@@ -35,10 +35,9 @@ class ForecastGroups:
     are dropped as out-of-order, so reruns are idempotent."""
 
     def __init__(self, value_col: str, interval_ms: int, horizon: int, period: int,
-                 entity_cols: tuple[str, ...], output_after: int = 32,
+                 entity_cols: tuple[str, ...], config: DetectorConfig, output_after: int = 32,
                  confidence: float = 0.9, checkpoint_dir: str | None = None,
-                 config_id: str = "forecast", fused_config: DetectorConfig | None = None,
-                 backend: str = "holt_winters", seed: int = 0):
+                 config_id: str = "forecast", backend: str = "holt_winters", seed: int = 0):
         from ..state.checkpoint import CheckpointStore
 
         if backend not in ("holt_winters", "rcf"):
@@ -52,7 +51,7 @@ class ForecastGroups:
         self.confidence = confidence
         self.config_id = config_id
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
-        self.fused_config = fused_config  # group rows are window partials
+        self.config = config  # merges the group's window partials
         self.backend = backend
         self.seed = seed
 
@@ -76,7 +75,7 @@ class ForecastGroups:
         # each stream is forecast independently, in entity order. A group
         # that forecasts nothing returns its columns as a typed Arrow table.
         return arrow_if_empty(per_entity(group, self.entity_cols, self._forecast_entity,
-                                         self._empty_result, fused_config=self.fused_config))
+                                         self._empty_result, self.config))
 
     def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
         """Zero-row frame with the columns ``_forecast_entity`` emits."""
@@ -252,13 +251,12 @@ def forecast(
         raise ValueError("forecast() needs category fields (one model per entity)")
     import ray.data as rd
 
-    agg, fused, empty = entity_windows(events_ds, config, ts_col)
+    agg, empty = entity_windows(events_ds, config, ts_col)
     stage = ForecastGroups(
         value_col=feats[0], interval_ms=config.interval_s * 1000,
-        horizon=horizon, period=period, entity_cols=tuple(keys),
+        horizon=horizon, period=period, entity_cols=tuple(keys), config=config,
         output_after=config.model_output_after(),
         confidence=confidence, checkpoint_dir=checkpoint_dir,
-        config_id=config.config_id, fused_config=config if fused else None,
-        backend=backend, seed=config.seed,
+        config_id=config.config_id, backend=backend, seed=config.seed,
     )
     return rd.from_arrow_refs(exchange_by_key(agg, keys, stage, empty))

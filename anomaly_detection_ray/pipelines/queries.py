@@ -788,7 +788,7 @@ def q_feature_agg_interval(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    out = window_aggregate(ds, cfg, ts_col="ts").to_pandas()
+    out = _frame(window_aggregate(ds, cfg, ts_col="ts"))
     out = out.sort_values(["event_type", "window_start_ms"]).reset_index(drop=True)
     out["f_count"] = out["f_count"].astype("int64")
     return _round(out, {"f_min": 6, "f_max": 6, "f_sum": 6, "f_avg": 6})
@@ -813,7 +813,7 @@ def q_calendar_week_agg(sf_dir: str) -> pd.DataFrame:
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"),
                             columns=needed_columns(cfg))
-    out = window_aggregate(ds, cfg, ts_col="ts", calendar_interval="1w").to_pandas()
+    out = _frame(window_aggregate(ds, cfg, ts_col="ts", calendar_interval="1w"))
     out = out.sort_values(["event_type", "window_start_ms"]).reset_index(drop=True)
     out["f_count"] = out["f_count"].astype("int64")
     out = out.drop(columns=["window_end_ms"])
@@ -856,7 +856,7 @@ def q_feature_agg_filtered(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(
         os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg)
     )
-    out = window_aggregate(apply_filter_query(ds, FAF_FILTER), cfg, ts_col="ts").to_pandas()
+    out = _frame(window_aggregate(apply_filter_query(ds, FAF_FILTER), cfg, ts_col="ts"))
     out = out.sort_values(["event_type", "window_start_ms"]).reset_index(drop=True)
     out["f_count"] = out["f_count"].astype("int64")
     return _round(out, {"f_avg": 6})
@@ -878,7 +878,7 @@ def q_date_range_agg(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    out = date_range_aggregate(ds, cfg, ranges, ts_col="ts").to_pandas()
+    out = _frame(date_range_aggregate(ds, cfg, ranges, ts_col="ts"))
     out = out.sort_values("range_idx").reset_index(drop=True)
     out["range_idx"] = out["range_idx"].astype("int64")
     out["f_count"] = out["f_count"].astype("int64")
@@ -922,7 +922,7 @@ def q_entity_cardinality(sf_dir: str) -> pd.DataFrame:
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    out = window_aggregate(ds, cfg, ts_col="ts").to_pandas()
+    out = _frame(window_aggregate(ds, cfg, ts_col="ts"))
     out = out[["event_type", "n_users"]].sort_values("event_type").reset_index(drop=True)
     return out.astype({"n_users": "int64"})
 
@@ -957,7 +957,7 @@ def q_entity_cardinality_hll(sf_dir: str) -> pd.DataFrame:
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"),
                             columns=["ts", "event_type", "user_id"])
-    out = window_aggregate(ds, cfg, ts_col="ts").to_pandas()
+    out = _frame(window_aggregate(ds, cfg, ts_col="ts"))
     out = out[["event_type", "n_users"]].sort_values("event_type").reset_index(drop=True)
     return out.astype({"n_users": "int64"})
 
@@ -977,7 +977,7 @@ def q_value_percentile_tdigest(sf_dir: str) -> pd.DataFrame:
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"),
                             columns=["ts", "event_type", "value"])
-    out = window_aggregate(ds, cfg, ts_col="ts").to_pandas()
+    out = _frame(window_aggregate(ds, cfg, ts_col="ts"))
     out = out[["event_type", "p50"]].sort_values("event_type").reset_index(drop=True)
     return _round(out, {"p50": 6})
 
@@ -1031,24 +1031,24 @@ def q_interval_suggest(sf_dir: str) -> pd.DataFrame:
 def q_shingle_density(sf_dir: str) -> pd.DataFrame:
     """B4: count of fully-populated 8-long shingle windows per entity
     (SearchFeatureDao.java:894-1052 validation)."""
-    interval_ms, s = 600_000, 8
-    ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts"])
-    ds = ds.map_batches(lambda b: add_window_columns(b, "ts", interval_ms), batch_format="pyarrow", zero_copy_batch=True)
-    from ray.data.aggregate import Count
+    from ..stages.window import entity_windows
+    from .api import _per_entity
 
-    wins = (
-        ds.select_columns(["event_type", "window_start_ms"])
-        .groupby(["event_type", "window_start_ms"])
-        .aggregate(Count(alias_name="_n"))
-    )
+    interval_ms, s = 600_000, 8
+    cfg = DetectorConfig(config_id="q", interval_s=interval_ms // 1000, category_fields=("event_type",))
+    ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts"])
+    agg, empty = entity_windows(ds, cfg, "ts")  # no features: each entity's distinct windows
 
     def count_full(g: pd.DataFrame) -> pd.DataFrame:
-        a = np.sort(g["window_start_ms"].to_numpy())
+        if not len(g):
+            return pd.DataFrame({"event_type": pd.Series(dtype=object),
+                                 "n_full_shingles": pd.Series(dtype=np.int64)})
+        a = g["window_start_ms"].to_numpy()  # sorted by _per_entity
         lo = np.searchsorted(a, a - (s - 1) * interval_ms, side="left")
         cnt = np.arange(a.size) - lo + 1
         return pd.DataFrame({"event_type": [g["event_type"].iloc[0]], "n_full_shingles": [int((cnt == s).sum())]})
 
-    out = wins.groupby("event_type").map_groups(count_full, batch_format="pandas").to_pandas()
+    out = _per_entity(agg, ["event_type"], count_full, empty, cfg)
     return out.sort_values("event_type").reset_index(drop=True).astype({"n_full_shingles": "int64"})
 
 
@@ -1656,11 +1656,12 @@ def q_impute_linear(sf_dir: str) -> pd.DataFrame:
         config_id="q", interval_s=600, category_fields=("event_type",),
         features=(FeatureSpec("value_avg", "value", "avg"),),
     )
-    from ..stages.window import window_aggregate
+    from ..stages.window import entity_windows
+    from .api import _per_entity
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    agg = window_aggregate(ds, cfg, ts_col="ts")
+    agg, empty = entity_windows(ds, cfg, "ts")
 
     def round_half_away(a: np.ndarray, nd: int = 6) -> np.ndarray:
         # DuckDB's round() is half-away-from-zero; numpy's is half-even.
@@ -1671,7 +1672,7 @@ def q_impute_linear(sf_dir: str) -> pd.DataFrame:
         return np.sign(v) * np.floor(np.abs(v) + 0.5) / s
 
     def impute_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("window_start_ms")
+        # g: one entity's windows in order (_per_entity), or no row
         sampled = g.iloc[::4]  # stride sampling (FeatureManager.java:357-371)
         m = len(g)
         vals = linear_uniform_impute(round_half_away(sampled[["value_avg"]].to_numpy()), m)
@@ -1683,7 +1684,7 @@ def q_impute_linear(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    out = agg.groupby("event_type").map_groups(impute_group, batch_format="pandas").to_pandas()
+    out = _per_entity(agg, ["event_type"], impute_group, empty, cfg)
     return out.sort_values(["event_type", "window_start_ms"]).reset_index(drop=True)
 
 

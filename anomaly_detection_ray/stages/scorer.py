@@ -147,11 +147,10 @@ class ScoreGroups:
     margin of expected are zeroed and flagged ``suppressed_by_rule``."""
 
     def __init__(self, config: DetectorConfig, checkpoint_dir: str | None = None,
-                 detailed: bool = False, fused: bool = False):
+                 detailed: bool = False):
         self.config = config
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
         self.detailed = bool(detailed) or bool(config.rules)
-        self.fused = fused  # group rows are map-side partials → merge here
 
     def __call__(self, group: pd.DataFrame) -> pd.DataFrame | pa.Table:
         # The group holds MANY models (see ``stages.window.per_entity``);
@@ -161,8 +160,7 @@ class ScoreGroups:
         # as a typed Arrow table.
         c = self.config
         return arrow_if_empty(per_entity(group, ["model_id"], self._score_model, self._empty_result,
-                                         fused_config=c if self.fused else None,
-                                         carry=c.category_fields))
+                                         c, carry=c.category_fields))
 
     def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
         """Zero-row frame with the same columns ``_score_chunk`` emits

@@ -2,10 +2,19 @@
 
 Replaces the composite/date_histogram/date_range aggregations the
 reference pushes down to OpenSearch (``ParseUtils.java:338-395,767-824``,
-``CompositeRetriever.java:154-183``) with one Ray Data ``groupby``:
+``CompositeRetriever.java:154-183``) with one plan for every windowed
+aggregation:
 
-    events → map_batches(window projection, vectorized arithmetic)
-           → groupby(category fields + window_end).aggregate(features)
+    events → map_batches(window assignment + mergeable partials per batch)
+           → exchange_by_key(entity): partials merged per part
+
+Windows are assigned one of three ways in front of the same partials:
+fixed tumbling ``interval``, UTC calendar buckets (``calendar_interval``)
+or explicit ``[from, to)`` ranges (date_range). Every feature agg is a
+mergeable partial, as the reference reduces its aggregations
+(``timeseries/model/Mergeable.java``): sums, counts, min/max, exact
+distinct sets (``cardinality``), exact value lists (``percentile``), HLL
+registers and t-digests (``functions/sketches.py``).
 
 Window identity matches the reference exactly: fixed tumbling windows of
 ``interval``, ``[window_start, window_end)`` with the end exclusive
@@ -20,15 +29,15 @@ missing aggregate → NaN, ±Inf → NaN.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import DetectorConfig, FeatureSpec
+from ..config import DetectorConfig
 from .exchange import exchange_by_key
-
-_BUILTIN_AGGS = {"min", "max", "sum", "avg", "value_count", "cardinality", "percentile",
-                 "cardinality_hll", "percentile_tdigest"}
 
 # sketch-backed aggs: mergeable fixed-size partials (functions/sketches.py)
 # matching the reference's scalability class — t-digest percentiles
@@ -120,26 +129,19 @@ def add_calendar_window_columns(batch: pa.Table, ts_col: str, calendar_interval:
     return batch.append_column("window_end_ms", pa.array(end))
 
 
-def _agg_for(spec: FeatureSpec):
-    from ray.data.aggregate import Count, Max, Mean, Min, Quantile, Sum, Unique
-
-    if spec.agg == "min":
-        return Min(spec.column, alias_name=spec.name)
-    if spec.agg == "max":
-        return Max(spec.column, alias_name=spec.name)
-    if spec.agg == "sum":
-        return Sum(spec.column, alias_name=spec.name)
-    if spec.agg == "avg":
-        return Mean(spec.column, alias_name=spec.name)
-    if spec.agg == "value_count":
-        return Count(spec.column, ignore_nulls=True, alias_name=spec.name)
-    if spec.agg == "cardinality":
-        # exact distinct via Unique + post-count (profile caps it at 10k in
-        # the reference — ProfileRunner.java:271; we keep it exact)
-        return Unique(spec.column, alias_name=f"__uniq_{spec.name}")
-    if spec.agg == "percentile":
-        return Quantile(spec.column, q=spec.percentile, alias_name=spec.name)
-    raise ValueError(f"unsupported aggregation {spec.agg!r}")
+def add_range_window_columns(batch: pa.Table, ts_col: str, ranges_ms: list[tuple[int, int]]) -> pa.Table:
+    """Explicit ``[from, to)`` windows (date_range, A7) sibling of
+    :meth:`add_window_columns`: a row takes the last range starting at or
+    before it (ranges sorted by start); rows in no range are dropped."""
+    lows = np.asarray([r[0] for r in ranges_ms], dtype=np.int64)
+    highs = np.asarray([r[1] for r in ranges_ms], dtype=np.int64)
+    ts_np = _ts_ms_numpy(batch, ts_col)
+    idx = np.searchsorted(lows, ts_np, side="right") - 1
+    ok = (idx >= 0) & (ts_np < highs[np.clip(idx, 0, len(highs) - 1)])
+    idx = idx[ok]
+    batch = batch.filter(pa.array(ok))
+    batch = batch.append_column("window_start_ms", pa.array(lows[idx]))
+    return batch.append_column("window_end_ms", pa.array(highs[idx]))
 
 
 def window_aggregate(
@@ -149,77 +151,23 @@ def window_aggregate(
     time_range_ms: tuple[int, int] | None = None,
     calendar_interval: str | None = None,
 ):
-    """events Dataset → one row per (entities…, window) with feature
-    columns. ``calendar_interval`` (week/month/quarter/year) switches
-    the tumbling windows from fixed-width to UTC-calendar buckets
-    (OpenSearch date_histogram's calendar_interval). With a sketch
-    aggregation the call itself runs the map side and the exchange's
-    merge tasks (not lazy); otherwise the result is a lazy Dataset."""
-    if calendar_interval is not None and any(f.agg in SKETCH_AGGS for f in config.features):
-        raise ValueError("calendar_interval is not supported with sketch aggregations")
-    if any(f.agg in SKETCH_AGGS for f in config.features):
-        # sketch aggs have no Ray builtin: run the mergeable-partial plan
-        # (combiner → per-entity exchange of window-level sketch rows → merge),
-        # the same single-exchange shape the fused detect plan uses
-        import ray.data as rd
+    """events Dataset → one row per (entities…, window) with float64
+    feature columns (B1 NaN semantics). ``calendar_interval``
+    (week/month/quarter/year) switches the tumbling windows from
+    fixed-width to UTC-calendar buckets (OpenSearch date_histogram's
+    calendar_interval). Not lazy: the call runs the map side (window
+    partials) and the exchange's merge tasks, by entity (by window
+    without category fields); the Dataset reads their tables."""
+    import ray.data as rd
 
-        cats = list(config.category_fields)
-        part, _, empty = entity_windows(ds, config, ts_col, time_range_ms)
-        return rd.from_arrow_refs(exchange_by_key(
-            part, cats or ["window_start_ms"], lambda df: finalize_partials_multi(df, config, cats),
-            empty))
-    interval_ms = config.interval_s * 1000
-    needed = {ts_col, *config.category_fields, *(f.column for f in config.features)}
-    ds = ds.select_columns([c for c in ds.schema().names if c in needed])
-    if calendar_interval is not None:
-        win_fn = lambda b: add_calendar_window_columns(b, ts_col, calendar_interval)  # noqa: E731
-    else:
-        win_fn = lambda b: add_window_columns(b, ts_col, interval_ms)  # noqa: E731
-    ds = ds.map_batches(
-        win_fn,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    if time_range_ms is not None:
-        lo, hi = time_range_ms
-        ds = ds.map_batches(
-            lambda b: b.filter(
-                pc.and_(pc.greater_equal(b["window_start_ms"], lo), pc.less(b["window_end_ms"], hi + 1))
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    keys = list(config.category_fields) + ["window_start_ms", "window_end_ms"]
-    aggs = [_agg_for(f) for f in config.features]
-    out = ds.groupby(keys).aggregate(*aggs)
-    card_specs = [f for f in config.features if f.agg == "cardinality"]
-    if card_specs:
-        def finish_cardinality(batch: pa.Table) -> pa.Table:
-            for f in card_specs:
-                lens = pc.cast(pc.list_value_length(batch[f"__uniq_{f.name}"]), pa.int64())
-                batch = batch.drop_columns([f"__uniq_{f.name}"]).append_column(f.name, lens)
-            return batch
-
-        out = out.map_batches(finish_cardinality, batch_format="pyarrow", zero_copy_batch=True)
-    return out
-
-
-def normalize_features(batch: pa.Table, feature_names: list[str]) -> pa.Table:
-    """B1 semantics: ±Inf → NaN, null → NaN, cast to float64
-    (``AbstractRetriever.java:140-158``)."""
-    for name in feature_names:
-        col = pc.cast(batch[name], pa.float64())
-        arr = col.to_numpy(zero_copy_only=False).copy()
-        arr[~np.isfinite(arr)] = np.nan
-        batch = batch.set_column(batch.column_names.index(name), name, pa.array(arr))
-    return batch
-
-
-MERGEABLE_AGGS = {"min", "max", "sum", "avg", "value_count"} | SKETCH_AGGS
-
-
-def mergeable(config: DetectorConfig) -> bool:
-    return all(f.agg in MERGEABLE_AGGS for f in config.features)
+    windows = None if calendar_interval is None else functools.partial(
+        add_calendar_window_columns, ts_col=ts_col, calendar_interval=calendar_interval)
+    cats = list(config.category_fields)
+    cols = [*cats, "window_start_ms", "window_end_ms", *config.feature_names()]
+    part, empty = entity_windows(ds, config, ts_col, time_range_ms, windows)
+    return rd.from_arrow_refs(exchange_by_key(
+        part, cats or ["window_start_ms"], lambda df: finalize_partials_multi(df, config, cats)[cols],
+        empty))
 
 
 def _group_codes(b: pa.Table, keys: list[str]) -> tuple[np.ndarray, int]:
@@ -269,32 +217,84 @@ def _sketch_partial_columns(b: pa.Table, keys: list[str], sketch_feats, g: pa.Ta
     return out
 
 
+def _partial_aggs(config: DetectorConfig) -> tuple[dict[tuple[str, str], list[str]], list]:
+    """The one agg dispatch: ``{(column, arrow hash agg): [partial column
+    names]}`` (one arrow aggregation per distinct pair; several features
+    may share one, e.g. sum + avg of the same column) and the sketch
+    features. An unknown ``FeatureSpec.agg`` raises here."""
+    wanted: dict[tuple[str, str], list[str]] = {}
+    sketch_feats = []
+    for f in config.features:
+        if f.agg in SKETCH_AGGS:
+            sketch_feats.append(f)  # fixed-size mergeable sketches
+        elif f.agg == "min":
+            wanted.setdefault((f.column, "min"), []).append(f"{f.name}__min")
+        elif f.agg == "max":
+            wanted.setdefault((f.column, "max"), []).append(f"{f.name}__max")
+        elif f.agg == "sum":
+            wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
+        elif f.agg == "value_count":
+            wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
+        elif f.agg == "avg":
+            wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
+            wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
+        elif f.agg == "cardinality":
+            # exact (profile caps it at 10k in the reference —
+            # ProfileRunner.java:271; we keep it exact)
+            wanted.setdefault((f.column, "distinct"), []).append(f"{f.name}__distinct")
+        elif f.agg == "percentile":
+            wanted.setdefault((f.column, "list"), []).append(f"{f.name}__list")
+        else:
+            raise ValueError(f"unsupported aggregation {f.agg!r} for feature {f.name!r}")
+    return wanted, sketch_feats
+
+
 def partial_window_aggregate(
     ds,
     config: DetectorConfig,
     ts_col: str = "ts",
     time_range_ms: tuple[int, int] | None = None,
+    windows=None,
 ):
     """Map-side partial aggregation: one row per (entities…, window) PER
     BATCH with mergeable partial columns (``{name}__sum/__cnt/__min/…``).
 
-    This is the combiner half of the single-shuffle detect/forecast plan:
     Ray's ``groupby().aggregate`` is a sort shuffle of the RAW event rows
     (every event moves), while this reduces each block to its distinct
-    (entity, window) partials first — the shuffle then moves only
-    window-level rows (events-per-window× less volume) and the scoring
-    group merges partials with :func:`finalize_partials_multi`."""
+    (entity, window) partials first — the exchange then moves only
+    window-level rows (events-per-window× less volume) and the reducer
+    merges partials with :func:`finalize_partials_multi`. ``windows``: see
+    :func:`window_partials`."""
+    _partial_aggs(config)  # an unknown agg raises when the plan is built
     return ds.map_batches(window_partials, batch_format="pyarrow", zero_copy_batch=True,
-                          fn_kwargs=dict(config=config, ts_col=ts_col, time_range_ms=time_range_ms))
+                          fn_kwargs=dict(config=config, ts_col=ts_col, time_range_ms=time_range_ms,
+                                         windows=windows))
+
+
+def _valid_items(lst: pa.Array) -> pa.Array:
+    """A list column without its null (and NaN) items: Arrow's ``list``
+    hash agg keeps them, Ray's ``Quantile`` ignores both."""
+    flat = pc.list_flatten(lst)
+    ok = np.asarray(pc.is_valid(flat), dtype=bool)
+    if pa.types.is_floating(flat.type):
+        ok &= ~np.isnan(flat.to_numpy(zero_copy_only=False))
+    parents = pc.list_parent_indices(lst).to_numpy(zero_copy_only=False)[ok]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(parents, minlength=len(lst)))])
+    return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), flat.filter(pa.array(ok)))
 
 
 def window_partials(batch: pa.Table, config: DetectorConfig, ts_col: str = "ts",
-                    time_range_ms: tuple[int, int] | None = None) -> pa.Table:
-    """One batch's window partials (see :func:`partial_window_aggregate`)."""
-    interval_ms = config.interval_s * 1000
+                    time_range_ms: tuple[int, int] | None = None, windows=None) -> pa.Table:
+    """One batch's window partials (see :func:`partial_window_aggregate`).
+    ``windows(batch)`` appends ``window_start_ms``/``window_end_ms``
+    (:func:`add_calendar_window_columns`, :func:`add_range_window_columns`);
+    by default the fixed ``config.interval_s`` tumbling windows."""
     needed = {ts_col, *config.category_fields, *(f.column for f in config.features)}
     keys = list(config.category_fields) + ["window_start_ms", "window_end_ms"]
-    b = add_window_columns(batch, ts_col, interval_ms)
+    if windows is None:
+        b = add_window_columns(batch, ts_col, config.interval_s * 1000)
+    else:
+        b = windows(batch)
     if time_range_ms is not None:
         lo, hi = time_range_ms
         b = b.filter(
@@ -309,25 +309,8 @@ def window_partials(batch: pa.Table, config: DetectorConfig, ts_col: str = "ts",
     # columns to float64 PER BATCH, so the same entity stringified as
     # '1' in null-free blocks and '1.0' elsewhere — splitting one
     # entity's stream across two model_ids.)
-    # one arrow aggregation per distinct (column, fn); several features
-    # may share one (e.g. sum + avg of the same column)
-    wanted: dict[tuple[str, str], list[str]] = {}
-    sketch_feats = [f for f in config.features if f.agg in SKETCH_AGGS]
-    for f in config.features:
-        if f.agg in SKETCH_AGGS:
-            continue  # fixed-size mergeable sketches, built below
-        if f.agg == "min":
-            wanted.setdefault((f.column, "min"), []).append(f"{f.name}__min")
-        elif f.agg == "max":
-            wanted.setdefault((f.column, "max"), []).append(f"{f.name}__max")
-        elif f.agg == "sum":
-            wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
-        elif f.agg == "value_count":
-            wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
-        else:  # avg
-            wanted.setdefault((f.column, "sum"), []).append(f"{f.name}__sum")
-            wanted.setdefault((f.column, "count"), []).append(f"{f.name}__cnt")
-    aggs_list = sorted(wanted)
+    wanted, sketch_feats = _partial_aggs(config)
+    aggs_list = sorted(wanted)  # Arrow's distinct drops nulls (CountOptions only_valid)
     if sketch_feats:
         # first-occurrence row index per group → aligns the code-grouped
         # sketch rows with Arrow's group_by output order
@@ -339,7 +322,10 @@ def window_partials(batch: pa.Table, config: DetectorConfig, ts_col: str = "ts",
     cols = {k: g[k] for k in keys}
     for (col_name, fn), targets in wanted.items():
         col = g[f"{col_name}_{fn}"]
-        col = pc.cast(col, pa.int64() if fn == "count" else pa.float64())
+        if fn == "list":
+            col = _valid_items(col.combine_chunks())
+        elif fn != "distinct":
+            col = pc.cast(col, pa.int64() if fn == "count" else pa.float64())
         for t in targets:
             cols[t] = col
     if sketch_feats:
@@ -348,21 +334,13 @@ def window_partials(batch: pa.Table, config: DetectorConfig, ts_col: str = "ts",
 
 
 def entity_windows(ds, config: DetectorConfig, ts_col: str = "ts",
-                   time_range_ms: tuple[int, int] | None = None):
-    """The map side every per-entity Layer B stage hands its exchange:
-    window partials when every agg is mergeable (``fused``), else
-    finished, normalized windows. Returns ``(Dataset, fused, empty)``:
-    ``empty()`` is the map side's zero-row table, typed from
-    ``ds.schema()`` because Ray Data turns a row-less input into
-    column-less blocks."""
-    # a sketch agg always takes the partial plan, as window_aggregate does
-    fused = mergeable(config) or any(f.agg in SKETCH_AGGS for f in config.features)
-    feats = config.feature_names()
-    if fused:
-        agg = partial_window_aggregate(ds, config, ts_col, time_range_ms)
-    else:
-        agg = window_aggregate(ds, config, ts_col, time_range_ms).map_batches(
-            lambda b: normalize_features(b, feats), batch_format="pyarrow", zero_copy_batch=True)
+                   time_range_ms: tuple[int, int] | None = None, windows=None):
+    """The map side every windowed aggregation hands its exchange: the
+    window partials of :func:`partial_window_aggregate`. Returns
+    ``(Dataset, empty)``: ``empty()`` is the map side's zero-row table,
+    typed from ``ds.schema()`` because Ray Data turns a row-less input
+    into column-less blocks."""
+    agg = partial_window_aggregate(ds, config, ts_col, time_range_ms, windows)
 
     def empty() -> pa.Table:
         in_schema = ds.schema()
@@ -371,12 +349,9 @@ def entity_windows(ds, config: DetectorConfig, ts_col: str = "ts",
         in_schema = in_schema.base_schema if in_schema is not None else pa.schema(list({
             ts_col: pa.int64(), **{c: pa.string() for c in config.category_fields},
             **{f.column: pa.float64() for f in config.features}}.items()))
-        return window_partials(in_schema.empty_table(), config, ts_col) if fused else pa.schema([
-            *(in_schema.field(c) for c in config.category_fields),
-            pa.field("window_start_ms", pa.int64()), pa.field("window_end_ms", pa.int64()),
-            *(pa.field(f, pa.float64()) for f in feats)]).empty_table()
+        return window_partials(in_schema.empty_table(), config, ts_col, windows=windows)
 
-    return agg, fused, empty
+    return agg, empty
 
 
 def _hll_count(series) -> float:
@@ -396,6 +371,20 @@ def _tdigest_q(series, q: float) -> float:
     return sk.tdigest_quantile(sk.tdigest_merge([b for b in series if b]), q)
 
 
+def _exact_quantile(series, q: float) -> float:
+    """One window's value lists merged → Ray ``Quantile``'s own formula
+    (sort, ``k = (n-1)·q``, interpolate, Python ``round(x, 5)`` when
+    ``k`` is fractional), so values stay bit-identical to it."""
+    v = sorted(np.concatenate(list(series)).tolist())
+    if not v:
+        return float("nan")
+    k = (len(v) - 1) * q
+    f, c = math.floor(k), math.ceil(k)
+    if f == c:
+        return v[int(k)]
+    return round(v[f] * (c - k) + v[c] * (k - f), 5)
+
+
 def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
     """Merge the partial rows of MANY entities (one part of the
     per-entity exchange) into final feature values: one row per
@@ -408,8 +397,10 @@ def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
     keys = [*group_cols, "window_start_ms", "window_end_ms"]
     # stable sort by the group columns, then every other column, so the
     # float merge order of one (group, window) is deterministic whatever
-    # order the exchange delivered its partial rows in
-    noncarry = [c for c in df.columns if c not in group_cols]
+    # order the exchange delivered its partial rows in (the exact distinct
+    # and value-list partials merge order-free and don't sort)
+    noncarry = [c for c in df.columns
+                if c not in group_cols and not c.endswith(("__distinct", "__list"))]
     df = df.sort_values([*group_cols, *noncarry], kind="stable")
     gb = df.groupby(keys, sort=True, dropna=False)
     out = {}
@@ -427,11 +418,17 @@ def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
         elif f.agg == "percentile_tdigest":
             out[f.name] = gb[f"{f.name}__td"].agg(
                 lambda s, q=f.percentile: _tdigest_q(s, q))
-        else:  # avg
+        elif f.agg == "cardinality":
+            out[f.name] = gb[f"{f.name}__distinct"].agg(lambda s: len(set().union(*s)))
+        elif f.agg == "percentile":
+            out[f.name] = gb[f"{f.name}__list"].agg(
+                lambda s, q=f.percentile: _exact_quantile(s, q))
+        elif f.agg == "avg":
             s = gb[f"{f.name}__sum"].sum(min_count=1)
             c = gb[f"{f.name}__cnt"].sum()
             out[f.name] = s / c.where(c > 0)
-    res = pd.DataFrame(out).reset_index()
+    # no features: the distinct (group, window) keys alone
+    res = (pd.DataFrame(out) if out else pd.DataFrame(index=gb.size().index)).reset_index()
     for f in config.feature_names():
         v = res[f].to_numpy(dtype=np.float64, copy=True)
         v[~np.isfinite(v)] = np.nan
@@ -440,20 +437,20 @@ def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
     return res[["window_start_ms", "window_end_ms", *config.feature_names(), *group_cols]]
 
 
-def per_entity(group, keys: list[str], fn, empty, fused_config: DetectorConfig | None = None,
+def per_entity(group, keys: list[str], fn, empty, config: DetectorConfig,
                carry: tuple[str, ...] = ()):
     """The in-group loop of every Layer B stage: one reducer of the
     per-entity exchange (``stages.exchange.exchange_by_key``) holds
-    many entities. With ``fused_config`` merges the map-side window
-    partials of the whole group at once (keeping the ``carry`` columns
-    next to ``keys``); sorts once, stably, on ``keys`` and window start
-    (an entity's windows are distinct, so this is its window order);
-    calls ``fn`` on each entity's slice in key order. ``empty(group)``
-    gives the zero-row result when no entity is left."""
+    many entities. Merges the map-side window partials of the whole
+    group at once (:func:`finalize_partials_multi` with ``config``,
+    keeping the ``carry`` columns next to ``keys``); sorts once, stably,
+    on ``keys`` and window start (an entity's windows are distinct, so
+    this is its window order); calls ``fn`` on each entity's slice in
+    key order. ``empty(group)`` gives the zero-row result when no entity
+    is left."""
     import pandas as pd
 
-    if fused_config is not None:
-        group = finalize_partials_multi(group, fused_config, [*carry, *keys])
+    group = finalize_partials_multi(group, config, [*carry, *keys])
     group = group.sort_values([*keys, "window_start_ms"], kind="stable")
     parts = [fn(sub) for _, sub in group.groupby(keys, sort=True)]
     if not parts:
@@ -476,22 +473,23 @@ def arrow_if_empty(result):
 
 def date_range_aggregate(ds, config: DetectorConfig, ranges_ms: list[tuple[int, int]], ts_col: str = "ts"):
     """A7: N explicit [from, to) buckets + per-feature sub-aggs
-    (``ParseUtils.java:338-395``; used for cold-start samples). Empty
-    ranges are materialized with NaN features by the caller's left join
-    — here only non-empty buckets return rows (same as the engine)."""
-    import pyarrow.compute as pc
+    (``ParseUtils.java:338-395``; used for cold-start samples): one row
+    per (entities…, ``range_idx``) with the features. Empty ranges are
+    materialized with NaN features by the caller's left join — here only
+    non-empty buckets return rows (same as the engine). Not lazy, like
+    :func:`window_aggregate`."""
+    import ray.data as rd
 
-    lows = np.asarray([r[0] for r in ranges_ms], dtype=np.int64)
-    highs = np.asarray([r[1] for r in ranges_ms], dtype=np.int64)
+    ranges_ms = [(int(lo), int(hi)) for lo, hi in ranges_ms]
+    range_idx = {r: i for i, r in enumerate(ranges_ms)}  # a repeated range: its last index
+    cats = list(config.category_fields)
 
-    def assign(batch: pa.Table) -> pa.Table:
-        b = add_window_columns(batch, ts_col, 1)  # ts_ms only; reuse cast logic
-        ts_ms = b["window_start_ms"].to_numpy()
-        idx = np.searchsorted(lows, ts_ms, side="right") - 1
-        ok = (idx >= 0) & (ts_ms < highs[np.clip(idx, 0, len(highs) - 1)])
-        tbl = batch.append_column("range_idx", pa.array(np.where(ok, idx, -1).astype(np.int64)))
-        return tbl.filter(pc.greater_equal(tbl["range_idx"], 0))
+    def finalize(df):
+        out = finalize_partials_multi(df, config, cats)
+        out = out.assign(range_idx=np.asarray(
+            [range_idx[r] for r in zip(out["window_start_ms"], out["window_end_ms"])], dtype=np.int64))
+        return out[[*cats, "range_idx", *config.feature_names()]]
 
-    ds = ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-    keys = list(config.category_fields) + ["range_idx"]
-    return ds.groupby(keys).aggregate(*[_agg_for(f) for f in config.features])
+    windows = functools.partial(add_range_window_columns, ts_col=ts_col, ranges_ms=ranges_ms)
+    part, empty = entity_windows(ds, config, ts_col, windows=windows)
+    return rd.from_arrow_refs(exchange_by_key(part, cats or ["window_start_ms"], finalize, empty))

@@ -394,24 +394,15 @@ def _frame(ds) -> pa.Table:
     return pa.Table.from_pandas(ds.to_pandas(), preserve_index=False)
 
 
-def _score_input(table: pa.Table, cfg: DetectorConfig, fused: bool) -> pd.DataFrame:
-    """detect()'s scoring-stage input rows, collected as ONE pandas
-    group: map-side window partials (fused) or finished windows."""
+def _score_input(table: pa.Table, cfg: DetectorConfig) -> pd.DataFrame:
+    """detect()'s scoring-stage input rows, the map-side window
+    partials, collected as ONE pandas group."""
     import ray.data as rd
 
     from anomaly_detection_ray.pipelines.detector import _add_model_id
-    from anomaly_detection_ray.stages.window import (
-        normalize_features,
-        partial_window_aggregate,
-        window_aggregate,
-    )
+    from anomaly_detection_ray.stages.window import partial_window_aggregate
 
-    ds = rd.from_arrow(table)
-    if fused:
-        t = _frame(partial_window_aggregate(ds, cfg, ts_col="ts"))
-    else:
-        t = normalize_features(_frame(window_aggregate(ds, cfg, ts_col="ts")),
-                               cfg.feature_names())
+    t = _frame(partial_window_aggregate(rd.from_arrow(table), cfg, ts_col="ts"))
     return _add_model_id(t, cfg).to_pandas()
 
 
@@ -468,9 +459,9 @@ def test_detect_coarse_plan_bit_identical(ray_session, stream_table, monkeypatch
     """The per-model scoring exchange (hash(model_id) % P parts, many
     models per part) is a pure plan change: detect() with P forced ≥ 2
     equals the same stage scoring the whole input as ONE group
-    in-process, both from map-side partials and from the two-shuffle
-    plan's finished windows. The fixture really spreads the models over
-    several parts and puts several models in one part."""
+    in-process, for mergeable and exact-percentile features. The fixture
+    really spreads the models over several parts and puts several models
+    in one part."""
     import ray.data as rd
 
     from anomaly_detection_ray.pipelines.detector import detect
@@ -478,19 +469,17 @@ def test_detect_coarse_plan_bit_identical(ray_session, stream_table, monkeypatch
 
     _forced_parts(monkeypatch)
     cfg = _detector_cfg()
-    # a percentile feature is not mergeable: detect takes the two-shuffle plan
     pct = dataclasses.replace(
         cfg, features=(FeatureSpec("value_p90", "value", "percentile", percentile=0.9),))
     key = ["model_id", "window_end_ms"]
-    for c, stage_plans in ((cfg, (True, False)), (pct, (False,))):
+    for c in (cfg, pct):
         res = detect(rd.from_arrow(stream_table), c, ts_col="ts")
         models = [set(t["model_id"].to_pylist()) for t in _part_tables(res)]
         assert sum(1 for m in models if m) >= 2 and max(map(len, models)) >= 2
         got = _sorted(res.to_pandas(), key)
         assert got["model_id"].nunique() == 8
-        for fused in stage_plans:
-            whole = ScoreGroups(c, fused=fused)(_score_input(stream_table, c, fused))
-            pd.testing.assert_frame_equal(got, _sorted(whole, key))
+        whole = ScoreGroups(c)(_score_input(stream_table, c))
+        pd.testing.assert_frame_equal(got, _sorted(whole, key))
 
 
 def test_forecast_coarse_plan_bit_identical(ray_session, stream_table, monkeypatch):
@@ -510,8 +499,8 @@ def test_forecast_coarse_plan_bit_identical(ray_session, stream_table, monkeypat
     got = res.to_pandas()
     stage = ForecastGroups(
         value_col="value_avg", interval_ms=600_000, horizon=6, period=0,
-        entity_cols=("entity",), output_after=cfg.model_output_after(),
-        config_id=cfg.config_id, fused_config=cfg, seed=cfg.seed,
+        entity_cols=("entity",), config=cfg, output_after=cfg.model_output_after(),
+        config_id=cfg.config_id, seed=cfg.seed,
     )
     part = partial_window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas()
     whole = stage(part)
@@ -582,14 +571,14 @@ def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
 
     cfg = _detector_cfg()
     t = generate_interval_stream(n_entities=3, n_windows=6, interval_s=600, seed=3)
-    group = _score_input(t, cfg, fused=True)
-    kw = dict(config=cfg, checkpoint_dir=str(tmp_path / "ckpt"), fused=True)
+    group = _score_input(t, cfg)
+    kw = dict(config=cfg, checkpoint_dir=str(tmp_path / "ckpt"))
     assert len(ScoreGroups(**kw)(group)) == 18
     scored = ScoreGroups(**kw)(group)
     forecasts = ForecastGroups(
         value_col="value_avg", interval_ms=600_000, horizon=6, period=0,
-        entity_cols=("entity",), output_after=cfg.model_output_after(),
-        config_id=cfg.config_id, fused_config=cfg,
+        entity_cols=("entity",), config=cfg, output_after=cfg.model_output_after(),
+        config_id=cfg.config_id,
     )(group.drop(columns=["model_id"]))
     ray_data_log = logging.getLogger("ray.data")
     ray_data_log.addHandler(caplog.handler)
@@ -611,12 +600,13 @@ def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
 
 
 def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
-    """An events file that emits no window: the ``detect_anomalies`` and
-    ``forecast_events`` query frames come back empty with their result
-    columns, not a ``KeyError`` from sorting a 0×0 frame (Ray's
-    ``to_pandas`` skips zero-row blocks)."""
+    """An events file that emits no window: the ``detect_anomalies``,
+    ``forecast_events`` and window-aggregation query frames come back
+    empty with their result columns, not a ``KeyError`` from sorting a
+    0×0 frame (Ray's ``to_pandas`` skips zero-row blocks)."""
     import pyarrow.parquet as pq
 
+    from anomaly_detection_ray.pipelines import queries as q
     from anomaly_detection_ray.pipelines.queries import (
         q_detect_anomalies,
         q_detect_hc,
@@ -644,6 +634,20 @@ def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
     assert len(hc) == 0 and list(hc.columns) == [
         "event_type", "user_bucket", "window_end_ms", "value_avg", "value_max",
         "anomaly_score", "anomaly_grade"]
+    win = ["event_type", "window_start_ms", "window_end_ms"]
+    for query, cols in [
+        (q.q_feature_agg_interval, [*win, "f_min", "f_max", "f_sum", "f_avg", "f_count"]),
+        (q.q_calendar_week_agg, ["event_type", "window_start_ms", "f_sum", "f_count"]),
+        (q.q_feature_agg_filtered, [*win, "f_avg", "f_count"]),
+        (q.q_date_range_agg, ["range_idx", "f_avg", "f_count"]),
+        (q.q_impute_linear, ["event_type", "window_start_ms", "value_imputed"]),
+        (q.q_shingle_density, ["event_type", "n_full_shingles"]),
+        (q.q_entity_cardinality, ["event_type", "n_users"]),
+        (q.q_entity_cardinality_hll, ["event_type", "n_users"]),
+        (q.q_value_percentile_tdigest, ["event_type", "p50"]),
+    ]:
+        out = query(str(tmp_path))
+        assert len(out) == 0 and list(out.columns) == cols, query.__name__
     # two hourly windows: too few for a forecast, so the empty frame
     # carries the stage's own result columns
     pq.write_table(pa.table({
@@ -675,8 +679,9 @@ def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, mo
     so they run as plain tasks in the session's warm workers: no map
     operator of a detect or forecast plan — the map side handed to the
     per-entity exchange, nor the returned result — starts an actor pool
-    (a fresh process per run). The fused plans run no sort shuffle: no
-    ``Sort`` or ``MapGroups`` operator is left in them."""
+    (a fresh process per run). No plan runs a sort shuffle: no ``Sort``
+    or ``MapGroups`` operator is left in them, exact percentile included;
+    every map side computes window partials."""
     import ray.data as rd
     from ray.data import ActorPoolStrategy
     from ray.data._internal.logical.operators.map_operator import AbstractMap
@@ -695,30 +700,28 @@ def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, mo
     for mod in (detector, forecast_mod):
         monkeypatch.setattr(mod, "exchange_by_key", spy(mod.exchange_by_key))
     cfg = _detector_cfg()
-    # a percentile feature is not mergeable: detect takes the two-shuffle plan
     pct = dataclasses.replace(
         cfg, features=(FeatureSpec("value_p90", "value", "percentile", percentile=0.9),))
     ts = pd.to_datetime(stream_table["ts"].to_pandas()).astype("int64") // 10**6
     mid = int(ts.median()) // 600_000 * 600_000
     plans = [
-        (detector.detect(rd.from_arrow(stream_table), cfg, ts_col="ts"), True),
-        (detector.detect(rd.from_arrow(stream_table), pct, ts_col="ts"), False),
-        (detector.detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
-                         time_range_ms=(mid, int(ts.max()) + 600_000)), True),
-        (forecast_mod.forecast(rd.from_arrow(stream_table), cfg, horizon=6), True),
+        detector.detect(rd.from_arrow(stream_table), cfg, ts_col="ts"),
+        detector.detect(rd.from_arrow(stream_table), pct, ts_col="ts"),
+        detector.detect(rd.from_arrow(stream_table), cfg, ts_col="ts",
+                        time_range_ms=(mid, int(ts.max()) + 600_000)),
+        forecast_mod.forecast(rd.from_arrow(stream_table), cfg, horizon=6),
     ]
     assert len(map_sides) == len(plans)
-    for (result, fused), map_side in zip(plans, map_sides):
+    for result, map_side in zip(plans, map_sides):
         for ds in (map_side, result):
             ops = _plan_ops(ds)
             pools = [op.name for op in ops
                      if isinstance(op, AbstractMap) and isinstance(op._compute, ActorPoolStrategy)]
             assert pools == [], pools
-            if fused:
-                shuffles = [op.name for op in ops
-                            if type(op).__name__ == "Sort" or "MapGroups" in op.name]
-                assert shuffles == [], shuffles
-        assert any("partial" in op.name for op in _plan_ops(map_side)) == fused
+            shuffles = [op.name for op in ops
+                        if type(op).__name__ == "Sort" or "MapGroups" in op.name]
+            assert shuffles == [], shuffles
+        assert any("partial" in op.name for op in _plan_ops(map_side))
 
 
 def test_process_many_identical_to_process():
@@ -979,28 +982,102 @@ def test_detect_high_cardinality_quality(ray_session):
     assert recalled.mean() >= 0.7, f"recall {recalled.mean()}"
 
 
-def test_fused_plan_equals_two_shuffle_plan(ray_session, stream_table):
-    """The single-shuffle fused plan (map-side partials merged in the
-    scoring group) and the two-shuffle groupby-aggregate plan give the
-    same windows and feature values for mergeable aggs."""
+def _exact_events(stream_table: pa.Table) -> pa.Table:
+    """The stream with nulls in its value column (every 7th row) and an
+    int ``code`` column (nulls at the same rows) to count distinct.
+    Values have 5 decimals, so interpolated quantiles often fall on a
+    ``round(x, 5)`` tie, where Python's ``round`` and ``np.round``
+    differ."""
+    v = np.round(stream_table["value"].to_numpy(), 5)
+    null = np.arange(len(v)) % 7 == 3
+    return stream_table.set_column(
+        stream_table.column_names.index("value"), "value", pa.array(v, mask=null)
+    ).append_column("code", pa.array((v // 10).astype(np.int64), mask=null))
+
+
+def _ray_exact(ds, keys: list[str]) -> pd.DataFrame:
+    """Ray's own ``groupby().aggregate`` of the exact features: Quantile
+    as it is; Unique keeps null as one value, which the cardinality
+    partial drops (OpenSearch's cardinality ignores missing values)."""
+    from ray.data.aggregate import Quantile, Unique
+
+    out = ds.groupby(keys).aggregate(
+        Quantile("value", q=0.5, alias_name="p50"), Quantile("value", q=0.9, alias_name="p90"),
+        Unique("code", alias_name="codes")).to_pandas()
+    out["n_codes"] = [float(sum(1 for c in u if c == c)) for u in out.pop("codes")]
+    return out
+
+
+def test_exact_partials_equal_ray_aggregates(ray_session, stream_table):
+    """Exact ``percentile`` (q = 0.5, 0.9) and ``cardinality`` are
+    mergeable partials (value lists, distinct sets): over fixed, calendar
+    and explicit-range windows, from 3 and 7 blocks of an input with
+    null values, they equal Ray's ``Quantile``/``Unique`` bit for bit. An
+    HLL feature rides every window kind, calendar windows included."""
+    import pyarrow.compute as pc
     import ray.data as rd
 
     from anomaly_detection_ray.stages.window import (
-        finalize_partials_multi,
-        normalize_features,
-        partial_window_aggregate,
+        add_calendar_window_columns,
+        add_window_columns,
+        date_range_aggregate,
         window_aggregate,
     )
 
-    cfg = _detector_cfg()
-    key = ["entity", "window_end_ms"]
-    fused = finalize_partials_multi(
-        partial_window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas(),
-        cfg, ["entity"])
-    two = normalize_features(_frame(window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts")),
-                             cfg.feature_names()).to_pandas()
-    assert len(fused) == 8 * 300
-    pd.testing.assert_frame_equal(_sorted(fused, key), _sorted(two, key))
+    t = _exact_events(stream_table)
+    cfg = DetectorConfig(config_id="exact", interval_s=600, category_fields=("entity",), features=(
+        FeatureSpec("p50", "value", "percentile", percentile=0.5),
+        FeatureSpec("p90", "value", "percentile", percentile=0.9),
+        FeatureSpec("n_codes", "code", "cardinality"),
+        FeatureSpec("uv", "code", "cardinality_hll")))
+    t0, h = int(pc.min(t["ts"]).cast(pa.int64()).as_py()), 3_600_000
+    ranges = [(t0, t0 + 6 * h), (t0 + 6 * h, t0 + 30 * h), (t0 + 40 * h, t0 + 50 * h)]
+
+    def in_range(b: pa.Table) -> pa.Table:
+        ts = pc.cast(b["ts"], pa.int64()).to_numpy()
+        idx = np.full(len(ts), -1, np.int64)
+        for i, (lo, hi) in enumerate(ranges):
+            idx[(ts >= lo) & (ts < hi)] = i
+        b = b.append_column("range_idx", pa.array(idx))
+        return b.filter(pc.greater_equal(b["range_idx"], 0))
+
+    win = ["entity", "window_start_ms", "window_end_ms"]
+    kinds = [
+        (lambda ds: window_aggregate(ds, cfg, ts_col="ts"),
+         lambda b: add_window_columns(b, "ts", 600_000), win),
+        (lambda ds: window_aggregate(ds, cfg, ts_col="ts", calendar_interval="1w"),
+         lambda b: add_calendar_window_columns(b, "ts", "1w"), win),
+        (lambda ds: date_range_aggregate(ds, cfg, ranges, ts_col="ts"),
+         in_range, ["entity", "range_idx"]),
+    ]
+    feats = ["p50", "p90", "n_codes"]
+    for blocks in (3, 7):
+        ds = rd.from_arrow(t).repartition(blocks)
+        for ours, assign, keys in kinds:
+            got = _sorted(ours(ds).to_pandas(), keys)
+            want = _sorted(_ray_exact(ds.map_batches(assign, batch_format="pyarrow"), keys), keys)
+            assert len(got) == len(want) > 0 and got[keys].equals(want[keys])
+            assert got[feats].isna().sum().sum() == 0
+            pd.testing.assert_frame_equal(got[feats], want[feats], check_exact=True)
+            assert np.allclose(got["uv"], got["n_codes"], rtol=0.05, atol=1)
+
+
+def test_unsupported_agg_raises_at_plan_time(ray_session, stream_table):
+    """An unknown ``FeatureSpec.agg`` raises a ``ValueError`` naming it
+    when the plan is built, before any block runs — it is not computed
+    as some other agg."""
+    import ray.data as rd
+
+    from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.stages.window import date_range_aggregate, window_aggregate
+
+    cfg = dataclasses.replace(_detector_cfg(), features=(FeatureSpec("v_med", "value", "median"),))
+    ds = rd.from_arrow(stream_table)
+    for run in (lambda: detect(ds, cfg, ts_col="ts"),
+                lambda: window_aggregate(ds, cfg, ts_col="ts"),
+                lambda: date_range_aggregate(ds, cfg, [(0, 2**62)], ts_col="ts")):
+        with pytest.raises(ValueError, match="'median'"):
+            run()
 
 
 def test_chunked_scoring_byte_identical(ray_session, monkeypatch):
@@ -1020,20 +1097,20 @@ def test_chunked_scoring_byte_identical(ray_session, monkeypatch):
                   FeatureSpec("value_max", "value", "max")),
         category_fields=("entity",), num_trees=10, sample_size=64,
     )
-    group = _score_input(t, cfg, fused=True)
+    group = _score_input(t, cfg)
 
     def score(chunk_rows: int) -> pd.DataFrame:
         monkeypatch.setattr(scorer, "CHUNK_ROWS", chunk_rows)
-        return scorer.ScoreGroups(cfg, detailed=True, fused=True)(group)
+        return scorer.ScoreGroups(cfg, detailed=True)(group)
 
     whole = score(10**9)
     pd.testing.assert_frame_equal(whole, score(97))
     assert len(whole) > 1000  # the history actually spanned many chunks
 
 
-def test_detect_percentile_feature_two_shuffle(ray_session, stream_table):
-    """A percentile feature is non-mergeable → detect silently uses the
-    two-shuffle plan end-to-end (the fallback path stays exercised)."""
+def test_detect_percentile_feature(ray_session, stream_table):
+    """An exact percentile feature scores end-to-end through detect's one
+    plan (its value-list partials merge in the scoring reducer)."""
     import ray.data as rd
 
     from anomaly_detection_ray.pipelines.detector import detect

@@ -4,8 +4,8 @@ The reference's feature surface is sketch-backed at scale
 (`AbstractRetriever.java:80-89` t-digest percentiles;
 `ProfileRunner.java:271,301` HLL cardinality) — these tests bound the
 sketch error against the exact twins and prove the merge path (partial
-per batch → shuffle → merge) is value-stable and admitted to the fused
-single-shuffle detect plan.
+per batch → exchange → merge) is value-stable and scores through
+detect's plan.
 """
 
 import numpy as np
@@ -123,10 +123,9 @@ def sketch_events():
 def test_window_aggregate_sketch_vs_exact(ray_session, sketch_events):
     import ray.data as rd
 
-    from anomaly_detection_ray.stages.window import mergeable, window_aggregate
+    from anomaly_detection_ray.stages.window import window_aggregate
 
     cfg = _sketch_cfg()
-    assert mergeable(cfg)  # sketches join the fused single-shuffle plan
     # force several blocks so the merge path (partials from different
     # batches shuffled to one group) is actually exercised
     ds = rd.from_arrow(sketch_events).repartition(8)
@@ -171,11 +170,11 @@ def test_window_aggregate_sketch_deterministic(ray_session, sketch_events):
 
 
 def test_detect_fused_plan_with_sketch_features(ray_session, sketch_events):
-    """Sketch features are mergeable → detect takes the fused single-shuffle
-    plan and scores on the sketch feature values. Merging every entity's
-    partials at once in the scoring group (finalize_partials_multi)
-    equals the two-shuffle plan's window aggregate, and detect() equals
-    the scorer run in-process on those finished windows as ONE group."""
+    """detect() scores on the sketch feature values. Merging every
+    entity's partials at once in one group (finalize_partials_multi)
+    equals window_aggregate's merge across the exchange's parts, and
+    detect() equals the scorer run in-process on those partials as ONE
+    group."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -183,7 +182,6 @@ def test_detect_fused_plan_with_sketch_features(ray_session, sketch_events):
     from anomaly_detection_ray.stages.scorer import ScoreGroups
     from anomaly_detection_ray.stages.window import (
         finalize_partials_multi,
-        normalize_features,
         partial_window_aggregate,
         window_aggregate,
     )
@@ -200,20 +198,18 @@ def test_detect_fused_plan_with_sketch_features(ray_session, sketch_events):
         return df.sort_values(key).reset_index(drop=True)[sorted(df.columns)]
 
     key = ["model_id", "window_end_ms"]
-    fused = ordered(detect(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas(), key)
-    assert len(fused) > 0 and {"uv", "p90", "anomaly_score"} <= set(fused.columns)
-    assert fused["uv"].notna().all()
+    got = ordered(detect(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas(), key)
+    assert len(got) > 0 and {"uv", "p90", "anomaly_score"} <= set(got.columns)
+    assert got["uv"].notna().all()
 
-    merged = finalize_partials_multi(
+    part = pa.Table.from_pandas(
         partial_window_aggregate(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas(),
-        cfg, ["event_type"])
-    two = normalize_features(
-        pa.Table.from_pandas(window_aggregate(rd.from_arrow(sketch_events), cfg,
-                                              ts_col="ts").to_pandas(), preserve_index=False),
-        cfg.feature_names())
+        preserve_index=False)
+    merged = finalize_partials_multi(part.to_pandas(), cfg, ["event_type"])
+    agg = window_aggregate(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas()
     wkey = ["event_type", "window_end_ms"]
     assert len(merged) == 3 * 6
-    pd.testing.assert_frame_equal(ordered(merged, wkey), ordered(two.to_pandas(), wkey))
+    pd.testing.assert_frame_equal(ordered(merged, wkey), ordered(agg, wkey))
 
-    whole = ScoreGroups(cfg)(_add_model_id(two, cfg).to_pandas())
-    pd.testing.assert_frame_equal(fused, ordered(whole, key))
+    whole = ScoreGroups(cfg)(_add_model_id(part, cfg).to_pandas())
+    pd.testing.assert_frame_equal(got, ordered(whole, key))
