@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
 THRESHOLD_TYPES = (
     "actual_over_expected_margin",
@@ -60,22 +61,19 @@ def suppressed_mask(actual: np.ndarray, expected: np.ndarray, rule: Rule) -> np.
     return (-diff > 0) & (-diff <= rule.value * np.abs(expected))
 
 
-def apply_rules(results, rules: list[Rule], expected_cols: dict[str, str]):
-    """pandas DataFrame of result rows → same frame with grades zeroed
-    where ANY rule suppresses (rules OR together, like the reference's
-    ignore arrays). ``expected_cols`` maps feature_name → column holding
-    its expected value."""
-    import pandas as pd
-
-    out = results.copy()
-    if not rules:
-        return out
-    mask = np.zeros(len(out), dtype=bool)
+def apply_rules(results: pa.Table, rules: list[Rule], expected_cols: dict[str, str]) -> pa.Table:
+    """Arrow table of result rows → the same rows with grades zeroed
+    (and ``is_anomaly`` cleared) where ANY rule suppresses (rules OR
+    together, like the reference's ignore arrays), plus a
+    ``suppressed_by_rule`` column. ``expected_cols`` maps feature_name →
+    column holding its expected value."""
+    mask = np.zeros(results.num_rows, dtype=bool)
     for r in rules:
-        exp_col = expected_cols[r.feature_name]
-        mask |= suppressed_mask(out[r.feature_name].to_numpy(), out[exp_col].to_numpy(), r)
-    mask &= out["anomaly_grade"].to_numpy() > 0
-    out.loc[mask, "anomaly_grade"] = 0.0
-    out.loc[mask, "is_anomaly"] = False
-    out["suppressed_by_rule"] = mask
-    return out
+        mask |= suppressed_mask(results[r.feature_name].to_numpy(),
+                                results[expected_cols[r.feature_name]].to_numpy(), r)
+    grade = results["anomaly_grade"].to_numpy()
+    mask &= grade > 0
+    for name, v in (("anomaly_grade", np.where(mask, 0.0, grade)),
+                    ("is_anomaly", results["is_anomaly"].to_numpy() & ~mask)):
+        results = results.set_column(results.schema.get_field_index(name), name, pa.array(v))
+    return results.append_column("suppressed_by_rule", pa.array(mask))

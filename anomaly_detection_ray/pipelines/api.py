@@ -23,6 +23,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..config import DetectorConfig
 from ..stages.exchange import exchange_by_key
@@ -31,16 +32,27 @@ from ..stages.window import add_window_columns, per_entity
 WINDOW_DELAY_RATIO = 1.2  # TimeSeriesSettings.java:301
 
 
-def _per_entity(ds, cats: list[str], fn, empty, config: DetectorConfig) -> pd.DataFrame:
-    """Run a per-entity pandas UDF over Layer B's per-entity exchange
-    (``stages.exchange.exchange_by_key``) of ``entity_windows(…, config)``
-    partials, merged first; ``fn`` on a zero-row frame gives the empty
-    result. Returns the collected (entity-bounded) result."""
-    import pyarrow as pa
+def _per_entity(events_ds, fn, config: DetectorConfig, ts_col: str = "ts") -> pd.DataFrame:
+    """Run ``fn`` on detect()'s plan: ``entity_windows(…, config)``
+    partials keyed by ``model_id`` (``detector._add_model_id``: the
+    entity hash, or the config id without category fields) with the
+    category fields carried, one per-entity exchange
+    (``stages.exchange.exchange_by_key``), and ``per_entity`` calling
+    ``fn`` on each model's merged windows, an Arrow slice in window
+    order (on the zero-row slice when a part holds no model). Returns
+    the collected (entity-bounded) result."""
     import ray
 
-    stage = functools.partial(per_entity, keys=cats, fn=fn, empty=fn, config=config)
-    return pa.concat_tables(ray.get(exchange_by_key(ds, cats, stage, empty))).to_pandas()
+    from ..stages.window import entity_windows
+    from .detector import _add_model_id
+
+    agg, empty = entity_windows(events_ds, config, ts_col)
+    agg = agg.map_batches(_add_model_id, fn_kwargs=dict(config=config),
+                          batch_format="pyarrow", zero_copy_batch=True)
+    stage = functools.partial(per_entity, keys=["model_id"], fn=fn, config=config,
+                              carry=config.category_fields)
+    refs = exchange_by_key(agg, ["model_id"], stage, lambda: _add_model_id(empty(), config))
+    return pa.concat_tables(ray.get(refs)).to_pandas()
 
 
 class DetectorAPI:
@@ -150,39 +162,34 @@ class DetectorAPI:
         The per-entity pass rides detect()'s plan (``_per_entity``):
         map-side window partials, ONE exchange, partial merge +
         autocorrelation inside the reducer."""
-        from ..stages.window import entity_windows, window_aggregate
-
         feats = self.config.feature_names()
         if not feats:
             return 0
         f0 = feats[0]
-        cats = list(self.config.category_fields)
 
-        def entity_period(g: pd.DataFrame) -> pd.DataFrame:
-            x = g.sort_values("window_start_ms")[f0].to_numpy(dtype=np.float64)
+        def vote(period: int, weight: int) -> pa.Table:
+            return pa.table({"period": pa.array([period], pa.int64()),
+                             "weight": pa.array([weight], pa.int64())})
+
+        def entity_period(g: pa.Table) -> pa.Table:
+            x = g[f0].to_numpy()  # in window order (per_entity); null → NaN
             x = x[np.isfinite(x)]
             n = x.size
             if n < 8:
-                return pd.DataFrame({"period": [0], "weight": [0]})
+                return vote(0, 0)
             x = x - x.mean()
             spec = np.abs(np.fft.rfft(x, n=2 * n)) ** 2
             acf = np.fft.irfft(spec)[:n]
             if acf[0] <= 0:
-                return pd.DataFrame({"period": [0], "weight": [n]})
+                return vote(0, n)
             acf = acf / acf[0]
             hi = min(max_period, n // 2)
             if hi < 2:
-                return pd.DataFrame({"period": [0], "weight": [n]})
+                return vote(0, n)
             lag = int(np.argmax(acf[2 : hi + 1])) + 2
-            period = lag if acf[lag] >= 0.3 else 0
-            return pd.DataFrame({"period": [period], "weight": [n]})
+            return vote(lag if acf[lag] >= 0.3 else 0, n)
 
-        if cats:
-            agg, empty = entity_windows(self._ds(pruned=True), self.config, self.ts_col)
-            votes = _per_entity(agg, cats, entity_period, empty, self.config)
-        else:
-            votes = entity_period(
-                window_aggregate(self._ds(pruned=True), self.config, ts_col=self.ts_col).to_pandas())
+        votes = _per_entity(self._ds(pruned=True), entity_period, self.config, self.ts_col)
         votes = votes[votes["weight"] > 0]
         if not len(votes):
             return 0
@@ -256,48 +263,28 @@ class DetectorAPI:
         """Fraction of fully-populated shingle windows per entity (B4) —
         computed per entity inside the exchange's reducers (one tiny row
         per entity reaches the caller; round-1 pulled every distinct
-        (entity, window) pair into the calling process). With category
-        fields the pass rides detect()'s plan (``_per_entity``) over the
-        featureless window partials: each entity's distinct windows."""
-        from ..stages.window import entity_windows
-
+        (entity, window) pair into the calling process). The pass rides
+        detect()'s plan (``_per_entity``) over the featureless window
+        partials: each entity's distinct windows. An entity's key is the
+        tuple of its category values as strings, ``"()"`` without
+        category fields."""
         interval_ms = self.config.interval_s * 1000
         s = self.config.shingle_size
         cats = list(self.config.category_fields)
-        ds = self._ds(columns=cats + [self.ts_col])
 
-        def entity_density(g: pd.DataFrame) -> pd.DataFrame:
-            if not len(g):
-                return pd.DataFrame({"entity": pd.Series(dtype=object),
-                                     "density": pd.Series(dtype=np.float64)})
-            a = np.unique(g["window_start_ms"].to_numpy())
+        def entity_density(g: pa.Table) -> pa.Table:
+            a = g["window_start_ms"].to_numpy()  # distinct, in order (per_entity)
             lo = np.searchsorted(a, a - (s - 1) * interval_ms, side="left")
-            full = int(((np.arange(a.size) - lo + 1) == s).sum())
-            key = str(tuple(str(g[c].iloc[0]) for c in cats))
-            return pd.DataFrame({"entity": [key], "density": [full / max(1, a.size)]})
+            density = ((np.arange(a.size) - lo + 1) == s).sum() / max(1, a.size)
+            keys = [str(tuple(str(v) for v in row.values()))
+                    for row in g.slice(0, 1).select(cats).to_pylist()]
+            return pa.table({"entity": pa.array(keys, pa.string()),
+                             "density": pa.array([density] * len(keys), pa.float64())})
 
-        if cats:
-            keys_only = dataclasses.replace(self.config, features=())
-            agg, empty = entity_windows(ds, keys_only, self.ts_col)
-            dens = _per_entity(agg, cats, entity_density, empty, keys_only)
-            return dict(zip(dens["entity"], dens["density"]))
-        # no categories: distinct windows computed DISTRIBUTED; the driver
-        # receives one row per distinct window (bounded by
-        # time-range/interval), not one per event
-        from ray.data.aggregate import Count as _Count
-
-        a = np.sort(
-            ds.map_batches(lambda b: add_window_columns(b, self.ts_col, interval_ms),
-                           batch_format="pyarrow", zero_copy_batch=True)
-            .select_columns(["window_start_ms"])
-            .groupby("window_start_ms")
-            .aggregate(_Count(alias_name="__n"))
-            .select_columns(["window_start_ms"])
-            .to_pandas()["window_start_ms"]
-            .to_numpy()
-        )
-        lo = np.searchsorted(a, a - (s - 1) * interval_ms, side="left")
-        return {"()": float(((np.arange(a.size) - lo + 1) == s).sum() / max(1, a.size))}
+        keys_only = dataclasses.replace(self.config, features=())
+        dens = _per_entity(self._ds(columns=cats + [self.ts_col]), entity_density, keys_only,
+                           self.ts_col)
+        return dict(zip(dens["entity"], dens["density"]))
 
     # ---- _preview (deterministic, D7 stride sampling + B6 interpolation) ----
 
@@ -319,14 +306,13 @@ class DetectorAPI:
             # 1M-entity scale that would be ~10⁹ rows for a 5-entity preview)
             from ray.data.aggregate import Count
 
-            top_pd = (
+            top = {tuple(r[c] for c in cats) for r in (
                 agg_ds.groupby(cats)
                 .aggregate(Count(alias_name="__n"))
                 .sort(["__n", *cats], descending=[True] + [False] * len(cats))
                 .limit(max_entities)
-                .to_pandas()
-            )
-            top = set(top_pd[cats].itertuples(index=False, name=None))
+                .take_all()
+            )}
 
             def _keep_top(df: pd.DataFrame) -> pd.DataFrame:
                 if not len(df):
@@ -339,8 +325,10 @@ class DetectorAPI:
             agg = agg_ds.map_batches(_keep_top, batch_format="pandas").to_pandas()
         else:
             agg = agg_ds.to_pandas()
+        # Ray's to_pandas gives a frame without columns when no row comes
+        groups = (agg.groupby(cats) if cats else [((), agg)]) if len(agg) else []
         out = []
-        for ent, g in agg.groupby(cats) if cats else [((), agg)]:
+        for ent, g in groups:
             g = g.sort_values("window_start_ms")
             sampled = g.iloc[:: max(1, len(g) // 300 * 4 and 4)]  # stride ≈ preview sampling
             vals = linear_uniform_impute(sampled[feats].to_numpy(), len(g))
@@ -359,7 +347,9 @@ class DetectorAPI:
             for c, v in zip(cats, ent if isinstance(ent, tuple) else (ent,)):
                 df[c] = v
             out.append(df)
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame()
+        if not out:
+            return pd.DataFrame(columns=["window_end_ms", "anomaly_score", "anomaly_grade", *cats])
+        return pd.concat(out, ignore_index=True)
 
     # ---- _run / job tick ----
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DetectorConfig
 from ..functions.hashing import entity_model_id
@@ -114,9 +115,9 @@ def detect(
     if agg_range is not time_range_ms:
         stage, lo = score, time_range_ms[0]
 
-        def score(group):  # cold-start training rows are scored, not emitted
+        def score(group: pa.Table) -> pa.Table:  # cold-start training rows are scored, not emitted
             out = stage(group)
-            return out[out["window_start_ms"] >= lo] if len(out) else out
+            return out.filter(pc.greater_equal(out["window_start_ms"], lo))
 
     import ray.data as rd
 

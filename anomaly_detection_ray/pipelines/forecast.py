@@ -18,12 +18,11 @@ confidence + the forecast window's time range).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..config import DetectorConfig
 from ..stages.exchange import exchange_by_key
-from ..stages.window import arrow_if_empty, entity_windows, per_entity
+from ..stages.window import entity_windows, per_entity
 
 
 class ForecastGroups:
@@ -70,66 +69,57 @@ class ForecastGroups:
             output_after=self.output_after, confidence=self.confidence,
         )
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame | pa.Table:
+    def __call__(self, group: pa.Table) -> pa.Table:
         # The group holds MANY entities (see ``stages.window.per_entity``);
-        # each stream is forecast independently, in entity order. A group
-        # that forecasts nothing returns its columns as a typed Arrow table.
-        return arrow_if_empty(per_entity(group, self.entity_cols, self._forecast_entity,
-                                         self._empty_result, self.config))
+        # each stream is forecast independently, in entity order.
+        return per_entity(group, self.entity_cols, self._forecast_entity, self.config)
 
-    def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
-        """Zero-row frame with the columns ``_forecast_entity`` emits."""
-        i64, f64 = np.empty(0, np.int64), np.empty(0, np.float64)
-        out = pd.DataFrame({"horizon_index": i64, "forecast_window_start_ms": i64,
-                            "forecast_window_end_ms": i64, "forecast_value": f64,
-                            "forecast_lower": f64, "forecast_upper": f64, "confidence": f64})
-        for c in self.entity_cols:
-            out[c] = group[c].iloc[0:0].to_numpy()
-        return out
-
-    def _forecast_entity(self, group: pd.DataFrame) -> pd.DataFrame:
-        # pre-merged and pre-sorted by per_entity
+    def _forecast_entity(self, sub: pa.Table) -> pa.Table:
+        # one entity's windows, merged and sorted by per_entity; a
+        # zero-row slice (no entity left in the part) runs the same code
+        # on a forecaster neither loaded nor saved: no forecast, no row
+        store = self.store if sub.num_rows else None
+        first = sub.slice(0, 1).select(self.entity_cols)
         model_id = "forecast_" + self.config_id + "_" + "|".join(
-            str(group[c].iloc[0]) for c in self.entity_cols
+            str(v) for row in first.to_pylist() for v in row.values()
         )
         f = None
         last_end = None
-        if self.store is not None:
-            state = self.store.load_state(model_id)
+        if store is not None:
+            state = store.load_state(model_id)
             if state is not None:
                 f = state["forecaster"]
                 last_end = state["last_window_end"]
         if f is None:
             f = self._new_forecaster(model_id)
-        vals = group[self.value_col].to_numpy(dtype=np.float64)
-        for v, we in zip(vals, group["window_end_ms"].to_numpy()):
+        vals = sub[self.value_col].to_numpy()
+        for v, we in zip(vals, sub["window_end_ms"].to_numpy()):
             if last_end is not None and we <= last_end:
                 continue  # out-of-order drop (§2.F)
             f.update(0.0 if not np.isfinite(v) else float(v))
             last_end = int(we)
             f.record_forecast()  # error bookkeeping only; bounds computed once below
-        if self.store is not None:
-            self.store.save_state(
+        if store is not None:
+            store.save_state(
                 model_id, {"forecaster": f, "last_window_end": last_end},
                 n_points=f.n_points, last_window_end=last_end,
             )
         fc = f.forecast()
-        if fc is None or last_end is None:
-            return self._empty_result(group)
-        h = np.arange(1, self.horizon + 1, dtype=np.int64)
-        out = pd.DataFrame(
-            {
-                "horizon_index": h,
-                "forecast_window_start_ms": last_end + (h - 1) * self.interval_ms,
-                "forecast_window_end_ms": last_end + h * self.interval_ms,
-                "forecast_value": np.round(fc["values"], 6),
-                "forecast_lower": np.round(fc["lower"], 6),
-                "forecast_upper": np.round(fc["upper"], 6),
-                "confidence": fc["confidence"],
-            }
-        )
+        if fc is None:  # warming up, or no window: the same columns, no row
+            fc = {"values": np.empty(0), "lower": np.empty(0), "upper": np.empty(0), "confidence": 0.0}
+        h = np.arange(1, len(fc["values"]) + 1, dtype=np.int64)
+        out = pa.table({
+            "horizon_index": h,
+            "forecast_window_start_ms": (last_end or 0) + (h - 1) * self.interval_ms,
+            "forecast_window_end_ms": (last_end or 0) + h * self.interval_ms,
+            "forecast_value": np.round(fc["values"], 6),
+            "forecast_lower": np.round(fc["lower"], 6),
+            "forecast_upper": np.round(fc["upper"], 6),
+            "confidence": np.full(h.size, fc["confidence"], dtype=np.float64),
+        })
+        ents = first.take(np.zeros(h.size, dtype=np.int64))
         for c in self.entity_cols:
-            out[c] = group[c].iloc[0]
+            out = out.append_column(c, ents[c])
         return out
 
 

@@ -1031,24 +1031,22 @@ def q_interval_suggest(sf_dir: str) -> pd.DataFrame:
 def q_shingle_density(sf_dir: str) -> pd.DataFrame:
     """B4: count of fully-populated 8-long shingle windows per entity
     (SearchFeatureDao.java:894-1052 validation)."""
-    from ..stages.window import entity_windows
     from .api import _per_entity
 
     interval_ms, s = 600_000, 8
     cfg = DetectorConfig(config_id="q", interval_s=interval_ms // 1000, category_fields=("event_type",))
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts"])
-    agg, empty = entity_windows(ds, cfg, "ts")  # no features: each entity's distinct windows
 
-    def count_full(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({"event_type": pd.Series(dtype=object),
-                                 "n_full_shingles": pd.Series(dtype=np.int64)})
-        a = g["window_start_ms"].to_numpy()  # sorted by _per_entity
+    def count_full(g: pa.Table) -> pa.Table:
+        # no features: the entity's distinct windows, in order (_per_entity)
+        a = g["window_start_ms"].to_numpy()
         lo = np.searchsorted(a, a - (s - 1) * interval_ms, side="left")
         cnt = np.arange(a.size) - lo + 1
-        return pd.DataFrame({"event_type": [g["event_type"].iloc[0]], "n_full_shingles": [int((cnt == s).sum())]})
+        first = g.slice(0, 1).select(["event_type"])
+        return first.append_column(
+            "n_full_shingles", pa.array([int((cnt == s).sum())] * first.num_rows, pa.int64()))
 
-    out = _per_entity(agg, ["event_type"], count_full, empty, cfg)
+    out = _per_entity(ds, count_full, cfg)
     return out.sort_values("event_type").reset_index(drop=True).astype({"n_full_shingles": "int64"})
 
 
@@ -1656,12 +1654,10 @@ def q_impute_linear(sf_dir: str) -> pd.DataFrame:
         config_id="q", interval_s=600, category_fields=("event_type",),
         features=(FeatureSpec("value_avg", "value", "avg"),),
     )
-    from ..stages.window import entity_windows
     from .api import _per_entity
     from .detector import needed_columns
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
-    agg, empty = entity_windows(ds, cfg, "ts")
 
     def round_half_away(a: np.ndarray, nd: int = 6) -> np.ndarray:
         # DuckDB's round() is half-away-from-zero; numpy's is half-even.
@@ -1671,20 +1667,17 @@ def q_impute_linear(sf_dir: str) -> pd.DataFrame:
         v = a * s
         return np.sign(v) * np.floor(np.abs(v) + 0.5) / s
 
-    def impute_group(g: pd.DataFrame) -> pd.DataFrame:
+    def impute_group(g: pa.Table) -> pa.Table:
         # g: one entity's windows in order (_per_entity), or no row
-        sampled = g.iloc[::4]  # stride sampling (FeatureManager.java:357-371)
-        m = len(g)
-        vals = linear_uniform_impute(round_half_away(sampled[["value_avg"]].to_numpy()), m)
-        return pd.DataFrame(
-            {
-                "event_type": g["event_type"].to_numpy(),
-                "window_start_ms": g["window_start_ms"].to_numpy(),
-                "value_imputed": round_half_away(vals[:, 0]),
-            }
-        )
+        sampled = g["value_avg"].to_numpy()[::4, None]  # stride sampling (FeatureManager.java:357-371)
+        vals = linear_uniform_impute(round_half_away(sampled), g.num_rows)
+        return pa.table({
+            "event_type": g["event_type"],
+            "window_start_ms": g["window_start_ms"],
+            "value_imputed": round_half_away(vals[:, 0]),
+        })
 
-    out = _per_entity(agg, ["event_type"], impute_group, empty, cfg)
+    out = _per_entity(ds, impute_group, cfg)
     return out.sort_values(["event_type", "window_start_ms"]).reset_index(drop=True)
 
 

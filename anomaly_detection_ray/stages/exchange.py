@@ -15,8 +15,9 @@ import pyarrow.compute as pc
 # parts hold ≤ PART_BYTES of map-side rows. Whole waves keep a tick
 # parallel and leave no lone last part (`bench.py --hc`, 10k entities at
 # 4 CPUs: 35 s in 4 parts, 48 s in 5); the bytes bound caps one reducer's
-# pandas group (8 MiB ≈ 2,500 entities × 40 windows: 400 MB per worker at
-# 1 CPU, 480 MB with 32 MiB). Tests force P > 1 by monkeypatching it.
+# table (8 MiB ≈ 2,500 entities × 40 windows: ~390 MB peak per worker at
+# 1 CPU; 480 MB with 32 MiB, measured when reducers ran on pandas). Tests
+# force P > 1 by monkeypatching it.
 PART_BYTES = 8 << 20
 
 
@@ -77,12 +78,10 @@ def split_by_keys(tbl: pa.Table, arg) -> list[pa.Table]:
 
 
 def _reduce_stage(p: int, stage, *pieces: pa.Table) -> pa.Table:
-    """One part's pieces as ONE pandas group → ``stage`` → a typed Arrow
-    table, zero rows included, so every part's block has one schema."""
-    from .window import arrow_if_empty
-
-    out = arrow_if_empty(stage(pa.concat_tables(pieces).to_pandas()))
-    return out if isinstance(out, pa.Table) else pa.Table.from_pandas(out, preserve_index=False)
+    """One part's pieces as ONE Arrow table → ``stage``, which returns a
+    typed Arrow table, zero rows included, so every part's block has one
+    schema."""
+    return stage(pa.concat_tables(pieces))
 
 
 def exchange_by_key(ds, keys, stage, empty) -> list:

@@ -7,7 +7,11 @@ replaces the reference's hash ring + per-model locks
 (``HashRing.java:61-199``, ``RealTimeInferencer.java:225-238``): a
 model's samples reach one reducer of one run, in window order (the §2.F
 ordering requirement; models are independent). The in-group loop is
-``stages.window.per_entity``, shared with forecasting and validation.
+``stages.window.per_entity``, shared with forecasting and validation:
+each model's windows arrive as an Arrow slice, and its result rows are
+the slice's kept rows with the result columns appended, the same code
+for a slice without rows (one typed zero-row table when a part holds
+no model).
 
 The stage keeps no state past one group: each model is restored from
 the ``checkpoint_dir`` (or cold-started), scored and saved before the
@@ -24,13 +28,12 @@ semantics, ``ADBatchTaskRunner`` / ``AnomalyDetectorRunner``).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..config import DetectorConfig
 from ..state.checkpoint import CheckpointStore
 from ..state.model import TRCFModel
-from .window import arrow_if_empty, per_entity
+from .window import per_entity
 
 RESULT_COLUMNS = ["anomaly_score", "anomaly_grade", "confidence", "is_anomaly"]
 
@@ -152,72 +155,58 @@ class ScoreGroups:
         self.store = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
         self.detailed = bool(detailed) or bool(config.rules)
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame | pa.Table:
+    def __call__(self, group: pa.Table) -> pa.Table:
         # The group holds MANY models (see ``stages.window.per_entity``);
         # each is scored independently, in model_id order, each in
-        # window order. Empty per-model frames are kept: they carry the
-        # result columns, so an all-empty group still emits its schema,
-        # as a typed Arrow table.
+        # window order.
         c = self.config
-        return arrow_if_empty(per_entity(group, ["model_id"], self._score_model, self._empty_result,
-                                         c, carry=c.category_fields))
+        return per_entity(group, ["model_id"], self._score_model, c, carry=c.category_fields)
 
-    def _empty_result(self, group: pd.DataFrame) -> pd.DataFrame:
-        """Zero-row frame with the same columns ``_score_chunk`` emits
-        (a block-schema mismatch would poison the downstream stream)."""
-        res = group.iloc[0:0].copy()
-        for col in ("anomaly_score", "anomaly_grade", "confidence"):
-            res[col] = np.array([], dtype=np.float64)
-        res["is_anomaly"] = np.array([], dtype=bool)
-        if self.detailed:
-            for f in self.config.feature_names():
-                for suf in ("_expected", "_attribution", "_past"):
-                    res[f + suf] = np.array([], dtype=np.float64)
-            if self.config.rules:
-                res["suppressed_by_rule"] = np.array([], dtype=bool)
-        return res
-
-    def _score_model(self, group: pd.DataFrame) -> pd.DataFrame:
+    def _score_model(self, sub: pa.Table) -> pa.Table:
+        # one model's windows, in order; a zero-row slice (no model left
+        # in the part) runs the same code on a model neither loaded nor
+        # saved, so it returns the typed zero-row result
         c = self.config
-        group = group.reset_index(drop=True)  # pre-sorted by per_entity
-        model_id = str(group["model_id"].iloc[0])
-
-        model = self.store.load(model_id) if self.store is not None else None
+        store = self.store if sub.num_rows else None
+        model_id = sub["model_id"][0].as_py() if sub.num_rows else ""
+        model = store.load(model_id) if store is not None else None
         if model is None:
             model = TRCFModel(c, model_id)
 
         fnames = list(c.feature_names())
         parts = [
-            self._score_chunk(model, group.iloc[lo:lo + CHUNK_ROWS], fnames)
-            for lo in range(0, len(group), CHUNK_ROWS)
+            self._score_chunk(model, sub.slice(lo, CHUNK_ROWS), fnames)
+            for lo in range(0, max(sub.num_rows, 1), CHUNK_ROWS)
         ]
 
-        if self.store is not None:
-            self.store.save(model)
-        return parts[0] if len(parts) == 1 else pd.concat(parts)
+        if store is not None:
+            store.save(model)
+        return pa.concat_tables(parts)
 
-    def _score_chunk(self, model, sub: pd.DataFrame, fnames: list[str]) -> pd.DataFrame:
-        feats = sub[fnames].to_numpy(dtype=np.float64)
-        ends = sub["window_end_ms"].to_numpy(dtype=np.int64)
+    def _score_chunk(self, model, sub: pa.Table, fnames: list[str]) -> pa.Table:
+        feats = np.empty((sub.num_rows, len(fnames)))
+        for k, f in enumerate(fnames):
+            feats[:, k] = sub[f].to_numpy()  # a null feature reads NaN
+        ends = sub["window_end_ms"].to_numpy()
         out = model.process_many(feats, ends, detailed=self.detailed)
 
         keep = out["keep"]
-        res = sub.loc[keep].copy()
-        res["anomaly_score"] = out["anomaly_score"][keep]
-        res["anomaly_grade"] = out["anomaly_grade"][keep]
-        res["confidence"] = out["confidence"][keep]
-        res["is_anomaly"] = out["is_anomaly"][keep]
+        cols = {k: out[k][keep] for k in RESULT_COLUMNS}
         if self.detailed:
-            score = out["anomaly_score"][keep]
+            score = cols["anomaly_score"]
             attr = out["attribution"][keep]
             with np.errstate(invalid="ignore", divide="ignore"):
                 attr_norm = np.where(score[:, None] > 0, attr / np.where(score[:, None] > 0, score[:, None], 1.0), 0.0)
+            expected, past = out["expected"][keep], out["past"][keep]
             for k, f in enumerate(fnames):
-                res[f"{f}_expected"] = out["expected"][keep][:, k]
-                res[f"{f}_attribution"] = attr_norm[:, k]
-                res[f"{f}_past"] = out["past"][keep][:, k]
-            if self.config.rules:
-                from ..functions.rules import apply_rules
+                cols[f"{f}_expected"] = expected[:, k]
+                cols[f"{f}_attribution"] = attr_norm[:, k]
+                cols[f"{f}_past"] = past[:, k]
+        res = sub.filter(keep)
+        for name, v in cols.items():
+            res = res.append_column(name, pa.array(v, from_pandas=True))
+        if self.config.rules:
+            from ..functions.rules import apply_rules
 
-                res = apply_rules(res, list(self.config.rules), {f: f"{f}_expected" for f in fnames})
+            res = apply_rules(res, list(self.config.rules), {f: f"{f}_expected" for f in fnames})
         return res

@@ -166,7 +166,7 @@ def window_aggregate(
     cols = [*cats, "window_start_ms", "window_end_ms", *config.feature_names()]
     part, empty = entity_windows(ds, config, ts_col, time_range_ms, windows)
     return rd.from_arrow_refs(exchange_by_key(
-        part, cats or ["window_start_ms"], lambda df: finalize_partials_multi(df, config, cats)[cols],
+        part, cats or ["window_start_ms"], lambda t: finalize_partials_multi(t, config, cats).select(cols),
         empty))
 
 
@@ -385,15 +385,18 @@ def _exact_quantile(series, q: float) -> float:
     return round(v[f] * (c - k) + v[c] * (k - f), 5)
 
 
-def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
+def finalize_partials_multi(table: pa.Table, config: DetectorConfig, group_cols: list[str]) -> pa.Table:
     """Merge the partial rows of MANY entities (one part of the
     per-entity exchange) into final feature values: one row per
     (group_cols…, window), columns named like ``window_aggregate``'s
-    output, B1 NaN semantics applied. ONE pandas groupby for the whole
-    group; ~10× less pandas overhead than a per-model finalize at tens
-    of models per part."""
+    output, B1 NaN semantics applied (a NaN feature is null). ONE pandas
+    groupby for the whole part; ~10× less pandas overhead than a
+    per-model finalize at tens of models per part. The output is typed
+    from ``table``'s schema, zero rows included: the group columns keep
+    their Arrow types, windows are int64, features float64."""
     import pandas as pd
 
+    df = table.to_pandas()
     keys = [*group_cols, "window_start_ms", "window_end_ms"]
     # stable sort by the group columns, then every other column, so the
     # float merge order of one (group, window) is deterministic whatever
@@ -434,41 +437,36 @@ def finalize_partials_multi(df, config: DetectorConfig, group_cols: list[str]):
         v[~np.isfinite(v)] = np.nan
         res[f] = v
     # window keys, features, then the carried group columns
-    return res[["window_start_ms", "window_end_ms", *config.feature_names(), *group_cols]]
+    schema = pa.schema([("window_start_ms", pa.int64()), ("window_end_ms", pa.int64()),
+                        *((f, pa.float64()) for f in config.feature_names()),
+                        *(table.schema.field(c) for c in group_cols)])
+    return pa.Table.from_pandas(res, schema=schema, preserve_index=False).replace_schema_metadata()
 
 
-def per_entity(group, keys: list[str], fn, empty, config: DetectorConfig,
-               carry: tuple[str, ...] = ()):
+def per_entity(table: pa.Table, keys: list[str], fn, config: DetectorConfig,
+               carry: tuple[str, ...] = ()) -> pa.Table:
     """The in-group loop of every Layer B stage: one reducer of the
     per-entity exchange (``stages.exchange.exchange_by_key``) holds
     many entities. Merges the map-side window partials of the whole
-    group at once (:func:`finalize_partials_multi` with ``config``,
+    part at once (:func:`finalize_partials_multi` with ``config``,
     keeping the ``carry`` columns next to ``keys``); sorts once, stably,
     on ``keys`` and window start (an entity's windows are distinct, so
     this is its window order); calls ``fn`` on each entity's slice in
-    key order. ``empty(group)`` gives the zero-row result when no entity
-    is left."""
-    import pandas as pd
-
-    group = finalize_partials_multi(group, config, [*carry, *keys])
-    group = group.sort_values([*keys, "window_start_ms"], kind="stable")
-    parts = [fn(sub) for _, sub in group.groupby(keys, sort=True)]
-    if not parts:
-        return empty(group)
-    return parts[0] if len(parts) == 1 else pd.concat(parts)
-
-
-def arrow_if_empty(result):
-    """A stage's zero-row pandas result → a zero-row Arrow table with
-    typed columns (object columns → string); a result with rows, or an
-    Arrow table, passes through. Ray sizes a zero-row pandas block's
-    object column with a logged error and types it ``null`` in
-    ``to_arrow_refs()``."""
-    if isinstance(result, pa.Table) or len(result):
-        return result
-    schema = pa.Schema.from_pandas(result, preserve_index=False)
-    return pa.schema([f.with_type(pa.string()) if pa.types.is_null(f.type) else f
-                      for f in schema]).empty_table()
+    key order, or once on the zero-row table when no entity is left.
+    A row with a null key belongs to no entity. ``fn`` returns an Arrow
+    table of one schema whatever its row count."""
+    table = finalize_partials_multi(table, config, [*carry, *keys])
+    for k in keys:
+        table = table.filter(pc.is_valid(table[k]))
+    order = pc.sort_indices(table, [(k, "ascending") for k in [*keys, "window_start_ms"]])
+    table = table.take(order)
+    n = table.num_rows
+    change = np.zeros(max(n - 1, 0), dtype=bool)
+    for k in keys:
+        col = table[k]
+        change |= pc.not_equal(col[1:], col[:-1]).to_numpy(zero_copy_only=False)
+    bounds = [0, *(np.flatnonzero(change) + 1), n]
+    return pa.concat_tables([fn(table.slice(lo, hi - lo)) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def date_range_aggregate(ds, config: DetectorConfig, ranges_ms: list[tuple[int, int]], ts_col: str = "ts"):
@@ -484,11 +482,12 @@ def date_range_aggregate(ds, config: DetectorConfig, ranges_ms: list[tuple[int, 
     range_idx = {r: i for i, r in enumerate(ranges_ms)}  # a repeated range: its last index
     cats = list(config.category_fields)
 
-    def finalize(df):
-        out = finalize_partials_multi(df, config, cats)
-        out = out.assign(range_idx=np.asarray(
-            [range_idx[r] for r in zip(out["window_start_ms"], out["window_end_ms"])], dtype=np.int64))
-        return out[[*cats, "range_idx", *config.feature_names()]]
+    def finalize(table: pa.Table) -> pa.Table:
+        out = finalize_partials_multi(table, config, cats)
+        idx = [range_idx[r] for r in zip(out["window_start_ms"].to_pylist(),
+                                         out["window_end_ms"].to_pylist())]
+        out = out.append_column("range_idx", pa.array(idx, pa.int64()))
+        return out.select([*cats, "range_idx", *config.feature_names()])
 
     windows = functools.partial(add_range_window_columns, ts_col=ts_col, ranges_ms=ranges_ms)
     part, empty = entity_windows(ds, config, ts_col, windows=windows)

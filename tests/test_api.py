@@ -58,7 +58,8 @@ def _pandas_density(events_path: str, cats: list[str], interval_ms: int, s: int)
     """Shingle density per entity: the share of an entity's windows
     whose ``s``-window span back from them is fully present."""
     out = {}
-    for k, g in _windows(events_path, cats, interval_ms).groupby(cats):
+    frame = _windows(events_path, cats, interval_ms)
+    for k, g in frame.groupby(cats) if cats else [((), frame)]:
         have = set(g["window_start_ms"])
         full = sum(all(w - i * interval_ms in have for i in range(s)) for w in have)
         out[str(tuple(str(v) for v in k))] = full / len(have)
@@ -70,7 +71,8 @@ def _pandas_period(events_path: str, cats: list[str], interval_ms: int,
     """Length-weighted vote of each entity's autocorrelation peak over
     its windowed mean value (direct correlation, lags 2..n/2)."""
     votes: dict[int, int] = {}
-    for _, g in _windows(events_path, cats, interval_ms).groupby(cats):
+    frame = _windows(events_path, cats, interval_ms)
+    for _, g in frame.groupby(cats) if cats else [((), frame)]:
         x = g.groupby("window_start_ms")["value"].mean().sort_index().to_numpy()
         n = x.size
         x = x - x.mean()
@@ -154,15 +156,39 @@ def test_validate_coarse_parity_multi_category(ray_session, events_file, tmp_pat
 
 
 def test_empty_input_density_and_period(ray_session, events_file, tmp_path):
-    """An events file without rows: no densities and no period, from
-    the typed empty result of the per-entity exchange."""
+    """An events file without rows, with and without category fields:
+    no densities, no period and a zero-row preview with its columns,
+    from the typed empty result of the per-entity exchange (without
+    category fields each raised ``KeyError: 'window_start_ms'`` on a
+    0×0 frame)."""
+    import dataclasses
+
     from anomaly_detection_ray.pipelines.api import DetectorAPI
 
     p = str(tmp_path / "empty.parquet")
     pq.write_table(pq.read_table(events_file).slice(0, 0), p)
-    api = DetectorAPI(_cfg(), p)
-    assert api.shingle_density() == {}
-    assert api.suggest_period() == 0
+    for cfg in (_cfg(), dataclasses.replace(_cfg(), category_fields=())):
+        api = DetectorAPI(cfg, p)
+        assert api.shingle_density() == {}
+        assert api.suggest_period() == 0
+        pv = api.preview()
+        assert len(pv) == 0 and list(pv.columns) == [
+            "window_end_ms", "anomaly_score", "anomaly_grade", *cfg.category_fields]
+
+
+def test_density_and_period_without_categories(ray_session, events_file, monkeypatch):
+    """Without category fields the whole input is one stream (one model,
+    keyed ``"()"``): its density and period are pandas' over the whole
+    events file, through the same per-entity exchange as with them."""
+    import dataclasses
+
+    from anomaly_detection_ray.pipelines.api import DetectorAPI
+
+    _forced_parts(monkeypatch)
+    api = DetectorAPI(dataclasses.replace(_cfg(), category_fields=()), events_file)
+    density = api.shingle_density()
+    assert density == _pandas_density(events_file, [], 600_000, 8) and list(density) == ["()"]
+    assert api.suggest_period() == _pandas_period(events_file, [], 600_000)
 
 
 def test_preview_deterministic(ray_session, events_file):

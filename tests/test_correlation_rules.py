@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from anomaly_detection_ray.functions.rules import Rule, apply_rules, suppressed_mask
@@ -122,7 +123,7 @@ def test_suppressed_mask_semantics():
 
 
 def test_apply_rules_zeroes_grades():
-    df = pd.DataFrame(
+    t = pa.table(
         {
             "value_avg": [12.0, 50.0],
             "expected_value": [10.0, 10.0],
@@ -130,9 +131,10 @@ def test_apply_rules_zeroes_grades():
             "is_anomaly": [True, True],
         }
     )
-    out = apply_rules(df, [Rule("value_avg", "actual_over_expected_margin", 5.0)], {"value_avg": "expected_value"})
-    assert out["anomaly_grade"].tolist() == [0.0, 0.9]
-    assert out["suppressed_by_rule"].tolist() == [True, False]
+    out = apply_rules(t, [Rule("value_avg", "actual_over_expected_margin", 5.0)], {"value_avg": "expected_value"})
+    assert out["anomaly_grade"].to_pylist() == [0.0, 0.9]
+    assert out["is_anomaly"].to_pylist() == [False, True]
+    assert out["suppressed_by_rule"].to_pylist() == [True, False]
 
 
 def test_scalar_similarity_matches_vectorized_kappa_eff():

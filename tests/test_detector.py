@@ -394,16 +394,16 @@ def _frame(ds) -> pa.Table:
     return pa.Table.from_pandas(ds.to_pandas(), preserve_index=False)
 
 
-def _score_input(table: pa.Table, cfg: DetectorConfig) -> pd.DataFrame:
+def _score_input(table: pa.Table, cfg: DetectorConfig) -> pa.Table:
     """detect()'s scoring-stage input rows, the map-side window
-    partials, collected as ONE pandas group."""
+    partials, collected as ONE Arrow table."""
     import ray.data as rd
 
     from anomaly_detection_ray.pipelines.detector import _add_model_id
     from anomaly_detection_ray.stages.window import partial_window_aggregate
 
     t = _frame(partial_window_aggregate(rd.from_arrow(table), cfg, ts_col="ts"))
-    return _add_model_id(t, cfg).to_pandas()
+    return _add_model_id(t, cfg)
 
 
 def _sorted(df: pd.DataFrame, key: list[str]) -> pd.DataFrame:
@@ -478,7 +478,7 @@ def test_detect_coarse_plan_bit_identical(ray_session, stream_table, monkeypatch
         assert sum(1 for m in models if m) >= 2 and max(map(len, models)) >= 2
         got = _sorted(res.to_pandas(), key)
         assert got["model_id"].nunique() == 8
-        whole = ScoreGroups(c)(_score_input(stream_table, c))
+        whole = ScoreGroups(c)(_score_input(stream_table, c)).to_pandas()
         pd.testing.assert_frame_equal(got, _sorted(whole, key))
 
 
@@ -502,8 +502,8 @@ def test_forecast_coarse_plan_bit_identical(ray_session, stream_table, monkeypat
         entity_cols=("entity",), config=cfg, output_after=cfg.model_output_after(),
         config_id=cfg.config_id, seed=cfg.seed,
     )
-    part = partial_window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts").to_pandas()
-    whole = stage(part)
+    part = _frame(partial_window_aggregate(rd.from_arrow(stream_table), cfg, ts_col="ts"))
+    whole = stage(part).to_pandas()
     assert got["entity"].nunique() == 8 and len(got) == 8 * 6
     pd.testing.assert_frame_equal(_sorted(got, key), _sorted(whole, key))
 
@@ -555,13 +555,21 @@ def test_empty_input_keeps_result_schema(ray_session, stream_table):
     assert none.count() == 0 and none.schema() == full.schema()
 
 
-def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
+def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog, monkeypatch):
     """A scoring group that emits nothing (a replay of windows its
     checkpoints already hold) and a forecast group with too few points:
     each stage returns a zero-row Arrow table with typed columns, which
     Ray sizes without logging an error (a zero-row pandas frame's object
-    column does not size, and converts to ``null``)."""
+    column does not size, and converts to ``null``). A detect() part
+    that holds no model returns the populated parts' schema, detailed
+    and rule columns included."""
     import logging
+
+    import ray.data as rd
+
+    from anomaly_detection_ray.functions.rules import Rule
+    from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.stages import exchange
 
     from ray.data.block import BlockAccessor
 
@@ -579,7 +587,7 @@ def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
         value_col="value_avg", interval_ms=600_000, horizon=6, period=0,
         entity_cols=("entity",), config=cfg, output_after=cfg.model_output_after(),
         config_id=cfg.config_id,
-    )(group.drop(columns=["model_id"]))
+    )(group.drop_columns(["model_id"]))
     ray_data_log = logging.getLogger("ray.data")
     ray_data_log.addHandler(caplog.handler)
     try:
@@ -597,6 +605,15 @@ def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog):
     f = forecasts.schema
     assert f.field("entity").type == pa.string() and f.field("horizon_index").type == pa.int64()
     assert f.field("forecast_value").type == pa.float64()
+    # more parts than models (the map side is ~1 KB), so one part is empty
+    monkeypatch.setattr(exchange, "PART_BYTES", 1 << 10)
+    rules = dataclasses.replace(cfg, rules=(Rule("value_avg", "actual_over_expected_margin", 5.0),))
+    blocks = _part_tables(detect(rd.from_arrow(t), rules, detailed=True))
+    assert min(b.num_rows for b in blocks) == 0 < max(b.num_rows for b in blocks)
+    full = next(b for b in blocks if b.num_rows).schema
+    assert {"value_avg_expected", "value_avg_attribution", "value_avg_past",
+            "suppressed_by_rule"} <= set(full.names)
+    assert all(b.schema == full for b in blocks)
 
 
 def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
@@ -1101,7 +1118,7 @@ def test_chunked_scoring_byte_identical(ray_session, monkeypatch):
 
     def score(chunk_rows: int) -> pd.DataFrame:
         monkeypatch.setattr(scorer, "CHUNK_ROWS", chunk_rows)
-        return scorer.ScoreGroups(cfg, detailed=True)(group)
+        return scorer.ScoreGroups(cfg, detailed=True)(group).to_pandas()
 
     whole = score(10**9)
     pd.testing.assert_frame_equal(whole, score(97))

@@ -144,6 +144,37 @@ def test_forecast_rcf_checkpoint_continuation_equals_single_run(ray_session, tmp
     _check_split_equals_single(tmp_path, "rcf")
 
 
+def test_forecast_checkpoint_key_is_pinned(tmp_path):
+    """A forecaster's checkpoint key is ``forecast_<config_id>_<entity
+    values, |-joined>``, each value ``str()`` of its Python value:
+    ``e1`` for a string category, ``7`` for an int64 one, also when that
+    column holds nulls (a null-keyed row belongs to no entity). Another
+    spelling would cold-start every checkpointed forecast stream."""
+    import glob
+
+    import pyarrow as pa
+
+    from anomaly_detection_ray.pipelines.forecast import ForecastGroups
+    from anomaly_detection_ray.stages.window import window_partials
+    from anomaly_detection_ray.state.checkpoint import CheckpointStore
+
+    cfg = DetectorConfig(
+        config_id="fc-key", interval_s=600, category_fields=("region", "host"),
+        features=(FeatureSpec("value_avg", "value", "avg"),),
+    )
+    ts = pa.array(np.arange(6, dtype=np.int64) * 600_000).cast(pa.timestamp("ms"))
+    for host in (pa.array([7] * 6, pa.int64()), pa.array([7, None] * 3, pa.int64())):
+        ck = str(tmp_path / f"ck{host.null_count}")
+        t = pa.table({"ts": ts, "region": ["e1"] * 6, "host": host, "value": np.arange(6.0)})
+        ForecastGroups(
+            value_col="value_avg", interval_ms=600_000, horizon=2, period=0,
+            entity_cols=cfg.category_fields, config=cfg, checkpoint_dir=ck, config_id=cfg.config_id,
+        )(window_partials(t, cfg))
+        assert len(glob.glob(f"{ck}/*/*.pkl")) == 1
+        state = CheckpointStore(ck).load_state("forecast_fc-key_e1|7")
+        assert state["last_window_end"] == (5 if host.null_count else 6) * 600_000
+
+
 def _check_split_equals_single(tmp_path, backend: str) -> None:
     import ray.data as rd
 

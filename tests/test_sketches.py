@@ -205,11 +205,11 @@ def test_detect_fused_plan_with_sketch_features(ray_session, sketch_events):
     part = pa.Table.from_pandas(
         partial_window_aggregate(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas(),
         preserve_index=False)
-    merged = finalize_partials_multi(part.to_pandas(), cfg, ["event_type"])
+    merged = finalize_partials_multi(part, cfg, ["event_type"]).to_pandas()
     agg = window_aggregate(rd.from_arrow(sketch_events), cfg, ts_col="ts").to_pandas()
     wkey = ["event_type", "window_end_ms"]
     assert len(merged) == 3 * 6
     pd.testing.assert_frame_equal(ordered(merged, wkey), ordered(agg, wkey))
 
-    whole = ScoreGroups(cfg)(_add_model_id(part, cfg).to_pandas())
+    whole = ScoreGroups(cfg)(_add_model_id(part, cfg)).to_pandas()
     pd.testing.assert_frame_equal(got, ordered(whole, key))
