@@ -707,9 +707,8 @@ GROUP BY user_id ORDER BY cnt DESC, user_id LIMIT 10
 """,
         "decayed_top_entities": """
 WITH e AS (SELECT user_id, CAST(epoch_ms(ts) AS BIGINT) // 600000 AS n FROM events),
-m AS (SELECT max(n) AS nmax FROM e),
-w AS (SELECT user_id, exp(0.125 * (n - (SELECT nmax FROM m))) AS wgt FROM e)
-SELECT user_id, round(ln(sum(wgt)) + 0.125 * (SELECT nmax FROM m), 6) AS priority
+w AS (SELECT user_id, n, max(n) OVER (PARTITION BY user_id) AS nmax FROM e)
+SELECT user_id, round(ln(sum(exp(0.125 * (n - nmax)))) + 0.125 * max(nmax), 6) AS priority
 FROM w GROUP BY user_id ORDER BY priority DESC, user_id LIMIT 10
 """,
         "entity_cardinality": """

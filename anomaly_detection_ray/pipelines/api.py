@@ -24,9 +24,10 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DetectorConfig
-from ..stages.exchange import exchange_by_key
+from ..stages.exchange import exchange_by_key, top_k_by_key
 from ..stages.window import add_window_columns, per_entity
 
 WINDOW_DELAY_RATIO = 1.2  # TimeSeriesSettings.java:301
@@ -106,33 +107,21 @@ class DetectorAPI:
         """Most recent ``RECENT_TS_CAP`` DISTINCT event timestamps (epoch
         ms, ascending) — the shared probe behind ``suggest_interval`` and
         ``validate()``'s recency anchor (one scan serves both; r5 fused
-        the separate max-ts pass). Each batch dedupes locally before the
-        groupby, so the shuffle moves per-block distinct timestamps, not
-        every event row; only the bounded recent sample reaches the
-        driver (``IntervalCalculation.java:31-56`` samples latest data
-        the same way)."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        from ray.data.aggregate import Count
+        the separate max-ts pass). Each batch dedupes locally, the
+        exchange moves per-block distinct timestamps, not every event row,
+        and each part sends its newest ``RECENT_TS_CAP`` to the driver
+        (``top_k_by_key``; ``IntervalCalculation.java:31-56`` samples
+        latest data the same way)."""
+        def distinct(t: pa.Table) -> pa.Table:
+            return pa.table({"window_start_ms": pc.unique(t["window_start_ms"])})
 
-        def to_ms_unique(b: pa.Table) -> pa.Table:
-            t = add_window_columns(b, self.ts_col, 1)
-            u = pc.unique(t["window_start_ms"].combine_chunks())
-            return pa.table({"window_start_ms": u})
-
-        ds = self._ds(columns=[self.ts_col]).select_columns([self.ts_col]).map_batches(
-            to_ms_unique, batch_format="pyarrow", zero_copy_batch=True
-        )
-        frame = (
-            ds.groupby("window_start_ms")
-            .aggregate(Count(alias_name="__n"))
-            .sort("window_start_ms", descending=True)
-            .limit(self.RECENT_TS_CAP)
-            .to_pandas()
-        )
-        if "window_start_ms" not in frame.columns:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(frame["window_start_ms"].to_numpy(dtype=np.int64))
+        ds = self._ds(columns=[self.ts_col]).map_batches(
+            lambda b: distinct(add_window_columns(b, self.ts_col, 1)),
+            batch_format="pyarrow", zero_copy_batch=True)
+        recent = top_k_by_key(ds, ["window_start_ms"], distinct, [("window_start_ms", "descending")],
+                              self.RECENT_TS_CAP,
+                              lambda: pa.table({"window_start_ms": pa.array([], pa.int64())}))
+        return np.sort(recent["window_start_ms"].to_numpy())
 
     @staticmethod
     def _interval_from_recent(recent: np.ndarray, default: int) -> int:
@@ -146,8 +135,8 @@ class DetectorAPI:
         """Median gap between distinct timestamps, in seconds — over the
         most RECENT ``RECENT_TS_CAP`` distinct timestamps (the reference's
         interval calculation also samples latest data,
-        ``IntervalCalculation.java:31-56``). Distinct + sort + limit run
-        distributed; only the bounded recent sample reaches the driver."""
+        ``IntervalCalculation.java:31-56``): the per-part newest distinct
+        timestamps of ``_recent_distinct_ts_ms``, merged in the driver."""
         return self._interval_from_recent(self._recent_distinct_ts_ms(),
                                           self.config.interval_s)
 
@@ -203,8 +192,6 @@ class DetectorAPI:
         suggestion (WINDOW_DELAY_RATIO × observed ingest delay is the
         reference's rule; with batch files we report the suggested
         interval instead)."""
-        from ..stages.priority import decayed_top_entities  # noqa: F401 (import check)
-
         issues: list[str] = []
         # ONE distinct-ts probe serves both the interval suggestion and
         # the recency anchor for the feature sample below (r4 ran a
@@ -304,15 +291,14 @@ class DetectorAPI:
             # filter before collecting — preview never materializes the full
             # (entity, window) aggregate on the driver (at the reference's
             # 1M-entity scale that would be ~10⁹ rows for a 5-entity preview)
-            from ray.data.aggregate import Count
+            def window_count(part: pa.Table) -> pa.Table:
+                return part.group_by(cats, use_threads=False).aggregate(
+                    [([], "count_all")]).rename_columns([*cats, "__n"])
 
-            top = {tuple(r[c] for c in cats) for r in (
-                agg_ds.groupby(cats)
-                .aggregate(Count(alias_name="__n"))
-                .sort(["__n", *cats], descending=[True] + [False] * len(cats))
-                .limit(max_entities)
-                .take_all()
-            )}
+            ranked = top_k_by_key(agg_ds, cats, window_count,
+                                  [("__n", "descending"), *((c, "ascending") for c in cats)],
+                                  max_entities, lambda: agg_ds.schema().base_schema.empty_table())
+            top = set(zip(*(ranked[c].to_pylist() for c in cats)))
 
             def _keep_top(df: pd.DataFrame) -> pd.DataFrame:
                 if not len(df):
@@ -542,15 +528,17 @@ class DetectorAPI:
                       horizon: int = 24, period: int = 0, threshold: float | None = None,
                       relation: str = "GREATER_THAN"):
         """_topForecasts (``SearchTopForecastResultTransportAction``):
-        run the forecast and rank entities by the built-in sub-agg."""
-        from .forecast import forecast, top_forecast_results
+        run the forecast and rank entities by the built-in sub-agg. A
+        malformed request raises before the forecast runs."""
+        from .forecast import forecast, forecast_ranking, top_forecast_results
 
+        forecast_ranking(build_in_query, threshold, relation)
         fc = forecast(self._ds(pruned=True), self.config, horizon=horizon, period=period,
                       ts_col=self.ts_col)
         return top_forecast_results(
             fc, self.config, k=k, build_in_query=build_in_query,
             horizon=horizon, threshold=threshold, relation=relation,
-        ).to_pandas()
+        )
 
     # ---- _profile / _stats / _topAnomalies ----
 
@@ -562,10 +550,22 @@ class DetectorAPI:
         import glob as _glob
         import json as _json
 
-        from ray.data.aggregate import Count
+        import ray
 
         cats = list(self.config.category_fields)
-        n_entities = self._ds().groupby(cats).aggregate(Count(alias_name="n")).count() if cats else 1
+        n_entities = 1
+        if cats:
+            # per-block distinct keys, one per-entity exchange; each part
+            # counts its own keys and the driver sums the counts
+            def distinct(t: pa.Table) -> pa.Table:
+                return t.group_by(cats, use_threads=False).aggregate([])
+
+            refs = exchange_by_key(
+                self._ds(columns=cats).map_batches(distinct, batch_format="pyarrow",
+                                                   zero_copy_batch=True),
+                cats, lambda part: pa.table({"n": [distinct(part).num_rows]}),
+                lambda: distinct(self._schema().base_schema.empty_table()))
+            n_entities = sum(t["n"][0].as_py() for t in ray.get(refs))
         out = {
             "config_id": self.config.config_id,
             "n_entities": int(n_entities),
@@ -657,9 +657,6 @@ class DetectorAPI:
         EntityProfileRunner's last-sample search (a max-ts agg over the
         entity's term filter), distributed: per-batch filter + max, tiny
         driver-side reduce."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
         ts_col = self.ts_col
         items = [(k, str(v)) for k, v in entity.items()]
 
@@ -683,4 +680,4 @@ class DetectorAPI:
         from .detector import detect, top_anomaly_results
 
         res = detect(self._ds(pruned=True), self.config, ts_col=self.ts_col)
-        return top_anomaly_results(res, self.config, k=k).to_pandas()
+        return top_anomaly_results(res, self.config, k=k)

@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 
 from ..config import DetectorConfig
 from ..functions.hashing import entity_model_id
-from ..stages.exchange import exchange_by_key
+from ..stages.exchange import exchange_by_key, top_k_by_key
 from ..stages.scorer import ScoreGroups
 from ..stages.window import entity_windows
 
@@ -125,14 +125,17 @@ def detect(
 
 
 def top_anomaly_results(results_ds, config: DetectorConfig, k: int = 10, by: str = "anomaly_grade"):
-    """§2.A13: group results by entity, order by max grade/score, top-k
-    (``SearchTopAnomalyResultTransportAction.java:74-160``)."""
-    from ray.data.aggregate import Max
-
+    """§2.A13: group results by entity, order by max grade/score, ties by
+    the entity keys ascending, top-k
+    (``SearchTopAnomalyResultTransportAction.java:74-160``): one
+    per-entity exchange over the result rows (``top_k_by_key``). Returns
+    a pandas frame (entity keys…, ``max_<by>``)."""
     keys = list(config.category_fields) or ["model_id"]
-    return (
-        results_ds.groupby(keys)
-        .aggregate(Max(by, alias_name=f"max_{by}"))
-        .sort(f"max_{by}", descending=True)
-        .limit(k)
-    )
+    name = f"max_{by}"
+
+    def entity_max(part: pa.Table) -> pa.Table:
+        return part.group_by(keys, use_threads=False).aggregate([(by, "max")]).rename_columns([*keys, name])
+
+    order = [(name, "descending"), *((c, "ascending") for c in keys)]
+    return top_k_by_key(results_ds, keys, entity_max, order, k,
+                        lambda: results_ds.schema().base_schema.empty_table()).to_pandas()

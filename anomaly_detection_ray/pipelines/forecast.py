@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DetectorConfig
-from ..stages.exchange import exchange_by_key
+from ..stages.exchange import exchange_by_key, top_k_by_key
 from ..stages.window import entity_windows, per_entity
 
 
@@ -130,6 +131,29 @@ BUILD_IN_QUERIES = (
     "MAX_VALUE_WITHIN_THE_HORIZON",
     "DISTANCE_TO_THRESHOLD_VALUE",
 )
+RELATIONS = {
+    "GREATER_THAN": pc.greater,
+    "GREATER_THAN_OR_EQUAL_TO": pc.greater_equal,
+    "LESS_THAN": pc.less,
+    "LESS_THAN_OR_EQUAL_TO": pc.less_equal,
+}
+
+
+def forecast_ranking(build_in_query: str, threshold: float | None = None,
+                     relation: str = "GREATER_THAN") -> tuple[str, str]:
+    """The column a built-in query ranks by and its per-entity agg
+    (``min``/``max``). A malformed request raises ``ValueError`` here, in
+    the driver, before any Ray work."""
+    if build_in_query not in BUILD_IN_QUERIES:
+        raise ValueError(f"unknown build_in_query {build_in_query!r}")
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r} (one of {sorted(RELATIONS)})")
+    if build_in_query == "DISTANCE_TO_THRESHOLD_VALUE":
+        if threshold is None:
+            raise ValueError("DISTANCE_TO_THRESHOLD_VALUE needs a threshold")
+        return "forecast_value", "max" if relation.startswith("GREATER") else "min"
+    col = "interval_width" if build_in_query.endswith("INTERVAL_WIDTH") else "forecast_value"
+    return col, build_in_query[:3].lower()
 
 
 def top_forecast_results(
@@ -156,54 +180,30 @@ def top_forecast_results(
     - DISTANCE_TO_THRESHOLD_VALUE: range-filter ``forecast_value``
       vs ``threshold`` per ``relation`` (GREATER_THAN[_OR_EQUAL_TO] →
       max desc; LESS_THAN[_OR_EQUAL_TO] → min asc).
-    """
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min
 
-    if build_in_query not in BUILD_IN_QUERIES:
-        raise ValueError(f"unknown build_in_query {build_in_query!r}")
+    One per-entity exchange over the forecast rows (``top_k_by_key``);
+    the filter and the agg run in its reducers. Returns a pandas frame
+    (category fields…, ``build_in_query``).
+    """
+    col, fn = forecast_ranking(build_in_query, threshold, relation)
     cats = list(config.category_fields)
     if not cats:
         raise ValueError("top_forecast_results needs category fields (entity split)")
 
-    def width_and_filter(b: pa.Table) -> pa.Table:
-        b = b.append_column(
-            "interval_width", pc.subtract(b["forecast_upper"], b["forecast_lower"])
-        )
-        if build_in_query.endswith("CONFIDENCE_INTERVAL_WIDTH") and horizon is not None:
-            b = b.filter(pc.equal(b["horizon_index"], horizon))
+    def entity_rank(b: pa.Table) -> pa.Table:
+        if col == "interval_width":
+            b = b.append_column(col, pc.subtract(b["forecast_upper"], b["forecast_lower"]))
+            if horizon is not None:
+                b = b.filter(pc.equal(b["horizon_index"], horizon))
         if build_in_query == "DISTANCE_TO_THRESHOLD_VALUE":
-            if threshold is None:
-                raise ValueError("DISTANCE_TO_THRESHOLD_VALUE needs a threshold")
-            op = {
-                "GREATER_THAN": pc.greater,
-                "GREATER_THAN_OR_EQUAL_TO": pc.greater_equal,
-                "LESS_THAN": pc.less,
-                "LESS_THAN_OR_EQUAL_TO": pc.less_equal,
-            }[relation]
-            b = b.filter(op(b["forecast_value"], threshold))
-        return b
+            b = b.filter(RELATIONS[relation](b["forecast_value"], threshold))
+        return b.group_by(cats, use_threads=False).aggregate([(col, fn)]).rename_columns(
+            [*cats, build_in_query])
 
-    ds = forecast_ds.map_batches(width_and_filter, batch_format="pyarrow", zero_copy_batch=True)
-    name = build_in_query
-    if build_in_query == "MIN_CONFIDENCE_INTERVAL_WIDTH":
-        agg, descending = Min("interval_width", alias_name=name), False
-    elif build_in_query == "MAX_CONFIDENCE_INTERVAL_WIDTH":
-        agg, descending = Max("interval_width", alias_name=name), True
-    elif build_in_query == "MIN_VALUE_WITHIN_THE_HORIZON":
-        agg, descending = Min("forecast_value", alias_name=name), False
-    elif build_in_query == "MAX_VALUE_WITHIN_THE_HORIZON":
-        agg, descending = Max("forecast_value", alias_name=name), True
-    elif relation in ("GREATER_THAN", "GREATER_THAN_OR_EQUAL_TO"):
-        agg, descending = Max("forecast_value", alias_name=name), True
-    else:
-        agg, descending = Min("forecast_value", alias_name=name), False
-    return (
-        ds.groupby(cats)
-        .aggregate(agg)
-        .sort([name, *cats], descending=[descending] + [False] * len(cats))
-        .limit(k)
-    )
+    order = [(build_in_query, "descending" if fn == "max" else "ascending"),
+             *((c, "ascending") for c in cats)]
+    return top_k_by_key(forecast_ds, cats, entity_rank, order, k,
+                        lambda: forecast_ds.schema().base_schema.empty_table()).to_pandas()
 
 
 def forecast(

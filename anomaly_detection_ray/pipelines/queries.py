@@ -761,13 +761,13 @@ def q_tpch_q1(sf_dir: str) -> pd.DataFrame:
 
 
 def q_min_max_time(sf_dir: str) -> pd.DataFrame:
-    """A5: earliest/latest data timestamp (epoch ms)."""
+    """A5: earliest/latest data timestamp (epoch ms); nulls without rows."""
     from ray.data.aggregate import Max, Min
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
     ds = ds.map_batches(lambda b: add_window_columns(b, "ts", 1), batch_format="pyarrow", zero_copy_batch=True)
     out = ds.aggregate(Min("window_start_ms", alias_name="min_ts_ms"), Max("window_start_ms", alias_name="max_ts_ms"))
-    return pd.DataFrame([{k: np.int64(v) for k, v in out.items()}])
+    return pd.DataFrame([{k: None if v is None else np.int64(v) for k, v in out.items()}])
 
 
 def q_feature_agg_interval(sf_dir: str) -> pd.DataFrame:
@@ -887,18 +887,18 @@ def q_date_range_agg(sf_dir: str) -> pd.DataFrame:
 
 def q_top_entities(sf_dir: str) -> pd.DataFrame:
     """A9/A10: top-10 entities by doc count (terms/composite agg +
-    bucket_sort replacement)."""
-    from ray.data.aggregate import Count
+    bucket_sort replacement): per-block partial counts, merged and
+    ranked per part (``top_k_by_key``)."""
+    from ..stages.exchange import top_k_by_key
+
+    def counts(t: pa.Table, agg=([], "count_all")) -> pa.Table:
+        return t.group_by("user_id", use_threads=False).aggregate([agg]).rename_columns(["user_id", "cnt"])
 
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["user_id"])
-    out = (
-        ds.groupby("user_id")
-        .aggregate(Count(alias_name="cnt"))
-        .sort(["cnt", "user_id"], descending=[True, False])
-        .limit(10)
-        .to_pandas()
-    )
-    return out.astype({"user_id": "int64", "cnt": "int64"})
+    out = top_k_by_key(ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True), ["user_id"],
+                       lambda t: counts(t, ("cnt", "sum")), [("cnt", "descending"), ("user_id", "ascending")],
+                       10, lambda: counts(ds.schema().base_schema.empty_table()))
+    return out.to_pandas().astype({"user_id": "int64", "cnt": "int64"})
 
 
 def q_decayed_top_entities(sf_dir: str) -> pd.DataFrame:
@@ -910,35 +910,29 @@ def q_decayed_top_entities(sf_dir: str) -> pd.DataFrame:
     return out.astype({"user_id": "int64"})
 
 
-def q_entity_cardinality(sf_dir: str) -> pd.DataFrame:
-    """A12: distinct-entity count per group."""
-    cfg = DetectorConfig(
-        config_id="q",
-        interval_s=10**9,  # one giant window → pure per-type cardinality
-        category_fields=("event_type",),
-        features=(FeatureSpec("n_users", "user_id", "cardinality"),),
-    )
+def _per_event_type(sf_dir: str, feature: FeatureSpec) -> pd.DataFrame:
+    """One feature per event type: ``window_aggregate`` over one giant
+    window (10⁹ s), so the feature's partials merge per type alone."""
     from ..stages.window import window_aggregate
     from .detector import needed_columns
 
+    cfg = DetectorConfig(config_id="q", interval_s=10**9, category_fields=("event_type",),
+                         features=(feature,))
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
     out = _frame(window_aggregate(ds, cfg, ts_col="ts"))
-    out = out[["event_type", "n_users"]].sort_values("event_type").reset_index(drop=True)
+    return out[["event_type", feature.name]].sort_values("event_type").reset_index(drop=True)
+
+
+def q_entity_cardinality(sf_dir: str) -> pd.DataFrame:
+    """A12: distinct-entity count per group."""
+    out = _per_event_type(sf_dir, FeatureSpec("n_users", "user_id", "cardinality"))
     return out.astype({"n_users": "int64"})
 
 
 def q_value_percentile(sf_dir: str) -> pd.DataFrame:
-    """A6 percentile feature (t-digest in the reference; exact here)."""
-    from ray.data.aggregate import Quantile
-
-    ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["event_type", "value"])
-    out = (
-        ds.groupby("event_type")
-        .aggregate(Quantile("value", q=0.5, alias_name="p50"))
-        .to_pandas()
-        .sort_values("event_type")
-        .reset_index(drop=True)
-    )
+    """A6 percentile feature (t-digest in the reference; exact here: the
+    ``percentile`` partial is Ray ``Quantile``'s formula)."""
+    out = _per_event_type(sf_dir, FeatureSpec("p50", "value", "percentile", percentile=0.5))
     return _round(out, {"p50": 6})
 
 
@@ -947,18 +941,7 @@ def q_entity_cardinality_hll(sf_dir: str) -> pd.DataFrame:
     partial the reference's profile cardinality agg is backed by
     (``ProfileRunner.java:271,301``). Rows-only (approximate by design);
     pytest bounds the relative error vs the exact twin."""
-    cfg = DetectorConfig(
-        config_id="q",
-        interval_s=10**9,
-        category_fields=("event_type",),
-        features=(FeatureSpec("n_users", "user_id", "cardinality_hll"),),
-    )
-    from ..stages.window import window_aggregate
-
-    ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"),
-                            columns=["ts", "event_type", "user_id"])
-    out = _frame(window_aggregate(ds, cfg, ts_col="ts"))
-    out = out[["event_type", "n_users"]].sort_values("event_type").reset_index(drop=True)
+    out = _per_event_type(sf_dir, FeatureSpec("n_users", "user_id", "cardinality_hll"))
     return out.astype({"n_users": "int64"})
 
 
@@ -967,52 +950,54 @@ def q_value_percentile_tdigest(sf_dir: str) -> pd.DataFrame:
     ``InternalTDigestPercentiles`` feature path
     (``AbstractRetriever.java:80-89``). Rows-only; pytest bounds the
     error vs the exact twin."""
-    cfg = DetectorConfig(
-        config_id="q",
-        interval_s=10**9,
-        category_fields=("event_type",),
-        features=(FeatureSpec("p50", "value", "percentile_tdigest", percentile=0.5),),
-    )
-    from ..stages.window import window_aggregate
-
-    ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"),
-                            columns=["ts", "event_type", "value"])
-    out = _frame(window_aggregate(ds, cfg, ts_col="ts"))
-    out = out[["event_type", "p50"]].sort_values("event_type").reset_index(drop=True)
+    out = _per_event_type(sf_dir, FeatureSpec("p50", "value", "percentile_tdigest", percentile=0.5))
     return _round(out, {"p50": 6})
 
 
 def q_interval_suggest(sf_dir: str) -> pd.DataFrame:
     """A14: median gap between consecutive distinct timestamps — the
     one-pass replacement for the reference's recursive histogram probing
-    (IntervalCalculation.java). Fully distributed: distinct + sort run as
-    Ray shuffles, each sorted block reduces to a HISTOGRAM of its
-    in-block gaps plus its (first, last) boundary values, and the driver
-    merges histograms + the one gap per block boundary — exact median,
-    O(distinct gaps + blocks) driver memory at any scale."""
-    from ray.data.aggregate import Count
+    (IntervalCalculation.java). Fully distributed: ONE range exchange
+    (``stages.exchange.exchange``) moves each block's distinct
+    timestamps into P time ranges (cuts spaced evenly between the
+    events file's row-group ``ts`` statistics), each range's sorted
+    distinct values reduce to a HISTOGRAM of its in-range gaps plus its
+    (first, last) boundary values, and the driver merges histograms +
+    the one gap per range boundary — exact median, O(distinct gaps + P)
+    driver memory at any scale."""
+    import pyarrow.dataset as pads
+    import ray
 
-    ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-    ds = ds.map_batches(lambda b: add_window_columns(b, "ts", 1), batch_format="pyarrow", zero_copy_batch=True)
-    distinct = ds.groupby("window_start_ms").aggregate(Count(alias_name="__n"))
-    sorted_ds = distinct.select_columns(["window_start_ms"]).sort("window_start_ms")
+    from ..stages.exchange import exchange, split_by_key
+    from ..stages.window import _ts_ms_numpy
 
-    def block_hist(b: pa.Table) -> pa.Table:
-        a = b["window_start_ms"].to_numpy()
-        if a.size == 0:
-            return pa.table({"kind": pa.array([], pa.string()), "val": pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
+    path = os.path.join(sf_dir, "events.parquet")
+    ds = _rd().read_parquet(path, columns=["ts"]).map_batches(
+        lambda b: pa.table({"t": pc.unique(add_window_columns(b, "ts", 1)["window_start_ms"])}),
+        batch_format="pyarrow", zero_copy_batch=True)
+    src = pads.dataset(path, format="parquet")  # the cuts only place the ranges
+    bounds = [v for f in src.get_fragments() for rg in f.row_groups
+              for v in (rg.statistics.get("ts") or {}).values()]
+    ms = _ts_ms_numpy(pa.table({"ts": pa.array(bounds, src.schema.field("ts").type)}), "ts")
+    n_parts = max(1, int(ray.cluster_resources().get("CPU", 1))) if ms.size else 1
+    cuts = np.linspace(ms.min(initial=0), ms.max(initial=0), n_parts + 1)[1:-1]
+
+    def split(t: pa.Table, cuts) -> list[pa.Table]:
+        return split_by_key(t, np.searchsorted(cuts, t["t"].to_numpy(), side="right"), len(cuts) + 1)
+
+    def block_hist(p: int, *pieces: pa.Table) -> pa.Table:
+        a = np.unique(np.concatenate([np.empty(0, np.int64), *(x["t"].to_numpy() for x in pieces)]))
         vals, cnts = np.unique(np.diff(a), return_counts=True)
-        kind = ["gap"] * len(vals) + ["first", "last"]
-        val = list(vals.astype(np.int64)) + [int(a[0]), int(a[-1])]
-        cnt = list(cnts.astype(np.int64)) + [1, 1]
-        return pa.table({"kind": pa.array(kind), "val": pa.array(val, pa.int64()),
-                         "cnt": pa.array(cnt, pa.int64())})
+        ends = a[[0, -1]] if a.size else a
+        return pa.table({"kind": pa.array(["gap"] * len(vals) + ["first", "last"][:ends.size], pa.string()),
+                         "val": np.concatenate([vals, ends]),
+                         "cnt": np.concatenate([cnts, np.ones(ends.size, np.int64)])})
 
-    h = sorted_ds.map_batches(block_hist, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
+    blocks = [ref for b in ds.iter_internal_ref_bundles() for ref, meta in b.blocks if meta.num_rows]
+    h = pa.concat_tables(ray.get(exchange(blocks, split, cuts, n_parts, block_hist))).to_pandas()
     firsts = np.sort(h.loc[h["kind"] == "first", "val"].to_numpy())
     lasts = np.sort(h.loc[h["kind"] == "last", "val"].to_numpy())
-    boundary = firsts[1:] - lasts[:-1]  # one gap per adjacent block pair
+    boundary = firsts[1:] - lasts[:-1]  # one gap per adjacent non-empty range pair
     gaps = h[h["kind"] == "gap"].groupby("val")["cnt"].sum()
     for g in boundary:
         gaps.loc[int(g)] = gaps.get(int(g), 0) + 1
@@ -1639,8 +1624,7 @@ def q_top_anomaly_results(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"),
                             columns=needed_columns(detector_config()))
     res = detect(ds, detector_config(), ts_col="ts")
-    out = top_anomaly_results(res, detector_config(), k=5).to_pandas()
-    return out.reset_index(drop=True)
+    return top_anomaly_results(res, detector_config(), k=5)
 
 
 def q_impute_linear(sf_dir: str) -> pd.DataFrame:
@@ -1765,9 +1749,9 @@ def q_top_forecast_results(sf_dir: str) -> pd.DataFrame:
     )
     ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=needed_columns(cfg))
     fc = forecast(ds, cfg, horizon=12).materialize()
-    by_val = top_forecast_results(fc, cfg, k=3, build_in_query="MAX_VALUE_WITHIN_THE_HORIZON").to_pandas()
+    by_val = top_forecast_results(fc, cfg, k=3, build_in_query="MAX_VALUE_WITHIN_THE_HORIZON")
     by_width = top_forecast_results(fc, cfg, k=3, build_in_query="MIN_CONFIDENCE_INTERVAL_WIDTH",
-                                    horizon=12).to_pandas()
+                                    horizon=12)
     by_val["rank"] = np.arange(1, len(by_val) + 1)
     by_width["rank"] = np.arange(1, len(by_width) + 1)
     out = by_val.merge(by_width, on=["rank"], suffixes=("_val", "_width"))

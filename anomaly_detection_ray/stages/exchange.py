@@ -1,6 +1,7 @@
 """The one exchange of both layers, on raw Ray tasks: index writes call
 :func:`exchange`, Layer B's per-entity stages :func:`exchange_by_key`
-(each model has one owner, like the reference's ``HashRing.java:61-199``).
+(each model has one owner, like the reference's ``HashRing.java:61-199``)
+and its rankings :func:`top_k_by_key`.
 Ray Data's ``groupby().map_groups`` sort shuffle cost ~0.57 of a ~2.4
 CPU-s detect tick on 1 vCPU; its ``repartition(keys=…)`` starts actors.
 """
@@ -100,3 +101,19 @@ def exchange_by_key(ds, keys, stage, empty) -> list:
     if not blocks:
         blocks, n_parts = [ray.put(empty())], 1
     return exchange(blocks, split_by_keys, (tuple(keys), n_parts), n_parts, _reduce_stage, stage)
+
+
+def top_k_by_key(ds, keys, finalize, order, k: int, empty) -> pa.Table:
+    """A per-group ranking on :func:`exchange_by_key`: each reducer turns
+    its part into one row per group (``finalize``) and keeps its own first
+    ``k`` rows in ``order`` (pyarrow sort keys: the ranking value, then
+    the group keys ascending); the driver merges the P lists in the same
+    order. Exact, because no group spans two parts (a terms aggregation
+    ordered by a sub-aggregation, like ``_topAnomalies``)."""
+    import ray
+
+    def top(t: pa.Table) -> pa.Table:
+        return t.take(pc.sort_indices(t, order)[:k])
+
+    return top(pa.concat_tables(ray.get(exchange_by_key(ds, keys, lambda part: top(finalize(part)),
+                                                        empty))))

@@ -530,7 +530,7 @@ def test_forecast_empty_keeps_result_schema(ray_session):
     # every part's block, with or without an entity, has that schema
     blocks = _part_tables(fc)
     assert len(blocks) >= 1 and all(b.schema == fc.schema().base_schema for b in blocks)
-    assert top_forecast_results(fc, cfg, k=3).count() == 0
+    assert len(top_forecast_results(fc, cfg, k=3)) == 0
 
 
 def test_empty_input_keeps_result_schema(ray_session, stream_table):
@@ -618,9 +618,10 @@ def test_empty_stage_results_are_typed_arrow(ray_session, tmp_path, caplog, monk
 
 def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
     """An events file that emits no window: the ``detect_anomalies``,
-    ``forecast_events`` and window-aggregation query frames come back
-    empty with their result columns, not a ``KeyError`` from sorting a
-    0×0 frame (Ray's ``to_pandas`` skips zero-row blocks)."""
+    ``forecast_events``, window-aggregation and ranking query frames come
+    back empty with their result columns, not a ``KeyError`` from sorting
+    a 0×0 frame (Ray's ``to_pandas`` skips zero-row blocks); the interval
+    suggestion and the time range give one row of NaN / nulls."""
     import pyarrow.parquet as pq
 
     from anomaly_detection_ray.pipelines import queries as q
@@ -652,6 +653,7 @@ def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
         "event_type", "user_bucket", "window_end_ms", "value_avg", "value_max",
         "anomaly_score", "anomaly_grade"]
     win = ["event_type", "window_start_ms", "window_end_ms"]
+    one_row = (q.q_interval_suggest, q.q_min_max_time)  # DuckDB's answer: one row of NaN / nulls
     for query, cols in [
         (q.q_feature_agg_interval, [*win, "f_min", "f_max", "f_sum", "f_avg", "f_count"]),
         (q.q_calendar_week_agg, ["event_type", "window_start_ms", "f_sum", "f_count"]),
@@ -662,9 +664,17 @@ def test_empty_detect_and_forecast_oracle_frames(ray_session, tmp_path):
         (q.q_entity_cardinality, ["event_type", "n_users"]),
         (q.q_entity_cardinality_hll, ["event_type", "n_users"]),
         (q.q_value_percentile_tdigest, ["event_type", "p50"]),
+        (q.q_top_entities, ["user_id", "cnt"]),
+        (q.q_decayed_top_entities, ["user_id", "priority"]),
+        (q.q_value_percentile, ["event_type", "p50"]),
+        (q.q_top_anomaly_results, ["event_type", "max_anomaly_grade"]),
+        (q.q_interval_suggest, ["median_gap_ms"]),
+        (q.q_min_max_time, ["min_ts_ms", "max_ts_ms"]),
     ]:
         out = query(str(tmp_path))
-        assert len(out) == 0 and list(out.columns) == cols, query.__name__
+        rows = 1 if query in one_row else 0
+        assert len(out) == rows and list(out.columns) == cols, query.__name__
+        assert out.isna().all().all(), query.__name__
     # two hourly windows: too few for a forecast, so the empty frame
     # carries the stage's own result columns
     pq.write_table(pa.table({
@@ -739,6 +749,127 @@ def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, mo
                         if type(op).__name__ == "Sort" or "MapGroups" in op.name]
             assert shuffles == [], shuffles
         assert any("partial" in op.name for op in _plan_ops(map_side))
+
+
+def _ranked(frame: pd.DataFrame, value: str, keys: list[str], k: int,
+            ascending: bool = False) -> pd.DataFrame:
+    """pandas' top k: ``value`` first, then the keys ascending."""
+    return (frame.sort_values([value, *keys], ascending=[ascending] + [True] * len(keys))
+            .head(k).reset_index(drop=True))
+
+
+def _blocks(frame: pd.DataFrame, rows: int):
+    """``frame`` as a Dataset of ``rows``-row blocks."""
+    import ray.data as rd
+
+    t = pa.Table.from_pandas(frame, preserve_index=False)
+    return rd.from_arrow([t.slice(i, rows) for i in range(0, t.num_rows, rows)])
+
+
+def test_rankings_equal_pandas_with_ties(ray_session, tmp_path, monkeypatch):
+    """Every ranking on the per-entity exchange (``top_k_by_key``) equals
+    pandas' groupby + sort + head over the whole input, ties broken by
+    the keys ascending, with the exchange forced to many parts and k
+    above the number of distinct ranking values: ``top_anomaly_results``
+    (k above the anomalous entities), ``top_forecast_results``,
+    ``q_top_entities`` and ``decayed_top_entities``."""
+    import pyarrow.parquet as pq
+
+    from anomaly_detection_ray.pipelines.detector import top_anomaly_results
+    from anomaly_detection_ray.pipelines.forecast import top_forecast_results
+    from anomaly_detection_ray.pipelines.queries import q_top_entities
+    from anomaly_detection_ray.stages import exchange
+    from anomaly_detection_ray.stages.priority import decayed_top_entities
+
+    monkeypatch.setattr(exchange, "PART_BYTES", 1 << 10)
+    cfg = _detector_cfg()
+    rng = np.random.default_rng(5)
+
+    res = pd.DataFrame({"entity": [f"e{i % 40:02d}" for i in range(400)],
+                        "anomaly_grade": rng.choice([0.0] * 30 + [0.5, 1.0], 400)})
+    want = res.groupby("entity")["anomaly_grade"].max().rename("max_anomaly_grade").reset_index()
+    assert 0 < (want["max_anomaly_grade"] > 0).sum() < 30
+    pd.testing.assert_frame_equal(top_anomaly_results(_blocks(res, 50), cfg, k=30),
+                                  _ranked(want, "max_anomaly_grade", ["entity"], 30), check_exact=True)
+
+    fc = pd.DataFrame({"entity": [f"e{i // 3:02d}" for i in range(60)],
+                       "horizon_index": [i % 3 + 1 for i in range(60)],
+                       "forecast_value": rng.choice([1.0, 2.0, 3.0], 60)})
+    fc["forecast_lower"] = fc["forecast_value"] - rng.choice([0.5, 1.0], 60)
+    fc["forecast_upper"] = fc["forecast_value"] + 0.5
+    name = "MAX_VALUE_WITHIN_THE_HORIZON"
+    want = fc.groupby("entity")["forecast_value"].max().rename(name).reset_index()
+    pd.testing.assert_frame_equal(top_forecast_results(_blocks(fc, 12), cfg, k=15, build_in_query=name),
+                                  _ranked(want, name, ["entity"], 15), check_exact=True)
+    name, last = "MIN_CONFIDENCE_INTERVAL_WIDTH", fc[fc["horizon_index"] == 3]
+    want = (last["forecast_upper"] - last["forecast_lower"]).groupby(last["entity"]).min()
+    got = top_forecast_results(_blocks(fc, 12), cfg, k=15, build_in_query=name, horizon=3)
+    pd.testing.assert_frame_equal(got, _ranked(want.rename(name).reset_index(), name, ["entity"], 15,
+                                               ascending=True), check_exact=True)
+
+    # user u: (u % 4) + 1 events from period u % 3 on, so users with the
+    # same u % 12 tie on count and on decayed priority
+    base, period = 1_700_000_400_000, 600_000
+    ev = pd.DataFrame([(u, base + p * period + u * 1000) for u in range(30)
+                       for p in range(u % 3, u % 3 + u % 4 + 1)], columns=["user_id", "ms"])
+    ev["ts"] = pd.to_datetime(ev["ms"], unit="ms")
+    pq.write_table(pa.Table.from_pandas(ev[["user_id", "ts"]], preserve_index=False),
+                   str(tmp_path / "events.parquet"))
+    want = ev.groupby("user_id").size().rename("cnt").reset_index()
+    pd.testing.assert_frame_equal(q_top_entities(str(tmp_path)), _ranked(want, "cnt", ["user_id"], 10),
+                                  check_exact=True)
+    g = ev.assign(n=(ev["ms"] - base) // period).groupby(["user_id", "n"]).size().rename("cnt").reset_index()
+    g["w"] = g["cnt"] * np.exp(0.125 * (g["n"] - g.groupby("user_id")["n"].transform("max")))
+    pri = g.groupby("user_id").agg(w=("w", "sum"), m=("n", "max")).reset_index()
+    pri["priority"] = np.round(np.log(pri["w"]) + 0.125 * pri["m"], 6)
+    got = decayed_top_entities(_blocks(ev[["user_id", "ts"]], 10), "user_id", k=12, landmark_ms=base)
+    pd.testing.assert_frame_equal(got, _ranked(pri[["user_id", "priority"]], "priority", ["user_id"], 12),
+                                  check_exact=True)
+
+
+def test_read_side_apis_run_no_ray_data_groupby_or_sort(ray_session, tmp_path, monkeypatch):
+    """Layer B's ranking and counting APIs run on the raw-Ray exchange
+    with P ≥ 2 parts: with Ray Data's ``Dataset.groupby`` and
+    ``Dataset.sort`` made to raise, every one still answers."""
+    import pyarrow.parquet as pq
+    from ray.data import Dataset
+
+    from anomaly_detection_ray.pipelines import queries as q
+    from anomaly_detection_ray.pipelines.api import DetectorAPI
+    from anomaly_detection_ray.stages import exchange
+
+    rng = np.random.default_rng(9)
+    n = 2400
+    ms = 1_700_000_400_000 + np.sort(rng.integers(0, 200 * 600_000, n))
+    pq.write_table(pa.table({
+        "ts": pa.array(ms).cast(pa.timestamp("ms")),
+        "user_id": rng.integers(0, 40, n),
+        "event_type": rng.choice(["a", "b", "c"], n),
+        "value": rng.normal(10.0, 1.0, n),
+    }), str(tmp_path / "events.parquet"))
+    used, real = [], exchange.exchange
+
+    def spy(inputs, split, split_arg, n_parts, *rest):
+        used.append(n_parts)
+        return real(inputs, split, split_arg, n_parts, *rest)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray Data groupby/sort plan")
+
+    monkeypatch.setattr(exchange, "exchange", spy)
+    monkeypatch.setattr(Dataset, "groupby", refuse)
+    monkeypatch.setattr(Dataset, "sort", refuse)
+    cfg = dataclasses.replace(_detector_cfg(), category_fields=("event_type",))
+    api = DetectorAPI(cfg, str(tmp_path / "events.parquet"))
+    assert len(api.top_anomalies(k=2)) == 2
+    assert len(api.top_forecasts(k=2, horizon=4)) == 2
+    assert api.suggest_interval() > 0
+    assert set(api.preview(max_entities=2)["event_type"]) <= {"a", "b", "c"}
+    assert api.profile()["n_entities"] == 3
+    for query in (q.q_top_entities, q.q_decayed_top_entities, q.q_value_percentile,
+                  q.q_interval_suggest):
+        assert len(query(str(tmp_path))) > 0, query.__name__
+    assert used and min(used) >= 2
 
 
 def test_process_many_identical_to_process():

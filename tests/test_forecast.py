@@ -349,22 +349,47 @@ def test_top_forecast_results_planted_extreme(ray_session):
                          features=(FeatureSpec("value_avg", "value", "avg"),))
     fc = forecast(rd.from_arrow(t), cfg, horizon=6).materialize()
 
-    top = top_forecast_results(fc, cfg, k=2, build_in_query="MAX_VALUE_WITHIN_THE_HORIZON").to_pandas()
+    top = top_forecast_results(fc, cfg, k=2, build_in_query="MAX_VALUE_WITHIN_THE_HORIZON")
     assert list(top["entity"]) == ["hot", "b"]
     assert top["MAX_VALUE_WITHIN_THE_HORIZON"].iloc[0] > 100
 
-    low = top_forecast_results(fc, cfg, k=2, build_in_query="MIN_VALUE_WITHIN_THE_HORIZON").to_pandas()
+    low = top_forecast_results(fc, cfg, k=2, build_in_query="MIN_VALUE_WITHIN_THE_HORIZON")
     assert list(low["entity"]) == ["c", "a"]
 
     # threshold filter: only 'hot' forecasts above 50; GREATER_THAN ranks desc
     th = top_forecast_results(fc, cfg, k=5, build_in_query="DISTANCE_TO_THRESHOLD_VALUE",
-                              threshold=50.0, relation="GREATER_THAN").to_pandas()
+                              threshold=50.0, relation="GREATER_THAN")
     assert list(th["entity"]) == ["hot"]
 
     # interval width at the final horizon step only (term filter on horizon)
     w = top_forecast_results(fc, cfg, k=4, build_in_query="MIN_CONFIDENCE_INTERVAL_WIDTH",
-                             horizon=6).to_pandas()
+                             horizon=6)
     assert len(w) == 4 and (w["MIN_CONFIDENCE_INTERVAL_WIDTH"] >= 0).all()
+
+
+def test_top_forecast_arguments_checked_before_ray_work(ray_session, tmp_path, monkeypatch):
+    """An unknown ``relation`` and a threshold query without a threshold
+    raise ``ValueError`` in the driver: ``top_forecast_results`` never
+    touches its Dataset, and ``DetectorAPI.top_forecasts`` raises before
+    the forecast runs."""
+    from anomaly_detection_ray.pipelines import forecast as forecast_mod
+    from anomaly_detection_ray.pipelines.api import DetectorAPI
+
+    cfg = DetectorConfig(config_id="fc-args", interval_s=600, category_fields=("entity",),
+                         features=(FeatureSpec("value_avg", "value", "avg"),))
+    bad = [dict(build_in_query="DISTANCE_TO_THRESHOLD_VALUE", threshold=1.0, relation="NEAR"),
+           dict(build_in_query="DISTANCE_TO_THRESHOLD_VALUE")]
+
+    def no_forecast(*args, **kwargs):
+        raise AssertionError("forecast() ran")
+
+    monkeypatch.setattr(forecast_mod, "forecast", no_forecast)
+    api = DetectorAPI(cfg, str(tmp_path / "never_read.parquet"))
+    for kw, match in zip(bad, ["relation", "threshold"]):
+        with pytest.raises(ValueError, match=match):
+            forecast_mod.top_forecast_results(None, cfg, **kw)
+        with pytest.raises(ValueError, match=match):
+            api.top_forecasts(**kw)
 
 
 def test_forecast_validate_surface(ray_session, tmp_path):

@@ -204,6 +204,24 @@ def test_decayed_top_entities_recency(ray_session):
     assert out.iloc[1]["priority"] == pytest.approx(np.log(50), abs=1e-4)
 
 
+def test_decayed_priority_of_long_idle_entity_is_finite(ray_session):
+    """Each entity is weighed from its OWN newest period: one last seen
+    6,000 periods (41 days of 10-minute periods) before the newest event
+    keeps ``ln(cnt) + 0.125·n`` instead of ``ln(0) = -inf`` (a shift by
+    the global newest period underflows ``e^{-750}``)."""
+    import ray.data as rd
+
+    from anomaly_detection_ray.stages.priority import decayed_top_entities
+
+    n_idle = 1_700_000_400_000 // 600_000
+    ms = [n_idle * 600_000 + i for i in range(3)] + [(n_idle + 6000) * 600_000]
+    t = pa.table({"user": ["idle"] * 3 + ["hot"],
+                  "ts": pa.array(np.asarray(ms, dtype="int64")).cast(pa.timestamp("ms"))})
+    out = decayed_top_entities(rd.from_arrow(t), "user", ts_col="ts", period_ms=600_000, k=2)
+    assert list(out["user"]) == ["hot", "idle"]
+    assert out["priority"].iloc[1] == pytest.approx(np.log(3) + 0.125 * n_idle, abs=1e-6)
+
+
 def test_window_columns_all_timestamp_units():
     """ADVICE r1: pa.timestamp('s') columns were bucketed as milliseconds
     (windows 1000x off). All four units must agree on the same instant."""
