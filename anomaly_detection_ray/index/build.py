@@ -11,25 +11,30 @@ and ONE streaming execution:
             TokenizeCombine, batch_size rows at a time → partial posting
             chunks, tagged with the salted partition key
             kh = (hash(term) + doc_bucket) % P
-      → hash_exchange_merge: raw-Ray split by kh → one merge task per
-        partition → postings/part-{kh}.parquet
+      → hash_exchange_merge: raw-Ray split by kh → one reduce_postings
+        task per partition → postings/part-{kh}.parquet
 
 The salt is the doc-id bucket: a hot term ('import') is split across
 its doc buckets, so no single reducer ever materializes a full hot
-posting list — the two-phase combine the north rule requires. Each
-merge task writes its own ``postings/part-{kh}.parquet`` atomically
-(tmp + rename) and returns a manifest row (sha256, counts, input
-fingerprint); a rerun with identical inputs skips the write. Docmap
-part names derive from the block's doc ids, so a retried block
-rewrites its own file. The optional positional sidecar (``store_positions``) is
-a second read whose rows go through the same raw-Ray exchange, split by
-term hash (:func:`_write_positions`).
+posting list — the two-phase combine the north rule requires.
+:func:`reduce_postings` is the ONE posting reducer: the build's exchange,
+tiered merges and compaction (``lifecycle.merge_slices``) all call it.
+It decodes its partition's chunks from their Arrow columns, drops
+tombstoned postings when given tombstones, re-encodes with the one
+encoder and block rule (``segments.encode_rows_batched``), writes its
+part atomically (tmp + rename) and returns a manifest row (sha256,
+counts). Docmap part names derive from the block's doc ids, so a
+retried block rewrites its own file. The optional positional sidecar
+(``store_positions``) is a second read whose rows go through the same
+raw-Ray exchange, split by term hash (:func:`_write_positions`).
 
-Resume is slice-granular: a slice whose ``_slice_manifest.json``
-matches its input fingerprint is skipped entirely, so a killed build
-restarted on the same inputs only recomputes unfinished slices; any
-other build of the slice starts from empty ``docmap/`` and
-``positions/`` directories.
+Resume is slice-granular and only slice-granular: a slice whose
+``_slice_manifest.json`` matches its input fingerprint is skipped
+entirely, so a killed build restarted on the same inputs only
+recomputes unfinished slices; any other build of the slice starts from
+empty ``postings/``, ``docmap/`` and ``positions/`` directories (an
+unfinished slice re-tokenizes and re-exchanges anyway, so no part file
+carries a fingerprint of its own).
 
 Replaces the substrate the reference assumes from OpenSearch/Lucene
 (queries built in ``timeseries/util/ParseUtils.java:308-431`` are
@@ -44,11 +49,13 @@ import json
 import os
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.hashing import hash_strings, sha256_file
 from ..stages.exchange import exchange, split_by_key
 from ..stages.tokenize import DocMap, TokenizeCombine
+from . import segments
 from .segments import DEFAULT_BLOCK_SIZE
 
 MANIFEST_NAME = "manifest.json"
@@ -87,8 +94,6 @@ def _write_stats_part(tbl: pa.Table, path: str) -> tuple[int, str | None, str | 
     order check — the boundary comparison alone can't see disorder
     INSIDE a part, and both dictionary serving modes bisect, so an
     unsorted part is never written."""
-    import pyarrow.compute as pc
-
     if tbl.num_rows == 0:
         return 0, None, None, True
     col = tbl["term"].combine_chunks()
@@ -253,129 +258,68 @@ def _add_partition_key(batch: pa.Table, num_partitions: int) -> pa.Table:
     return batch.append_column("kh", pa.array(kh.astype(np.int64)))
 
 
-def _group_fingerprint(tbl: pa.Table) -> str:
-    """Deterministic fingerprint of a phase-2 input group (order-insensitive)."""
-    h = hashlib.sha256()
-    idx = np.lexsort(
-        (tbl["first_doc"].to_numpy(), tbl["bucket"].to_numpy(), np.asarray(tbl["term"].to_pylist(), dtype=object))
-    )
-    terms = np.asarray(tbl["term"].to_pylist(), dtype=object)[idx]
-    h.update("\x00".join(map(str, terms)).encode())
-    for col in ("bucket", "first_doc", "df_chunk", "tf_sum"):
-        h.update(np.ascontiguousarray(tbl[col].to_numpy()[idx]).tobytes())
-    return h.hexdigest()
+def reduce_postings(kh: int, out_dir: str, block_size: int,
+                    tombs: tuple[np.ndarray, np.ndarray] | None, *parts: pa.Table) -> dict | None:
+    """The one posting reducer of the build's exchange, tiered merges and
+    compaction: every chunk of partition ``kh`` → ONE doc-ordered chunk
+    per (term, bucket), written to ``out_dir/part-{kh}.parquet``
+    (tmp + rename). Returns the part's manifest row, or None when the
+    partition holds no (live) posting.
 
+    The chunks decode straight from their Arrow columns
+    (``segments.decode_chunks_bulk``); with ``tombs`` (sorted doc ids,
+    live_from) the postings dead in their chunk's ``slice`` are dropped
+    (``lifecycle.live_mask``); one lexsort orders the rest by (term,
+    bucket, doc), terms ranked in a sorted Arrow dictionary (UTF-8 byte
+    order is code-point order); a doc twice in one (term, bucket) raises;
+    ``segments.encode_rows_batched`` writes the rows. Both codec calls go
+    through the module, so a traced worker sees its wrapped functions."""
+    parts = [p for p in parts if p.num_rows]
+    if not parts:
+        return None
+    group = pa.concat_tables(parts)
+    docs, tfs, dls, off = segments.decode_chunks_bulk(group, block_size)
+    counts = np.diff(off)
+    terms = group["term"].combine_chunks().dictionary_encode()
+    # rank of each dictionary entry in term order → sortable int codes
+    rank = pc.rank(terms.dictionary, sort_keys="ascending").to_numpy() - 1
+    sorted_terms = terms.dictionary.take(pa.array(np.argsort(rank)))
+    code_all = np.repeat(rank[terms.indices.to_numpy()], counts)
+    bucket_all = np.repeat(group["bucket"].to_numpy(), counts)
+    if tombs is not None and tombs[0].size:
+        from .lifecycle import live_mask
 
-def merge_partition(
-    group: pa.Table,
-    *,
-    out_dir: str,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> pa.Table:
-    """Phase-2 reducer: merge all phase-1 chunks of one salted partition
-    into doc-ordered posting rows; write the part file; return one
-    manifest row. Idempotent: skips the write when the existing part's
-    recorded input fingerprint matches."""
-    kh = int(group["kh"][0].as_py())
-    path = os.path.join(out_dir, f"part-{kh:05d}.parquet")
-    meta_path = path + ".json"
-    fp = _group_fingerprint(group)
+        keep = live_mask(docs, np.repeat(group["slice"].to_numpy(), counts), *tombs)
+        docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
+        code_all, bucket_all = code_all[keep], bucket_all[keep]
+        if docs.size == 0:
+            return None
 
-    if os.path.exists(path) and os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
-        if meta.get("fingerprint") == fp and meta.get("sha256") == sha256_file(path):
-            meta["resumed"] = True
-            return pa.Table.from_pylist([_manifest_row(meta)])
-
-    # ---- fully vectorized merge: phase-1 chunks are single-block rows,
-    # so all three varint streams of the whole partition decode in ONE
-    # pass each; groupwise cumsum rebuilds absolute doc ids; a single
-    # lexsort orders every posting by (term, bucket, doc); the bulk
-    # encoder writes the final doc-ordered rows. No per-posting Python.
-    import pyarrow.compute as pc
-
-    if pc.max(pc.list_value_length(group["block_doc_off"])).as_py() > 1:
-        raise ValueError("merge_partition expects single-block phase-1 chunks")
-    terms_arr = np.asarray(group["term"].to_pylist(), dtype=object)
-    ucodes, codes = np.unique(terms_arr, return_inverse=True)
-    buckets_arr = group["bucket"].to_numpy()
-    df_chunk = group["df_chunk"].to_numpy().astype(np.int64)
-    row_starts = np.concatenate(([0], np.cumsum(df_chunk)))[:-1]
-
-    from ..functions.varint import decode_varint
-
-    def cat(col: str) -> np.ndarray:
-        return decode_varint(b"".join(group[col].to_pylist()))
-
-    deltas = cat("docs")
-    tfs_all = cat("tfs").astype(np.int64)
-    dls_all = cat("dls").astype(np.int64)
-    if deltas.size != int(df_chunk.sum()):
-        raise ValueError("posting stream length mismatch — corrupt phase-1 chunk")
-    # groupwise cumsum: absolute doc = running delta sum reset per chunk row
-    c = np.cumsum(deltas)
-    base = np.repeat(c[row_starts] - deltas[row_starts], df_chunk)
-    docs_all = (c - base).astype(np.int64)
-
-    code_all = np.repeat(codes, df_chunk)
-    bucket_all = np.repeat(buckets_arr, df_chunk)
-    order = np.lexsort((docs_all, bucket_all, code_all))
-    docs_all, tfs_all, dls_all = docs_all[order], tfs_all[order], dls_all[order]
+    order = np.lexsort((docs, bucket_all, code_all))
+    docs, tfs, dls = docs[order], tfs[order], dls[order]
     code_all, bucket_all = code_all[order], bucket_all[order]
-
     change = np.empty(code_all.size, dtype=bool)
     change[0] = True
     np.not_equal(code_all[1:], code_all[:-1], out=change[1:])
     change[1:] |= bucket_all[1:] != bucket_all[:-1]
+    if np.any((docs[1:] == docs[:-1]) & ~change[1:]):
+        raise ValueError("duplicate doc_id in postings — corrupt input")
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], code_all.size)
-    same = np.zeros(code_all.size, dtype=bool)
-    same[1:] = (docs_all[1:] == docs_all[:-1]) & ~change[1:]
-    if same.any():
-        raise ValueError("duplicate doc_id in postings — corrupt input")
+    run_codes = code_all[starts]
 
-    from .segments import encode_rows_batched
-
-    tbl = encode_rows_batched(
-        ucodes[code_all[starts]].astype(object),
-        bucket_all[starts],
-        docs_all,
-        tfs_all,
-        dls_all,
-        starts,
-        ends,
-        block_size,
-    )
+    tbl = segments.encode_rows_batched(sorted_terms.take(pa.array(run_codes)), bucket_all[starts],
+                                       docs, tfs, dls, starts, ends, block_size)
+    path = os.path.join(out_dir, f"part-{kh:05d}.parquet")
     _write_part(tbl, path, row_group_size=4096)
-    terms = terms_arr  # for the manifest fields below
-
-    meta = {
+    return {
         "kh": kh,
         "path": os.path.basename(path),
-        "fingerprint": fp,
         "sha256": sha256_file(path),
         "n_rows": tbl.num_rows,
-        "n_terms": len(set(terms)),
-        "df_sum": int(group["df_chunk"].to_numpy().sum()),
-        "tf_sum": int(group["tf_sum"].to_numpy().sum()),
-        "resumed": False,
-    }
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
-    return pa.Table.from_pylist([_manifest_row(meta)])
-
-
-def _manifest_row(meta: dict) -> dict:
-    return {
-        "kh": meta["kh"],
-        "path": meta["path"],
-        "sha256": meta["sha256"],
-        "n_rows": meta["n_rows"],
-        "n_terms": meta["n_terms"],
-        "df_sum": meta["df_sum"],
-        "tf_sum": meta["tf_sum"],
-        "resumed": bool(meta.get("resumed", False)),
+        "n_terms": int(np.count_nonzero(np.diff(run_codes))) + 1,
+        "df_sum": int(docs.size),
+        "tf_sum": int(tfs.sum()),
     }
 
 
@@ -392,23 +336,14 @@ def _split_table_by_kh(tbl: pa.Table, num_partitions: int) -> list[pa.Table]:
 def hash_exchange_merge(chunks_ds, num_partitions: int, out_dir: str, block_size: int) -> list[dict]:
     """Phase 2 of the build: the ``kh``-tagged posting chunks of
     ``chunks_ds`` exchanged by partition (``stages.exchange``), one
-    :func:`merge_partition` task per partition. Returns the partitions'
+    :func:`reduce_postings` task per partition. Returns the partitions'
     manifest rows."""
     import ray
 
     blocks = (ref for bundle in chunks_ds.iter_internal_ref_bundles() for ref in bundle.block_refs)
     rows = ray.get(exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
-                            _merge_remote, out_dir, block_size))
+                            reduce_postings, out_dir, block_size, None))
     return [r for r in rows if r is not None]
-
-
-def _merge_remote(kh: int, out_dir: str, block_size: int, *parts: pa.Table) -> dict | None:
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return None
-    group = pa.concat_tables(parts)
-    row = merge_partition(group, out_dir=out_dir, block_size=block_size)
-    return row.to_pylist()[0]
 
 
 def _slice_fingerprint(files: list[str]) -> str:
@@ -529,12 +464,12 @@ def build_slice(
     postings_dir = os.path.join(slice_dir, "postings")
     docmap_dir = os.path.join(slice_dir, "docmap")
     pos_dir = os.path.join(slice_dir, "positions")
-    # docmap and positions rows of an unfinished earlier attempt would be
-    # served twice (the engine globs both directories); posting parts are
-    # named by partition and resume by their input fingerprint
-    for d in (docmap_dir, pos_dir):
+    # nothing of an unfinished earlier attempt is reused: its docmap and
+    # positions rows would be served twice (the engine globs both
+    # directories), and every posting part is rewritten
+    for d in (postings_dir, docmap_dir, pos_dir):
         shutil.rmtree(d, ignore_errors=True)
-    os.makedirs(postings_dir, exist_ok=True)
+    os.makedirs(postings_dir)
     os.makedirs(docmap_dir)
 
     # doc count, bytes and schema from the parquet footers — no Ray

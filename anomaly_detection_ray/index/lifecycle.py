@@ -25,8 +25,9 @@ Merge shape: ONE Ray Data read of every merged slice's posting files
 (``include_paths=True``; each row's slice id comes from its path), the
 rows tagged with the build's (term-hash + doc-bucket) partition key and
 moved through the build's raw-Ray exchange — compressed rows ship
-through the object store as-is, only the reducers decode, drop
-tombstoned postings and re-encode. The docmap files are rewritten by
+through the object store as-is, and the build's own reducer
+(``build.reduce_postings``) decodes them, drops the postings the scoped
+tombstones kill and re-encodes. The docmap files are rewritten by
 one plain task per old file (read, drop tombstoned rows, write),
 submitted before the exchange so the two overlap. No re-tokenization,
 no text access: a 100 TB corpus compacts by moving its ~x-times-smaller
@@ -57,8 +58,11 @@ from .build import (
     _write_part,
     _write_positions,
     next_slice_id,
+    reduce_postings,
 )
-from .segments import DECODE_COLUMNS, DEFAULT_BLOCK_SIZE, decode_chunks_bulk, encode_rows_batched
+from .segments import DECODE_COLUMNS, DEFAULT_BLOCK_SIZE
+# not used here: perfbench/trace.py wraps lifecycle.encode_rows_batched by this name
+from .segments import encode_rows_batched  # noqa: F401
 
 DELETES_REL = "deletes/deleted.parquet"
 # live_from for a plain delete: no slice id ever reaches it → dead everywhere
@@ -194,77 +198,6 @@ def delete_by_query(index_dir: str, query: dict) -> tuple[dict, int]:
     if docs.size == 0:
         return _load_manifest(index_dir), 0
     return delete_docs(index_dir, docs), int(docs.size)
-
-
-def _compact_partition(
-    kh: int,
-    out_dir: str,
-    block_size: int,
-    tombs: tuple[np.ndarray, np.ndarray],
-    *parts: pa.Table,
-) -> dict | None:
-    """Reducer: all existing chunks of one target partition → decode,
-    drop tombstoned postings (scoped by each chunk's slice id), re-sort,
-    bulk re-encode as ONE doc-ordered chunk per (term, bucket). Runs as
-    a Ray task per partition."""
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return None
-    group = pa.concat_tables(parts)
-    rows = group.to_pylist()
-    docs, tfs, dls, off = decode_chunks_bulk(rows, block_size)
-    counts = np.diff(off)
-    terms_arr = np.asarray(group["term"].to_pylist(), dtype=object)
-    ucodes, codes = np.unique(terms_arr, return_inverse=True)
-    code_all = np.repeat(codes, counts)
-    bucket_all = np.repeat(group["bucket"].to_numpy(), counts)
-
-    del_ids, del_lf = tombs
-    if del_ids.size:
-        slice_all = np.repeat(group["slice"].to_numpy(), counts)
-        keep = live_mask(docs, slice_all, del_ids, del_lf)
-        docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-        code_all, bucket_all = code_all[keep], bucket_all[keep]
-    if docs.size == 0:
-        return None
-
-    order = np.lexsort((docs, bucket_all, code_all))
-    docs, tfs, dls = docs[order], tfs[order], dls[order]
-    code_all, bucket_all = code_all[order], bucket_all[order]
-
-    change = np.empty(code_all.size, dtype=bool)
-    change[0] = True
-    np.not_equal(code_all[1:], code_all[:-1], out=change[1:])
-    change[1:] |= bucket_all[1:] != bucket_all[:-1]
-    dup = np.zeros(code_all.size, dtype=bool)
-    dup[1:] = (docs[1:] == docs[:-1]) & ~change[1:]
-    if dup.any():
-        raise ValueError("duplicate doc_id across slices — corrupt index")
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], code_all.size)
-
-    tbl = encode_rows_batched(
-        ucodes[code_all[starts]].astype(object),
-        bucket_all[starts],
-        docs,
-        tfs,
-        dls,
-        starts,
-        ends,
-        block_size,
-    )
-    path = os.path.join(out_dir, f"part-{kh:05d}.parquet")
-    _write_part(tbl, path, row_group_size=4096)
-    return {
-        "kh": kh,
-        "path": os.path.basename(path),
-        "sha256": sha256_file(path),
-        "n_rows": tbl.num_rows,
-        "n_terms": int(len(np.unique(code_all))),
-        "df_sum": int(docs.size),
-        "tf_sum": int(tfs.sum()),
-        "resumed": False,
-    }
 
 
 def compact_index(
@@ -421,7 +354,7 @@ def merge_slices(
     manifest_rows = []
     if posting_files:
         n_blocks = _read_blocks(sum(os.path.getsize(f) for f in posting_files))
-        # only the columns _compact_partition decodes: an index written
+        # only the columns reduce_postings decodes: an index written
         # with the older block-max columns merges the same way
         chunks = rd.read_parquet(
             posting_files, columns=DECODE_COLUMNS, include_paths=True, override_num_blocks=n_blocks,
@@ -432,7 +365,7 @@ def merge_slices(
         blocks = (ref for bundle in chunks.iter_internal_ref_bundles() for ref in bundle.block_refs)
         manifest_rows = [
             r for r in ray.get(exchange(blocks, _split_table_by_kh, num_partitions, num_partitions,
-                                        _compact_partition, postings_dir, block_size, tombs))
+                                        reduce_postings, postings_dir, block_size, tombs))
             if r is not None
         ]
     n_docs = sum(ray.get(docmap_rows))

@@ -420,29 +420,24 @@ class QueryEngine:
         self._cache_misses += len(misses)
         if not misses:
             return out
-        from .segments import decode_chunks_bulk
+        from . import segments
 
-        rows = self.chunks_for(misses).select(
-            ["term", "slice", "df_chunk", "docs", "tfs", "dls"]).to_pylist()
-        docs, tfs, dls, off = decode_chunks_bulk(rows, int(self.manifest.get("block_size", 128)))
+        chunks = self.chunks_for(misses)
+        docs, tfs, dls, off = segments.decode_chunks_bulk(chunks, int(self.manifest.get("block_size", 128)))
         counts = np.diff(off)
+        # each posting's term, as its index in ``misses``
+        tix = np.repeat(pc.index_in(chunks["term"], value_set=pa.array(misses, pa.string())).to_numpy(), counts)
         if self.deleted.size:
-            slices = np.repeat(np.asarray([r["slice"] for r in rows], dtype=np.int64), counts)
-            keep = self._live(docs, slices)
-            # per-row counts after the scoped filter
-            counts = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep], minlength=len(rows))
-            docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-        off = np.concatenate(([0], np.cumsum(counts)))
-        segs: dict[str, list[slice]] = {t: [] for t in misses}
-        for i, r in enumerate(rows):
-            segs[r["term"]].append(slice(off[i], off[i + 1]))
-        for t in misses:
-            parts = [np.concatenate([a[s] for s in segs[t]]) if segs[t] else a[:0]
-                     for a in (docs, tfs, dls)]
-            # a doc gets one contribution per term, added in term order,
-            # so sorting within a term leaves every BM25 sum bit-identical
-            order = np.argsort(parts[0], kind="stable")
-            entry = tuple(a[order] for a in parts)
+            keep = self._live(docs, np.repeat(chunks["slice"].to_numpy(), counts))
+            docs, tfs, dls, tix = docs[keep], tfs[keep], dls[keep], tix[keep]
+        # a doc gets one contribution per term, added in term order, so
+        # sorting within a term (stable: ties keep the chunks' row order)
+        # leaves every BM25 sum bit-identical
+        order = np.lexsort((docs, tix))
+        bounds = np.searchsorted(tix[order], np.arange(len(misses) + 1))
+        for i, t in enumerate(misses):
+            sel = order[bounds[i]:bounds[i + 1]]
+            entry = (docs[sel], tfs[sel], dls[sel])
             for a in entry:
                 a.setflags(write=False)
             out[t] = entry

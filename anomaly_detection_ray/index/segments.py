@@ -6,7 +6,7 @@ A built index directory looks like:
       manifest.json                 # global stats: n_docs, avgdl, slices, file sha256 lineage
       stats.parquet                 # term → df, cttf   (global term dictionary stats)
       segments/slice-{s:04d}/
-        _slice_manifest.json        # per-slice input fingerprint → resume without recompute
+        _slice_manifest.json        # input fingerprint + part sha256s → slice-level resume
         postings/part-{kh:05d}.parquet
         docmap/part-*.parquet       # doc_id → repo/path/commit/lang/content_sha256/dl
 
@@ -28,6 +28,16 @@ posting lists (``decode_chunks_bulk``) and read only
 (``block_first``/``block_last``/``block_max_tf``/``block_min_dl``)
 still read and merge, since no reader asks for them.
 
+One encoder and one block rule serve every chunk: the tokenizer's
+partial chunks, the build's merged parts and every merge or compaction
+output are written by :func:`encode_rows_batched` with the index's
+``block_size``, so :func:`decode_chunks_bulk` decodes any of them — the
+query engine's cache misses and the one build/merge/compaction reducer
+(``build.reduce_postings``) alike — straight from the Arrow binary
+columns' buffers, never from ``to_pylist()`` row dicts.
+:func:`decode_chunk_row` is the per-row reference decoder the tests
+compare against.
+
 Rows within a part file are sorted by (term, bucket, first_doc) so
 Parquet row-group statistics prune term lookups.
 """
@@ -37,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..functions.varint import decode_varint, delta_decode, delta_encode, encode_varint
+from ..functions.varint import decode_varint, delta_decode, encode_varint_with_sizes
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -62,57 +72,6 @@ DECODE_COLUMNS = ["term", "bucket", "df_chunk", "docs", "tfs", "dls"]
 DEFAULT_BLOCK_SIZE = 128
 
 
-def encode_chunk(
-    term: str,
-    bucket: int,
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    dls: np.ndarray,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> dict:
-    """Encode one doc-ordered (term, bucket) posting chunk into a row dict.
-
-    Delta encoding restarts at every block boundary (first doc of a
-    block is stored raw), so a single block can be decoded without
-    touching the preceding bytes. ``block_*_off`` are byte offsets of
-    each block's start in the three streams.
-    """
-    n = doc_ids.size
-    nblocks = -(-n // block_size)
-    starts = np.arange(nblocks) * block_size
-    ends = np.minimum(starts + block_size, n)
-    doc_parts, tf_parts, dl_parts = [], [], []
-    doc_off = np.zeros(nblocks, dtype=np.int32)
-    tf_off = np.zeros(nblocks, dtype=np.int32)
-    dl_off = np.zeros(nblocks, dtype=np.int32)
-    pos_d = pos_t = pos_l = 0
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        doc_off[i], tf_off[i], dl_off[i] = pos_d, pos_t, pos_l
-        db = encode_varint(delta_encode(doc_ids[s:e]))
-        tb = encode_varint(tfs[s:e])
-        lb = encode_varint(dls[s:e])
-        doc_parts.append(db)
-        tf_parts.append(tb)
-        dl_parts.append(lb)
-        pos_d += len(db)
-        pos_t += len(tb)
-        pos_l += len(lb)
-    return {
-        "term": term,
-        "bucket": int(bucket),
-        "first_doc": int(doc_ids[0]),
-        "last_doc": int(doc_ids[-1]),
-        "df_chunk": int(n),
-        "tf_sum": int(tfs.sum()),
-        "docs": b"".join(doc_parts),
-        "tfs": b"".join(tf_parts),
-        "dls": b"".join(dl_parts),
-        "block_doc_off": doc_off.tolist(),
-        "block_tf_off": tf_off.tolist(),
-        "block_dl_off": dl_off.tolist(),
-    }
-
-
 def encode_rows_batched(
     terms: np.ndarray,
     buckets: np.ndarray,
@@ -127,10 +86,9 @@ def encode_rows_batched(
     ``[starts[r], ends[r])`` of the (doc-ordered) posting arrays.
     All runs share three varint streams (one encode call per column);
     per-run/per-block byte ranges come from size cumsums; list columns
-    are built zero-copy with ``ListArray.from_arrays``. This is the
-    phase-2 merge hot path — no per-posting Python."""
-    from ..functions.varint import encode_varint_with_sizes
-
+    are built zero-copy with ``ListArray.from_arrays``. Every chunk the
+    index holds, phase-1 partials included, is written here — no
+    per-posting Python. ``terms`` may be a numpy or an Arrow array."""
     R = starts.size
     run_lens = ends - starts
     nblocks = -(-run_lens // block_size)
@@ -192,47 +150,28 @@ def decode_block(row: dict, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return docs, tfs, dls
 
 
-def decode_chunks_bulk(rows: list[dict], block_size: int = DEFAULT_BLOCK_SIZE):
-    """Decode MANY chunk rows with three ``decode_varint`` calls total.
+def _binary_values(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """The value bytes of a binary column, every row's in row order, read
+    from each chunk's offsets and data buffers: no per-row Python, and a
+    sliced or offset chunk (``split_by_key`` + ``pa.concat_tables``)
+    contributes only its own rows' bytes."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    parts = []
+    for c in chunks:
+        _, offs_buf, data = c.buffers()
+        offs = np.frombuffer(offs_buf, np.int32)
+        lo, hi = int(offs[c.offset]), int(offs[c.offset + len(c)])
+        if hi > lo:
+            parts.append(np.frombuffer(data, np.uint8)[lo:hi])
+    return np.concatenate(parts) if parts else np.empty(0, np.uint8)
 
-    Streams are concatenated; delta-restart positions are every
-    ``block_size`` values within each row (plus each row start), so
-    absolute doc ids come from one global cumsum with vectorized resets.
-    Returns ``(docs, tfs, dls, row_value_offsets)`` where row r spans
-    ``[off[r], off[r+1])``. This is the query-side hot path — the
-    per-block ``decode_block`` calls cost ~30 µs each and a dense term
-    can have thousands of blocks."""
-    from ..functions.varint import decode_varint
 
-    dfs = np.asarray([r["df_chunk"] for r in rows], dtype=np.int64)
+def _absolute_docs(deltas: np.ndarray, dfs: np.ndarray, block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Doc-id deltas of consecutive chunk rows → absolute doc ids and the
+    rows' value offsets. The delta restarts at each row start and every
+    ``block_size`` values within a row, so one global cumsum with
+    vectorized resets rebuilds every row."""
     off = np.concatenate(([0], np.cumsum(dfs)))
-    deltas = decode_varint(b"".join(r["docs"] for r in rows))
-    tfs = decode_varint(b"".join(r["tfs"] for r in rows)).astype(np.int64)
-    dls = decode_varint(b"".join(r["dls"] for r in rows)).astype(np.int64)
-    if deltas.size != off[-1]:
-        raise ValueError("posting stream length mismatch")
-    # reset positions: row_start + k·block_size for each row
-    nblocks = -(-dfs // block_size)
-    first_block = np.concatenate(([0], np.cumsum(nblocks)))
-    row_of_block = np.repeat(np.arange(dfs.size), nblocks)
-    blk_in_row = np.arange(int(nblocks.sum())) - first_block[row_of_block]
-    resets = off[row_of_block] + blk_in_row * block_size
-    seg_lens = np.diff(np.append(resets, off[-1]))
-    c = np.cumsum(deltas)
-    base = np.repeat(c[resets] - deltas[resets], seg_lens)
-    docs = (c - base).astype(np.int64)
-    return docs, tfs, dls, off
-
-
-def decode_docs_bulk(rows: list[dict], block_size: int = DEFAULT_BLOCK_SIZE):
-    """Docs-only variant of :func:`decode_chunks_bulk` — one
-    ``decode_varint`` pass over the doc stream, tf/dl streams untouched.
-    Returns ``(docs, row_value_offsets)``. The query engine no longer
-    calls it (multi-term unions read the postings cache); it stays while
-    ``perfbench/trace.py`` wraps it by name."""
-    dfs = np.asarray([r["df_chunk"] for r in rows], dtype=np.int64)
-    off = np.concatenate(([0], np.cumsum(dfs)))
-    deltas = decode_varint(b"".join(r["docs"] for r in rows))
     if deltas.size != off[-1]:
         raise ValueError("posting stream length mismatch")
     nblocks = -(-dfs // block_size)
@@ -244,6 +183,33 @@ def decode_docs_bulk(rows: list[dict], block_size: int = DEFAULT_BLOCK_SIZE):
     c = np.cumsum(deltas)
     base = np.repeat(c[resets] - deltas[resets], seg_lens)
     return (c - base).astype(np.int64), off
+
+
+def decode_chunks_bulk(chunks: pa.Table, block_size: int = DEFAULT_BLOCK_SIZE):
+    """Decode every chunk row of ``chunks`` (a table with at least the
+    ``df_chunk``, ``docs``, ``tfs`` and ``dls`` columns) with three
+    ``decode_varint`` calls over the columns' Arrow buffers.
+
+    Returns ``(docs, tfs, dls, row_value_offsets)`` where row r spans
+    ``[off[r], off[r+1])``. The query engine's cache fill and the
+    build/merge reducer (``build.reduce_postings``) both decode here;
+    the per-block ``decode_block`` calls cost ~30 µs each and a dense
+    term can have thousands of blocks."""
+    dfs = chunks["df_chunk"].to_numpy().astype(np.int64)
+    docs, off = _absolute_docs(decode_varint(_binary_values(chunks["docs"])), dfs, block_size)
+    tfs = decode_varint(_binary_values(chunks["tfs"])).astype(np.int64)
+    dls = decode_varint(_binary_values(chunks["dls"])).astype(np.int64)
+    return docs, tfs, dls, off
+
+
+def decode_docs_bulk(chunks: pa.Table, block_size: int = DEFAULT_BLOCK_SIZE):
+    """Docs-only variant of :func:`decode_chunks_bulk` — one
+    ``decode_varint`` pass over the doc stream, tf/dl streams untouched.
+    Returns ``(docs, row_value_offsets)``. The query engine no longer
+    calls it (multi-term unions read the postings cache); it stays while
+    ``perfbench/trace.py`` wraps it by name."""
+    dfs = chunks["df_chunk"].to_numpy().astype(np.int64)
+    return _absolute_docs(decode_varint(_binary_values(chunks["docs"])), dfs, block_size)
 
 
 def decode_chunk_row(row: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

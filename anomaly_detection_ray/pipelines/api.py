@@ -547,10 +547,9 @@ class DetectorAPI:
         counts + (with a checkpoint dir) per-model state — init progress
         (n_points / output_after), model size in bytes, last seen window.
         ``entity`` narrows to one entity (``EntityProfileRunner``)."""
-        import glob as _glob
-        import json as _json
-
         import ray
+
+        from ..state.checkpoint import list_checkpoints
 
         cats = list(self.config.category_fields)
         n_entities = 1
@@ -576,13 +575,7 @@ class DetectorAPI:
         if checkpoint_dir:
             from ..functions.hashing import entity_model_id
 
-            metas = []
-            for mp in sorted(_glob.glob(os.path.join(checkpoint_dir, "*", "*.pkl.json"))):
-                try:
-                    with open(mp) as f:
-                        metas.append(_json.load(f))
-                except (OSError, ValueError):
-                    continue
+            metas = [m for _, m in list_checkpoints(checkpoint_dir)]
             output_after = self.config.model_output_after()
             models = [
                 {
@@ -631,19 +624,12 @@ class DetectorAPI:
         total, and ``rcf_total_updates`` (max points any model consumed).
         ``checkpoint_dir`` defaults to the piece-runner's task-private
         directory under the task store root."""
-        import glob as _glob
-        import json as _json
+        from ..state.checkpoint import list_checkpoints
 
         tid = task_store.task_id(self.config.config_id, time_range_ms)
         doc = task_store.get(tid)
         ckpt = checkpoint_dir or os.path.join(task_store.root, f"{tid}_ckpt")
-        metas = []
-        for mp in sorted(_glob.glob(os.path.join(ckpt, "*", "*.pkl.json"))):
-            try:
-                with open(mp) as f:
-                    metas.append(_json.load(f))
-            except (OSError, ValueError):
-                continue
+        metas = [m for _, m in list_checkpoints(ckpt)]
         return {
             "task": doc,
             "n_models": len(metas),
@@ -655,8 +641,10 @@ class DetectorAPI:
     def _entity_last_sample_ms(self, entity: dict) -> int | None:
         """Latest raw-sample timestamp (epoch ms) for one entity — the
         EntityProfileRunner's last-sample search (a max-ts agg over the
-        entity's term filter), distributed: per-batch filter + max, tiny
-        driver-side reduce."""
+        entity's term filter), distributed: per-block filter + max, tiny
+        driver-side reduce (``stages.window.ts_range_ms``)."""
+        from ..stages.window import ts_range_ms
+
         ts_col = self.ts_col
         items = [(k, str(v)) for k, v in entity.items()]
 
@@ -667,14 +655,8 @@ class DetectorAPI:
                 m = mm if m is None else pc.and_(m, mm)
             return b.filter(m).select([ts_col])
 
-        mx = self._ds(pruned=True).map_batches(
-            keep, batch_format="pyarrow", zero_copy_batch=True
-        ).max(ts_col)
-        if mx is None:
-            return None
-        if isinstance(mx, (int, np.integer)):
-            return int(mx)
-        return int(pa.scalar(mx, pa.timestamp("ms")).cast(pa.int64()).as_py())
+        return ts_range_ms(self._ds(pruned=True).map_batches(
+            keep, batch_format="pyarrow", zero_copy_batch=True), ts_col)[1]
 
     def top_anomalies(self, k: int = 10) -> pd.DataFrame:
         from .detector import detect, top_anomaly_results

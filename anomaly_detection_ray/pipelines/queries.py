@@ -762,12 +762,11 @@ def q_tpch_q1(sf_dir: str) -> pd.DataFrame:
 
 def q_min_max_time(sf_dir: str) -> pd.DataFrame:
     """A5: earliest/latest data timestamp (epoch ms); nulls without rows."""
-    from ray.data.aggregate import Max, Min
+    from ..stages.window import ts_range_ms
 
-    ds = _rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-    ds = ds.map_batches(lambda b: add_window_columns(b, "ts", 1), batch_format="pyarrow", zero_copy_batch=True)
-    out = ds.aggregate(Min("window_start_ms", alias_name="min_ts_ms"), Max("window_start_ms", alias_name="max_ts_ms"))
-    return pd.DataFrame([{k: None if v is None else np.int64(v) for k, v in out.items()}])
+    lo, hi = ts_range_ms(_rd().read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["ts"]), "ts")
+    return pd.DataFrame([{"min_ts_ms": None if lo is None else np.int64(lo),
+                          "max_ts_ms": None if hi is None else np.int64(hi)}])
 
 
 def q_feature_agg_interval(sf_dir: str) -> pd.DataFrame:

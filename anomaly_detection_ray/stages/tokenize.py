@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.analyzer import Analyzer
-from ..functions.varint import encode_varint_with_sizes
+from ..index import segments
 from ..index.segments import POSTINGS_SCHEMA
 
 
@@ -89,45 +89,10 @@ class TokenizeCombine:
         change[1:] |= bucket_arr[1:] != bucket_arr[:-1]
         starts = np.flatnonzero(change)
         ends = np.append(starts[1:], codes.size)
-
-        # Phase-1 chunks are SINGLE-BLOCK (block metadata is rebuilt by
-        # the phase-2 merge), so all runs encode in ONE vectorized pass:
-        # per-run delta restart, one varint stream per column, runs
-        # sliced out by byte offsets.
-        deltas = np.empty_like(did_arr)
-        deltas[1:] = did_arr[1:] - did_arr[:-1]
-        deltas[starts] = did_arr[starts]  # delta restarts at run start
-        doc_stream, doc_sz = encode_varint_with_sizes(deltas.astype(np.uint64))
-        tf_stream, tf_sz = encode_varint_with_sizes(tf_arr.astype(np.uint64))
-        dl_stream, dl_sz = encode_varint_with_sizes(dl_arr.astype(np.uint64))
-        doc_off = np.concatenate(([0], np.cumsum(doc_sz)))
-        tf_off = np.concatenate(([0], np.cumsum(tf_sz)))
-        dl_off = np.concatenate(([0], np.cumsum(dl_sz)))
-
-        zero32 = pa.array([[0]] * starts.size, type=pa.list_(pa.int32()))
-        return pa.table(
-            {
-                "term": pa.array([str(uniq[codes[s]]) for s in starts]),
-                "bucket": pa.array(bucket_arr[starts], type=pa.int64()),
-                "first_doc": pa.array(did_arr[starts], type=pa.int64()),
-                "last_doc": pa.array(did_arr[ends - 1], type=pa.int64()),
-                "df_chunk": pa.array((ends - starts).astype(np.int32)),
-                "tf_sum": pa.array(np.add.reduceat(tf_arr, starts), type=pa.int64()),
-                "docs": pa.array(
-                    [doc_stream[doc_off[s] : doc_off[e]] for s, e in zip(starts, ends)], type=pa.binary()
-                ),
-                "tfs": pa.array(
-                    [tf_stream[tf_off[s] : tf_off[e]] for s, e in zip(starts, ends)], type=pa.binary()
-                ),
-                "dls": pa.array(
-                    [dl_stream[dl_off[s] : dl_off[e]] for s, e in zip(starts, ends)], type=pa.binary()
-                ),
-                "block_doc_off": zero32,
-                "block_tf_off": zero32,
-                "block_dl_off": zero32,
-            },
-            schema=POSTINGS_SCHEMA,
-        )
+        # the index's one encoder and block rule (through the module, so
+        # a traced worker sees the wrapped function)
+        return segments.encode_rows_batched(uniq[codes[starts]], bucket_arr[starts], did_arr, tf_arr,
+                                            dl_arr, starts, ends, self.block_size)
 
 
 class DocMap:

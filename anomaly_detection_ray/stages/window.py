@@ -70,6 +70,24 @@ def _ts_ms_numpy(batch: pa.Table, ts_col: str) -> np.ndarray:
     return ts_ms.to_numpy() if hasattr(ts_ms, "to_numpy") else ts_ms.combine_chunks().to_numpy()
 
 
+def ts_range_ms(ds, ts_col: str) -> tuple[int | None, int | None]:
+    """Earliest and latest ``ts_col`` value (epoch ms) of ``ds``, nulls
+    skipped: one (min, max) partial per block, reduced in the driver.
+    Ray Data's ``Dataset.aggregate`` / ``max`` run as ``groupby(None)``,
+    an all-to-all shuffle for one pair of numbers. ``(None, None)``
+    without rows."""
+
+    def partial(b: pa.Table) -> pa.Table:
+        ms = _ts_ms_numpy(b.select([ts_col]).drop_null(), ts_col) if b.num_rows else np.empty(0, np.int64)
+        lo, hi = ([ms.min()], [ms.max()]) if ms.size else ([], [])
+        return pa.table({"lo": pa.array(lo, pa.int64()), "hi": pa.array(hi, pa.int64())})
+
+    rows = ds.map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True).take_all()
+    if not rows:
+        return None, None
+    return int(min(r["lo"] for r in rows)), int(max(r["hi"] for r in rows))
+
+
 def add_window_columns(batch: pa.Table, ts_col: str, interval_ms: int) -> pa.Table:
     """Vectorized tumbling-window assignment (B2 time alignment:
     ``dataStart -= dataStart % interval``, ``ADBatchTaskRunner.java:989-991``)."""

@@ -31,6 +31,7 @@ mis-deserializing a running job's state.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import pickle
@@ -42,6 +43,21 @@ from .model import TRCFModel
 # load_state for every version this reader still accepts
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
+
+
+def list_checkpoints(root: str) -> list[tuple[str, dict]]:
+    """Every model's checkpoint under ``root`` as (blob path, sidecar
+    meta), in path order; an unreadable sidecar is skipped. The one
+    reader of the sidecar layout (``CheckpointStore._path`` + ``.json``).
+    It only reads: a missing ``root`` lists nothing and is not created."""
+    out = []
+    for meta_path in sorted(glob.glob(os.path.join(root, "*", "*.pkl.json"))):
+        try:
+            with open(meta_path) as f:
+                out.append((meta_path[: -len(".json")], json.load(f)))
+        except (OSError, ValueError):
+            continue
+    return out
 
 
 class CheckpointStore:
@@ -122,19 +138,11 @@ class CheckpointStore:
         """E3 retention cleanup (``ad/cluster/diskcleanup/*``, 3-day TTL
         hourly in the reference): drop checkpoints whose stream hasn't
         advanced past the cutoff. Returns the number removed."""
-        import glob
-
         removed = 0
-        for meta_path in glob.glob(os.path.join(self.root, "*", "*.pkl.json")):
-            try:
-                with open(meta_path) as f:
-                    meta = json.load(f)
-            except (OSError, json.JSONDecodeError):
-                continue
+        for pkl, meta in list_checkpoints(self.root):
             last = meta.get("last_window_end")
             if last is not None and last < before_window_end_ms:
-                pkl = meta_path[: -len(".json")]
-                for p in (pkl, meta_path):
+                for p in (pkl, pkl + ".json"):
                     try:
                         os.remove(p)
                     except FileNotFoundError:

@@ -829,8 +829,9 @@ def test_rankings_equal_pandas_with_ties(ray_session, tmp_path, monkeypatch):
 
 def test_read_side_apis_run_no_ray_data_groupby_or_sort(ray_session, tmp_path, monkeypatch):
     """Layer B's ranking and counting APIs run on the raw-Ray exchange
-    with P ≥ 2 parts: with Ray Data's ``Dataset.groupby`` and
-    ``Dataset.sort`` made to raise, every one still answers."""
+    with P ≥ 2 parts, and its min/max reads on per-block partials: with
+    Ray Data's ``Dataset.groupby`` and ``Dataset.sort`` made to raise,
+    every one still answers."""
     import pyarrow.parquet as pq
     from ray.data import Dataset
 
@@ -866,6 +867,15 @@ def test_read_side_apis_run_no_ray_data_groupby_or_sort(ray_session, tmp_path, m
     assert api.suggest_interval() > 0
     assert set(api.preview(max_entities=2)["event_type"]) <= {"a", "b", "c"}
     assert api.profile()["n_entities"] == 3
+    # min/max too (Dataset.aggregate and Dataset.max are groupby(None));
+    # a profile read creates no checkpoint directory
+    ev = pq.read_table(str(tmp_path / "events.parquet")).to_pandas()
+    ev["ms"] = ev["ts"].to_numpy().astype("datetime64[ms]").astype(np.int64)
+    absent = tmp_path / "no_checkpoints"
+    prof = api.profile(checkpoint_dir=str(absent), entity={"event_type": "b"})
+    assert prof["last_sample_ms"] == ev.loc[ev["event_type"] == "b", "ms"].max()
+    assert prof["n_models"] == 0 and not absent.exists()
+    assert q.q_min_max_time(str(tmp_path)).iloc[0].tolist() == [ev["ms"].min(), ev["ms"].max()]
     for query in (q.q_top_entities, q.q_decayed_top_entities, q.q_value_percentile,
                   q.q_interval_suggest):
         assert len(query(str(tmp_path))) > 0, query.__name__

@@ -12,7 +12,7 @@ from anomaly_detection_ray.functions.analyzer import Analyzer
 from anomaly_detection_ray.index.build import build_index
 from anomaly_detection_ray.index.oracle import BruteForceIndex
 from anomaly_detection_ray.index.query import QueryEngine
-from anomaly_detection_ray.index.segments import decode_chunk_row, encode_chunk
+from anomaly_detection_ray.index.segments import decode_chunk_row, encode_rows_batched
 
 
 def test_chunk_roundtrip_blocks():
@@ -20,7 +20,9 @@ def test_chunk_roundtrip_blocks():
     docs = np.sort(rng.choice(100_000, size=1000, replace=False)).astype(np.int64)
     tfs = rng.integers(1, 50, 1000).astype(np.int64)
     dls = rng.integers(10, 500, 1000).astype(np.int64)
-    row = encode_chunk("t", 0, docs, tfs, dls, block_size=128)
+    tbl = encode_rows_batched(np.array(["t"], dtype=object), np.array([0]), docs, tfs, dls,
+                              np.array([0]), np.array([1000]), block_size=128)
+    (row,) = tbl.to_pylist()
     rd_, rt, rl = decode_chunk_row(row)
     assert np.array_equal(rd_, docs) and np.array_equal(rt, tfs) and np.array_equal(rl, dls)
     assert row["last_doc"] == docs[-1]
@@ -279,6 +281,8 @@ def test_hot_term_salted_across_partitions(built):
 
     import pyarrow.parquet as pq
 
+    from anomaly_detection_ray.functions.hashing import sha256_file
+
     out, manifest, oracle = built
     hot = max(oracle.postings, key=lambda t: len(oracle.postings[t]))
     assert len(oracle.postings[hot]) > 100  # genuinely hot in the tiny corpus
@@ -291,11 +295,12 @@ def test_hot_term_salted_across_partitions(built):
             holding.append((f, sum(mask)))
     # ≥2 slices → the hot term's list is built by ≥2 independent merges
     assert len(holding) >= 2, holding
-    # per-partition manifests carry sha256 lineage for each of them
+    # the slice manifests' partition rows carry sha256 lineage for each
     for f, _ in holding:
-        with open(f + ".json") as fh:
-            meta = json.load(fh)
-        assert len(meta["sha256"]) == 64 and meta["fingerprint"]
+        slice_dir = os.path.dirname(os.path.dirname(f))
+        with open(os.path.join(slice_dir, "_slice_manifest.json")) as fh:
+            rows = {p["path"]: p for p in json.load(fh)["partitions"]}
+        assert rows[os.path.basename(f)]["sha256"] == sha256_file(f)
 
 
 def test_extend_index_segment_add(ray_session, tiny_corpus, tmp_path_factory):
