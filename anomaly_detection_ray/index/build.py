@@ -280,11 +280,8 @@ def reduce_postings(kh: int, out_dir: str, block_size: int,
     group = pa.concat_tables(parts)
     docs, tfs, dls, off = segments.decode_chunks_bulk(group, block_size)
     counts = np.diff(off)
-    terms = group["term"].combine_chunks().dictionary_encode()
-    # rank of each dictionary entry in term order → sortable int codes
-    rank = pc.rank(terms.dictionary, sort_keys="ascending").to_numpy() - 1
-    sorted_terms = terms.dictionary.take(pa.array(np.argsort(rank)))
-    code_all = np.repeat(rank[terms.indices.to_numpy()], counts)
+    sorted_terms, codes = segments.rank_terms(group["term"].combine_chunks())
+    code_all = np.repeat(codes, counts)
     bucket_all = np.repeat(group["bucket"].to_numpy(), counts)
     if tombs is not None and tombs[0].size:
         from .lifecycle import live_mask

@@ -604,38 +604,22 @@ class QueryEngine:
     ) -> list[str]:
         """Lucene FuzzyQuery rewrite: dictionary terms within
         ``fuzziness`` edits of ``term`` (AUTO = 0/1/2 by term length),
-        sharing its first ``prefix_length`` chars, closest-first capped
-        at ``max_expansions``. ``transpositions=True`` = OSA distance
-        (``transpositions=False`` is the DuckDB-``levenshtein`` exact
-        oracle mode)."""
-        from .termscan import _rank_matches, auto_fuzziness, bounded_distances_arrow
+        sharing its first ``prefix_length`` chars, closest-first (ties in
+        term order) capped at ``max_expansions``. ``transpositions=True``
+        = OSA distance (``transpositions=False`` is the
+        DuckDB-``levenshtein`` exact oracle mode). The ``prefix_length``
+        range of the dictionary is walked as a trie
+        (``termscan.fuzzy_expand``): one DP row per distinct live prefix,
+        never per term, and only the kept terms become Python strings."""
+        from .termscan import _rank_matches, auto_fuzziness, fuzzy_expand
 
         max_edits = auto_fuzziness(term) if fuzziness == "AUTO" else int(fuzziness)
         pre = term[: max(0, int(prefix_length))]
-        all_dists: list[np.ndarray] = []
-        all_strs: list[str] = []
-        for sl in self._dict.iter_slices(pre):
-            # cheap vectorized length band before any DP work
-            ln = pc.utf8_length(sl)
-            mask = pc.and_(
-                pc.greater_equal(ln, len(term) - max_edits),
-                pc.less_equal(ln, len(term) + max_edits),
-            )
-            cands = sl.filter(mask)
-            if len(cands) == 0:
-                continue
-            # bounded DP straight off the Arrow buffers; only the (few)
-            # matching terms ever become Python strings
-            dist = bounded_distances_arrow(term, cands, max_edits, transpositions)
-            sel = np.flatnonzero(dist <= max_edits)
-            if sel.size:
-                all_dists.append(dist[sel])
-                all_strs.extend(cands.take(pa.array(sel)).to_pylist())
-        if not all_strs:
-            return []
+        terms, dist, _ = fuzzy_expand(self._dict.iter_ranges(pre), term, max_edits,
+                                      transpositions)
         # closest-first ranking runs over ALL slices' matches (Lucene's
         # FuzzyQuery boosts by edit distance across the whole enum)
-        return _rank_matches(np.concatenate(all_dists), max_edits, all_strs, max_expansions)
+        return terms.take(pa.array(_rank_matches(dist, max_expansions))).to_pylist()
 
     def fuzzy_docs(self, term: str, **kwargs) -> np.ndarray:
         return self.union_docs(self.fuzzy_terms(term, **kwargs))
@@ -1120,32 +1104,28 @@ class QueryEngine:
         doc freq desc, term asc) — OpenSearch's score-then-frequency
         default. ``suggest_mode="missing"`` (the default) suggests only
         for tokens absent from the index; ``"always"`` suggests for
-        every token (the candidate never includes the token itself).
-        Candidates come from the dictionary's prefix range scan, so the
-        lazy 10⁹-vocab mode prunes the same row groups a prefix query
-        would."""
-        from .termscan import levenshtein_batch
+        every token (the candidate never includes the token itself, the
+        one term at distance 0). Candidates come from the fuzzy query's
+        trie walk over the dictionary's prefix range
+        (``termscan.fuzzy_expand``), so the lazy 10⁹-vocab mode prunes
+        the same row groups a prefix query would, and only the returned
+        options become Python strings."""
+        from .termscan import fuzzy_expand
 
         if suggest_mode not in ("missing", "always"):
             raise ValueError(f"unsupported suggest_mode {suggest_mode!r}")
         out = []
         for tok in self.analyzer.tokens(text):
-            present = self.df(tok) > 0
             entry = {"text": tok, "options": []}
-            if not (suggest_mode == "missing" and present):
-                cands = [t for t in self.prefix_terms(tok[:prefix_length])
-                         if t != tok]
-                if cands:
-                    dists = levenshtein_batch(tok, cands)
-                    keep = [(int(d), c) for d, c in zip(dists, cands)
-                            if d <= max_edits]
-                    scored = sorted(
-                        ((d, -self.df(c), c) for d, c in keep),
-                    )
-                    entry["options"] = [
-                        {"text": c, "distance": d, "freq": -negdf}
-                        for d, negdf, c in scored[:size]
-                    ]
+            if not (suggest_mode == "missing" and self.df(tok) > 0):
+                terms, dist, df = fuzzy_expand(
+                    self._dict.iter_ranges(tok[:prefix_length]), tok, max_edits)
+                other = np.flatnonzero(dist > 0)
+                top = other[np.lexsort((-df[other], dist[other]))][:size]
+                entry["options"] = [
+                    {"text": t, "distance": int(dist[i]), "freq": int(df[i])}
+                    for t, i in zip(terms.take(pa.array(top)).to_pylist(), top)
+                ]
             out.append(entry)
         return out
 

@@ -264,22 +264,24 @@ class QueryCompiler:
     def _fuzzy_meta(self, field: str, value: str, *, fuzziness, prefix_length,
                     transpositions, max_expansions) -> np.ndarray:
         """Fuzzy over a keyword docmap column: expand against the
-        column's DISTINCT values (the small side — keyword fields are
-        low-cardinality by design), then one ``is_in`` filter."""
-        from .termscan import auto_fuzziness, fuzzy_select
+        column's sorted DISTINCT values (the small side — keyword fields
+        are low-cardinality by design) with the fuzzy query's trie walk
+        (``termscan.fuzzy_expand``), then one ``is_in`` filter."""
+        from .termscan import TermSlice, _rank_matches, auto_fuzziness, fuzzy_expand
 
         max_edits = (
             auto_fuzziness(value) if fuzziness == "AUTO" else int(fuzziness)
         )
-        col = self.engine.docmap_column(field)
-        uniq = [
-            v for v in pc.unique(col).to_pylist()
-            if v is not None and v.startswith(value[:prefix_length])
-        ]
-        matched = fuzzy_select(value, uniq, max_edits, transpositions, max_expansions)
-        if not matched:
+        uniq = pc.unique(pc.drop_null(self.engine.docmap_column(field)))
+        if prefix_length:
+            uniq = uniq.filter(pc.starts_with(uniq, value[:prefix_length]))
+        uniq = uniq.take(pc.sort_indices(uniq))
+        terms, dist, _ = fuzzy_expand([(TermSlice(uniq), 0, len(uniq))], value,
+                                      max_edits, transpositions)
+        matched = terms.take(pa.array(_rank_matches(dist, max_expansions)))
+        if not len(matched):
             return np.empty(0, dtype=np.int64)
-        return self._meta_docs(field, lambda x: pc.is_in(x, value_set=pa.array(matched)))
+        return self._meta_docs(field, lambda x: pc.is_in(x, value_set=matched))
 
     def _execute_bool(self, body: dict) -> np.ndarray:
         result: np.ndarray | None = None

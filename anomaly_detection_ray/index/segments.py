@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.varint import decode_varint, delta_decode, encode_varint_with_sizes
 
@@ -72,6 +73,16 @@ DECODE_COLUMNS = ["term", "bucket", "df_chunk", "docs", "tfs", "dls"]
 DEFAULT_BLOCK_SIZE = 128
 
 
+def rank_terms(terms: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """(the distinct terms in order, each row's code into them), from a
+    sorted Arrow dictionary: UTF-8 byte order is code-point order, so
+    both equal ``np.unique(..., return_inverse=True)`` over the Python
+    strings, without an object-array sort."""
+    enc = terms.dictionary_encode()
+    rank = pc.rank(enc.dictionary, sort_keys="ascending").to_numpy() - 1
+    return enc.dictionary.take(pa.array(np.argsort(rank))), rank[enc.indices.to_numpy()]
+
+
 def encode_rows_batched(
     terms: np.ndarray,
     buckets: np.ndarray,
@@ -83,11 +94,14 @@ def encode_rows_batched(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> pa.Table:
     """Vectorized bulk encoder: one POSTINGS_SCHEMA row per run
-    ``[starts[r], ends[r])`` of the (doc-ordered) posting arrays.
+    ``[starts[r], ends[r])`` of the (doc-ordered) posting arrays; the
+    runs tile the arrays in order (``ends[r] == starts[r + 1]``).
     All runs share three varint streams (one encode call per column);
-    per-run/per-block byte ranges come from size cumsums; list columns
-    are built zero-copy with ``ListArray.from_arrays``. Every chunk the
-    index holds, phase-1 partials included, is written here — no
+    per-run/per-block byte ranges come from size cumsums; the binary
+    columns are the streams themselves under the runs' byte offsets
+    (``Array.from_buffers``) and the list columns are built zero-copy
+    with ``ListArray.from_arrays``. Every chunk the index holds,
+    phase-1 partials included, is written here — no per-run or
     per-posting Python. ``terms`` may be a numpy or an Arrow array."""
     R = starts.size
     run_lens = ends - starts
@@ -117,6 +131,12 @@ def encode_rows_batched(
     def lst(values: np.ndarray, typ) -> pa.ListArray:
         return pa.ListArray.from_arrays(list_offsets, pa.array(values, type=typ))
 
+    bounds = np.append(starts, ends[-1] if R else 0)
+
+    def binary(stream: bytes, off: np.ndarray) -> pa.Array:
+        return pa.Array.from_buffers(pa.binary(), R, [
+            None, pa.py_buffer(off[bounds].astype(np.int32)), pa.py_buffer(stream)])
+
     return pa.table(
         {
             "term": pa.array(terms),
@@ -125,9 +145,9 @@ def encode_rows_batched(
             "last_doc": pa.array(docs[ends - 1], type=pa.int64()),
             "df_chunk": pa.array(run_lens.astype(np.int32)),
             "tf_sum": pa.array(np.add.reduceat(tfs, starts), type=pa.int64()),
-            "docs": pa.array([doc_stream[doc_off[s] : doc_off[e]] for s, e in zip(starts, ends)], type=pa.binary()),
-            "tfs": pa.array([tf_stream[tf_off[s] : tf_off[e]] for s, e in zip(starts, ends)], type=pa.binary()),
-            "dls": pa.array([dl_stream[dl_off[s] : dl_off[e]] for s, e in zip(starts, ends)], type=pa.binary()),
+            "docs": binary(doc_stream, doc_off),
+            "tfs": binary(tf_stream, tf_off),
+            "dls": binary(dl_stream, dl_off),
             "block_doc_off": lst(blk_rel_doc, pa.int32()),
             "block_tf_off": lst(blk_rel_tf, pa.int32()),
             "block_dl_off": lst(blk_rel_dl, pa.int32()),

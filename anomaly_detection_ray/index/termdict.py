@@ -32,9 +32,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Iterator
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from .termscan import TermSlice
 
 # upper bound of a prefix range [p, p + MAX_CODEPOINT)
 MAX_CODEPOINT = "\U0010ffff"
@@ -128,11 +129,10 @@ class TermDictionary:
         self.n_terms = sum(pf.metadata.num_rows for pf in self._pfs)
         total_bytes = sum(os.path.getsize(f) for f in files)
         self.eager = total_bytes <= budget_bytes or len(self._grp) <= 1
-        self._terms: pa.Array | None = None
-        self._df: np.ndarray | None = None
+        self._all: TermSlice | None = None
         self._mins: list[str] | None = None
         self._maxs: list[str] | None = None
-        self._cache: OrderedDict[int, tuple[pa.Array, np.ndarray]] = OrderedDict()
+        self._cache: OrderedDict[int, TermSlice] = OrderedDict()
         self._cache_groups = max(1, int(cache_groups))
         if not self.eager:
             mins, maxs = [], []
@@ -158,22 +158,21 @@ class TermDictionary:
         if self.eager:
             parts = [pf.read(columns=["term", "df"]) for pf in self._pfs]
             t = parts[0] if len(parts) == 1 else pa.concat_tables(parts)
-            self._terms = t["term"].combine_chunks()
-            self._df = t["df"].to_numpy()
+            self._all = TermSlice(t["term"].combine_chunks(), t["df"].to_numpy())
 
     def __len__(self) -> int:
         return self.n_terms
 
     # ---- group access (lazy mode) ----
 
-    def _group(self, g: int) -> tuple[pa.Array, np.ndarray]:
+    def _group(self, g: int) -> TermSlice:
         hit = self._cache.get(g)
         if hit is not None:
             self._cache.move_to_end(g)
             return hit
         fi, gi = self._grp[g]
         t = self._pfs[fi].read_row_group(gi, columns=["term", "df"])
-        val = (t["term"].combine_chunks(), t["df"].to_numpy())
+        val = TermSlice(t["term"].combine_chunks(), t["df"].to_numpy())
         self._cache[g] = val
         while len(self._cache) > self._cache_groups:
             self._cache.popitem(last=False)
@@ -192,40 +191,37 @@ class TermDictionary:
     # ---- lookups ----
 
     def df(self, term: str) -> int:
-        if self.eager:
-            i = _arrow_bisect(self._terms, term, "left")
-            if i < len(self._terms) and self._terms[i].as_py() == term:
-                return int(self._df[i])
-            return 0
-        for g in self._groups_for_range(term, term + "\x00"):
-            terms, dfs = self._group(g)
-            i = _arrow_bisect(terms, term, "left")
-            if i < len(terms) and terms[i].as_py() == term:
-                return int(dfs[i])
+        slices = [self._all] if self.eager else (
+            self._group(g) for g in self._groups_for_range(term, term + "\x00"))
+        for sl in slices:
+            i = _arrow_bisect(sl.terms, term, "left")
+            if i < len(sl.terms) and sl.terms[i].as_py() == term:
+                return int(sl.df[i])
         return 0
 
-    def iter_slices(self, prefix: str = "") -> Iterator[pa.Array]:
-        """Term chunks covering exactly [prefix, prefix + MAX_CODEPOINT),
-        in global term order. Eager mode yields one slice; lazy mode
-        yields one (pruned, LRU-cached) row group at a time, so a
-        full-dictionary scan never holds more than a group in memory."""
+    def iter_ranges(self, prefix: str = "") -> Iterator[tuple[TermSlice, int, int]]:
+        """``(slice, lo, hi)``: the rows ``[lo, hi)`` of each held slice
+        that cover exactly [prefix, prefix + MAX_CODEPOINT), in global
+        term order. Eager mode yields the one term column; lazy mode one
+        (pruned, LRU-cached) row group at a time, so a full-dictionary
+        scan never holds more than a group in memory. A slice keeps what
+        is built over it (its fuzzy trie) for as long as it is held."""
         hi_key = prefix + MAX_CODEPOINT if prefix else None
         if self.eager:
-            lo = _arrow_bisect(self._terms, prefix, "left") if prefix else 0
-            hi = _arrow_bisect(self._terms, hi_key, "left") if prefix else len(self._terms)
+            slices = [self._all]
+        else:
+            groups = (
+                self._groups_for_range(prefix, hi_key)
+                if prefix else range(len(self._grp))
+            )
+            slices = (self._group(g) for g in groups)
+        for sl in slices:
+            lo = _arrow_bisect(sl.terms, prefix, "left") if prefix else 0
+            hi = _arrow_bisect(sl.terms, hi_key, "left") if prefix else len(sl.terms)
             if hi > lo:
-                yield self._terms.slice(lo, hi - lo)
-            return
-        groups = (
-            self._groups_for_range(prefix, hi_key)
-            if prefix else range(len(self._grp))
-        )
-        for g in groups:
-            terms, _ = self._group(g)
-            if prefix:
-                lo = _arrow_bisect(terms, prefix, "left")
-                hi = _arrow_bisect(terms, hi_key, "left")
-                if hi > lo:
-                    yield terms.slice(lo, hi - lo)
-            else:
-                yield terms
+                yield sl, lo, hi
+
+    def iter_slices(self, prefix: str = "") -> Iterator[pa.Array]:
+        """The term chunks of :meth:`iter_ranges`."""
+        for sl, lo, hi in self.iter_ranges(prefix):
+            yield sl.terms.slice(lo, hi - lo)

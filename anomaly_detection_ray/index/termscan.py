@@ -14,12 +14,19 @@ over the term-SORTED Arrow dictionary the index already stores:
   (``pc.match_substring_regex``), no per-term Python loop.
 - fuzzy: Lucene FuzzyQuery semantics — AUTO fuzziness by term length,
   ``prefix_length`` sharing, optional transpositions (OSA), closest-
-  first ``max_expansions`` — via a Levenshtein DP vectorized ACROSS
-  candidate terms: one numpy update per candidate character column over
-  the whole (n_candidates × query_len) distance matrix, instead of one
-  DP per term. Candidates are pre-filtered by shared prefix (dictionary
-  range) and |len - query_len| ≤ max_edits, so the DP only ever sees a
-  sliver of the vocabulary.
+  first ``max_expansions``. Lucene intersects a Levenshtein automaton
+  with its term dictionary (Schulz & Mihov, "Fast string correction
+  with Levenshtein automata", IJDAR 2002); here the term-SORTED
+  dictionary is walked as an implicit trie (:class:`TermTrie`), level
+  by level, vectorized across prefixes: every distinct live prefix has
+  ONE Wagner-Fischer row (the automaton's state set), shared by every
+  term under it, and one numpy pass over (children × query length)
+  computes the next level's rows. A prefix whose row minimum exceeds
+  ``max_edits`` drops its whole term range at once (the seek). A term's
+  distance is the last cell of its own prefix's row. The fuzzy query,
+  the keyword ``fuzzy`` and the term suggester all run this one DP
+  (:func:`fuzzy_expand`); only the matching terms are ever taken out of
+  the Arrow array.
 
 Scale note (10^12-doc corpora): the dictionary is the SMALL side — it
 lives in Arrow buffers per serving actor and is already range-sharded
@@ -32,8 +39,10 @@ behavior and warning for leading wildcards).
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 import numpy as np
+import pyarrow as pa
 
 _WILDCARD_SPECIALS = "*?"
 # regex metacharacters that end a literal prefix
@@ -112,177 +121,172 @@ def auto_fuzziness(term: str) -> int:
     return 2
 
 
-def levenshtein_batch(
-    query: str, terms: list[str], transpositions: bool = False
-) -> np.ndarray:
-    """Edit distance from ``query`` to EVERY term, vectorized across terms.
 
-    Standard Wagner-Fischer over the query axis with the candidate axis
-    as a numpy vector: for each character column j of the candidates we
-    update all n distance rows at once. ``transpositions=True`` adds the
-    OSA (restricted Damerau) adjacent-swap case — the variant Lucene's
-    transposing automaton accepts. O(maxlen × len(query)) numpy ops
-    total, independent of candidate count.
-    """
+
+
+def _code_units(terms: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(code units, offsets) of a string array, read off its Arrow
+    buffers: the UTF-8 bytes themselves when every term is ASCII, else
+    the code points, decoded here in one vectorized pass, so that edit
+    distances count characters either way (as Lucene and DuckDB's
+    ``levenshtein`` do)."""
     n = len(terms)
-    m = len(query)
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    lens = np.fromiter((len(t) for t in terms), dtype=np.int64, count=n)
-    if m == 0:
-        return lens.astype(np.int32)
-    L = int(lens.max())
-    result = np.empty(n, dtype=np.int32)
-    result[lens == 0] = m
-    if L == 0:
-        return result
-    # (n, L) zero-padded char-code matrix, built without a per-term loop
-    joined = "".join(terms)
-    codes = np.fromiter(map(ord, joined), dtype=np.int32, count=len(joined))
-    offs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens, out=offs[1:])
-    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-    cols = np.arange(len(joined), dtype=np.int64) - np.repeat(offs[:-1], lens)
-    mat = np.zeros((n, L), dtype=np.int32)
-    mat[rows, cols] = codes
-    q = np.fromiter(map(ord, query), dtype=np.int32, count=m)
-
-    prev = np.broadcast_to(np.arange(m + 1, dtype=np.int32), (n, m + 1)).copy()
-    prevprev: np.ndarray | None = None
-    prev_char: np.ndarray | None = None
-    for j in range(1, L + 1):
-        cj = mat[:, j - 1]
-        sub = (cj[:, None] != q[None, :]).astype(np.int32)
-        cur = np.empty_like(prev)
-        cur[:, 0] = j
-        for i in range(1, m + 1):
-            cur[:, i] = np.minimum(
-                np.minimum(cur[:, i - 1] + 1, prev[:, i] + 1),
-                prev[:, i - 1] + sub[:, i - 1],
-            )
-            if transpositions and j > 1 and i > 1:
-                swap = (cj == q[i - 2]) & (prev_char == q[i - 1])
-                np.minimum(
-                    cur[:, i],
-                    np.where(swap, prevprev[:, i - 2] + 1, cur[:, i]),
-                    out=cur[:, i],
-                )
-        done = lens == j
-        if done.any():
-            result[done] = cur[done, m]
-        prevprev, prev, prev_char = prev, cur, cj
-    return result
+    bufs = terms.buffers()
+    odt = np.int64 if pa.types.is_large_string(terms.type) else np.int32
+    off = np.frombuffer(bufs[1], dtype=odt)[terms.offset : terms.offset + n + 1]
+    data = (np.frombuffer(bufs[2], dtype=np.uint8)[off[0] : off[-1]]
+            if bufs[2] is not None else np.empty(0, dtype=np.uint8))
+    off = off - off[0]
+    if not (data >= 0x80).any():
+        return data, off
+    lead = (data & 0xC0) != 0x80  # one lead byte per character
+    at = np.flatnonzero(lead)
+    b0 = data[at].astype(np.int32)
+    width = 1 + (b0 >= 0xC0) + (b0 >= 0xE0) + (b0 >= 0xF0)
+    cp = np.where(width == 1, b0, b0 & (0x7F >> width))
+    for k in (1, 2, 3):
+        sel = np.flatnonzero(width > k)
+        cp[sel] = (cp[sel] << 6) | (data[at[sel] + k] & 0x3F)
+    return cp, np.concatenate(([0], np.cumsum(lead, dtype=odt)))[off]
 
 
-def bounded_distances_arrow(
-    query: str, arr, max_edits: int, transpositions: bool = False
-) -> np.ndarray:
-    """Edit distances CLIPPED at ``max_edits + 1``, computed straight off
-    the Arrow string buffers (no Python string materialization) with an
-    alive-set bounded DP: after each candidate character column, rows
-    whose running row-minimum already exceeds ``max_edits`` are dropped
-    from the computation (edit distance is non-decreasing along the DP),
-    so with the Lucene-typical max_edits ≤ 2 almost every vocabulary
-    term dies within the first few columns. This is the serving-path
-    fuzzy scan; the exact ``levenshtein_batch`` stays as its test twin.
+class TermTrie:
+    """The implicit trie of a term-sorted Arrow string array: its code
+    units and offsets, and each term's common-prefix length with the
+    term before it, as the positions sorted by that length (stable) and
+    the offsets of each length's run. A prefix's terms are a contiguous
+    range; its first term opens its first child (or, as long as the
+    prefix, is the prefix itself), and each other child starts at a
+    position whose common-prefix length equals the prefix's length.
+    Built in O(total code units), without an (n × max length) char
+    matrix."""
 
-    Falls back to the exact path for non-ASCII data (where UTF-8 bytes
-    ≠ characters)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
+    def __init__(self, terms: pa.Array):
+        self.codes, self.off = _code_units(terms)
+        n = len(terms)
+        lens = np.diff(self.off)
+        # common-prefix length with the previous term, one column at a
+        # time over the pairs still equal
+        lcp = np.zeros(n, dtype=np.int64)
+        pair = np.arange(1, n)
+        k = 0
+        while pair.size:
+            pair = pair[(lens[pair] > k) & (lens[pair - 1] > k)]
+            pair = pair[self.codes[self.off[pair] + k] == self.codes[self.off[pair - 1] + k]]
+            lcp[pair] = k + 1
+            k += 1
+        self.depth = int(lens.max()) if n else 0
+        self.starts = np.argsort(lcp, kind="stable").astype(np.int32)
+        self.level = np.concatenate(([0], np.cumsum(np.bincount(lcp, minlength=self.depth + 1))))
 
-    a = arr.combine_chunks() if isinstance(arr, pa.ChunkedArray) else arr
-    n = len(a)
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    cap = np.int32(max_edits + 1)
-    ascii_ok = query.isascii() and (
-        pc.sum(pc.utf8_length(a)).as_py() == pc.sum(pc.binary_length(a)).as_py()
-    )
-    if not ascii_ok:
-        d = levenshtein_batch(query, a.to_pylist(), transpositions=transpositions)
-        return np.minimum(d, cap)
-    bufs = a.buffers()
-    off = np.frombuffer(bufs[1], dtype=np.int32)[a.offset : a.offset + n + 1].astype(
-        np.int64
-    )
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
-    lens = np.diff(off)
-    m = len(query)
-    result = np.full(n, cap, dtype=np.int32)
-    result[lens == 0] = min(m, int(cap))
-    L = int(lens.max()) if n else 0
-    if L == 0 or m == 0:
-        if m == 0:
-            return np.minimum(lens, cap).astype(np.int32)
-        return result
-    # zero-padded (n, L) char matrix directly from the UTF-8 data buffer
-    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-    cols = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(lens)))[:-1], lens
-    )
-    mat = np.zeros((n, L), dtype=np.int32)
-    mat[rows, cols] = data[off[0] : off[-1]].astype(np.int32)
-    q = np.frombuffer(query.encode(), dtype=np.uint8).astype(np.int32)
 
-    idx = np.arange(n)  # alive-row → original-row map
-    prev = np.broadcast_to(np.arange(m + 1, dtype=np.int32), (n, m + 1)).copy()
-    prevprev: np.ndarray | None = None
-    prev_char: np.ndarray | None = None
-    alens = lens
-    for j in range(1, L + 1):
-        if idx.size == 0:
+def fuzzy_walk(trie: TermTrie, query: str, max_edits: int,
+               transpositions: bool = False, lo: int = 0,
+               hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (ascending) and edit distances of the terms in
+    ``[lo, hi)`` within ``max_edits`` of ``query``: the level-by-level
+    trie walk of the module docstring. ``transpositions=True`` adds the
+    OSA (restricted Damerau) adjacent swap, reading the grandparent row
+    and the parent's char. The row minimum never decreases along a path
+    (an OSA swap cell is never below its parent row's cell), so a pruned
+    prefix can hold no match."""
+    hi = trie.off.size - 1 if hi is None else hi
+    if hi <= lo:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)
+    q = np.fromiter(map(ord, query), dtype=np.int32, count=len(query))
+    m = q.size
+    cols = np.arange(m + 1, dtype=np.int32)
+    node_lo, node_hi = np.array([lo]), np.array([hi])
+    row = cols[None, :]
+    up = row  # the rows of the nodes' parents (OSA only)
+    found_pos, found_dist = [], []
+    for d in range(trie.depth + 1):
+        lens = trie.off[node_lo + 1] - trie.off[node_lo]
+        # a term ends at the first position of its own prefix's run
+        ends = lens == d
+        if ends.any():
+            dist = row[ends, m]
+            ok = dist <= max_edits
+            found_pos.append(node_lo[ends][ok])
+            found_dist.append(dist[ok])
+        # children: a node's first term opens one unless it ended here;
+        # every other starts where the common-prefix length is d
+        s = trie.starts[trie.level[d] : trie.level[d + 1]]
+        a, b = np.searchsorted(s, node_lo, "right"), np.searchsorted(s, node_hi)
+        cnt = b - a
+        parent = np.repeat(np.arange(cnt.size), cnt)
+        idx = np.repeat(a - (np.cumsum(cnt) - cnt), cnt) + np.arange(int(cnt.sum()))
+        first = np.flatnonzero(~ends)
+        parent = np.concatenate((first, parent))
+        child_lo = np.concatenate((node_lo[first], s[idx]))
+        if child_lo.size == 0:
             break
-        cj = mat[idx, j - 1]
-        sub = (cj[:, None] != q[None, :]).astype(np.int32)
-        cur = np.empty((idx.size, m + 1), dtype=np.int32)
-        cur[:, 0] = j
-        for i in range(1, m + 1):
-            cur[:, i] = np.minimum(
-                np.minimum(cur[:, i - 1] + 1, prev[:, i] + 1),
-                prev[:, i - 1] + sub[:, i - 1],
-            )
-            if transpositions and j > 1 and i > 1:
-                swap = (cj == q[i - 2]) & (prev_char == q[i - 1])
-                np.minimum(
-                    cur[:, i],
-                    np.where(swap, prevprev[:, i - 2] + 1, cur[:, i]),
-                    out=cur[:, i],
-                )
-        done = alens == j
-        if done.any():
-            result[idx[done]] = np.minimum(cur[done, m], cap)
-        # prune: the DP row minimum never decreases, so rows already past
-        # the budget can never come back under it
-        keep = (~done) & (cur.min(axis=1) <= max_edits)
-        if not keep.all():
-            idx, alens, cur = idx[keep], alens[keep], cur[keep]
-            prev = prev[keep]
-            if transpositions:
-                cj = cj[keep]
-        prevprev, prev, prev_char = prev, cur, cj
-    return result
+        # a child's range ends at its next sibling, or with its parent's
+        nxt = np.concatenate((a[first], idx + 1))
+        child_hi = node_hi[parent]
+        if s.size:
+            child_hi = np.where(nxt < b[parent], s[np.minimum(nxt, s.size - 1)], child_hi)
+        char = trie.codes[trie.off[child_lo] + d]
+        prow = row[parent]
+        t = np.empty((child_lo.size, m + 1), dtype=np.int32)
+        t[:, 0] = d + 1
+        np.minimum(prow[:, 1:] + 1, prow[:, :-1] + (char[:, None] != q[None, :]), out=t[:, 1:])
+        if transpositions and d >= 1 and m >= 2:
+            pchar = trie.codes[trie.off[child_lo] + d - 1]
+            swap = (char[:, None] == q[None, :-1]) & (pchar[:, None] == q[None, 1:])
+            np.minimum(t[:, 2:], np.where(swap, up[parent][:, :-2] + 1, t[:, 2:]),
+                       out=t[:, 2:])
+        # the insertion chain along the query: a running minimum
+        cur = np.minimum.accumulate(t - cols, axis=1) + cols
+        keep = cur.min(axis=1) <= max_edits
+        up, row = prow[keep], cur[keep]
+        node_lo, node_hi = child_lo[keep], child_hi[keep]
+        if node_lo.size == 0:
+            break
+    pos = np.concatenate(found_pos) if found_pos else np.empty(0, dtype=np.int64)
+    dist = np.concatenate(found_dist) if found_dist else np.empty(0, dtype=np.int32)
+    order = np.argsort(pos)
+    return pos[order], dist[order]
 
 
-def fuzzy_select(
-    query: str,
-    terms: list[str],
-    max_edits: int,
-    transpositions: bool = False,
-    max_expansions: int | None = None,
-) -> list[str]:
-    """Terms within ``max_edits`` of ``query``, closest-first then term
-    order (Lucene FuzzyQuery keeps the ``max_expansions`` highest-boost
-    = smallest-distance expansions)."""
+class TermSlice:
+    """A term-sorted Arrow string array, its doc freqs (None where there
+    are none) and, built on first use and kept with it, its
+    :class:`TermTrie`."""
+
+    def __init__(self, terms: pa.Array, df: np.ndarray | None = None):
+        self.terms = terms
+        self.df = df
+
+    @cached_property
+    def trie(self) -> TermTrie:
+        return TermTrie(self.terms)
+
+
+def fuzzy_expand(ranges, query: str, max_edits: int, transpositions: bool = False
+                 ) -> tuple[pa.Array, np.ndarray, np.ndarray | None]:
+    """Every term within ``max_edits`` of ``query`` over ``ranges``
+    — ``(TermSlice, lo, hi)`` in global term order — as (terms, edit
+    distances, doc freqs or None where the slices have none), in term
+    order. The fuzzy query, the keyword ``fuzzy`` and the term
+    suggester all expand here."""
+    terms, dists, dfs = [], [], []
+    for sl, lo, hi in ranges:
+        pos, dist = fuzzy_walk(sl.trie, query, max_edits, transpositions, lo, hi)
+        if pos.size:
+            terms.append(sl.terms.take(pa.array(pos)))
+            dists.append(dist)
+            if sl.df is not None:
+                dfs.append(sl.df[pos])
     if not terms:
-        return []
-    dist = levenshtein_batch(query, terms, transpositions=transpositions)
-    return _rank_matches(dist, max_edits, terms, max_expansions)
+        return pa.array([], pa.string()), np.empty(0, dtype=np.int32), np.empty(0, np.int64)
+    return (pa.concat_arrays(terms), np.concatenate(dists),
+            np.concatenate(dfs) if dfs else None)
 
 
-def _rank_matches(dist, max_edits, terms, max_expansions):
-    sel = np.flatnonzero(dist <= max_edits)
-    ranked = sorted(sel.tolist(), key=lambda i: (int(dist[i]), terms[i]))
-    if max_expansions is not None:
-        ranked = ranked[:max_expansions]
-    return [terms[i] for i in ranked]
+def _rank_matches(dist: np.ndarray, max_expansions: int | None) -> np.ndarray:
+    """Indices of ``dist`` closest-first, ties in input (term) order, cut
+    at ``max_expansions`` (Lucene FuzzyQuery keeps the ``max_expansions``
+    highest-boost = smallest-distance expansions)."""
+    order = np.argsort(dist, kind="stable")
+    return order if max_expansions is None else order[:max_expansions]

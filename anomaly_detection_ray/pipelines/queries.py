@@ -669,9 +669,9 @@ def q_regexp_search(sf_dir: str) -> pd.DataFrame:
 
 
 def q_fuzzy_search(sf_dir: str) -> pd.DataFrame:
-    """Fuzzy query (Lucene FuzzyQuery, transpositions=False mode):
-    length-banded dictionary scan + batched Levenshtein DP + postings
-    union — value-exact vs the DuckDB levenshtein() twin."""
+    """Fuzzy query (Lucene FuzzyQuery, transpositions=False mode): trie
+    walk of the sorted dictionary (one Levenshtein row per live prefix)
+    + postings union — value-exact vs the DuckDB levenshtein() twin."""
     eng = index_for(sf_dir)
     docs = eng.fuzzy_docs(
         FUZZY_QUERY, fuzziness=FUZZY_EDITS, transpositions=False, max_expansions=None

@@ -71,13 +71,12 @@ class TokenizeCombine:
         if not terms:
             return POSTINGS_SCHEMA.empty_table()
 
-        term_arr = np.asarray(terms, dtype=object)
         did_arr = np.asarray(dids, dtype=np.int64)
         tf_arr = np.asarray(tfs, dtype=np.int64)
         dl_arr = np.asarray(dls, dtype=np.int64)
         bucket_arr = did_arr >> self.bucket_shift
 
-        uniq, codes = np.unique(term_arr, return_inverse=True)
+        uniq, codes = segments.rank_terms(pa.array(terms, pa.string()))
         order = np.lexsort((did_arr, bucket_arr, codes))
         codes, did_arr = codes[order], did_arr[order]
         tf_arr, dl_arr, bucket_arr = tf_arr[order], dl_arr[order], bucket_arr[order]
@@ -91,8 +90,8 @@ class TokenizeCombine:
         ends = np.append(starts[1:], codes.size)
         # the index's one encoder and block rule (through the module, so
         # a traced worker sees the wrapped function)
-        return segments.encode_rows_batched(uniq[codes[starts]], bucket_arr[starts], did_arr, tf_arr,
-                                            dl_arr, starts, ends, self.block_size)
+        return segments.encode_rows_batched(uniq.take(pa.array(codes[starts])), bucket_arr[starts],
+                                            did_arr, tf_arr, dl_arr, starts, ends, self.block_size)
 
 
 class DocMap:
@@ -157,16 +156,12 @@ class PositionRows:
         total = int(lens.sum())
         if total == 0:
             return POSITIONS_SCHEMA.empty_table()
-        all_toks = np.empty(total, dtype=object)
-        i = 0
-        for toks in toks_per_doc:
-            all_toks[i : i + len(toks)] = toks
-            i += len(toks)
         doc_rep = np.repeat(doc_ids, lens)
         offs = np.concatenate(([0], np.cumsum(lens)))[:-1]
         pos = (np.arange(total) - np.repeat(offs, lens)).astype(np.int32)
 
-        uniq, codes = np.unique(all_toks, return_inverse=True)
+        uniq, codes = segments.rank_terms(
+            pa.array([t for toks in toks_per_doc for t in toks], pa.string()))
         order = np.lexsort((doc_rep, codes))  # stable: positions stay ascending
         codes, doc_rep, pos = codes[order], doc_rep[order], pos[order]
         change = np.empty(codes.size, dtype=bool)
@@ -177,7 +172,7 @@ class PositionRows:
         list_offs = np.append(starts, codes.size).astype(np.int32)
         return pa.table(
             {
-                "term": pa.array(uniq[codes[starts]]),
+                "term": uniq.take(pa.array(codes[starts])),
                 "doc_id": pa.array(doc_rep[starts]),
                 "positions": pa.ListArray.from_arrays(pa.array(list_offs), pa.array(pos)),
             },

@@ -17,7 +17,9 @@ from anomaly_detection_ray.index.segments import (
     decode_chunks_bulk,
     decode_docs_bulk,
     encode_rows_batched,
+    rank_terms,
 )
+from anomaly_detection_ray.functions.varint import encode_varint_with_sizes
 from anomaly_detection_ray.stages.exchange import split_by_key
 
 
@@ -75,6 +77,43 @@ def test_decode_chunks_bulk_zero_rows():
     empty = _chunks(np.random.default_rng(0), 4, [])
     docs, tfs, dls, off = decode_chunks_bulk(empty)
     assert docs.size == tfs.size == dls.size == 0 and off.tolist() == [0]
+
+
+def test_rank_terms_equals_object_unique():
+    """The sorted Arrow dictionary ranks terms as ``np.unique`` over the
+    Python strings does (UTF-8 byte order = code-point order), non-ASCII
+    and prefixes of each other included."""
+    rng = np.random.default_rng(3)
+    vocab = ["a", "ab", "b", "é", "e", "ß", "日本", "日", "z", "Z", "\U0001f600", ""]
+    terms = [vocab[i] for i in rng.integers(0, len(vocab), 500)]
+    uniq, codes = rank_terms(pa.array(terms, pa.string()))
+    exp_uniq, exp_codes = np.unique(np.asarray(terms, dtype=object), return_inverse=True)
+    assert uniq.to_pylist() == exp_uniq.tolist()
+    assert codes.tolist() == exp_codes.tolist()
+
+
+@pytest.mark.parametrize("block_size", [1, 4, 128])
+def test_encoded_binary_columns_are_the_runs_bytes(block_size):
+    """Each chunk's ``docs``/``tfs``/``dls`` value is its own run
+    varint-encoded alone (doc deltas restarting at every block), i.e.
+    the run's slice of the column's shared stream."""
+    rng = np.random.default_rng(block_size + 7)
+    tbl = _chunks(rng, block_size, [1, 2, block_size, 2 * block_size + 1, 37])
+    docs, tfs, dls, off = decode_chunks_bulk(tbl, block_size)
+
+    def enc(v):
+        return encode_varint_with_sizes(np.asarray(v, dtype=np.uint64))[0]
+
+    runs = list(zip(off[:-1], off[1:]))
+    assert tbl["tfs"].to_pylist() == [enc(tfs[a:b]) for a, b in runs]
+    assert tbl["dls"].to_pylist() == [enc(dls[a:b]) for a, b in runs]
+    want_docs = []
+    for a, b in runs:
+        d = docs[a:b]
+        delta = np.diff(d, prepend=0)
+        delta[::block_size] = d[::block_size]
+        want_docs.append(enc(delta))
+    assert tbl["docs"].to_pylist() == want_docs
 
 
 def _postings(part: str) -> list[tuple]:

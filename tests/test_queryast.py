@@ -1209,9 +1209,9 @@ def test_term_suggester(eng):
     entries = r["suggest"]["fix"]
     assert [en["text"] for en in entries] == ["mergz", "sort"]
     # expected candidates for 'mergz': same first char, lev <= 2
-    from anomaly_detection_ray.index.termscan import levenshtein_batch
+    from tests.test_termscan import scalar_edit_distance
     cands = [t for t in vocab if t.startswith("m") and t != "mergz"]
-    dists = levenshtein_batch("mergz", cands)
+    dists = [scalar_edit_distance(c, "mergz") for c in cands]
     exp = sorted((int(d), -vocab[c], c) for d, c in zip(dists, cands) if d <= 2)
     assert [(o["text"], o["distance"], o["freq"]) for o in entries[0]["options"]] == \
         [(c, d, -negdf) for d, negdf, c in exp[:3]]
@@ -1291,6 +1291,72 @@ def test_query_string_field_group(eng):
     from anomaly_detection_ray.index.querystring import QueryStringSyntaxError
     with pytest.raises(QueryStringSyntaxError, match="unknown field"):
         run("zzfield:(go OR rust)")
+
+
+def test_term_suggester_equals_brute_force(eng):
+    """``suggest_terms``, both ``suggest_mode`` values, equals a ranking
+    of the whole dictionary by the scalar DP on (distance, -df, term),
+    sharing the first ``prefix_length`` chars, the token itself
+    excluded."""
+    from tests.test_termscan import scalar_edit_distance
+
+    e, _, oracle = eng
+    vocab = {t: len(ds) for t, ds in oracle.postings.items()}
+    words = sorted(vocab)[:: max(1, len(vocab) // 6)] + [
+        "mergz", "sortt", "prase", "windw", "imprt", "x", "retrun"]
+    toks = e.analyzer.tokens(" ".join(words))
+    assert any(t not in vocab for t in toks) and any(t in vocab for t in toks)
+    n_opts = 0
+    for tok in toks:
+        dist = {t: scalar_edit_distance(t, tok) for t in vocab}
+        for mode in ("missing", "always"):
+            for pl in (0, 1, 2):
+                for max_edits in (1, 2):
+                    for size in (3, 50):
+                        (got,) = e.suggest_terms(tok, size=size, max_edits=max_edits,
+                                                 prefix_length=pl, suggest_mode=mode)
+                        exp = [] if mode == "missing" and tok in vocab else sorted(
+                            (dist[t], -df, t) for t, df in vocab.items()
+                            if t != tok and t.startswith(tok[:pl]) and dist[t] <= max_edits
+                        )[:size]
+                        assert got["text"] == tok
+                        assert [(o["distance"], -o["freq"], o["text"])
+                                for o in got["options"]] == exp, (tok, mode, pl, max_edits)
+                        n_opts += len(exp)
+    assert n_opts > 100
+
+
+def test_keyword_fuzzy_equals_brute_force(eng):
+    """``{"fuzzy": {<keyword>: …}}`` equals brute force over the column's
+    distinct values: the scalar DP, closest-first then value order, cut
+    at ``max_expansions``, then every doc holding a kept value."""
+    from anomaly_detection_ray.index.termscan import auto_fuzziness
+    from tests.test_termscan import scalar_edit_distance
+
+    e, df, _ = eng
+    hits = 0
+    for field, values in (
+        ("lang", ["pythn", "jo", "gs", "rsut", "jav", "javs", "c", "pyhton"]),
+        ("path", [p[:-1] + "x" for p in df["path"][:6]] + [df["path"][7][1:]]),
+    ):
+        distinct = sorted(df[field].dropna().unique())
+        for v in values:
+            for fz in (0, 1, 2, "AUTO"):
+                for pl in (0, 1, 2):
+                    for tr in (False, True):
+                        max_edits = auto_fuzziness(v) if fz == "AUTO" else fz
+                        ranked = sorted(
+                            (d, x) for x in distinct if x.startswith(v[:pl])
+                            and (d := scalar_edit_distance(x, v, tr)) <= max_edits)
+                        for cut in (None, 1, 2):
+                            spec = {"value": v, "fuzziness": fz, "prefix_length": pl,
+                                    "transpositions": tr, "max_expansions": cut}
+                            got = e.execute_filter({"fuzzy": {field: spec}})
+                            keep = {x for _, x in ranked[:cut]}
+                            exp = sorted(df[df[field].isin(keep)]["doc_id"])
+                            assert list(got) == exp, (field, spec)
+                            hits += bool(exp)
+    assert hits > 50
 
 
 def test_search_sorted_keeps_suggest(eng):

@@ -168,3 +168,20 @@ def test_engine_lazy_dictionary_parity(ray_session, tiny_corpus, tmp_path_factor
         b.fuzzy_terms("mergz", fuzziness="AUTO", max_expansions=10)
     assert a.bm25_topk("merge sort", k=10) == b.bm25_topk("merge sort", k=10)
     assert list(a.wildcard_docs("mer*")) == list(b.wildcard_docs("mer*"))
+    # fuzzy over row groups of 4 terms, so that a live prefix spans
+    # groups and each group's trie walk sees only part of it
+    pq.write_table(pq.read_table(sp), sp, row_group_size=4)
+    c = QueryEngine(out, dict_budget_bytes=0)
+    assert sum(1 for _ in c._dict.iter_ranges("v1")) > 1
+    assert sum(1 for _ in c._dict.iter_ranges("s")) > 1
+    for q in ("merge", "mergz", "sort", "srot", "stat", "shingel", "v12", "v1x", "x",
+              "checkpont"):
+        for fz in (0, 1, 2, "AUTO"):
+            for pl in (0, 1, 3):
+                for tr in (False, True):
+                    for cut in (None, 3):
+                        kw = dict(fuzziness=fz, prefix_length=pl, transpositions=tr,
+                                  max_expansions=cut)
+                        assert a.fuzzy_terms(q, **kw) == c.fuzzy_terms(q, **kw), (q, kw)
+    assert a.suggest_terms("mergz srot v1x", suggest_mode="always") == \
+        c.suggest_terms("mergz srot v1x", suggest_mode="always")

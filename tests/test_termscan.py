@@ -2,14 +2,16 @@
 
 Parity model: expand the pattern over the BruteForceIndex vocabulary
 with stdlib semantics (fnmatch / re.fullmatch / a scalar edit-distance
-DP), union the postings, compare doc-for-doc with the engine.
+DP), union the postings, compare doc-for-doc with the engine. The
+scalar DP below is the only other edit distance in the project: the
+oracle of the trie walk every fuzzy surface runs.
 """
 
 import random
 import re
 from fnmatch import fnmatchcase
 
-import numpy as np
+import pyarrow as pa
 import pytest
 
 from anomaly_detection_ray.functions.analyzer import Analyzer
@@ -17,9 +19,12 @@ from anomaly_detection_ray.index.build import build_index
 from anomaly_detection_ray.index.oracle import BruteForceIndex
 from anomaly_detection_ray.index.query import QueryEngine
 from anomaly_detection_ray.index.termscan import (
+    TermSlice,
+    TermTrie,
+    _rank_matches,
     auto_fuzziness,
-    fuzzy_select,
-    levenshtein_batch,
+    fuzzy_expand,
+    fuzzy_walk,
     regexp_prefix,
     wildcard_prefix,
     wildcard_to_regex,
@@ -69,18 +74,28 @@ def _oracle_union(oracle, terms):
     return sorted(docs)
 
 
-def test_levenshtein_batch_vs_scalar():
+def _walk_all(q: str, terms: list[str], max_edits: int, transpositions: bool):
+    """(position, distance) of every term of the sorted vocabulary
+    ``terms`` within ``max_edits`` of ``q``, by the trie walk."""
+    pos, dist = fuzzy_walk(TermTrie(pa.array(terms, pa.string())), q, max_edits,
+                           transpositions)
+    return list(zip(pos.tolist(), dist.tolist()))
+
+
+def test_fuzzy_walk_exact_vs_scalar():
+    """With a budget no distance reaches, the trie walk returns every
+    term with its exact distance."""
     rng = random.Random(7)
     alphabet = "abc1"
     for transpositions in (False, True):
         for _ in range(40):
             q = "".join(rng.choices(alphabet, k=rng.randint(0, 7)))
-            terms = [
+            terms = sorted({
                 "".join(rng.choices(alphabet, k=rng.randint(0, 8))) for _ in range(50)
-            ]
-            got = levenshtein_batch(q, terms, transpositions=transpositions)
-            exp = [scalar_edit_distance(t, q, transpositions) for t in terms]
-            assert got.tolist() == exp, (q, transpositions)
+            })
+            got = _walk_all(q, terms, 16, transpositions)
+            exp = [(i, scalar_edit_distance(t, q, transpositions)) for i, t in enumerate(terms)]
+            assert got == exp, (q, transpositions)
 
 
 def test_wildcard_pattern_helpers():
@@ -157,42 +172,94 @@ def test_fuzzy_parity(built):
     assert n_hits >= 4
 
 
-def test_bounded_arrow_distances_vs_exact():
-    """The serving-path bounded DP (Arrow buffers + alive-set pruning)
-    agrees with the exact DP up to the clip, both transposition modes,
-    including the non-ASCII fallback."""
-    import pyarrow as pa
-
-    from anomaly_detection_ray.index.termscan import bounded_distances_arrow
-
+def test_fuzzy_walk_bounded_vs_scalar():
+    """The walk prunes a prefix once its row minimum exceeds the budget:
+    exactly the terms within ``max_edits`` come back, with their exact
+    distances, both transposition modes, ASCII and non-ASCII slices."""
     rng = random.Random(11)
-    alphabet = "abc1"
-    for transpositions in (False, True):
-        for max_edits in (0, 1, 2):
-            terms = [
-                "".join(rng.choices(alphabet, k=rng.randint(0, 9))) for _ in range(300)
-            ]
-            q = "".join(rng.choices(alphabet, k=rng.randint(0, 7)))
-            exact = levenshtein_batch(q, terms, transpositions=transpositions)
-            got = bounded_distances_arrow(
-                q, pa.array(terms), max_edits, transpositions
-            )
-            assert np.array_equal(got, np.minimum(exact, max_edits + 1)), (
-                q, max_edits, transpositions,
-            )
-    # non-ASCII falls back to the exact path
-    terms = ["héllo", "hello", "hallo", ""]
-    got = bounded_distances_arrow("hello", pa.array(terms), 1)
-    exact = levenshtein_batch("hello", terms)
-    assert np.array_equal(got, np.minimum(exact, 2))
+    for alphabet in ("abc1", "aéß中"):
+        for transpositions in (False, True):
+            for max_edits in (0, 1, 2):
+                terms = sorted({
+                    "".join(rng.choices(alphabet, k=rng.randint(0, 9))) for _ in range(300)
+                })
+                q = "".join(rng.choices(alphabet, k=rng.randint(0, 7)))
+                exp = [(i, d) for i, t in enumerate(terms)
+                       if (d := scalar_edit_distance(t, q, transpositions)) <= max_edits]
+                assert _walk_all(q, terms, max_edits, transpositions) == exp, (
+                    q, max_edits, transpositions,
+                )
+    # distances count characters, not UTF-8 bytes, on either side
+    terms = ["", "hallo", "hello", "héllo"]
+    assert _walk_all("hello", terms, 1, False) == [(1, 1), (2, 0), (3, 1)]
+    assert _walk_all("héllo", terms, 1, False) == [(1, 1), (2, 1), (3, 0)]
+
+
+def _vocabulary(rng, alphabet: str, n: int) -> list[str]:
+    """A sorted vocabulary with runs of terms sharing long prefixes."""
+    stems = ["".join(rng.choices(alphabet, k=rng.randint(0, 4))) for _ in range(6)]
+    return sorted({
+        rng.choice(stems) + "".join(rng.choices(alphabet, k=rng.randint(0, 4)))
+        for _ in range(n)
+    })
+
+
+def _brute_fuzzy(vocab, q, max_edits, prefix_length, transpositions, max_expansions):
+    """Lucene's closest-first expansion, by the scalar DP over every term."""
+    scored = sorted(
+        (d, t) for t in vocab
+        if t.startswith(q[:prefix_length])
+        and (d := scalar_edit_distance(t, q, transpositions)) <= max_edits
+    )
+    return [t for _, t in scored][:max_expansions]
+
+
+def test_fuzzy_expand_property_vs_scalar():
+    """``fuzzy_expand`` + ``_rank_matches`` over random sorted
+    vocabularies equals the brute-force ranking: ASCII and non-ASCII
+    (é, ß, CJK) terms with shared-prefix runs, both transposition modes,
+    max_edits 0–2, prefix_length 0–3, and the max_expansions cut falling
+    inside a run of equal distances."""
+    import bisect
+
+    rng = random.Random(5)
+    ties_cut = 0
+    for alphabet in ("abcd", "aéßb", "ab中文é"):
+        for _ in range(60):
+            vocab = _vocabulary(rng, alphabet, rng.randint(0, 120))
+            sl = TermSlice(pa.array(vocab, pa.string()))
+            q = rng.choice(vocab) if vocab and rng.random() < 0.5 else ""
+            q = q + "".join(rng.choices(alphabet, k=rng.randint(0, 3)))
+            for transpositions in (False, True):
+                for max_edits in (0, 1, 2):
+                    pl = rng.randint(0, 3)
+                    pre = q[:pl]
+                    lo = bisect.bisect_left(vocab, pre)
+                    hi = bisect.bisect_left(vocab, pre + "\U0010ffff")
+                    terms, dist, _ = fuzzy_expand([(sl, lo, hi)], q, max_edits, transpositions)
+                    full = _brute_fuzzy(vocab, q, max_edits, pl, transpositions, None)
+                    assert terms.to_pylist() == sorted(full)
+                    for cut in (None, 1, 3):
+                        got = terms.take(pa.array(_rank_matches(dist, cut))).to_pylist()
+                        assert got == _brute_fuzzy(vocab, q, max_edits, pl,
+                                                   transpositions, cut), (
+                            vocab, q, max_edits, pl, transpositions, cut)
+                        if cut and len(full) > cut:
+                            d = [scalar_edit_distance(t, q, transpositions) for t in full]
+                            ties_cut += d[cut - 1] == d[cut]
+    assert ties_cut >= 20  # the cut really splits equal-distance runs
 
 
 def test_fuzzy_max_expansions_closest_first():
     # distances to 'abc': abc=0, abd=1, bc=1 (del), xbc=1, xyz=3
-    terms = ["abd", "xyz", "abc", "bc", "xbc"]
-    got = fuzzy_select("abc", terms, max_edits=2, max_expansions=3)
-    assert got == ["abc", "abd", "bc"]  # 0 first, then distance-1 in term order
-    assert fuzzy_select("abc", terms, max_edits=2, max_expansions=None) == [
+    sl = TermSlice(pa.array(sorted(["abd", "xyz", "abc", "bc", "xbc"])))
+
+    def select(max_expansions):
+        terms, dist, _ = fuzzy_expand([(sl, 0, 5)], "abc", 2)
+        return terms.take(pa.array(_rank_matches(dist, max_expansions))).to_pylist()
+
+    assert select(3) == ["abc", "abd", "bc"]  # 0 first, then distance-1 in term order
+    assert select(None) == [
         "abc",
         "abd",
         "bc",
