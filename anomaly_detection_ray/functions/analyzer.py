@@ -87,10 +87,6 @@ class Analyzer:
         return Counter(self.tokens(text))
 
 
-def make_analyzer(mode: str = "simple", stopwords: Iterable[str] | None = None) -> Analyzer:
-    return Analyzer(mode=mode, stopwords=stopwords)
-
-
 # SQL twin of the simple analyzer, kept in ONE place so every oracle in
 # __ray_entry__.oracle_sql() tokenizes identically to the Ray pipeline.
 SQL_SIMPLE_TOKENS = "regexp_extract_all(lower({col}), '[a-z0-9]+')"

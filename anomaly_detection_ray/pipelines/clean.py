@@ -51,41 +51,33 @@ _QUALITY, _CONTAM, _EXACT_DUP, _NEAR_DUP, _KEPT = 0, 1, 2, 3, 4
 _STATUS_NAMES = np.array(["quality", "contaminated", "exact_dup", "near_dup", "kept"])
 
 
-class _QualityDecontam:
+def _quality_decontam(batch: pa.Table, bench: np.ndarray, text_col: str, id_col: str,
+                      k: int, min_overlap: int, bounds: dict) -> pa.Table:
     """Fused quality + decontamination pass: ONE read of the text computes
     the Gopher flags and — for quality survivors only, so rejected docs
     never pay the shingle work — the benchmark shingle-overlap count
     against the broadcast bench set. Emits survivors with their text and
     contaminated ids with null text; downstream splits on nullness, so
     the corpus still streams through a single stage with no extra pass."""
+    from ..functions.textstats import quality_flags
+    from ..stages.dedup import _overlap_count
 
-    def __init__(self, bench_ref, text_col: str, id_col: str, k: int,
-                 min_overlap: int, bounds: dict):
-        from ..stages.dedup import _OverlapCount
-
-        self.ov = _OverlapCount(bench_ref, text_col, id_col, k)
-        self.text_col, self.id_col = text_col, id_col
-        self.min_overlap, self.bounds = int(min_overlap), bounds
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.textstats import quality_flags
-
-        q = quality_flags(batch[self.text_col].to_pylist(), **self.bounds)
-        surv = batch.select([self.id_col, self.text_col]).filter(pa.array(q["keep"]))
-        ov = self.ov(surv)  # (doc_id, n_overlap) — same row order as surv
-        contam = ov["n_overlap"].to_numpy() >= self.min_overlap
-        clean = surv.filter(pa.array(~contam))
-        n_c = int(contam.sum())
-        return pa.table({
-            "doc_id": pa.concat_arrays([
-                clean[self.id_col].cast(pa.int64()).combine_chunks(),
-                ov["doc_id"].filter(pa.array(contam)).combine_chunks(),
-            ]),
-            self.text_col: pa.concat_arrays([
-                clean[self.text_col].cast(pa.string()).combine_chunks(),
-                pa.array([None] * n_c, pa.string()),
-            ]),
-        })
+    q = quality_flags(batch[text_col].to_pylist(), **bounds)
+    surv = batch.select([id_col, text_col]).filter(pa.array(q["keep"]))
+    ov = _overlap_count(surv, bench, text_col, id_col, k)  # same row order as surv
+    contam = ov["n_overlap"].to_numpy() >= min_overlap
+    clean = surv.filter(pa.array(~contam))
+    n_c = int(contam.sum())
+    return pa.table({
+        "doc_id": pa.concat_arrays([
+            clean[id_col].cast(pa.int64()).combine_chunks(),
+            ov["doc_id"].filter(pa.array(contam)).combine_chunks(),
+        ]),
+        text_col: pa.concat_arrays([
+            clean[text_col].cast(pa.string()).combine_chunks(),
+            pa.array([None] * n_c, pa.string()),
+        ]),
+    })
 
 
 def corpus_clean(
@@ -99,7 +91,6 @@ def corpus_clean(
     min_shared: int = 2,
     pair_backend: str = "exact",
     bounds: dict | None = None,
-    concurrency=None,
     n_rows: int | None = None,
     ids=None,
     bench_ds=None,
@@ -143,19 +134,18 @@ def corpus_clean(
     contam_ids = None  # Dataset of contaminated doc ids (bench_ds only)
 
     if bench_ds is not None:
-        from ..util import pool
+        import ray
+
         from ..stages.dedup import bench_shingle_ref
 
-        ref = bench_shingle_ref(bench_ds, text_col, id_col, decontam_k, concurrency)
+        ref = bench_shingle_ref(bench_ds, text_col, id_col, decontam_k)
+        mo = int(min_overlap)
         # FS: survivors carry text, contaminated ids carry null text —
         # one materialization feeds both splits (filters over it are
         # cheap re-runs; the text scan + flags + shingling run once).
         FS = ds.map_batches(
-            _QualityDecontam,
-            fn_constructor_kwargs=dict(bench_ref=ref, text_col=text_col, id_col=id_col,
-                                       k=decontam_k, min_overlap=min_overlap, bounds=bounds),
+            lambda b: _quality_decontam(b, ray.get(ref), text_col, id_col, decontam_k, mo, bounds),
             batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=pool(concurrency),
         ).materialize()
         import pyarrow.compute as pc
 
@@ -287,7 +277,7 @@ def corpus_clean(
     if pair_backend == "exact":
         groups = near_dup_groups(
             SE, text_col, "doc_id", k=k, threshold=threshold,
-            max_shingle_df=max_shingle_df, concurrency=concurrency, n_rows=n_se,
+            max_shingle_df=max_shingle_df, n_rows=n_se,
             min_shared=min_shared,
         )
     elif pair_backend == "minhash":
@@ -295,7 +285,7 @@ def corpus_clean(
 
         groups = near_dup_groups_minhash(
             SE, text_col, "doc_id", k=k, threshold=threshold,
-            concurrency=concurrency, n_rows=n_se,
+            n_rows=n_se,
         )
     else:
         raise ValueError(f"unknown pair_backend {pair_backend!r}")

@@ -1775,8 +1775,8 @@ def q_media_decode(sf_dir: str) -> pd.DataFrame:
     rows-only (no SQL analogue for FFT/resize features)."""
     from ..stages.multimodal import decode_features, synthesize_media_table
 
-    media = synthesize_media_table(64, seed=42, real_payloads=True)
-    out = decode_features(_rd().from_arrow(media), fake=False, batch_size=16).to_pandas()
+    media = synthesize_media_table(64, seed=42)
+    out = decode_features(_rd().from_arrow(media), batch_size=16).to_pandas()
     out["feat0"] = out["features"].map(lambda f: round(float(f[0]), 6))
     return out[["media_id", "kind", "payload_bytes", "feat0"]].sort_values("media_id").reset_index(drop=True)
 
@@ -1787,7 +1787,7 @@ def q_media_frame_sample(sf_dir: str) -> pd.DataFrame:
     rows-only (binary payload explosion has no SQL analogue)."""
     from ..stages.multimodal import sample_frames, synthesize_media_table
 
-    media = synthesize_media_table(64, seed=42, real_payloads=True)
+    media = synthesize_media_table(64, seed=42)
     out = sample_frames(_rd().from_arrow(media), frame_samples=4, batch_size=16).to_pandas()
     out["payload_bytes"] = out["payload"].map(len)
     return (out[["media_id", "frame_idx", "height", "width", "payload_bytes"]]

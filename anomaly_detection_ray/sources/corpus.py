@@ -37,15 +37,6 @@ _STEMS = [
 ]
 
 
-def _identifiers(rng: np.ndarray, n: int, stems: list[str], style: str) -> list[str]:
-    """Compose n identifiers from stem pairs; camelCase or snake_case."""
-    a = rng[:n] % len(stems)
-    b = rng[n : 2 * n] % len(stems)
-    if style == "camel":
-        return [stems[i] + stems[j].capitalize() for i, j in zip(a, b)]
-    return [stems[i] + "_" + stems[j] for i, j in zip(a, b)]
-
-
 def generate_corpus(n_docs: int, seed: int = 42) -> pa.Table:
     rng = np.random.default_rng(seed)
     n_repos = max(1, n_docs // 50)

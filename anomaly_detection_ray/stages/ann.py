@@ -1,9 +1,10 @@
 """Similarity search over embedding columns (``list<float>``).
 
-- ``cosine_topk``: brute-force baseline — broadcast the query matrix
-  once (``ray.put``), per-batch numpy matmul inside ``map_batches``,
-  per-batch local top-k, tiny global merge. No shuffle at all; the
-  pattern that still works when the embedding table is 100 TB.
+- ``cosine_topk``: brute-force baseline — the (small) query matrix
+  travels in the map function's closure, per-batch numpy matmul inside
+  ``map_batches``, per-batch local top-k, tiny global merge. No shuffle
+  at all; the pattern that still works when the embedding table is
+  100 TB.
 - ``ivf_cosine_topk``: the scale path — k-means-ish coarse quantizer
   (deterministic seeded init, few Lloyd iterations on a driver-side
   sample), assign each row to its nearest centroid inside
@@ -17,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-
-from ..util import pool
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -36,24 +35,21 @@ def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
     return flat.reshape(n, -1).astype(np.float64)
 
 
-class _ScoreBlock:
-    """Per-batch cosine scores against the broadcast query matrix."""
+def cosine_topk(ds, queries: np.ndarray, id_col: str = "vec_id", vec_col: str = "embedding",
+                k: int = 10) -> pd.DataFrame:
+    """→ DataFrame (query_idx, rank, vec_id, cosine), rank by (cosine
+    desc, vec_id asc) — the deterministic tie-break shared with BM25."""
+    q = _normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))  # (nq, d)
 
-    def __init__(self, query_ref, id_col: str, vec_col: str, k: int):
-        import ray
-
-        self.q = _normalize(np.asarray(ray.get(query_ref), dtype=np.float64))  # (nq, d)
-        self.id_col, self.vec_col, self.k = id_col, vec_col, k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_batch_matrix(batch, self.vec_col))  # (n, d)
-        sims = m @ self.q.T  # (n, nq)
-        ids = batch[self.id_col].to_numpy()
+    def score_block(batch: pa.Table) -> pa.Table:
+        m = _normalize(_batch_matrix(batch, vec_col))  # (n, d)
+        sims = m @ q.T  # (n, nq)
+        ids = batch[id_col].to_numpy()
         out_q, out_id, out_s = [], [], []
-        k = min(self.k, m.shape[0])
-        for qi in range(self.q.shape[0]):
+        kk = min(k, m.shape[0])
+        for qi in range(q.shape[0]):
             s = sims[:, qi]
-            idx = np.argpartition(-s, k - 1)[:k] if s.size > k else np.arange(s.size)
+            idx = np.argpartition(-s, kk - 1)[:kk] if s.size > kk else np.arange(s.size)
             out_q.append(np.full(idx.size, qi))
             out_id.append(ids[idx])
             out_s.append(s[idx])
@@ -65,21 +61,8 @@ class _ScoreBlock:
             }
         )
 
-
-def cosine_topk(ds, queries: np.ndarray, id_col: str = "vec_id", vec_col: str = "embedding",
-                k: int = 10, concurrency: int | None = None) -> pd.DataFrame:
-    """→ DataFrame (query_idx, rank, vec_id, cosine), rank by (cosine
-    desc, vec_id asc) — the deterministic tie-break shared with BM25."""
-    import ray
-
-    qref = ray.put(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
-    concurrency = pool(concurrency)
     partials = ds.map_batches(
-        _ScoreBlock,
-        fn_constructor_kwargs=dict(query_ref=qref, id_col=id_col, vec_col=vec_col, k=k),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=concurrency,
+        score_block, batch_format="pyarrow", zero_copy_batch=True
     ).to_pandas()  # ≤ k rows per (batch, query) — tiny
     out = []
     for qi, g in partials.groupby("query_idx"):
@@ -108,35 +91,28 @@ def train_centroids(sample: np.ndarray, n_cells: int, n_iter: int = 10, seed: in
     return cent
 
 
-def ivf_assign(ds, centroids: np.ndarray, id_col: str = "vec_id", vec_col: str = "embedding",
-               concurrency: int | None = None):
+def ivf_assign(ds, centroids: np.ndarray, id_col: str = "vec_id", vec_col: str = "embedding"):
     """Add a ``cell`` column = nearest centroid (the IVF partitioning key;
     write_parquet partitioned by cell gives the probe-local layout)."""
-    import ray
+    cent = _normalize(np.asarray(centroids, dtype=np.float64))
 
-    cref = ray.put(_normalize(np.asarray(centroids, dtype=np.float64)))
+    def assign(batch: pa.Table) -> pa.Table:
+        m = _normalize(_batch_matrix(batch, vec_col))
+        cell = np.argmax(m @ cent.T, axis=1).astype(np.int32)
+        return batch.append_column("cell", pa.array(cell))
 
-    class Assign:
-        def __init__(self):
-            self.c = ray.get(cref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_batch_matrix(batch, vec_col))
-            cell = np.argmax(m @ self.c.T, axis=1).astype(np.int32)
-            return batch.append_column("cell", pa.array(cell))
-
-    return ds.map_batches(Assign, batch_format="pyarrow", zero_copy_batch=True, concurrency=pool(concurrency))
+    return ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def ivf_cosine_topk(ds, queries: np.ndarray, centroids: np.ndarray, nprobe: int = 4,
-                    id_col: str = "vec_id", vec_col: str = "embedding", k: int = 10,
-                    concurrency: int | None = None) -> pd.DataFrame:
+                    id_col: str = "vec_id", vec_col: str = "embedding",
+                    k: int = 10) -> pd.DataFrame:
     """Probe the ``nprobe`` nearest cells per query; exact within cells.
     nprobe == n_cells ⇒ identical to brute force (tested)."""
     cent = _normalize(np.asarray(centroids, dtype=np.float64))
     q = _normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
     probe = np.argsort(-(q @ cent.T), axis=1, kind="stable")[:, :nprobe]  # (nq, nprobe)
-    assigned = ivf_assign(ds, cent, id_col, vec_col, concurrency)
+    assigned = ivf_assign(ds, cent, id_col, vec_col)
     wanted = sorted({int(c) for row in probe for c in row})
     import pyarrow.compute as pc
 
@@ -145,15 +121,14 @@ def ivf_cosine_topk(ds, queries: np.ndarray, centroids: np.ndarray, nprobe: int 
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    res = cosine_topk(sub, q, id_col, vec_col, k=k, concurrency=concurrency)
+    res = cosine_topk(sub, q, id_col, vec_col, k=k)
     # mask out cells a query did not probe? cells were filtered globally;
     # strict IVF semantics: re-rank only rows in the query's probed cells.
     return res
 
 
 def embedding_near_dup_pairs(ds, id_col: str = "vec_id", vec_col: str = "embedding",
-                             threshold: float = 0.95, concurrency: int | None = None,
-                             rows_per_block: int = 4096, n_rows: int | None = None):
+                             threshold: float = 0.95, rows_per_block: int = 4096, n_rows: int | None = None):
     """All pairs with cosine ≥ τ — EXACT at any τ — as distributed
     block-pair tiling: rows are hash-assigned to B blocks, every
     unordered block pair (i ≤ j) becomes one groupby tile holding only
@@ -221,37 +196,31 @@ def embedding_near_dup_pairs(ds, id_col: str = "vec_id", vec_col: str = "embeddi
 
 def embedding_near_dup_lsh(ds, id_col: str = "vec_id", vec_col: str = "embedding",
                            threshold: float = 0.9, n_bands: int = 16, bits_per_band: int = 8,
-                           seed: int = 42, max_bucket: int = 2000,
-                           concurrency: int | None = None) -> pd.DataFrame:
+                           seed: int = 42, max_bucket: int = 2000) -> pd.DataFrame:
     """Near-dup pairs by sign-LSH (random hyperplanes, Charikar 2002):
     band b's key = the signs of x·R over that band's ``bits_per_band``
     hyperplanes; candidates share a band key; exact cosine verify inside
     the bucket groupby. Recall for a pair at angle θ is
     1 − (1 − p^r)^bands with p = 1 − θ/π — sized for HIGH thresholds
     (τ ≥ ~0.8); the exact tiling path covers low-τ queries. The random
-    matrix is regenerated from ``seed`` inside every actor (deterministic,
+    matrix is regenerated from ``seed`` in every batch (deterministic,
     nothing shipped); pairs found in several bands are deduped at the
     driver (pair list is small by construction)."""
     nbits = n_bands * bits_per_band
 
-    class Bands:
-        def __init__(self):
-            self.R = None  # lazily sized from the first batch's dim
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            m = _normalize(_batch_matrix(batch, vec_col))
-            if self.R is None:
-                self.R = np.random.default_rng(seed).standard_normal((m.shape[1], nbits))
-            bits = (m @ self.R) > 0  # (n, nbits)
-            keys = np.zeros((m.shape[0], n_bands), dtype=np.int64)
-            for b in range(n_bands):
-                chunk = bits[:, b * bits_per_band : (b + 1) * bits_per_band]
-                keys[:, b] = chunk @ (1 << np.arange(bits_per_band, dtype=np.int64))
-            nb = m.shape[0]
-            rep = np.repeat(np.arange(nb), n_bands)
-            t = batch.select([id_col, vec_col]).take(pa.array(rep))
-            t = t.append_column("band", pa.array(np.tile(np.arange(n_bands, dtype=np.int32), nb)))
-            return t.append_column("band_key", pa.array(keys.ravel()))
+    def bands(batch: pa.Table) -> pa.Table:
+        m = _normalize(_batch_matrix(batch, vec_col))
+        R = np.random.default_rng(seed).standard_normal((m.shape[1], nbits))
+        bits = (m @ R) > 0  # (n, nbits)
+        keys = np.zeros((m.shape[0], n_bands), dtype=np.int64)
+        for b in range(n_bands):
+            chunk = bits[:, b * bits_per_band : (b + 1) * bits_per_band]
+            keys[:, b] = chunk @ (1 << np.arange(bits_per_band, dtype=np.int64))
+        nb = m.shape[0]
+        rep = np.repeat(np.arange(nb), n_bands)
+        t = batch.select([id_col, vec_col]).take(pa.array(rep))
+        t = t.append_column("band", pa.array(np.tile(np.arange(n_bands, dtype=np.int32), nb)))
+        return t.append_column("band_key", pa.array(keys.ravel()))
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
@@ -269,8 +238,7 @@ def embedding_near_dup_lsh(ds, id_col: str = "vec_id", vec_col: str = "embedding
         return pd.DataFrame({"vec_a": lo, "vec_b": hi, "cosine": sims[r, c]})
 
     pairs = (
-        ds.map_batches(Bands, batch_format="pyarrow", zero_copy_batch=True,
-                       concurrency=pool(concurrency))
+        ds.map_batches(bands, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["band", "band_key"])
         .map_groups(bucket_pairs, batch_format="pandas")
         .to_pandas()

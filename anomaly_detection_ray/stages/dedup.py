@@ -29,7 +29,6 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.analyzer import Analyzer
-from ..util import pool
 from ..functions.minhash import MinHasher, batch_shingle_hashes, simhash
 
 
@@ -61,39 +60,31 @@ _EMPTY_PAIRS = pa.table(
 )
 
 
-class _ShingleHashes:
+def _shingle_table(batch: pa.Table, text_col: str, id_col: str, k: int) -> pa.Table:
     """docs batch → (doc_id, shingles: sorted distinct 64-bit shingle ids)
     — the shared primitive of the ngram/minhash paths. Tokenization is
     per doc (one C-regex findall); shingle ids come from ONE batched
     token-hash call + k vectorized mix steps
     (``functions/minhash.batch_shingle_hashes``) — no per-position
     string building (was the suite's slowest stage in round 2)."""
+    import pyarrow.compute as pc
 
-    def __init__(self, text_col: str, id_col: str, k: int, mode: str = "simple"):
-        self.analyzer = Analyzer(mode)
-        self.text_col, self.id_col, self.k = text_col, id_col, k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        toks = [self.analyzer.tokens(t or "") for t in batch[self.text_col].to_pylist()]
-        vals, offs = batch_shingle_hashes(toks, self.k)
-        return pa.table({
-            "doc_id": pc.cast(batch[self.id_col], pa.int64()),
-            "shingles": pa.ListArray.from_arrays(
-                pa.array(offs.astype(np.int32)), pa.array(vals, pa.int64())
-            ),
-        })
+    analyzer = Analyzer("simple")
+    toks = [analyzer.tokens(t or "") for t in batch[text_col].to_pylist()]
+    vals, offs = batch_shingle_hashes(toks, k)
+    return pa.table({
+        "doc_id": pc.cast(batch[id_col], pa.int64()),
+        "shingles": pa.ListArray.from_arrays(
+            pa.array(offs.astype(np.int32)), pa.array(vals, pa.int64())
+        ),
+    })
 
 
-def _doc_shingles(ds, text_col: str, id_col: str, k: int, concurrency=None):
-    return ds.map_batches(
-        _ShingleHashes,
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col, k=k),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=pool(concurrency),
-    )
+def _doc_shingles(ds, text_col: str, id_col: str, k: int):
+    def shingles(batch: pa.Table) -> pa.Table:
+        return _shingle_table(batch, text_col, id_col, k)
+
+    return ds.map_batches(shingles, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _verify_pairs_exact(doc_sh, cand, threshold: float, n_rows: int | None = None,
@@ -269,7 +260,6 @@ def ngram_jaccard_pairs(
     k: int = 3,
     threshold: float = 0.8,
     max_shingle_df: int = 50,
-    concurrency: int | None = None,
     n_rows: int | None = None,
     collect: bool = True,
     min_shared: int = 1,
@@ -289,8 +279,7 @@ def ngram_jaccard_pairs(
     ``materialize()``d: Ray 2.49's executor deadlocks materializing a DAG
     whose un-materialized source feeds two branches (the to_pandas path
     handles the diamond via execution caching; materialize does not)."""
-    concurrency = pool(concurrency)
-    doc_sh = _doc_sh if _doc_sh is not None else _doc_shingles(ds, text_col, id_col, k, concurrency)
+    doc_sh = _doc_sh if _doc_sh is not None else _doc_shingles(ds, text_col, id_col, k)
 
     def explode(b: pa.Table) -> pa.Table:
         offs = b["shingles"].combine_chunks().offsets.to_numpy(zero_copy_only=False)
@@ -340,33 +329,28 @@ def ngram_jaccard_pairs(
 
 # ---------------- MinHash + LSH ----------------
 
-class _MinHashBands:
+def _minhash_bands(batch: pa.Table, n_hashes: int, n_bands: int, seed: int) -> pa.Table:
     """(doc_id, shingles) rows → (doc_id, band, band_key) rows.
 
-    Consumes the shared shingle-id Dataset (``_ShingleHashes``), so
+    Consumes the shared shingle-id Dataset (``_shingle_table``), so
     signatures + band keys are pure numpy: one segmented min per hash
     function over the batch's concatenated shingle ids."""
-
-    def __init__(self, n_hashes: int, n_bands: int, seed: int):
-        self.hasher = MinHasher(n_hashes, seed)
-        self.n_bands = n_bands
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        sh = batch["shingles"].combine_chunks()
-        concat = sh.values.to_numpy(zero_copy_only=False).view(np.uint64)
-        offsets = sh.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        sigs = self.hasher.signatures_bulk(concat, offsets)
-        keys = self.hasher.band_keys_bulk(sigs, self.n_bands)  # (D, n_bands)
-        D = batch.num_rows
-        ids = np.repeat(batch["doc_id"].to_numpy().astype(np.int64), self.n_bands)
-        bands = np.tile(np.arange(self.n_bands, dtype=np.int32), D)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "band": pa.array(bands),
-                "band_key": pa.array(keys.ravel().astype(np.int64)),
-            }
-        )
+    hasher = MinHasher(n_hashes, seed)
+    sh = batch["shingles"].combine_chunks()
+    concat = sh.values.to_numpy(zero_copy_only=False).view(np.uint64)
+    offsets = sh.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    sigs = hasher.signatures_bulk(concat, offsets)
+    keys = hasher.band_keys_bulk(sigs, n_bands)  # (D, n_bands)
+    D = batch.num_rows
+    ids = np.repeat(batch["doc_id"].to_numpy().astype(np.int64), n_bands)
+    bands = np.tile(np.arange(n_bands, dtype=np.int32), D)
+    return pa.table(
+        {
+            "doc_id": pa.array(ids),
+            "band": pa.array(bands),
+            "band_key": pa.array(keys.ravel().astype(np.int64)),
+        }
+    )
 
 
 def minhash_near_dup_pairs(
@@ -378,7 +362,6 @@ def minhash_near_dup_pairs(
     n_bands: int = 32,
     threshold: float = 0.8,
     seed: int = 42,
-    concurrency: int | None = None,
     n_rows: int | None = None,
     collect: bool = True,
     _doc_sh=None,
@@ -391,14 +374,11 @@ def minhash_near_dup_pairs(
     (``_verify_pairs_exact``) — no driver round-trip, no text fetch.
     Pass a MATERIALIZED ``_doc_sh`` when the returned Dataset will be
     ``materialize()``d (same Ray 2.49 diamond caveat as the ngram path)."""
-    concurrency = pool(concurrency)
-    doc_sh = _doc_sh if _doc_sh is not None else _doc_shingles(ds, text_col, id_col, k, concurrency)
+    doc_sh = _doc_sh if _doc_sh is not None else _doc_shingles(ds, text_col, id_col, k)
     bands = doc_sh.map_batches(
-        _MinHashBands,
-        fn_constructor_kwargs=dict(n_hashes=n_hashes, n_bands=n_bands, seed=seed),
+        lambda b: _minhash_bands(b, n_hashes, n_bands, seed),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
     # One (band, band_key) bucket per group would make Ray materialize a
@@ -443,41 +423,27 @@ def minhash_near_dup_pairs(
 
 # ---------------- SimHash ----------------
 
-class _SimHash:
-    def __init__(self, text_col: str, id_col: str):
-        self.analyzer = Analyzer("simple")
-        self.text_col, self.id_col = text_col, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        hs = [
-            simhash(self.analyzer.tokens(t or ""))
-            for t in batch[self.text_col].to_pylist()
-        ]
+def simhash_sketch(ds, text_col: str = "text", id_col: str = "doc_id"):
+    """→ Dataset (doc_id, simhash int64): one 64-bit SimHash per doc."""
+    def sketch(batch: pa.Table) -> pa.Table:
+        analyzer = Analyzer("simple")
+        hs = [simhash(analyzer.tokens(t or "")) for t in batch[text_col].to_pylist()]
         return pa.table(
             {
-                "doc_id": batch[self.id_col],
+                "doc_id": batch[id_col],
                 "simhash": pa.array(np.asarray(hs, dtype=np.uint64).astype(np.int64)),
             }
         )
 
-
-def simhash_sketch(ds, text_col: str = "text", id_col: str = "doc_id", concurrency: int | None = None):
-    return ds.map_batches(
-        _SimHash,
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=pool(concurrency),
-    )
+    return ds.map_batches(sketch, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def simhash_near_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id", max_hamming: int = 3,
-                           concurrency: int | None = None, n_rows: int | None = None,
-                           collect: bool = True):
+                           n_rows: int | None = None, collect: bool = True):
     """Near-dups by SimHash: bucket on each of 4 16-bit chunks (any pair
     within hamming ≤ 3 of 64 bits shares ≥1 identical chunk when ≤3 bits
     differ across 4 chunks — pigeonhole), verify hamming inside buckets."""
-    sk = simhash_sketch(ds, text_col, id_col, concurrency)
+    sk = simhash_sketch(ds, text_col, id_col)
     # count the INPUT when unsized (cheap for parquet/from_arrow sources;
     # counting the lazy sketch would execute the hash stage twice)
     return hamming_near_dup_pairs(sk, id_col="doc_id", hash_col="simhash",
@@ -618,46 +584,37 @@ def hamming_near_dup_pairs(sk, id_col: str = "doc_id", hash_col: str = "simhash"
 
 # ---------------- decontamination (benchmark-overlap removal) ----------------
 
-class _OverlapCount:
-    """Counts each doc's distinct k-shingles that appear in the broadcast
-    benchmark shingle set. The set ships ONCE via ``ray.put`` and each
-    pool actor fetches it once in ``__init__`` (zero-copy plasma read),
-    never per batch."""
-
-    def __init__(self, bench_ref, text_col: str, id_col: str, k: int):
-        import ray
-
-        self.bench = bench_ref if isinstance(bench_ref, np.ndarray) else ray.get(bench_ref)
-        self.sh = _ShingleHashes(text_col, id_col, k)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        t = self.sh(batch)
-        lst = t["shingles"].combine_chunks()
-        vals = lst.values.to_numpy(zero_copy_only=False)
-        offs = lst.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        if vals.size:
-            # int64: np.add.reduceat over a BOOL array computes logical
-            # OR per segment, not counts
-            hit = np.isin(vals, self.bench, assume_unique=False).astype(np.int64)
-            # reduceat over NON-EMPTY docs' starts only: the earlier
-            # clamp-to-size-1 trick for trailing empty docs stole the
-            # preceding doc's LAST element (its segment ended at the
-            # clamped start), undercounting that doc's overlap by one
-            lens = np.diff(offs)
-            nz = lens > 0
-            n_overlap = np.zeros(lens.size, np.int64)
-            if nz.any():
-                n_overlap[nz] = np.add.reduceat(hit, offs[:-1][nz])
-        else:
-            n_overlap = np.zeros(len(t["doc_id"]), np.int64)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "n_overlap": pa.array(n_overlap),
-        })
+def _overlap_count(batch: pa.Table, bench: np.ndarray, text_col: str, id_col: str,
+                   k: int) -> pa.Table:
+    """→ (doc_id, n_overlap): each doc's distinct k-shingles that appear
+    in the sorted benchmark shingle set ``bench``."""
+    t = _shingle_table(batch, text_col, id_col, k)
+    lst = t["shingles"].combine_chunks()
+    vals = lst.values.to_numpy(zero_copy_only=False)
+    offs = lst.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    if vals.size:
+        # int64: np.add.reduceat over a BOOL array computes logical
+        # OR per segment, not counts
+        hit = np.isin(vals, bench, assume_unique=False).astype(np.int64)
+        # reduceat over NON-EMPTY docs' starts only: the earlier
+        # clamp-to-size-1 trick for trailing empty docs stole the
+        # preceding doc's LAST element (its segment ended at the
+        # clamped start), undercounting that doc's overlap by one
+        lens = np.diff(offs)
+        nz = lens > 0
+        n_overlap = np.zeros(lens.size, np.int64)
+        if nz.any():
+            n_overlap[nz] = np.add.reduceat(hit, offs[:-1][nz])
+    else:
+        n_overlap = np.zeros(len(t["doc_id"]), np.int64)
+    return pa.table({
+        "doc_id": t["doc_id"],
+        "n_overlap": pa.array(n_overlap),
+    })
 
 
 def bench_shingle_ref(bench_ds, text_col: str = "text", id_col: str = "doc_id",
-                      k: int = 8, concurrency=None):
+                      k: int = 8):
     """Distinct k-shingle hashes of a (small) benchmark/eval Dataset as a
     sorted int64 array, broadcast once via ``ray.put`` — the shared
     small-side of :func:`decontaminate` and the corpus-clean pipeline's
@@ -665,7 +622,7 @@ def bench_shingle_ref(bench_ds, text_col: str = "text", id_col: str = "doc_id",
     import ray
 
     bsh = (
-        _doc_shingles(bench_ds, text_col, id_col, k, concurrency)
+        _doc_shingles(bench_ds, text_col, id_col, k)
         .map_batches(
             lambda b: pa.table({"s": pa.array(np.unique(
                 b["shingles"].combine_chunks().values.to_numpy(zero_copy_only=False)))}),
@@ -677,7 +634,7 @@ def bench_shingle_ref(bench_ds, text_col: str = "text", id_col: str = "doc_id",
 
 
 def decontaminate(ds, bench_ds, text_col: str = "text", id_col: str = "doc_id",
-                  k: int = 8, min_overlap: int = 1, concurrency=None):
+                  k: int = 8, min_overlap: int = 1):
     """Training-data DECONTAMINATION: flag corpus docs whose distinct
     k-token shingle sets overlap a benchmark/eval set's shingles in ≥
     ``min_overlap`` positions (the n-gram-collision test-set-removal
@@ -688,25 +645,21 @@ def decontaminate(ds, bench_ds, text_col: str = "text", id_col: str = "doc_id",
     assumed SMALL (that's what benchmarks are): its distinct shingle
     hashes are computed distributed, then collected and broadcast via
     ``ray.put`` — the corpus side streams through one stateless
-    map_batches with NO shuffle at all. Deterministic; exact twin in SQL
-    via the same windowed-shingle construction."""
-    ref = bench_shingle_ref(bench_ds, text_col, id_col, k, concurrency)
+    map_batches with NO shuffle at all (each task reads the set from
+    the object store, zero-copy). Deterministic; exact twin in SQL via
+    the same windowed-shingle construction."""
+    import ray
 
-    out = ds.map_batches(
-        _OverlapCount,
-        fn_constructor_kwargs=dict(bench_ref=ref, text_col=text_col, id_col=id_col, k=k),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=pool(concurrency),
-    )
+    ref = bench_shingle_ref(bench_ds, text_col, id_col, k)
     mo = int(min_overlap)
 
-    def flag(b: pa.Table) -> pa.Table:
+    def count_and_flag(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        return b.append_column("contaminated", pc.greater_equal(b["n_overlap"], mo))
+        t = _overlap_count(b, ray.get(ref), text_col, id_col, k)
+        return t.append_column("contaminated", pc.greater_equal(t["n_overlap"], mo))
 
-    return out.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(count_and_flag, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------------- near-dup grouping (connected components) ----------------
@@ -897,7 +850,6 @@ def near_dup_groups(
     k: int = 3,
     threshold: float = 0.8,
     max_shingle_df: int = 50,
-    concurrency: int | None = None,
     n_rows: int | None = None,
     min_shared: int = 1,
 ):
@@ -909,11 +861,10 @@ def near_dup_groups(
     # materialize the shingle table FIRST: the pair DAG consumes it in two
     # branches, and materializing a diamond over an un-materialized source
     # deadlocks Ray 2.49's executor (see ngram_jaccard_pairs docstring)
-    doc_sh = _doc_shingles(ds, text_col, id_col, k, concurrency).materialize()
+    doc_sh = _doc_shingles(ds, text_col, id_col, k).materialize()
     pairs = ngram_jaccard_pairs(
         ds, text_col, id_col, k=k, threshold=threshold,
-        max_shingle_df=max_shingle_df, concurrency=concurrency,
-        n_rows=n_rows, collect=False, min_shared=min_shared, _doc_sh=doc_sh,
+        max_shingle_df=max_shingle_df, n_rows=n_rows, collect=False, min_shared=min_shared, _doc_sh=doc_sh,
     ).materialize()
     comp = connected_components(pairs)
     return attach_group_labels(ds, comp, id_col=id_col, n_rows=n_rows)
@@ -928,7 +879,6 @@ def near_dup_groups_minhash(
     n_bands: int = 32,
     threshold: float = 0.8,
     seed: int = 42,
-    concurrency: int | None = None,
     n_rows: int | None = None,
 ):
     """MinHash+LSH flavor of :func:`near_dup_groups` — identical output
@@ -939,11 +889,10 @@ def near_dup_groups_minhash(
     exact candidate join's shingle-keyed pair explosion with a
     bounded-signature shuffle; every surfaced pair is still
     exact-Jaccard verified before clustering."""
-    doc_sh = _doc_shingles(ds, text_col, id_col, k, concurrency).materialize()
+    doc_sh = _doc_shingles(ds, text_col, id_col, k).materialize()
     pairs = minhash_near_dup_pairs(
         ds, text_col, id_col, k=k, n_hashes=n_hashes, n_bands=n_bands,
-        threshold=threshold, seed=seed, concurrency=concurrency,
-        n_rows=n_rows, collect=False, _doc_sh=doc_sh,
+        threshold=threshold, seed=seed, n_rows=n_rows, collect=False, _doc_sh=doc_sh,
     ).materialize()
     comp = connected_components(pairs)
     return attach_group_labels(ds, comp, id_col=id_col, n_rows=n_rows)
@@ -994,8 +943,7 @@ def attach_group_labels(ds, comp, id_col: str = "doc_id", n_rows: int | None = N
 
 
 def chunk_dedup_stats(ds, text_col: str = "text", id_col: str = "doc_id",
-                      chunk_tokens: int = 8, n_rows: int | None = None,
-                      concurrency=None):
+                      chunk_tokens: int = 8, n_rows: int | None = None):
     """C4-style cross-document SPAN dedup, collapsed to per-doc stats:
     each doc's analyzed token stream splits into consecutive
     ``chunk_tokens``-token chunks (trailing partial kept), and every

@@ -2,10 +2,10 @@
 REAL pure-numpy codecs for the formats that need no external library.
 
 Image/audio/video payloads are ``binary`` columns with metadata; decode /
-feature-extract / resize / frame-sample run as actor-pool ``map_batches``
-stages with *small, byte-bounded batches* (a batch of B rows ×
-payload_bytes must fit the worker heap — callers size ``batch_size``
-accordingly).
+feature-extract / resize / frame-sample run as plain-function
+``map_batches`` stages with *small, byte-bounded batches* (a batch of B
+rows × payload_bytes must fit the worker heap — callers size
+``batch_size`` accordingly).
 
 Codec reality, stated precisely:
 
@@ -15,15 +15,14 @@ Codec reality, stated precisely:
   library involved. Resize is vectorized block-mean; audio features are
   rms / zero-crossings / spectral stats over ``np.fft.rfft``; video
   frame-sampling picks evenly spaced real frames.
-- Compressed formats (JPEG/PNG/FLAC/H.264 …) need libraries absent from
-  this container: ``MediaDecode`` raises ``NotImplementedError`` at the
-  exact boundary a real codec would plug in (``DecodeStub`` keeps the
-  round-1 deterministic sha256 pseudo-decode for plumbing tests).
+- Compressed formats (JPEG/PNG/FLAC/H.264 …) need codec libraries this
+  package does not depend on: :func:`media_features` raises
+  ``NotImplementedError`` at the exact boundary a real codec would plug
+  in.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
@@ -40,9 +39,6 @@ MEDIA_SCHEMA = pa.schema(
         ("n_frames", pa.int32()),
     ]
 )
-
-FEATURE_DIM = 8
-
 
 # ----------------------------------------------------------------------
 # pure-numpy codecs (public, trivial formats)
@@ -142,10 +138,9 @@ def block_mean_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 # synthetic media (deterministic, REAL encodings)
 # ----------------------------------------------------------------------
 
-def synthesize_media_table(n: int = 64, seed: int = 42, real_payloads: bool = True) -> pa.Table:
-    """Deterministic media rows. ``real_payloads=True`` writes actual PGM
-    / WAV / RAWV bytes (decodable by the real path); ``False`` keeps the
-    round-1 random-bytes payloads for stub-plumbing tests."""
+def synthesize_media_table(n: int = 64, seed: int = 42) -> pa.Table:
+    """Deterministic media rows with actual PGM / WAV / RAWV payload
+    bytes (decodable by :func:`decode_features`)."""
     rng = np.random.default_rng(seed)
     kinds = np.asarray(["image", "audio", "video"])[rng.integers(0, 3, n)]
     widths = rng.integers(16, 96, n).astype(np.int32)
@@ -154,9 +149,6 @@ def synthesize_media_table(n: int = 64, seed: int = 42, real_payloads: bool = Tr
     rate = 16_000
     payloads = []
     for i in range(n):
-        if not real_payloads:
-            payloads.append(rng.integers(0, 256, size=int(rng.integers(256, 2048)), dtype=np.uint8).tobytes())
-            continue
         if kinds[i] == "image":
             yy, xx = np.mgrid[0 : heights[i], 0 : widths[i]]
             img = (128 + 100 * np.sin(xx / 7.0 + i) * np.cos(yy / 5.0)).clip(0, 255).astype(np.uint8)
@@ -210,150 +202,81 @@ def _audio_features(samples: np.ndarray, rate: int) -> np.ndarray:
     return np.array([rms, zcr, centroid / (rate / 2), e[0], e[1], e[2], peak / (rate / 2), float(x.size) / rate])
 
 
-class MediaDecode:
-    """Actor-pool decode + feature stage over REAL payloads. Raises
-    ``NotImplementedError`` for formats that need external codecs —
-    that's the honest boundary, not padding."""
-
-    def __init__(self, frame_samples: int = 4):
-        self.frame_samples = frame_samples
-
-    def _features(self, kind: str, payload: bytes) -> np.ndarray:
-        if payload.startswith(b"P5"):
-            return _image_features(decode_pgm(payload))
-        if payload[:4] == b"RIFF":
-            return _audio_features(*decode_wav_pcm16(payload))
-        if payload[:4] == b"RAWV":
-            frames = decode_rawv(payload)
-            idx = np.linspace(0, len(frames) - 1, min(self.frame_samples, len(frames))).astype(int)
-            per = np.stack([_image_features(frames[i]) for i in idx])
-            return per.mean(axis=0)
-        raise NotImplementedError(
-            f"payload format for kind={kind!r} requires an external codec not present in this environment"
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_pylist()
-        kinds = batch["kind"].to_pylist()
-        mat = np.vstack([self._features(k, p) for k, p in zip(kinds, payloads)])
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "kind": batch["kind"],
-                "features": pa.array(list(mat), type=pa.list_(pa.float64())),
-                "payload_bytes": pa.array([len(p) for p in payloads], type=pa.int64()),
-            }
-        )
+def media_features(kind: str, payload: bytes, frame_samples: int = 4) -> np.ndarray:
+    """One payload → its 8 features: image stats for PGM, audio stats for
+    WAV, the mean image features of ``frame_samples`` evenly spaced
+    frames for RAWV. Raises ``NotImplementedError`` for formats that need
+    external codecs — that's the honest boundary, not padding."""
+    if payload.startswith(b"P5"):
+        return _image_features(decode_pgm(payload))
+    if payload[:4] == b"RIFF":
+        return _audio_features(*decode_wav_pcm16(payload))
+    if payload[:4] == b"RAWV":
+        frames = decode_rawv(payload)
+        idx = np.linspace(0, len(frames) - 1, min(frame_samples, len(frames))).astype(int)
+        per = np.stack([_image_features(frames[i]) for i in idx])
+        return per.mean(axis=0)
+    raise NotImplementedError(
+        f"payload format for kind={kind!r} requires an external codec not present in this environment"
+    )
 
 
-class ResizeImages:
-    """Actor-pool resize stage: PGM in → PGM out at (out_h, out_w)."""
+def _decode_batch(batch: pa.Table) -> pa.Table:
+    payloads = batch["payload"].to_pylist()
+    kinds = batch["kind"].to_pylist()
+    mat = np.vstack([media_features(k, p) for k, p in zip(kinds, payloads)])
+    return pa.table(
+        {
+            "media_id": batch["media_id"],
+            "kind": batch["kind"],
+            "features": pa.array(list(mat), type=pa.list_(pa.float64())),
+            "payload_bytes": pa.array([len(p) for p in payloads], type=pa.int64()),
+        }
+    )
 
-    def __init__(self, out_h: int = 32, out_w: int = 32):
-        self.out_h, self.out_w = out_h, out_w
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+def decode_features(ds, batch_size: int = 64):
+    """media table → per-item feature vectors (:func:`media_features`) of
+    real PGM/WAV/RAWV payloads. Small batch_size on purpose: payload
+    bytes, not row count, bound the batch."""
+    return ds.map_batches(
+        _decode_batch, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
+    )
+
+
+def resize_images(ds, out_h: int = 32, out_w: int = 32, batch_size: int = 64):
+    """PGM image rows → PGM at (out_h, out_w); other rows pass through."""
+    def resize(batch: pa.Table) -> pa.Table:
         out = []
         for kind, p in zip(batch["kind"].to_pylist(), batch["payload"].to_pylist()):
             if kind == "image" and p.startswith(b"P5"):
-                img = block_mean_resize(decode_pgm(p), self.out_h, self.out_w)
+                img = block_mean_resize(decode_pgm(p), out_h, out_w)
                 out.append(encode_pgm(np.round(img).clip(0, 255).astype(np.uint8)))
             else:
                 out.append(p)
-        t = batch.set_column(batch.column_names.index("payload"), "payload", pa.array(out, type=pa.binary()))
-        return t
+        return batch.set_column(batch.column_names.index("payload"), "payload",
+                                pa.array(out, type=pa.binary()))
 
-
-class DecodeStub:
-    """Round-1 pseudo-decode kept for plumbing tests: features derived
-    from sha256(payload). ``fake=False`` defers to the honest boundary."""
-
-    def __init__(self, fake: bool = True, feature_dim: int = FEATURE_DIM):
-        self.fake = fake
-        self.feature_dim = feature_dim
-        if not fake:
-            raise NotImplementedError("media codecs not available in this environment; use fake=True or MediaDecode")
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        digest = hashlib.sha256(payload).digest()
-        raw = np.frombuffer((digest * ((self.feature_dim * 8) // 32 + 1))[: self.feature_dim * 8], dtype=np.uint64)
-        return (raw % 10_000).astype(np.float64) / 10_000.0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        feats = [self._decode(p) for p in batch["payload"].to_pylist()]
-        mat = np.vstack(feats)
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "kind": batch["kind"],
-                "features": pa.array(list(mat), type=pa.list_(pa.float64())),
-                "payload_bytes": pa.array([len(p) for p in batch["payload"].to_pylist()], type=pa.int64()),
-            }
-        )
-
-
-def decode_features(ds, fake: bool = False, batch_size: int = 64, concurrency: int | None = None):
-    """media table → per-item feature vectors. ``fake=False`` (default)
-    decodes real PGM/WAV/RAWV payloads via :class:`MediaDecode`;
-    ``fake=True`` runs the sha256 stub. Small batch_size on purpose:
-    payload bytes, not row count, bound the batch."""
-    from ..util import pool
-
-    concurrency = pool(concurrency)
-    if fake:
-        return ds.map_batches(
-            DecodeStub,
-            fn_constructor_kwargs=dict(fake=True),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
-            concurrency=concurrency,
-        )
-    return ds.map_batches(
-        MediaDecode,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    )
-
-
-def resize_images(ds, out_h: int = 32, out_w: int = 32, batch_size: int = 64, concurrency: int | None = None):
-    from ..util import pool
-
-    return ds.map_batches(
-        ResizeImages,
-        fn_constructor_kwargs=dict(out_h=out_h, out_w=out_w),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-        concurrency=pool(concurrency),
-    )
+    return ds.map_batches(resize, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
 
 
 # ----------------------------------------------------------------------
 # frame sampling (video → image rows)
 # ----------------------------------------------------------------------
 
-class SampleFrames:
+def sample_frames(ds, frame_samples: int = 4, batch_size: int = 64):
     """RAWV video rows → one PGM image row per uniformly sampled frame —
     the frame-extraction stage of a video training pipeline (each output
     row is then a normal image for resize / features / pHash). Image
-    rows pass through as frame_idx 0; audio rows drop. Actor-pool stage:
-    payload bytes, not row count, bound the batch."""
-
-    def __init__(self, frame_samples: int = 4):
-        self.frame_samples = frame_samples
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    rows pass through as frame_idx 0; audio rows drop. Payload bytes,
+    not row count, bound the batch."""
+    def sample(batch: pa.Table) -> pa.Table:
         ids, fidx, payloads, hs, ws = [], [], [], [], []
-        for mid, kind, p in zip(batch["media_id"].to_pylist(),
-                                batch["kind"].to_pylist(),
-                                batch["payload"].to_pylist()):
+        for mid, p in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
             if p[:4] == b"RAWV":
                 frames = decode_rawv(p)
                 take = np.linspace(0, len(frames) - 1,
-                                   min(self.frame_samples, len(frames))).astype(int)
+                                   min(frame_samples, len(frames))).astype(int)
                 for k in take:
                     ids.append(mid)
                     fidx.append(int(k))
@@ -376,18 +299,7 @@ class SampleFrames:
             "width": pa.array(ws, pa.int32()),
         })
 
-
-def sample_frames(ds, frame_samples: int = 4, batch_size: int = 64, concurrency: int | None = None):
-    from ..util import pool
-
-    return ds.map_batches(
-        SampleFrames,
-        fn_constructor_kwargs=dict(frame_samples=frame_samples),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-        concurrency=pool(concurrency),
-    )
+    return ds.map_batches(sample, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
 
 
 # ----------------------------------------------------------------------
@@ -435,47 +347,30 @@ def dhash64(img: np.ndarray) -> int:
     return int(np.packbits(bits).view(">u8")[0])
 
 
-class _ImagePHash:
-    """(id, payload) image rows → (media_id, phash int64)."""
-
-    def __init__(self, method: str = "dhash", id_col: str = "media_id"):
-        self.hash_fn = {"dhash": dhash64, "phash": phash64}[method]
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, hs = [], []
-        for mid, p in zip(batch[self.id_col].to_pylist(), batch["payload"].to_pylist()):
-            if p.startswith(b"P5"):
-                ids.append(mid)
-                hs.append(self.hash_fn(decode_pgm(p)))
-        return pa.table({
-            "media_id": pa.array(ids, pa.int64()),
-            "phash": pa.array(np.asarray(hs, dtype=np.uint64).astype(np.int64)),
-        })
-
-
-def image_phash(ds, method: str = "dhash", id_col: str = "media_id",
-                batch_size: int = 64, concurrency: int | None = None):
+def image_phash(ds, method: str = "dhash", id_col: str = "media_id", batch_size: int = 64):
     """media table → (media_id, phash) for every PGM image row (other
     kinds drop). For frame-level dedup after :func:`sample_frames`,
     first derive a UNIQUE per-frame id (e.g. ``media_id * 1000 +
     frame_idx``) and pass it as ``id_col`` — the pairer assumes distinct
     ids, and duplicate ids would pair a video's frames with themselves."""
-    from ..util import pool
+    hash_fn = {"dhash": dhash64, "phash": phash64}[method]
 
-    return ds.map_batches(
-        _ImagePHash,
-        fn_constructor_kwargs=dict(method=method, id_col=id_col),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-        concurrency=pool(concurrency),
-    )
+    def phash_rows(batch: pa.Table) -> pa.Table:
+        ids, hs = [], []
+        for mid, p in zip(batch[id_col].to_pylist(), batch["payload"].to_pylist()):
+            if p.startswith(b"P5"):
+                ids.append(mid)
+                hs.append(hash_fn(decode_pgm(p)))
+        return pa.table({
+            "media_id": pa.array(ids, pa.int64()),
+            "phash": pa.array(np.asarray(hs, dtype=np.uint64).astype(np.int64)),
+        })
+
+    return ds.map_batches(phash_rows, batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
 
 
 def image_near_dup_pairs(ds, max_hamming: int = 6, method: str = "dhash",
-                         id_col: str = "media_id",
-                         batch_size: int = 64, concurrency: int | None = None,
+                         id_col: str = "media_id", batch_size: int = 64,
                          n_rows: int | None = None, collect: bool = True) -> pa.Table:
     """Image near-duplicate pairs by perceptual hash: decode → dHash →
     chunk-PAIR pigeonhole buckets (8 chunks → sound for hamming ≤ 6,
@@ -485,8 +380,7 @@ def image_near_dup_pairs(ds, max_hamming: int = 6, method: str = "dhash",
     → pa.Table (doc_a, doc_b, hamming); ``collect=False`` → Dataset."""
     from .dedup import hamming_near_dup_pairs
 
-    sk = image_phash(ds, method=method, id_col=id_col,
-                     batch_size=batch_size, concurrency=concurrency)
+    sk = image_phash(ds, method=method, id_col=id_col, batch_size=batch_size)
     return hamming_near_dup_pairs(sk, id_col="media_id", hash_col="phash",
                                   max_hamming=max_hamming, n_chunks=8,
                                   chunk_pairs=True, n_rows=n_rows, collect=collect)

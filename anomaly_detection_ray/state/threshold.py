@@ -2,10 +2,7 @@
 reference's ``HybridThresholdingModel``
 (``ad/ml/HybridThresholdingModel.java:39-58,226-252,293-362``):
 
-- ECDF over observed anomaly scores, optionally log-normal-initialized
-  from training scores (the reference seeds a KLL sketch with
-  log-normal quantiles; we use ``statistics.NormalDist`` for the
-  quantile function — stdlib, no scipy).
+- ECDF over observed anomaly scores.
 - ``grade(score) = max(0, (rank(score) − p) / (1 − p))`` for
   ``score > min_score`` (MIN_SCORE 0.4, p 0.995), NaN → 0.
 - Deterministic downsampling to ``max_size`` evenly-spaced quantiles
@@ -19,8 +16,6 @@ of ``KllFloatsSketchSerDe.java``).
 """
 
 from __future__ import annotations
-
-from statistics import NormalDist
 
 import numpy as np
 
@@ -51,23 +46,6 @@ class ThresholdModel:
         if self._sorted.size > 2 * self.max_size:
             idx = np.unique(np.linspace(0, self._sorted.size - 1, self.max_size).round().astype(np.int64))
             self._sorted = self._sorted[idx]
-
-    def init_lognormal(self, training_scores: np.ndarray, num_quantiles: int = 400) -> None:
-        """Seed the ECDF with log-normal quantiles fitted on positive
-        training scores (HybridThresholdingModel's initialization)."""
-        s = np.asarray(training_scores, dtype=np.float64)
-        s = s[np.isfinite(s) & (s > 0)]
-        if s.size < 2:
-            return
-        logs = np.log(s)
-        mu, sigma = float(logs.mean()), float(logs.std(ddof=0))
-        if sigma <= 0:
-            sigma = 1e-9
-        nd = NormalDist(mu, sigma)
-        qs = (np.arange(1, num_quantiles + 1)) / (num_quantiles + 1.0)
-        vals = np.exp([nd.inv_cdf(q) for q in qs])
-        self._sorted = np.sort(np.concatenate([self._sorted, vals]))
-        self.n_total += num_quantiles
 
     # ---- queries ----
 

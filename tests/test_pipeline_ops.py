@@ -102,7 +102,7 @@ def test_ngram_jaccard_pairs_exact(ray_session):
         }
     )
     got = (
-        ngram_jaccard_pairs(rd.from_arrow(docs), threshold=0.5, concurrency=2)
+        ngram_jaccard_pairs(rd.from_arrow(docs), threshold=0.5)
         .to_pandas()
         .sort_values(["doc_a", "doc_b"])
         .reset_index(drop=True)
@@ -124,7 +124,7 @@ def test_minhash_near_dup_finds_planted(ray_session):
     texts = [" ".join(rng.permutation(words).tolist()) for _ in range(20)]
     texts.append(texts[0])  # exact dup of doc 0 → J=1
     docs = pa.table({"doc_id": pa.array(range(len(texts)), type=pa.int64()), "text": texts})
-    got = minhash_near_dup_pairs(rd.from_arrow(docs), threshold=0.8, concurrency=2)
+    got = minhash_near_dup_pairs(rd.from_arrow(docs), threshold=0.8)
     pairs = set(zip(got["doc_a"].to_pylist(), got["doc_b"].to_pylist()))
     assert (0, 20) in pairs
 
@@ -141,7 +141,7 @@ def test_simhash_near_dup(ray_session):
             "text": [base, base, " ".join(f"other{i}" for i in range(60))],  # 0≡1 exact dup
         }
     )
-    got = simhash_near_dup_pairs(rd.from_arrow(docs), max_hamming=3, concurrency=2).to_pandas()
+    got = simhash_near_dup_pairs(rd.from_arrow(docs), max_hamming=3).to_pandas()
     pairs = set(zip(got["doc_a"], got["doc_b"]))
     assert (0, 1) in pairs and (0, 2) not in pairs and (1, 2) not in pairs
 
@@ -155,7 +155,7 @@ def test_cosine_topk_matches_numpy(ray_session):
     tbl = ds.to_pandas()
     mat = np.vstack(tbl["embedding"].to_numpy()).astype(np.float64)
     q = mat[0]
-    got = cosine_topk(ds, q[None, :], k=10, concurrency=2)
+    got = cosine_topk(ds, q[None, :], k=10)
     # numpy oracle
     mn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
     sims = mn @ (q / np.linalg.norm(q))
@@ -174,12 +174,92 @@ def test_ivf_full_probe_equals_bruteforce(ray_session):
     mat = np.vstack(tbl["embedding"].to_numpy()).astype(np.float64)
     cent = train_centroids(mat[:200], n_cells=8, seed=3)
     q = mat[5][None, :]
-    bf = cosine_topk(ds, q, k=10, concurrency=2)
-    ivf_all = ivf_cosine_topk(ds, q, cent, nprobe=8, k=10, concurrency=2)
+    bf = cosine_topk(ds, q, k=10)
+    ivf_all = ivf_cosine_topk(ds, q, cent, nprobe=8, k=10)
     assert bf["vec_id"].tolist() == ivf_all["vec_id"].tolist()
     # partial probe returns a subset ranking but still k rows
-    ivf_p = ivf_cosine_topk(ds, q, cent, nprobe=2, k=10, concurrency=2)
+    ivf_p = ivf_cosine_topk(ds, q, cent, nprobe=2, k=10)
     assert len(ivf_p) == 10
+
+
+_TWO_CPU_SCRIPT = r"""
+import json
+import sys
+
+import numpy as np
+import ray
+import ray.data as rd
+
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+try:
+    from anomaly_detection_ray.stages.ann import ivf_cosine_topk, train_centroids
+    from anomaly_detection_ray.stages.dedup import minhash_near_dup_pairs, ngram_jaccard_pairs
+
+    docs_path, emb_path = sys.argv[1:3]
+    ng = ngram_jaccard_pairs(rd.read_parquet(docs_path), threshold=0.8)
+    mh = minhash_near_dup_pairs(rd.read_parquet(docs_path), threshold=0.8)
+    vecs = np.random.default_rng(1).normal(size=(200, 16))
+    ivf = ivf_cosine_topk(rd.read_parquet(emb_path), vecs[:3],
+                          train_centroids(vecs, n_cells=4, seed=1), nprobe=4, k=5)
+    print(json.dumps({
+        "ngram": sorted(zip(ng["doc_a"].to_pylist(), ng["doc_b"].to_pylist())),
+        "minhash": sorted(zip(mh["doc_a"].to_pylist(), mh["doc_b"].to_pylist())),
+        "ivf": [g["vec_id"].tolist() for _, g in ivf.sort_values(["query_idx", "rank"]).groupby("query_idx")],
+    }))
+finally:
+    ray.shutdown()
+"""
+
+
+def test_map_stages_finish_in_two_cpu_session(tmp_path):
+    """Regression: in a 2-CPU Ray session, n-gram and MinHash near-dup
+    and IVF top-k over a parquet read finish. When their map stages ran
+    as actor pools, the pools of one execution took both CPUs before
+    the read task ran, and these calls hung (a one-file read hung every
+    time). Runs in its own Ray session in a subprocess, whose process
+    group is killed if it outlives the timeout."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(300)]
+    texts = [" ".join(rng.choice(words, 40).tolist()) for _ in range(120)]
+    for i in range(0, 120, 10):
+        texts[i + 1] = texts[i]  # planted duplicate pairs
+    pq.write_table(pa.table({"doc_id": pa.array(range(120), pa.int64()), "text": texts}),
+                   tmp_path / "docs.parquet")
+    vecs = np.random.default_rng(1).normal(size=(200, 16))
+    pq.write_table(pa.table({"vec_id": pa.array(range(200), pa.int64()),
+                             "embedding": pa.array(list(vecs), pa.list_(pa.float64()))}),
+                   tmp_path / "emb.parquet")
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _TWO_CPU_SCRIPT, str(tmp_path / "docs.parquet"), str(tmp_path / "emb.parquet")],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("near-dup / IVF stages did not finish in 120 s in a 2-CPU session")
+    assert proc.returncode == 0, err[-3000:]
+    got = json.loads(out.strip().splitlines()[-1])
+    planted = [[i, i + 1] for i in range(0, 120, 10)]
+    assert got["ngram"] == planted
+    assert got["minhash"] == planted
+    mn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    for qi in range(3):
+        assert got["ivf"][qi] == np.lexsort((np.arange(200), -(mn @ mn[qi])))[:5].tolist()
 
 
 def test_embedding_near_dup(ray_session):
@@ -196,26 +276,8 @@ def test_embedding_near_dup(ray_session):
             "embedding": pa.array([list(r) for r in base], type=pa.list_(pa.float32())),
         }
     )
-    got = embedding_near_dup_pairs(rd.from_arrow(tbl), threshold=0.999, concurrency=2).to_pandas()
+    got = embedding_near_dup_pairs(rd.from_arrow(tbl), threshold=0.999).to_pandas()
     assert (3, 7) in set(zip(got["vec_a"], got["vec_b"]))
-
-
-def test_multimodal_decode_stub(ray_session):
-    import ray.data as rd
-
-    from anomaly_detection_ray.stages.multimodal import DecodeStub, decode_features, synthesize_media_table
-
-    media = synthesize_media_table(32, seed=9)
-    out = decode_features(rd.from_arrow(media), fake=True, batch_size=8, concurrency=2).to_pandas()
-    assert len(out) == 32
-    assert all(len(f) == 8 for f in out["features"])
-    # deterministic: same payload → same features
-    out2 = decode_features(rd.from_arrow(media), fake=True, batch_size=8, concurrency=2).to_pandas()
-    a = out.sort_values("media_id")["features"].map(tuple).tolist()
-    b = out2.sort_values("media_id")["features"].map(tuple).tolist()
-    assert a == b
-    with pytest.raises(NotImplementedError):
-        DecodeStub(fake=False)
 
 
 def test_embedding_near_dup_tiling_matches_single_block(ray_session):
@@ -274,8 +336,8 @@ def test_multimodal_real_codecs_roundtrip():
     REAL decode path; external-codec formats stay behind the declared
     NotImplementedError boundary)."""
     from anomaly_detection_ray.stages.multimodal import (
-        MediaDecode, block_mean_resize, decode_pgm, decode_rawv,
-        decode_wav_pcm16, encode_pgm, encode_rawv, encode_wav_pcm16,
+        block_mean_resize, decode_pgm, decode_rawv, decode_wav_pcm16,
+        encode_pgm, encode_rawv, encode_wav_pcm16, media_features,
     )
 
     rng = np.random.default_rng(5)
@@ -288,24 +350,29 @@ def test_multimodal_real_codecs_roundtrip():
     assert np.array_equal(decode_rawv(encode_rawv(fr)), fr)
     assert np.allclose(block_mean_resize(np.full((32, 32), 7.0), 8, 8), 7.0)
     with pytest.raises(NotImplementedError):
-        MediaDecode()._features("image", b"\x89PNG\r\n")
+        media_features("image", b"\x89PNG\r\n")
 
 
 def test_multimodal_real_decode_pipeline(ray_session):
     """End-to-end real decode: synthesized real payloads → features via
-    the actor-pool stage; audio rms reflects the encoded tone; resize
-    stage produces decodable smaller PGMs."""
+    the map stage, deterministic (same payload → same features); audio
+    rms reflects the encoded tone; resize stage produces decodable
+    smaller PGMs."""
     import ray.data as rd
 
     from anomaly_detection_ray.stages.multimodal import (
         decode_features, decode_pgm, resize_images, synthesize_media_table,
     )
 
-    t = synthesize_media_table(32, seed=7, real_payloads=True)
-    out = decode_features(rd.from_arrow(t), fake=False, batch_size=8).to_pandas()
+    t = synthesize_media_table(32, seed=7)
+    out = decode_features(rd.from_arrow(t), batch_size=8).to_pandas()
     assert len(out) == 32
     feats = np.vstack(out["features"].to_numpy())
     assert feats.shape == (32, 8) and np.isfinite(feats).all()
+    out2 = decode_features(rd.from_arrow(t), batch_size=8).to_pandas()
+    a = out.sort_values("media_id")["features"].map(tuple).tolist()
+    b = out2.sort_values("media_id")["features"].map(tuple).tolist()
+    assert a == b
     audio = out[out["kind"] == "audio"]
     assert len(audio) and all(f[0] > 0.05 for f in audio["features"])  # real rms, not hash noise
     resized = resize_images(rd.from_arrow(t), out_h=8, out_w=8, batch_size=8).to_pandas()
@@ -411,7 +478,7 @@ def test_sample_frames_explodes_videos(ray_session):
     from anomaly_detection_ray.stages.multimodal import (
         decode_pgm, sample_frames, synthesize_media_table)
 
-    media = synthesize_media_table(64, seed=42, real_payloads=True)
+    media = synthesize_media_table(64, seed=42)
     out = sample_frames(rd.from_arrow(media), frame_samples=4, batch_size=16).to_pandas()
     src = media.to_pandas().set_index("media_id")
     expected = sum(
