@@ -13,7 +13,7 @@ Every doc receives exactly one status:
                      in ≥ ``min_overlap`` positions
                      (:func:`..stages.dedup.decontaminate` semantics);
 - ``exact_dup``    — byte-identical text to a lower-id surviving doc
-                     (sha256 groupby; text never shuffles for this stage);
+                     (sha256 exchange; text never shuffles for this stage);
 - ``near_dup``     — n-gram-Jaccard ≥ threshold connected-component with a
                      lower-id member (:func:`..stages.dedup.near_dup_groups`);
 - ``kept``         — the canonical survivor.
@@ -28,11 +28,12 @@ including the candidate df-cap and the transitive closure.
 
 Scale shape: two object-store materializations (the quality-filtered
 corpus ``S`` and the exact-deduped corpus ``SE`` — both spillable,
-``S`` released once ``SE`` exists), a sha-keyed coarse shuffle that
-ships 8-byte ids + 32-byte digests (never text), one id-keyed coarse
-shuffle that ships the surviving text into the near-dup stage, and the
-shingle exchanges inside :func:`near_dup_groups`. No driver round-trips;
-reducer memory is bounded by the coarse-group size (~2k docs).
+``S`` released once ``SE`` exists), an exchange on the text hash that
+ships 8-byte ids + 8-byte digests (never text), the shingle exchanges
+inside :func:`near_dup_groups`, and one exchange on the doc id that
+resolves each doc's status. Every grouping step is
+:func:`..stages.exchange.exchange_by_key` on its real key; no driver
+round-trips.
 """
 
 from __future__ import annotations
@@ -40,15 +41,55 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..stages.dedup import _coarse_of_ids, near_dup_groups
+from ..stages.dedup import _i64, near_dup_groups
+from ..stages.exchange import group_by_key, key_runs, sum_blocks
 
-# status codes travel the shuffles as int8; decoded to strings at the end.
+# status codes travel the exchanges as int8; decoded to strings at the end.
 # Numeric order IS the override priority in resolve() ('quality' the default).
 _QUALITY, _CONTAM, _EXACT_DUP, _NEAR_DUP, _KEPT = 0, 1, 2, 3, 4
 _STATUS_NAMES = np.array(["quality", "contaminated", "exact_dup", "near_dup", "kept"])
+_SHA = pa.schema([("doc_id", pa.int64()), ("sha", pa.int64())])
+_DISP = pa.schema([("doc_id", pa.int64()), ("keeper", pa.int64())])
+_STATUS = pa.schema([("doc_id", pa.int64()), ("code", pa.int8()), ("group_id", pa.int64())])
+
+# Above this many exact duplicates the survivors' text is joined to the
+# keeper table by an exchange on the doc id; at or below it the dup ids
+# are broadcast and anti-filtered in place (100k ids ≈ 800 KB).
+EXACT_DUP_BROADCAST_MAX = 100_000
+
+
+def _status_rows(ids: np.ndarray, code: np.ndarray, group_id: np.ndarray) -> pa.Table:
+    return pa.table([ids, code, group_id], schema=_STATUS)
+
+
+def _texts(text_col: str) -> pa.Schema:
+    """Rows of the doc-id-keyed text joins: a text row has ``keeper``
+    −1, a keeper row null text."""
+    return pa.schema([("doc_id", pa.int64()), ("keeper", pa.int64()), (text_col, pa.string())])
+
+
+def _text_leg(batch: pa.Table, id_col: str, text_col: str) -> pa.Table:
+    ids = _i64(batch[id_col])
+    return pa.table([ids, np.full(ids.size, -1, np.int64), pc.cast(batch[text_col], pa.string())],
+                    schema=_texts(text_col))
+
+
+def _keeper_leg(ids: np.ndarray, keeper: np.ndarray, text_col: str) -> pa.Table:
+    return pa.table([ids, keeper, pa.nulls(ids.size, pa.string())], schema=_texts(text_col))
+
+
+def _kept_texts(t: pa.Table, text_col: str) -> pa.Table:
+    """(doc_id, text) of each id that is its own keeper, its text taken
+    from the part's text rows (``pc.index_in`` + ``take``)."""
+    ids, keeper = t["doc_id"].to_numpy(), t["keeper"].to_numpy()
+    keep = pa.array(ids[keeper == ids])
+    texts = t.filter(pa.array(keeper < 0))
+    idx = pc.index_in(keep, value_set=texts["doc_id"].combine_chunks())
+    return pa.table({"doc_id": keep.filter(pc.is_valid(idx)),
+                     text_col: texts[text_col].take(idx.drop_null())})
 
 
 def _quality_decontam(batch: pa.Table, bench: np.ndarray, text_col: str, id_col: str,
@@ -91,7 +132,6 @@ def corpus_clean(
     min_shared: int = 2,
     pair_backend: str = "exact",
     bounds: dict | None = None,
-    n_rows: int | None = None,
     ids=None,
     bench_ds=None,
     decontam_k: int = 8,
@@ -147,8 +187,6 @@ def corpus_clean(
             lambda b: _quality_decontam(b, ray.get(ref), text_col, id_col, decontam_k, mo, bounds),
             batch_format="pyarrow", zero_copy_batch=True,
         ).materialize()
-        import pyarrow.compute as pc
-
         S = FS.map_batches(
             lambda b: b.filter(pc.is_valid(b[text_col])),
             batch_format="pyarrow", zero_copy_batch=True,
@@ -161,7 +199,6 @@ def corpus_clean(
         if id_col != "doc_id":
             S = S.map_batches(lambda b: b.rename_columns([id_col, text_col]),
                               batch_format="pyarrow", zero_copy_batch=True)
-        n_s = S.count()
     else:
         def keep_quality(batch: pa.Table) -> pa.Table:
             q = quality_flags(batch[text_col].to_pylist(), **bounds)
@@ -171,12 +208,9 @@ def corpus_clean(
         # to the sha leg and the semi-join leg (consuming a lazy diamond
         # would re-run the scan + flags once per consumer).
         S = ds.map_batches(keep_quality, batch_format="pyarrow", zero_copy_batch=True).materialize()
-        n_s = S.count()
-    nc = max(16, n_s // 2_000)
 
     # ---- exact-dedup disposition: (doc_id, keeper) ----
     def sha_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy().astype(np.int64)
         # 64-bit prefix of sha256: the shuffle ships 16 B/doc, and the
         # keeper decision only needs equality (collisions ~n²/2⁶⁴)
         sha = np.fromiter(
@@ -184,66 +218,32 @@ def corpus_clean(
             dtype=np.uint64,
             count=batch.num_rows,
         ).astype(np.int64)
-        ck = _coarse_of_ids(sha, nc)
-        return pa.table({"doc_id": pa.array(ids), "sha": pa.array(sha), "ckey": pa.array(ck)})
+        return pa.table([_i64(batch[id_col]), sha], schema=_SHA)
 
-    def keeper_of_group(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("sha", sort=False)["doc_id"].transform("min")
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(np.int64), "keeper": m.to_numpy(np.int64)})
+    def keeper_of_text(t: pa.Table) -> pa.Table:
+        ids, sha = t["doc_id"].to_numpy(), t["sha"].to_numpy()
+        order = np.lexsort((ids, sha))
+        starts, ends = key_runs(sha[order])
+        return pa.table([ids[order], np.repeat(ids[order][starts], ends - starts)], schema=_DISP)
 
-    disp = (
-        S.map_batches(sha_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ckey")
-        .map_groups(keeper_of_group, batch_format="pandas")
-        .materialize()  # tiny (16 B/doc); read twice below
-    )
-
-    # ---- SE: exact-dedup survivors with text (id-keyed coarse co-group) ----
-    def s_leg(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, nc)),
-            "keeper": pa.array(np.full(ids.size, -1, np.int64)),
-            text_col: batch[text_col],
-        })
-
-    def disp_leg(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, nc)),
-            "keeper": pa.array(batch["keeper"].to_numpy().astype(np.int64)),
-            text_col: pa.array([None] * ids.size, pa.string()),
-        })
-
-    def keep_if_keeper(g: pd.DataFrame) -> pd.DataFrame:
-        texts = g[g["keeper"] < 0]
-        keep_ids = g.loc[(g["keeper"] >= 0) & (g["keeper"] == g["doc_id"]), ["doc_id"]]
-        out = keep_ids.merge(texts[["doc_id", text_col]], on="doc_id", how="inner")
-        return out[["doc_id", text_col]]
-
-    import pyarrow.compute as _pc
-
-    n_exact_dups = disp.map_batches(
-        lambda b: pa.table({"d": pa.array([int(_pc.sum(_pc.not_equal(b["doc_id"], b["keeper"])).as_py() or 0)])}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    ).sum("d") or 0
+    # tiny (16 B/doc); read twice below
+    disp = group_by_key(S.map_batches(sha_rows, batch_format="pyarrow", zero_copy_batch=True),
+                        ["sha"], keeper_of_text, _SHA)
+    n_exact_dups = sum_blocks(disp, lambda b: pc.sum(pc.not_equal(b["doc_id"], b["keeper"])).as_py())
     if n_exact_dups == 0:
         # no identical texts → the semi-join is the identity; skip its
-        # text-bearing shuffle and feed S straight to the near-dup stage
+        # text-bearing exchange and feed S straight to the near-dup stage
         SE = S.map_batches(
             lambda b: pa.table({"doc_id": b[id_col].cast(pa.int64()), text_col: b[text_col]}),
             batch_format="pyarrow", zero_copy_batch=True,
         ).materialize()
-        n_se = n_s
-    elif n_exact_dups <= 100_000:
+    elif n_exact_dups <= EXACT_DUP_BROADCAST_MAX:
         # small dup set → broadcast the dup-id list and anti-filter in
-        # place of the text-bearing co-group shuffle (the classic
+        # place of the text-bearing exchange (the classic
         # broadcast-small-side join; 100k ids ≈ 800 KB)
         dup_tbl = disp.map_batches(
             lambda b: pa.table({"doc_id": b["doc_id"].take(
-                _pc.indices_nonzero(_pc.not_equal(b["doc_id"], b["keeper"])))}),
+                pc.indices_nonzero(pc.not_equal(b["doc_id"], b["keeper"])))}),
             batch_format="pyarrow", zero_copy_batch=True,
         ).to_pandas()
         dup_ids = np.sort(dup_tbl["doc_id"].to_numpy(np.int64))
@@ -255,16 +255,15 @@ def corpus_clean(
             return pa.table({"doc_id": t[id_col].cast(pa.int64()), text_col: t[text_col]})
 
         SE = S.map_batches(drop_dups, batch_format="pyarrow", zero_copy_batch=True).materialize()
-        n_se = n_s - int(n_exact_dups)
     else:
-        SE = (
-            S.map_batches(s_leg, batch_format="pyarrow", zero_copy_batch=True)
-            .union(disp.map_batches(disp_leg, batch_format="pyarrow", zero_copy_batch=True))
-            .groupby("ckey")
-            .map_groups(keep_if_keeper, batch_format="pandas")
-            .materialize()
+        # exact-dedup survivors with text: an exchange on the doc id
+        SE = group_by_key(
+            S.map_batches(lambda b: _text_leg(b, id_col, text_col), batch_format="pyarrow",
+                          zero_copy_batch=True)
+            .union(disp.map_batches(lambda b: _keeper_leg(_i64(b["doc_id"]), _i64(b["keeper"]), text_col),
+                                    batch_format="pyarrow", zero_copy_batch=True)),
+            ["doc_id"], lambda t: _kept_texts(t, text_col), _texts(text_col),
         )
-        n_se = SE.count()
     del S  # release the pre-dedup corpus from the object store
 
     # ---- near-dup clustering over the exact survivors ----
@@ -277,16 +276,12 @@ def corpus_clean(
     if pair_backend == "exact":
         groups = near_dup_groups(
             SE, text_col, "doc_id", k=k, threshold=threshold,
-            max_shingle_df=max_shingle_df, n_rows=n_se,
-            min_shared=min_shared,
+            max_shingle_df=max_shingle_df, min_shared=min_shared,
         )
     elif pair_backend == "minhash":
         from ..stages.dedup import near_dup_groups_minhash
 
-        groups = near_dup_groups_minhash(
-            SE, text_col, "doc_id", k=k, threshold=threshold,
-            n_rows=n_se,
-        )
+        groups = near_dup_groups_minhash(SE, text_col, "doc_id", k=k, threshold=threshold)
     else:
         raise ValueError(f"unknown pair_backend {pair_backend!r}")
 
@@ -295,54 +290,29 @@ def corpus_clean(
     # (a doc has at most one override row). Rank = status code works as
     # the override priority because 'quality' is 0.
     def default_leg(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, nc)),
-            "code": pa.array(np.zeros(ids.size, np.int8)),
-            "group_id": pa.array(np.full(ids.size, -1, np.int64)),
-        })
+        ids = _i64(batch[id_col])
+        return _status_rows(ids, np.full(ids.size, _QUALITY, np.int8), np.full(ids.size, -1, np.int64))
 
     def exact_leg(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy().astype(np.int64)
-        keeper = batch["keeper"].to_numpy().astype(np.int64)
+        ids, keeper = _i64(batch["doc_id"]), _i64(batch["keeper"])
         m = keeper != ids
-        return pa.table({
-            "doc_id": pa.array(ids[m]),
-            "ckey": pa.array(_coarse_of_ids(ids[m], nc)),
-            "code": pa.array(np.full(m.sum(), _EXACT_DUP, np.int8)),
-            "group_id": pa.array(keeper[m]),
-        })
+        return _status_rows(ids[m], np.full(m.sum(), _EXACT_DUP, np.int8), keeper[m])
 
     def group_leg(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ids = pc.cast(batch["doc_id"], pa.int64()).to_numpy()
-        gid = pc.cast(batch["group_id"], pa.int64()).to_numpy()
-        code = np.where(gid < ids, _NEAR_DUP, _KEPT).astype(np.int8)
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, nc)),
-            "code": pa.array(code),
-            "group_id": pa.array(gid),
-        })
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.sort_values("code").groupby("doc_id", sort=False).last().reset_index()
-        return pd.DataFrame({
-            "doc_id": m["doc_id"].to_numpy(np.int64),
-            "status": _STATUS_NAMES[m["code"].to_numpy(np.int8)],
-            "group_id": m["group_id"].to_numpy(np.int64),
-        })
+        ids, gid = _i64(batch["doc_id"]), _i64(batch["group_id"])
+        return _status_rows(ids, np.where(gid < ids, _NEAR_DUP, _KEPT).astype(np.int8), gid)
 
     def contam_leg(batch: pa.Table) -> pa.Table:
-        cids = batch["doc_id"].to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(cids),
-            "ckey": pa.array(_coarse_of_ids(cids, nc)),
-            "code": pa.array(np.full(cids.size, _CONTAM, np.int8)),
-            "group_id": pa.array(np.full(cids.size, -1, np.int64)),
-        })
+        ids = _i64(batch["doc_id"])
+        return _status_rows(ids, np.full(ids.size, _CONTAM, np.int8), np.full(ids.size, -1, np.int64))
+
+    def resolve(t: pa.Table) -> pa.Table:
+        ids, code = t["doc_id"].to_numpy(), t["code"].to_numpy()
+        order = np.lexsort((code, ids))
+        starts, ends = key_runs(ids[order])
+        last = order[ends - 1]  # each doc's highest-priority row
+        return pa.table({"doc_id": ids[last], "status": _STATUS_NAMES[code[last]],
+                         "group_id": t["group_id"].take(pa.array(last))})
 
     ids_ds = ids if ids is not None else ds.select_columns([id_col])
     legs = (
@@ -353,7 +323,7 @@ def corpus_clean(
     if contam_ids is not None:
         legs = legs.union(contam_ids.map_batches(contam_leg, batch_format="pyarrow",
                                                  zero_copy_batch=True))
-    return legs.groupby("ckey").map_groups(resolve, batch_format="pandas")
+    return group_by_key(legs, ["doc_id"], resolve, _STATUS)
 
 
 def clean_and_write(ds, out_dir: str, text_col: str = "text", id_col: str = "doc_id",
@@ -370,9 +340,7 @@ def clean_and_write(ds, out_dir: str, text_col: str = "text", id_col: str = "doc
     The statuses Dataset is the audit log — persist it separately if the
     dispositions matter downstream.
     """
-    import pyarrow.compute as pc
-
-    statuses = corpus_clean(ds, text_col, id_col, **clean_kwargs).materialize()
+    statuses = corpus_clean(ds, text_col, id_col, **clean_kwargs)
     if clean_kwargs.get("redact"):
         # the written corpus must carry the SAME scrubbed text the
         # dispositions were computed over
@@ -382,36 +350,18 @@ def clean_and_write(ds, out_dir: str, text_col: str = "text", id_col: str = "doc
     n_total = statuses.count()
 
     def kept_leg(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch["status"], "kept"))
-        ids = t["doc_id"].to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, max(16, n_total // 2_000))),
-            "keeper": pa.array(np.full(ids.size, -2, np.int64)),
-            text_col: pa.array([None] * ids.size, pa.string()),
-        })
+        ids = _i64(batch.filter(pc.equal(batch["status"], "kept"))["doc_id"])
+        return _keeper_leg(ids, ids, text_col)
 
-    def text_leg(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy().astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, max(16, n_total // 2_000))),
-            "keeper": pa.array(np.full(ids.size, -1, np.int64)),
-            text_col: batch[text_col],
-        })
+    def sharded(t: pa.Table) -> pa.Table:
+        out = _kept_texts(t, text_col)
+        return out.append_column("shard", pa.array(out["doc_id"].to_numpy() % n_shards))
 
-    def join_text(g: pd.DataFrame) -> pd.DataFrame:
-        kept = g[g["keeper"] == -2][["doc_id"]]
-        texts = g[g["keeper"] == -1][["doc_id", text_col]]
-        out = kept.merge(texts, on="doc_id", how="inner")
-        out["shard"] = (out["doc_id"].to_numpy(np.int64) % n_shards).astype(np.int64)
-        return out[["doc_id", text_col, "shard"]]
-
-    kept = (
+    kept = group_by_key(
         statuses.map_batches(kept_leg, batch_format="pyarrow", zero_copy_batch=True)
-        .union(ds.map_batches(text_leg, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("ckey")
-        .map_groups(join_text, batch_format="pandas")
+        .union(ds.map_batches(lambda b: _text_leg(b, id_col, text_col), batch_format="pyarrow",
+                              zero_copy_batch=True)),
+        ["doc_id"], sharded, _texts(text_col),
     )
     from ..stages.sink import _write_replacing_partitions
 

@@ -709,16 +709,19 @@ def q_tpch_q1(sf_dir: str) -> pd.DataFrame:
     """D1/A6: the classic wide groupby-aggregate (pricing summary).
 
     Partial-aggregation pattern: each batch collapses to ≤ |groups| rows
-    inside ``map_batches`` (the combiner), so the shuffle moves a few
-    hundred partial rows instead of the whole fact table — the 'push
-    aggregation partial' rule for low-cardinality groupbys at scale."""
-    from ray.data.aggregate import Sum
+    inside ``map_batches`` (the combiner), and the driver sums those few
+    hundred partial rows (``math.fsum``: exactly rounded, so the result
+    does not depend on the order blocks arrive in) instead of shuffling
+    the fact table — the 'push aggregation partial' rule for
+    low-cardinality groupbys at scale."""
+    import math
 
     ds = _rd().read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
     )
     cutoff = pd.Timestamp("1998-09-02")
+    keys = ["l_returnflag", "l_linestatus"]
 
     def partial(b: pa.Table) -> pa.Table:
         b = b.filter(pc.less_equal(b["l_shipdate"], pa.scalar(cutoff)))
@@ -731,7 +734,7 @@ def q_tpch_q1(sf_dir: str) -> pd.DataFrame:
                 "sum_disc_price": b["l_extendedprice"].to_numpy() * (1.0 - b["l_discount"].to_numpy()),
             }
         )
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
+        g = df.groupby(keys, as_index=False).agg(
             sum_qty=("sum_qty", "sum"),
             sum_base_price=("sum_base_price", "sum"),
             sum_disc_price=("sum_disc_price", "sum"),
@@ -739,17 +742,12 @@ def q_tpch_q1(sf_dir: str) -> pd.DataFrame:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
+    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).to_pandas()
     out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_price", alias_name="sum_base_price"),
-            Sum("sum_disc_price", alias_name="sum_disc_price"),
-            Sum("count_order", alias_name="count_order"),
-        )
-        .to_pandas()
-        .sort_values(["l_returnflag", "l_linestatus"])
+        parts.groupby(keys, as_index=False)
+        .agg(sum_qty=("sum_qty", math.fsum), sum_base_price=("sum_base_price", math.fsum),
+             sum_disc_price=("sum_disc_price", math.fsum), count_order=("count_order", "sum"))
+        .sort_values(keys)
         .reset_index(drop=True)
     )
     out["avg_qty"] = out["sum_qty"] / out["count_order"]
@@ -1160,7 +1158,7 @@ def q_chunk_for_training(sf_dir: str) -> pd.DataFrame:
 
 def q_doc_nll(sf_dir: str) -> pd.DataFrame:
     """Unigram-LM quality scoring (CCNet-style perplexity filter shape):
-    corpus term table (combiner + vocab-sized groupby) → broadcast →
+    corpus term table (combiner + exchange on the term) → broadcast →
     per-doc mean negative log-likelihood. Value-exact vs the SQL twin."""
     from ..stages.lmscore import doc_nll
 
@@ -1370,8 +1368,8 @@ def q_ngram_jaccard_dup(sf_dir: str) -> pd.DataFrame:
     from ..stages.dedup import ngram_jaccard_pairs
 
     # block count sized to the doc-table scale (auto-split would make 64
-    # blocks of a small file; 3 chained groupby shuffles each pay per-block
-    # scheduling overhead — at cluster scale size this to the cluster)
+    # blocks of a small file; 3 chained exchanges each pay per-block
+    # split tasks — at cluster scale size this to the cluster)
     ds = _rd().read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"],
                             override_num_blocks=16)
     sample = ds.map_batches(
@@ -1517,7 +1515,7 @@ def q_embedding_dedup_groups(sf_dir: str) -> pd.DataFrame:
 
 def q_embedding_near_dup_lsh(sf_dir: str) -> pd.DataFrame:
     """Sign-LSH banded near-dup (the 100 TB path for high thresholds):
-    random-hyperplane band keys → bucket groupby → exact cosine verify.
+    random-hyperplane band keys → bucket exchange → exact cosine verify.
     Deterministic (fixed seed) but probabilistic recall → rows-only."""
     from ..stages.ann import embedding_near_dup_lsh
 
@@ -1686,7 +1684,7 @@ def q_correlate_anomalies(sf_dir: str) -> pd.DataFrame:
             "end_ms": flagged["window_end_ms"].astype("int64"),
         }
     )
-    return correlate_clusters(anoms, use_ray=True)
+    return correlate_clusters(anoms)
 
 
 def q_anomaly_insights(sf_dir: str) -> pd.DataFrame:

@@ -18,6 +18,18 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+from .exchange import group_by_key, key_runs
+
+_PAIRS = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64()), ("cosine", pa.float64())])
+
+
+def _vec_schema(id_col: str, vec_col: str, keys: list[str]) -> pa.Schema:
+    """A near-dup exchange's map side, typing an input without rows (any
+    list type will do there)."""
+    return pa.schema([(id_col, pa.int64()), (vec_col, pa.list_(pa.float64())),
+                      *((k, pa.int64()) for k in keys)])
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -32,7 +44,7 @@ def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
         arr = arr.combine_chunks()
     flat = arr.flatten().to_numpy(zero_copy_only=False)
     n = len(arr)
-    return flat.reshape(n, -1).astype(np.float64)
+    return flat.reshape(n, flat.size // max(n, 1)).astype(np.float64)
 
 
 def cosine_topk(ds, queries: np.ndarray, id_col: str = "vec_id", vec_col: str = "embedding",
@@ -131,9 +143,10 @@ def embedding_near_dup_pairs(ds, id_col: str = "vec_id", vec_col: str = "embeddi
                              threshold: float = 0.95, rows_per_block: int = 4096, n_rows: int | None = None):
     """All pairs with cosine ≥ τ — EXACT at any τ — as distributed
     block-pair tiling: rows are hash-assigned to B blocks, every
-    unordered block pair (i ≤ j) becomes one groupby tile holding only
-    those two blocks' rows, and each tile does one matmul. A pair lands
-    in exactly one tile, so no cross-tile dedup is needed.
+    unordered block pair (i ≤ j) becomes one tile holding only those two
+    blocks' rows (an exchange on the tile id), and each tile does one
+    matmul. A pair lands in exactly one tile, so no cross-tile dedup is
+    needed.
 
     Scale shape: no driver materialization and no full-matrix broadcast
     (the round-1 version pulled the whole table to the driver — r1
@@ -164,34 +177,31 @@ def embedding_near_dup_pairs(ds, id_col: str = "vec_id", vec_col: str = "embeddi
         t = t.append_column("tile", pa.array(tile))
         return t.append_column("blk", pa.array(blk[rep]))
 
-    def tile_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
-                              "vec_b": pd.Series(dtype="int64"),
-                              "cosine": pd.Series(dtype="float64")})
-        tile = int(g["tile"].iloc[0])
-        i, j = divmod(tile, B)
-        ids = g[id_col].to_numpy().astype(np.int64)
-        mat = _normalize(np.vstack(g[vec_col].to_numpy()).astype(np.float64))
-        blk = g["blk"].to_numpy()
-        if i == j:
-            sims = mat @ mat.T
-            r, c = np.nonzero(np.triu(sims >= threshold, k=1))
-            a, b, s = ids[r], ids[c], sims[r, c]
-        else:
-            mi, mj = blk == i, blk == j
-            if not mi.any() or not mj.any():
-                return empty
-            sims = mat[mi] @ mat[mj].T
-            r, c = np.nonzero(sims >= threshold)
-            a, b, s = ids[mi][r], ids[mj][c], sims[r, c]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keep = lo != hi
-        return pd.DataFrame({"vec_a": lo[keep], "vec_b": hi[keep], "cosine": s[keep]})
+    def tile_pairs(t: pa.Table) -> pa.Table:
+        tile = t["tile"].to_numpy()
+        order = np.argsort(tile, kind="stable")
+        tile, blk = tile[order], t["blk"].to_numpy()[order]
+        ids = pc.cast(t[id_col], pa.int64()).to_numpy()[order]
+        mat = _normalize(_batch_matrix(t.take(pa.array(order)), vec_col))
+        out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        for s, e in zip(*key_runs(tile)):
+            i, j = divmod(int(tile[s]), B)
+            m, bk, tid = mat[s:e], blk[s:e], ids[s:e]
+            if i == j:
+                sims = m @ m.T
+                r, c = np.nonzero(np.triu(sims >= threshold, k=1))
+                a, b, sv = tid[r], tid[c], sims[r, c]
+            else:
+                mi, mj = bk == i, bk == j
+                sims = m[mi] @ m[mj].T
+                r, c = np.nonzero(sims >= threshold)
+                a, b, sv = tid[mi][r], tid[mj][c], sims[r, c]
+            keep = a != b
+            out.append((np.minimum(a, b)[keep], np.maximum(a, b)[keep], sv[keep]))
+        return pa.table([np.concatenate(c) for c in zip(*out)], schema=_PAIRS)
 
     rep = ds.map_batches(to_tiles, batch_format="pyarrow", zero_copy_batch=True)
-    # plain-function map_groups runs as a task pool (autoscaling tuples
-    # are only valid for callable classes)
-    return rep.groupby("tile").map_groups(tile_pairs, batch_format="pandas")
+    return group_by_key(rep, ["tile"], tile_pairs, _vec_schema(id_col, vec_col, ["tile", "blk"]))
 
 
 def embedding_near_dup_lsh(ds, id_col: str = "vec_id", vec_col: str = "embedding",
@@ -199,9 +209,9 @@ def embedding_near_dup_lsh(ds, id_col: str = "vec_id", vec_col: str = "embedding
                            seed: int = 42, max_bucket: int = 2000) -> pd.DataFrame:
     """Near-dup pairs by sign-LSH (random hyperplanes, Charikar 2002):
     band b's key = the signs of x·R over that band's ``bits_per_band``
-    hyperplanes; candidates share a band key; exact cosine verify inside
-    the bucket groupby. Recall for a pair at angle θ is
-    1 − (1 − p^r)^bands with p = 1 − θ/π — sized for HIGH thresholds
+    hyperplanes; candidates share a band key (an exchange on (band,
+    band_key)); exact cosine verify inside each bucket. Recall for a
+    pair at angle θ is 1 − (1 − p^r)^bands with p = 1 − θ/π — sized for HIGH thresholds
     (τ ≥ ~0.8); the exact tiling path covers low-τ queries. The random
     matrix is regenerated from ``seed`` in every batch (deterministic,
     nothing shipped); pairs found in several bands are deduped at the
@@ -222,30 +232,26 @@ def embedding_near_dup_lsh(ds, id_col: str = "vec_id", vec_col: str = "embedding
         t = t.append_column("band", pa.array(np.tile(np.arange(n_bands, dtype=np.int32), nb)))
         return t.append_column("band_key", pa.array(keys.ravel()))
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
-                              "vec_b": pd.Series(dtype="int64"),
-                              "cosine": pd.Series(dtype="float64")})
-        g = g.drop_duplicates(id_col)
-        if len(g) < 2 or len(g) > max_bucket:
-            return empty
-        ids = g[id_col].to_numpy().astype(np.int64)
-        mat = _normalize(np.vstack(g[vec_col].to_numpy()).astype(np.float64))
-        sims = mat @ mat.T
-        r, c = np.nonzero(np.triu(sims >= threshold, k=1))
-        a, b = ids[r], ids[c]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pd.DataFrame({"vec_a": lo, "vec_b": hi, "cosine": sims[r, c]})
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        band, key = t["band"].to_numpy(), t["band_key"].to_numpy()
+        order = np.lexsort((key, band))
+        ids = pc.cast(t[id_col], pa.int64()).to_numpy()
+        starts, ends = key_runs(band[order], key[order])
+        big = ends - starts >= 2
+        out = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+        for s, e in zip(starts[big], ends[big]):
+            rows = order[s:e]
+            rows = rows[np.sort(np.unique(ids[rows], return_index=True)[1])]  # each vector once
+            if rows.size < 2 or rows.size > max_bucket:
+                continue
+            bid, m = ids[rows], _normalize(_batch_matrix(t.take(pa.array(rows)), vec_col))
+            sims = m @ m.T
+            r, c = np.nonzero(np.triu(sims >= threshold, k=1))
+            out.append((np.minimum(bid[r], bid[c]), np.maximum(bid[r], bid[c]), sims[r, c]))
+        return pa.table([np.concatenate(c) for c in zip(*out)], schema=_PAIRS)
 
-    pairs = (
-        ds.map_batches(bands, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["band", "band_key"])
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(pairs) == 0:  # no candidates at all → typed empty frame
-        return pd.DataFrame({"vec_a": pd.Series(dtype="int64"),
-                             "vec_b": pd.Series(dtype="int64"),
-                             "cosine": pd.Series(dtype="float64")})
-    pairs = pairs.drop_duplicates(["vec_a", "vec_b"]).reset_index(drop=True)
-    return pairs.astype({"vec_a": "int64", "vec_b": "int64", "cosine": "float64"})
+    keys = ["band", "band_key"]
+    pairs = group_by_key(ds.map_batches(bands, batch_format="pyarrow", zero_copy_batch=True), keys,
+                         bucket_pairs, _vec_schema(id_col, vec_col, keys)).to_pandas()
+    # a pair found in several bands is kept once
+    return pairs.drop_duplicates(["vec_a", "vec_b"]).reset_index(drop=True)

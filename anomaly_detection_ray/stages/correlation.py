@@ -22,13 +22,10 @@ of its members' (undilated) intervals. Defaults mirror the reference's
 constants (DELTA_TOL 5 min, ALPHA 0.30, KAPPA 30 min, MIN_OVERLAP
 3 min, HYBRID λ=0.6, τ=0.8, ρ=0.25, relax=0.45).
 
-Ray mapping: pair generation is a start-ordered sweep (the reference's
-TreeSet sweep, vectorized per tile). ``correlate_clusters`` runs the
-sweep inside ``map_groups`` over coarse TIME TILES (anomalies are
-near-sorted by time, so tiles bound the pair fan-out; pairs crossing a
-tile boundary are caught by tile overlap = max dilation) and finishes
-with driver-side union-find over the surviving edges — a small set by
-construction, per SURVEY §2.D9.
+Pair generation is a start-ordered sweep (the reference's TreeSet
+sweep, vectorized per anomaly) finished by union-find over the
+surviving edges, in the caller's process: input and output are
+driver-side pandas frames (20,000 anomalies cluster in ~1 s on one CPU).
 """
 
 from __future__ import annotations
@@ -85,7 +82,7 @@ def pairwise_similarity(
 
 def _sweep_edges(df: pd.DataFrame, delta_ms: float, kappa_ms: float,
                  min_similarity: float, min_overlap_ms: float) -> pd.DataFrame:
-    """Start-ordered sweep over one tile's anomalies → edge list
+    """Start-ordered sweep over the anomalies → edge list
     (idx_a, idx_b) of pairs with sim ≥ threshold (vectorized per node)."""
     s = df["start_ms"].to_numpy(dtype=np.float64)
     e = df["end_ms"].to_numpy(dtype=np.float64)
@@ -185,8 +182,6 @@ def correlate_clusters(
     min_overlap_ms: float = MIN_OVERLAP_MS,
     include_singletons: bool = True,
     interval_ms_by_config: dict[str, int] | None = None,
-    tile_ms: int = 6 * 3600_000,
-    use_ray: bool = True,
 ) -> pd.DataFrame:
     """anomalies(model_id, config_id, start_ms, end_ms) → one row per
     anomaly with ``cluster_id``, ``window_start_ms``, ``window_end_ms``.
@@ -204,36 +199,7 @@ def correlate_clusters(
         df["start_dilation_ms"] = float(delta_ms)
         df["_interval_ms"] = 0.0
 
-    max_dilation = float(df["start_dilation_ms"].max()) + delta_ms
-    if use_ray and len(df) > 1:
-        import ray.data as rd
-
-        # each anomaly is replicated into EVERY tile its dilated interval
-        # touches: any overlapping pair then shares the tile containing
-        # the overlap point, so no cross-boundary pair is missed
-        t0 = float(df["start_ms"].min())
-        lo = df["start_ms"].to_numpy(dtype=np.float64) - df["start_dilation_ms"].to_numpy(dtype=np.float64)
-        hi = df["end_ms"].to_numpy(dtype=np.float64) + delta_ms
-        first = np.maximum(0, ((lo - t0) // tile_ms)).astype(np.int64)
-        last = np.maximum(first, ((hi - t0) // tile_ms).astype(np.int64))
-        reps = (last - first + 1).astype(np.int64)
-        ridx = np.repeat(np.arange(len(df)), reps)
-        offs = np.arange(int(reps.sum())) - np.repeat(np.concatenate(([0], np.cumsum(reps)))[:-1], reps)
-        tiled = df.iloc[ridx].copy()
-        tiled["_tile"] = (first[ridx] + offs).astype(np.int64)
-        edges = (
-            rd.from_pandas(tiled)
-            .groupby("_tile")
-            .map_groups(
-                lambda g: _sweep_edges(g, delta_ms, kappa_ms, min_similarity, min_overlap_ms),
-                batch_format="pandas",
-            )
-            .to_pandas()
-            .drop_duplicates()
-        )
-    else:
-        edges = _sweep_edges(df, delta_ms, kappa_ms, min_similarity, min_overlap_ms)
-
+    edges = _sweep_edges(df, delta_ms, kappa_ms, min_similarity, min_overlap_ms)
     uf = _UnionFind(len(df))
     for a, b in zip(edges["a"].astype(int), edges["b"].astype(int)):
         uf.union(a, b)

@@ -2,22 +2,29 @@
 
 Five flavors, each a Ray-Data-first composition (no driver-side loops):
 
-- **exact**: sha256(text) → groupby(hash) → min doc_id + dup count.
-  The hash column keeps the shuffle payload small (never shuffles the
-  text itself); 256-bit hashes make collisions a non-issue.
+- **exact**: sha256(text) → per-block (hash, min doc_id, count) partials
+  merged per hash. The hash column keeps the shuffle payload small
+  (never shuffles the text itself); 256-bit hashes make collisions a
+  non-issue.
 - **n-gram Jaccard (exact)**: distinct k-token shingles → explode
-  (shingle, doc) → groupby(shingle) pair generation → groupby(pair)
-  intersection counts → Jaccard via |A∩B| / (|A|+|B|−|A∩B|). Exact and
-  SQL-expressible; pair generation is capped per-shingle by
+  (shingle, doc) → pair generation per shingle → per-pair intersection
+  over the docs' shingle sets → Jaccard via |A∩B| / (|A|+|B|−|A∩B|).
+  Exact and SQL-expressible; pair generation is capped per-shingle by
   ``max_shingle_df`` (a frequency-stop: a shingle shared by thousands
   of docs carries no dedup signal but quadratic pair cost — the cap is
   part of the operator's declared semantics and mirrored in the oracle).
 - **MinHash + LSH**: per-batch signatures → explode (band, band_hash,
-  doc) → groupby bucket → candidate pairs → exact-Jaccard verify.
+  doc) → pairs per bucket → exact-Jaccard verify.
   The scale path for near-dup at 10^12 docs (probabilistic recall).
 - **SimHash**: 64-bit sketch per doc; near-dup = hamming ≤ r within
   LSH buckets on bit-chunks.
 - **embedding cosine**: see stages/ann.py (block matmul).
+
+Every grouping step is :func:`.exchange.exchange_by_key` on the REAL
+grouping key (a text hash, a shingle, a bucket, a doc id, a pair): no
+group spans two parts, so each reducer task runs over its whole part
+as ONE Arrow table — sort once, walk the runs of equal keys — and
+returns a typed Arrow table for any row count, zero included.
 """
 
 from __future__ import annotations
@@ -25,40 +32,64 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.analyzer import Analyzer
 from ..functions.minhash import MinHasher, batch_shingle_hashes, simhash
+from .exchange import group_by_key, key_runs, sum_blocks
+
+_I64 = pa.int64()
+_SHINGLE_T = pa.list_(_I64)
+_PAIRS = pa.schema([("doc_a", _I64), ("doc_b", _I64)])
+_JACCARD = pa.schema([("doc_a", _I64), ("doc_b", _I64), ("jaccard", pa.float64())])
+_HAMMING = pa.schema([("doc_a", _I64), ("doc_b", _I64), ("hamming", _I64)])
+_LABELS = pa.schema([("node", _I64), ("label", _I64)])
 
 
+def _run_pairs(starts: np.ndarray, ends: np.ndarray, max_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (a, b), a < b, of every pair inside each run of 2 to
+    ``max_size`` rows."""
+    size = ends - starts
+    sel = (size >= 2) & (size <= max_size)
+    out_a, out_b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for s, n in zip(starts[sel], size[sel]):
+        a, b = np.triu_indices(n, k=1)
+        out_a.append(s + a)
+        out_b.append(s + b)
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def _i64(col) -> np.ndarray:
+    return pc.cast(col, _I64).to_numpy()
 
 
 # ---------------- exact ----------------
 
+def _text_groups(t: pa.Table) -> pa.Table:
+    """(doc_id, n_dups, text_sha) rows → one row per text_sha: min
+    doc_id, summed n_dups (a block's partial and the merge alike)."""
+    g = t.group_by("text_sha", use_threads=False).aggregate([("doc_id", "min"), ("n_dups", "sum")])
+    return pa.table([g["doc_id_min"], g["n_dups_sum"], g["text_sha"]], names=["doc_id", "n_dups", "text_sha"])
+
+
 def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """→ one row per distinct text: (doc_id = min id, n_dups)."""
-    from ray.data.aggregate import Count, Min
 
-    def add_hash(batch: pa.Table) -> pa.Table:
+    def partial(batch: pa.Table) -> pa.Table:
         h = [hashlib.sha256((t or "").encode()).hexdigest() for t in batch[text_col].to_pylist()]
-        return batch.select([id_col]).append_column("text_sha", pa.array(h))
+        return _text_groups(pa.table({"doc_id": pc.cast(batch[id_col], _I64),
+                                      "n_dups": np.ones(batch.num_rows, np.int64),
+                                      "text_sha": pa.array(h, pa.string())}))
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("text_sha")
-        .aggregate(Min(id_col, alias_name=id_col), Count(alias_name="n_dups"))
-        .select_columns([id_col, "n_dups"])
+    return group_by_key(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True), ["text_sha"],
+        lambda t: _text_groups(t).select(["doc_id", "n_dups"]).rename_columns([id_col, "n_dups"]),
+        pa.schema([("doc_id", _I64), ("n_dups", _I64), ("text_sha", pa.string())]),
     )
 
 
 # ---------------- n-gram Jaccard (exact) ----------------
-
-_SHINGLE_T = pa.list_(pa.int64())
-_EMPTY_PAIRS = pa.table(
-    {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()), "jaccard": pa.array([], pa.float64())}
-)
-
 
 def _shingle_table(batch: pa.Table, text_col: str, id_col: str, k: int) -> pa.Table:
     """docs batch → (doc_id, shingles: sorted distinct 64-bit shingle ids)
@@ -67,15 +98,13 @@ def _shingle_table(batch: pa.Table, text_col: str, id_col: str, k: int) -> pa.Ta
     token-hash call + k vectorized mix steps
     (``functions/minhash.batch_shingle_hashes``) — no per-position
     string building (was the suite's slowest stage in round 2)."""
-    import pyarrow.compute as pc
-
     analyzer = Analyzer("simple")
     toks = [analyzer.tokens(t or "") for t in batch[text_col].to_pylist()]
     vals, offs = batch_shingle_hashes(toks, k)
     return pa.table({
-        "doc_id": pc.cast(batch[id_col], pa.int64()),
+        "doc_id": pc.cast(batch[id_col], _I64),
         "shingles": pa.ListArray.from_arrays(
-            pa.array(offs.astype(np.int32)), pa.array(vals, pa.int64())
+            pa.array(offs.astype(np.int32)), pa.array(vals, _I64)
         ),
     })
 
@@ -87,170 +116,91 @@ def _doc_shingles(ds, text_col: str, id_col: str, k: int):
     return ds.map_batches(shingles, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _verify_pairs_exact(doc_sh, cand, threshold: float, n_rows: int | None = None,
-                        min_shared: int = 1) -> "object":
+def _pair_table(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    return pa.table([pa.array(a, _I64), pa.array(b, _I64)], schema=_PAIRS)
+
+
+_SIDES = pa.schema([("key", _I64), ("side", pa.int32()), ("doc_a", _I64), ("doc_b", _I64),
+                    ("shingles", _SHINGLE_T)])
+
+
+def _verify_pairs_exact(doc_sh, cand, threshold: float, min_shared: int = 1):
     """Exact-Jaccard verification of candidate pairs over the docs' FULL
-    distinct-shingle sets — Dataset end-to-end (the round-2 version
-    collected the candidate list to the driver between generation and
-    verify; r2 verdict "what's wrong" #4).
+    distinct-shingle sets — Dataset end-to-end, two exchanges, no driver
+    round-trip, and only 64-bit ids move (never text).
 
     ``doc_sh``: Dataset (doc_id, shingles) — ALL docs; ``cand``: Dataset
-    (doc_a, doc_b). Shape: a doc-id-keyed hash join from two legs —
-    (1) each doc's sorted distinct shingle-id array (text never shuffles,
-    only 64-bit ids), (2) the candidate pairs exploded to (doc_id, side)
-    rows — unioned and co-grouped on a COARSE hash of the doc id (one
-    Ray group per doc would pay per-group overhead on every doc in the
-    corpus; inside each coarse group the attach is ONE pandas merge).
-    Docs with no pair rows drop in the merge (the semi-join that replaced
-    the driver-built ``is_in`` value set). A second coarse co-group on
-    hash(doc_a, doc_b) computes |A∩B| / |A∪B| per pair with sorted-array
-    intersects; duplicate candidates dedupe there
-    No driver round-trip anywhere; coarse reducer memory is its ~2000
-    docs' shingle arrays.
+    (doc_a, doc_b), which may hold one pair many times (candidate
+    generation re-emits a pair once per shared shingle / LSH band).
 
-    ``cand`` may contain the same pair many times (candidate generation
-    re-emits a pair once per shared shingle / LSH band); the first step
-    collapses it to DISTINCT pairs with a shared-count — an 8-byte-key
-    shuffle that keeps the duplicates OUT of the expensive array-bearing
-    attach join (426k instances → 30k pairs at the 5k-doc bench shape).
-    ``min_shared`` additionally drops pairs sharing fewer than that many
-    qualifying shingles — a declared semantic parameter (mirror it in
-    any SQL twin via GROUP BY pair HAVING count(*) >= m)."""
-    n_coarse = max(32, (n_rows if n_rows is not None else doc_sh.count()) // 2_000)
+    1. Attach, keyed on the doc id: every doc's shingle row and every
+       candidate instance once per endpoint (``side`` 0 = doc_a, 1 =
+       doc_b). A part holds ALL instances of a pair keyed on one end, so
+       it counts them per (pair, side) and keeps each pair once — the
+       duplicates never reach the array-bearing rows — and drops pairs
+       sharing fewer than ``min_shared`` qualifying shingles (a declared
+       semantic parameter: mirror it in any SQL twin via GROUP BY pair
+       HAVING count(*) >= m). Each kept row takes its doc's shingle set
+       with ``pc.index_in`` + ``take`` (Arrow's ``join`` rejects the
+       list-typed ``shingles`` payload). Docs with no pair row drop.
+    2. Jaccard, keyed on the pair: its two rows meet; |A∩B| / |A∪B| by
+       a sorted-array intersect, kept when ≥ ``threshold``."""
 
-    # distinct-pair pre-aggregation via the same coarse-pair-hash co-group
-    # used below (Ray's native multi-key groupby is a full sort shuffle —
-    # measured 139 s on 426k rows at this shape vs <1 s for this pattern)
-    def add_pair_key(b: pa.Table) -> pa.Table:
-        a_ = b["doc_a"].to_numpy().astype(np.int64)
-        d_ = b["doc_b"].to_numpy().astype(np.int64)
-        return pa.table({"doc_a": pa.array(a_), "doc_b": pa.array(d_),
-                         "dkey": pa.array(_coarse_of_pairs(a_, d_, n_coarse))})
-
-    def distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby(["doc_a", "doc_b"], sort=False).size().reset_index(name="n_shared")
-        if min_shared > 1:
-            m = m[m["n_shared"] >= min_shared]
-        return m[["doc_a", "doc_b"]]
-
-    cand = (
-        cand.map_batches(add_pair_key, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dkey")
-        .map_groups(distinct_pairs, batch_format="pandas")
-    )
-
-    def pairs_leg(b: pa.Table) -> pa.Table:
-        da = b["doc_a"].to_numpy().astype(np.int64)
-        db = b["doc_b"].to_numpy().astype(np.int64)
+    def pair_rows(b: pa.Table) -> pa.Table:
+        da, db = _i64(b["doc_a"]), _i64(b["doc_b"])
         n = da.size
-        key = np.concatenate([da, db])
-        return pa.table({
-            "key": pa.array(key),
-            "ckey": pa.array(_coarse_of_ids(key, n_coarse)),
-            "side": pa.array(np.concatenate([np.zeros(n, np.int32), np.ones(n, np.int32)])),
-            "doc_a": pa.array(np.concatenate([da, da])),
-            "doc_b": pa.array(np.concatenate([db, db])),
-            "shingles": pa.ListArray.from_arrays(
-                pa.array(np.zeros(2 * n + 1, np.int32)), pa.array([], pa.int64())
-            ),
-        })
+        return pa.table([
+            np.concatenate([da, db]), np.repeat(np.int32([0, 1]), n),
+            np.concatenate([da, da]), np.concatenate([db, db]),
+            pa.ListArray.from_arrays(pa.array(np.zeros(2 * n + 1, np.int32)), pa.array([], _I64)),
+        ], schema=_SIDES)
 
-    def docs_leg(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        ids = b["doc_id"].to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, n_coarse)),
-            "side": pa.array(np.full(n, -1, np.int32)),
-            "doc_a": pa.array(np.full(n, -1, np.int64)),
-            "doc_b": pa.array(np.full(n, -1, np.int64)),
-            "shingles": b["shingles"],
-        })
+    def doc_rows(b: pa.Table) -> pa.Table:
+        none = np.full(b.num_rows, -1, np.int64)
+        return pa.table([_i64(b["doc_id"]), none.astype(np.int32), none, none, b["shingles"]],
+                        schema=_SIDES)
 
-    def attach_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        doc_rows = g[g["side"] < 0]
-        pair_rows = g[g["side"] >= 0]
-        # inner merge handles the empty cases too (same schema out)
-        out = pair_rows.drop(columns=["shingles"]).merge(
-            doc_rows[["key", "shingles"]], on="key", how="inner")
-        out["pkey"] = _coarse_of_pairs(out["doc_a"].to_numpy(np.int64),
-                                       out["doc_b"].to_numpy(np.int64), n_coarse)
-        return out
-
-    def jaccard_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        # candidates are distinct upstream → exactly one row per (pair,
-        # side); vectorized lexsort segmentation replaces a per-pair
-        # pandas groupby (the old Python loop was the verify hot spot)
-        empty = pd.DataFrame({"doc_a": pd.Series(dtype="int64"),
-                              "doc_b": pd.Series(dtype="int64"),
-                              "jaccard": pd.Series(dtype="float64")})
-        if not len(g):
-            return empty
-        a = g["doc_a"].to_numpy(np.int64)
-        b = g["doc_b"].to_numpy(np.int64)
-        s = g["side"].to_numpy(np.int32)
-        sh = g["shingles"].to_numpy()
+    def attach(t: pa.Table) -> pa.Table:
+        side = t["side"].to_numpy()
+        docs, inst = t.filter(pa.array(side < 0)), t.filter(pa.array(side >= 0))
+        a, b, s = inst["doc_a"].to_numpy(), inst["doc_b"].to_numpy(), inst["side"].to_numpy()
         order = np.lexsort((s, b, a))
-        a, b, s, sh = a[order], b[order], s[order], sh[order]
-        new = np.empty(a.size, bool)
-        new[0] = True
-        new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], a.size)
-        out_a, out_b, out_j = [], [], []
-        for st, en in zip(starts, ends):
-            if en - st != 2 or s[st] == s[st + 1]:
-                continue
-            a_s = np.asarray(sh[st], dtype=np.int64)
-            b_s = np.asarray(sh[st + 1], dtype=np.int64)
-            inter = np.intersect1d(a_s, b_s, assume_unique=True).size
-            union = a_s.size + b_s.size - inter
-            ja = inter / union if union else 1.0
-            if ja >= threshold:
-                out_a.append(int(a[st]))
-                out_b.append(int(b[st]))
-                out_j.append(ja)
-        if not out_a:
-            return empty
-        return pd.DataFrame({"doc_a": np.asarray(out_a, np.int64),
-                             "doc_b": np.asarray(out_b, np.int64),
-                             "jaccard": np.asarray(out_j, np.float64)})
+        starts, ends = key_runs(a[order], b[order], s[order])
+        rows = inst.take(order[starts[ends - starts >= min_shared]])
+        idx = pc.index_in(rows["key"], value_set=docs["key"].combine_chunks())
+        rows = rows.filter(pc.is_valid(idx))
+        return rows.set_column(4, "shingles", docs["shingles"].take(idx.drop_null()))
 
-    return (
-        doc_sh.map_batches(docs_leg, batch_format="pyarrow", zero_copy_batch=True)
-        .union(cand.map_batches(pairs_leg, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("ckey")
-        .map_groups(attach_coarse, batch_format="pandas")
-        .groupby("pkey")
-        .map_groups(jaccard_coarse, batch_format="pandas")
-    )
+    def jaccard(t: pa.Table) -> pa.Table:
+        a, b, s = t["doc_a"].to_numpy(), t["doc_b"].to_numpy(), t["side"].to_numpy()
+        order = np.lexsort((s, b, a))
+        starts, ends = key_runs(a[order], b[order])
+        both = starts[ends - starts == 2]
+        first, second = order[both], order[both + 1]
+        sh = t["shingles"].combine_chunks()
+        offs, vals = sh.offsets.to_numpy(), sh.values.to_numpy()
+        jac = np.empty(first.size, np.float64)
+        for n, (i, j) in enumerate(zip(first, second)):
+            x, y = vals[offs[i]:offs[i + 1]], vals[offs[j]:offs[j + 1]]
+            inter = np.intersect1d(x, y, assume_unique=True).size
+            union = x.size + y.size - inter
+            jac[n] = inter / union if union else 1.0
+        keep = jac >= threshold
+        return pa.table([a[first][keep], b[first][keep], jac[keep]], schema=_JACCARD)
+
+    legs = (doc_sh.map_batches(doc_rows, batch_format="pyarrow", zero_copy_batch=True)
+            .union(cand.map_batches(pair_rows, batch_format="pyarrow", zero_copy_batch=True)))
+    return group_by_key(group_by_key(legs, ["key"], attach, _SIDES), ["doc_a", "doc_b"], jaccard, _SIDES)
 
 
-def _coarse_of_ids(ids: np.ndarray, n_coarse: int) -> np.ndarray:
-    from ..functions.minhash import _mix64
+def _collect_pairs(ds) -> pa.Table:
+    """A pairs Dataset in the driver, sorted by (doc_a, doc_b) — the small
+    deliverable; at cluster scale consume the Dataset from the pair
+    functions' ``collect=False`` instead."""
+    import ray
 
-    return (_mix64(ids.astype(np.uint64)) % np.uint64(n_coarse)).astype(np.int64)
-
-
-def _coarse_of_pairs(a: np.ndarray, b: np.ndarray, n_coarse: int) -> np.ndarray:
-    from ..functions.minhash import _mix64
-
-    h = _mix64(_mix64(a.astype(np.uint64)) ^ b.astype(np.uint64))
-    return (h % np.uint64(n_coarse)).astype(np.int64)
-
-
-def _collect_pairs(verified_ds) -> pa.Table:
-    """Collect + sort a verified-pairs Dataset (the small deliverable; at
-    cluster scale consume the Dataset from the pair functions'
-    ``collect=False`` instead)."""
-    verified = verified_ds.to_pandas()
-    if len(verified) == 0:
-        return _EMPTY_PAIRS
-    verified = verified.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    return pa.Table.from_pandas(
-        verified.astype({"doc_a": "int64", "doc_b": "int64"})[["doc_a", "doc_b", "jaccard"]],
-        preserve_index=False,
-    )
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return t.take(pc.sort_indices(t, [("doc_a", "ascending"), ("doc_b", "ascending")]))
 
 
 def ngram_jaccard_pairs(
@@ -260,70 +210,38 @@ def ngram_jaccard_pairs(
     k: int = 3,
     threshold: float = 0.8,
     max_shingle_df: int = 50,
-    n_rows: int | None = None,
     collect: bool = True,
     min_shared: int = 1,
-    _doc_sh=None,
 ):
     """→ (doc_a, doc_b, jaccard): candidate pairs share ≥ ``min_shared``
     shingles with df ≤ max_shingle_df (the frequency-stop — hot shingles
     carry no dedup signal but quadratic pair cost), then exact Jaccard
     over the docs' FULL distinct-shingle sets, kept when ≥ threshold.
 
-    Everything runs as Datasets end-to-end: explode → coarse-bucketed
-    candidate generation → distributed verify join; only the final
-    verified pairs are collected (``collect=False`` returns the Dataset).
-
-    ``_doc_sh``: optionally a prebuilt (doc_id, shingles) Dataset — pass
-    a MATERIALIZED one when the returned Dataset will itself be
-    ``materialize()``d: Ray 2.49's executor deadlocks materializing a DAG
-    whose un-materialized source feeds two branches (the to_pandas path
-    handles the diamond via execution caching; materialize does not)."""
-    doc_sh = _doc_sh if _doc_sh is not None else _doc_shingles(ds, text_col, id_col, k)
+    Everything runs as Datasets end-to-end: explode → candidate pairs
+    per shingle (one exchange on the shingle id) → distributed verify
+    join; only the final verified pairs are collected (``collect=False``
+    returns the Dataset)."""
+    # materialized: the candidate and verify exchanges both read it
+    doc_sh = _doc_shingles(ds, text_col, id_col, k).materialize()
 
     def explode(b: pa.Table) -> pa.Table:
-        offs = b["shingles"].combine_chunks().offsets.to_numpy(zero_copy_only=False)
-        counts = np.diff(offs).astype(np.int64)
+        sh = b["shingles"].combine_chunks()
         return pa.table({
-            "doc_id": pa.array(np.repeat(b["doc_id"].to_numpy(), counts)),
-            "shingle": b["shingles"].combine_chunks().values,
+            "doc_id": np.repeat(_i64(b["doc_id"]), np.diff(sh.offsets.to_numpy())),
+            "shingle": sh.flatten(),
         })
 
-    # candidate generation per shingle group (frequency-stopped) — the
-    # shuffle key is a COARSE hash of the shingle id (bounded group count;
-    # one Ray group per distinct shingle would pay per-group overhead on
-    # hundreds of thousands of tiny groups), with the per-shingle pair
-    # logic running inside each coarse group
-    # n_rows hint avoids executing a derived upstream twice (count + run);
-    # resolved ONCE here and reused by the verify join's coarse keying
-    n_all = n_rows if n_rows is not None else ds.count()
-    n_coarse = max(32, n_all // 20_000)
+    def shingle_pairs(t: pa.Table) -> pa.Table:
+        sh, ids = t["shingle"].to_numpy(), t["doc_id"].to_numpy()
+        order = np.lexsort((ids, sh))
+        ids = ids[order]
+        a, b = _run_pairs(*key_runs(sh[order]), max_shingle_df)
+        return _pair_table(ids[a], ids[b])
 
-    def add_coarse(b: pa.Table) -> pa.Table:
-        ck = (b["shingle"].to_numpy().astype(np.uint64) % np.uint64(n_coarse)).astype(np.int64)
-        return b.append_column("ckey", pa.array(ck))
-
-    def pairs_of_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g.duplicated("shingle", keep=False)]
-        out_a, out_b = [], []
-        for _, gg in g.groupby("shingle", sort=False):
-            ids = np.sort(gg["doc_id"].to_numpy())
-            if ids.size < 2 or ids.size > max_shingle_df:
-                continue
-            a, b = np.triu_indices(ids.size, k=1)
-            out_a.append(ids[a])
-            out_b.append(ids[b])
-        if not out_a:
-            return pd.DataFrame({"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64")})
-        return pd.DataFrame({"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)})
-
-    cand = (
-        doc_sh.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ckey")
-        .map_groups(pairs_of_coarse, batch_format="pandas")
-    )
-    verified = _verify_pairs_exact(doc_sh, cand, threshold, n_rows=n_all, min_shared=min_shared)
+    cand = group_by_key(doc_sh.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+                        ["shingle"], shingle_pairs, pa.schema([("doc_id", _I64), ("shingle", _I64)]))
+    verified = _verify_pairs_exact(doc_sh, cand, threshold, min_shared=min_shared)
     return _collect_pairs(verified) if collect else verified
 
 
@@ -362,62 +280,35 @@ def minhash_near_dup_pairs(
     n_bands: int = 32,
     threshold: float = 0.8,
     seed: int = 42,
-    n_rows: int | None = None,
     collect: bool = True,
-    _doc_sh=None,
 ):
     """LSH candidates → exact-Jaccard verification → (doc_a, doc_b, jaccard).
 
     Dataset end-to-end: the shared shingle-id stage feeds both the band
     leg (signatures) and the verify leg (full shingle sets); candidates
-    flow straight into the distributed doc-id-keyed verify join
-    (``_verify_pairs_exact``) — no driver round-trip, no text fetch.
-    Pass a MATERIALIZED ``_doc_sh`` when the returned Dataset will be
-    ``materialize()``d (same Ray 2.49 diamond caveat as the ngram path)."""
-    doc_sh = _doc_sh if _doc_sh is not None else _doc_shingles(ds, text_col, id_col, k)
+    come from one exchange on the (band, band_key) bucket and flow
+    straight into the distributed doc-id-keyed verify join
+    (``_verify_pairs_exact``, which also dedupes cross-band repeats) —
+    no driver round-trip, no text fetch."""
+    doc_sh = _doc_shingles(ds, text_col, id_col, k).materialize()
     bands = doc_sh.map_batches(
         lambda b: _minhash_bands(b, n_hashes, n_bands, seed),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
 
-    # One (band, band_key) bucket per group would make Ray materialize a
-    # pandas group per bucket — ~n_docs·bands tiny groups, and the
-    # per-group overhead dominates (measured 6 s of an 8 s stage at
-    # sf0.1). Instead shuffle on a COARSE hash of the bucket key (bounded
-    # group count ∝ data size) and find duplicate bucket keys vectorized
-    # inside each coarse group; only non-singleton buckets (actual
-    # near-dup candidates — rare) pay a Python iteration.
-    n_all = n_rows if n_rows is not None else ds.count()
-    n_coarse = max(32, n_all // 50_000)
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        band, key, ids = t["band"].to_numpy(), t["band_key"].to_numpy(), t["doc_id"].to_numpy()
+        order = np.lexsort((ids, key, band))
+        band, key, ids = band[order], key[order], ids[order]
+        first, _ = key_runs(band, key, ids)  # each doc once per bucket
+        band, key, ids = band[first], key[first], ids[first]
+        a, b = _run_pairs(*key_runs(band, key), 200)  # degenerate bucket guard
+        return _pair_table(ids[a], ids[b])
 
-    def add_coarse(b: pa.Table) -> pa.Table:
-        ck = (b["band"].to_numpy().astype(np.int64) * n_coarse
-              + (b["band_key"].to_numpy().astype(np.uint64) % np.uint64(n_coarse)).astype(np.int64))
-        return b.append_column("ckey", pa.array(ck))
-
-    def pairs_of_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g.duplicated(["band", "band_key"], keep=False)]
-        out_a, out_b = [], []
-        for _, gg in g.groupby(["band", "band_key"], sort=False):
-            ids = np.unique(gg["doc_id"].to_numpy())
-            if ids.size < 2 or ids.size > 200:  # degenerate bucket guard
-                continue
-            a, b = np.triu_indices(ids.size, k=1)
-            out_a.append(ids[a])
-            out_b.append(ids[b])
-        if not out_a:
-            return pd.DataFrame({"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64")})
-        return pd.DataFrame({"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b)})
-
-    cand = (
-        bands.map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ckey")
-        .map_groups(pairs_of_coarse, batch_format="pandas")
-    )
-    # cross-band duplicate candidates dedupe in the verify's distinct-
-    # pair pre-aggregation — no driver collection
-    verified = _verify_pairs_exact(doc_sh, cand, threshold, n_rows=n_all)
+    cand = group_by_key(bands, ["band", "band_key"], bucket_pairs,
+                        pa.schema([("doc_id", _I64), ("band", pa.int32()), ("band_key", _I64)]))
+    verified = _verify_pairs_exact(doc_sh, cand, threshold)
     return _collect_pairs(verified) if collect else verified
 
 
@@ -439,21 +330,16 @@ def simhash_sketch(ds, text_col: str = "text", id_col: str = "doc_id"):
 
 
 def simhash_near_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id", max_hamming: int = 3,
-                           n_rows: int | None = None, collect: bool = True):
+                           collect: bool = True):
     """Near-dups by SimHash: bucket on each of 4 16-bit chunks (any pair
     within hamming ≤ 3 of 64 bits shares ≥1 identical chunk when ≤3 bits
     differ across 4 chunks — pigeonhole), verify hamming inside buckets."""
-    sk = simhash_sketch(ds, text_col, id_col)
-    # count the INPUT when unsized (cheap for parquet/from_arrow sources;
-    # counting the lazy sketch would execute the hash stage twice)
-    return hamming_near_dup_pairs(sk, id_col="doc_id", hash_col="simhash",
-                                  max_hamming=max_hamming, collect=collect,
-                                  n_rows=n_rows if n_rows is not None else ds.count())
+    return hamming_near_dup_pairs(simhash_sketch(ds, text_col, id_col), id_col="doc_id",
+                                  hash_col="simhash", max_hamming=max_hamming, collect=collect)
 
 
 def hamming_near_dup_pairs(sk, id_col: str = "doc_id", hash_col: str = "simhash",
-                           max_hamming: int = 3, n_chunks: int = 4,
-                           n_rows: int | None = None, max_bucket: int = 500,
+                           max_hamming: int = 3, n_chunks: int = 4, max_bucket: int = 500,
                            chunk_pairs: bool = False, collect: bool = True):
     """Generic pigeonhole near-dup over ANY 64-bit sketch column (SimHash
     text sketches, image dHash/pHash, …): explode each hash into
@@ -467,7 +353,7 @@ def hamming_near_dup_pairs(sk, id_col: str = "doc_id", hash_col: str = "simhash"
     ``n_chunks − 2`` and — the point — the bucket key carries 2×bits of
     selectivity, so higher ``n_chunks`` (needed for larger radii) doesn't
     collapse into giant single-chunk buckets. C(n_chunks, 2) replicas of
-    a 16-byte row per sketch; text/pixels never shuffle either way.
+    a 24-byte row per sketch; text/pixels never shuffle either way.
 
     → pa.Table (doc_a, doc_b, hamming), sorted; with ``collect=False`` a
     Dataset of the same columns (unsorted) — the cluster-scale consumer,
@@ -481,105 +367,46 @@ def hamming_near_dup_pairs(sk, id_col: str = "doc_id", hash_col: str = "simhash"
         raise ValueError(f"chunk-pair probing needs max_hamming <= n_chunks - 2, got {max_hamming} > {n_chunks - 2}")
     bits = 64 // n_chunks
     mask = np.uint64((1 << bits) - 1)
+    buckets = pa.schema([("doc_id", _I64), ("chunk", pa.int32()), ("chunk_key", _I64), ("sketch", _I64)])
 
     def explode(batch: pa.Table) -> pa.Table:
-        h = batch[hash_col].to_numpy().astype(np.uint64)
-        ids = batch[id_col].to_numpy()
+        sketch = _i64(batch[hash_col])
+        h = sketch.view(np.uint64)
+        ids = _i64(batch[id_col])
         vals = [((h >> np.uint64(bits * c)) & mask).astype(np.int64) for c in range(n_chunks)]
-        out_id, out_c, out_k = [], [], []
         if chunk_pairs:
-            for ci in range(n_chunks):
-                for cj in range(ci + 1, n_chunks):
-                    out_id.append(ids)
-                    out_c.append(np.full(ids.size, ci * n_chunks + cj))
-                    out_k.append((vals[ci] << np.int64(bits)) | vals[cj])
+            probes = [(ci * n_chunks + cj, (vals[ci] << np.int64(bits)) | vals[cj])
+                      for ci in range(n_chunks) for cj in range(ci + 1, n_chunks)]
         else:
-            for c in range(n_chunks):
-                out_id.append(ids)
-                out_c.append(np.full(ids.size, c))
-                out_k.append(vals[c])
-        reps = len(out_id)
-        return pa.table(
-            {
-                "doc_id": pa.array(np.concatenate(out_id)),
-                "chunk": pa.array(np.concatenate(out_c), type=pa.int32()),
-                "chunk_key": pa.array(np.concatenate(out_k)),
-                "sketch": pa.array(np.tile(batch[hash_col].to_numpy(), reps)),
-            }
-        )
+            probes = list(enumerate(vals))
+        return pa.table([
+            np.tile(ids, len(probes)),
+            np.repeat(np.int32([c for c, _ in probes]), ids.size),
+            np.concatenate([k for _, k in probes]),
+            np.tile(sketch, len(probes)),
+        ], schema=buckets)
 
-    def _bucket_pairs(ids: np.ndarray, hs: np.ndarray):
-        a, b = np.triu_indices(ids.size, k=1)
-        x = hs[a] ^ hs[b]
-        ham = np.zeros(x.size, dtype=np.int64)
-        for _ in range(64):
-            ham += (x & np.uint64(1)).astype(np.int64)
-            x >>= np.uint64(1)
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        c, key, ids, sk = (t[n].to_numpy() for n in ("chunk", "chunk_key", "doc_id", "sketch"))
+        order = np.lexsort((ids, key, c))
+        first, _ = key_runs(c[order], key[order], ids[order])  # each doc once per bucket
+        keep = order[first]
+        c, key, ids, sk = c[keep], key[keep], ids[keep], sk[keep].view(np.uint64)
+        a, b = _run_pairs(*key_runs(c, key), max_bucket)
+        ham = np.unpackbits((sk[a] ^ sk[b]).view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1, dtype=np.int64)
         m = ham <= max_hamming
-        return ids[a][m], ids[b][m], ham[m]
+        return pa.table([ids[a][m], ids[b][m], ham[m]], schema=_HAMMING)
 
-    # coarse-keyed shuffle (see minhash path: per-bucket Ray groups pay
-    # per-group overhead on ~4·n_docs tiny groups)
-    def pairs_of_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["chunk", "chunk_key", "doc_id"])
-        g = g[g.duplicated(["chunk", "chunk_key"], keep=False)]
-        out_a, out_b, out_h = [], [], []
-        for _, gg in g.groupby(["chunk", "chunk_key"], sort=False):
-            gg = gg.sort_values("doc_id")
-            ids = gg["doc_id"].to_numpy()
-            if ids.size < 2 or ids.size > max_bucket:
-                continue
-            a, b, h = _bucket_pairs(ids, gg["sketch"].to_numpy().astype(np.uint64))
-            out_a.append(a)
-            out_b.append(b)
-            out_h.append(h)
-        if not out_a:
-            return pd.DataFrame({"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
-                                 "hamming": pd.Series(dtype="int64")})
-        return pd.DataFrame({"doc_a": np.concatenate(out_a), "doc_b": np.concatenate(out_b),
-                             "hamming": np.concatenate(out_h)})
+    def distinct_pairs(t: pa.Table) -> pa.Table:
+        # a pair matches in up to C(n_chunks, 2) buckets, with one hamming
+        a, b = t["doc_a"].to_numpy(), t["doc_b"].to_numpy()
+        order = np.lexsort((b, a))
+        return t.take(order[key_runs(a[order], b[order])[0]])
 
-    n_coarse = max(32, (n_rows if n_rows is not None else sk.count()) // 50_000)
-
-    def add_coarse(b: pa.Table) -> pa.Table:
-        ck = (b["chunk"].to_numpy().astype(np.int64) * n_coarse
-              + (b["chunk_key"].to_numpy().astype(np.int64) % n_coarse))
-        return b.append_column("ckey", pa.array(ck))
-
-    # cross-chunk duplicates (a pair can match in up to 4 chunk buckets)
-    # dedupe DISTRIBUTED on a coarse hash of the pair — hamming is
-    # identical for every instance, so drop_duplicates per pair is exact.
-    # (Ray's native multi-key groupby is a full sort shuffle with a
-    # measured ~139 s cliff at 426k rows — a degenerate high-dup-rate
-    # sketch corpus produces exactly that many pair instances.)
-    def add_pair_key(b: pa.Table) -> pa.Table:
-        a_ = b["doc_a"].to_numpy().astype(np.int64)
-        d_ = b["doc_b"].to_numpy().astype(np.int64)
-        return pa.table({"doc_a": pa.array(a_), "doc_b": pa.array(d_),
-                         "hamming": b["hamming"],
-                         "pkey": pa.array(_coarse_of_pairs(a_, d_, n_coarse))})
-
-    def distinct_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["doc_a", "doc_b"])[["doc_a", "doc_b", "hamming"]]
-
-    deduped = (
-        sk.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ckey")
-        .map_groups(pairs_of_coarse, batch_format="pandas")
-        .map_batches(add_pair_key, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pkey")
-        .map_groups(distinct_pairs, batch_format="pandas")
-    )
-    if not collect:
-        return deduped
-    pairs = deduped.to_pandas()
-    if not len(pairs):
-        pairs = pd.DataFrame(
-            {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"), "hamming": pd.Series(dtype="int64")}
-        )
-    pairs = pairs.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-    return pa.Table.from_pandas(pairs.astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"}), preserve_index=False)
+    pairs = group_by_key(sk.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+                         ["chunk", "chunk_key"], bucket_pairs, buckets)
+    deduped = group_by_key(pairs, ["doc_a", "doc_b"], distinct_pairs, _HAMMING)
+    return _collect_pairs(deduped) if collect else deduped
 
 
 # ---------------- decontamination (benchmark-overlap removal) ----------------
@@ -664,12 +491,21 @@ def decontaminate(ds, bench_ds, text_col: str = "text", id_col: str = "doc_id",
 
 # ---------------- near-dup grouping (connected components) ----------------
 
-def _cc_one_block(b: pa.Table) -> pa.Table:
-    """In-memory connected components of one edge block: vectorized
+# Pair graphs with at most this many edges are labeled in ONE task
+# (:func:`_cc_one_block`): near-dup edge sets are bounded by the dup
+# rate, not the corpus, so even petabyte corpora usually produce graphs
+# far below it, and the iterative path's per-round exchanges dominate
+# its runtime there. 2M edges are ~32 MB. Tests set it to 0 to force
+# the iterative path.
+SMALL_GRAPH_ROWS = 2_000_000
+
+
+def _cc_one_block(*blocks: pa.Table) -> pa.Table:
+    """In-memory connected components of an edge list: vectorized
     hash-min + pointer jumping over index arrays (no Python per-edge
-    loop). Exact; used for pair graphs under the small-graph threshold."""
-    a = b["doc_a"].to_numpy().astype(np.int64)
-    d = b["doc_b"].to_numpy().astype(np.int64)
+    loop). Exact; used for pair graphs up to ``SMALL_GRAPH_ROWS``."""
+    b = pa.concat_tables([x for x in blocks if x.num_rows])
+    a, d = _i64(b["doc_a"]), _i64(b["doc_b"])
     nodes, inv = np.unique(np.concatenate([a, d]), return_inverse=True)
     ai, di = inv[: a.size], inv[a.size:]
     label = np.arange(nodes.size, dtype=np.int64)
@@ -680,11 +516,27 @@ def _cc_one_block(b: pa.Table) -> pa.Table:
         label = np.minimum(label, label[label])  # pointer jump
         if np.array_equal(label, prev):
             break
-    return pa.table({"node": pa.array(nodes), "label": pa.array(nodes[label])})
+    return pa.table([nodes, nodes[label]], schema=_LABELS)
 
 
-def connected_components(pairs, max_rounds: int = 32, n_coarse: int | None = None,
-                         small_graph_rows: int = 2_000_000):
+def _nodes(ids: np.ndarray) -> pa.Table:
+    """The distinct ``ids``, each labeled with itself."""
+    u = np.unique(ids)
+    return pa.table([u, u], schema=_LABELS)
+
+
+_EDGES = pa.schema([("key", _I64), ("nbr", _I64), ("label", _I64)])
+_MINS = pa.schema([("node", _I64), ("label", _I64), ("old", _I64)])
+
+
+def _edge_rows(a: np.ndarray, d: np.ndarray) -> pa.Table:
+    """Undirected edges (a, d) as one row per direction, keyed on the
+    sending end."""
+    return pa.table([np.concatenate([a, d]), np.concatenate([d, a]),
+                     np.full(2 * a.size, -1, np.int64)], schema=_EDGES)
+
+
+def connected_components(pairs, max_rounds: int = 32):
     """→ Dataset (node, label): label = MIN doc id in the node's connected
     component of the pair graph — the clustering step of "keep one doc
     per near-dup group".
@@ -695,152 +547,68 @@ def connected_components(pairs, max_rounds: int = 32, n_coarse: int | None = Non
     every node takes the min; the min label travels one hop per round,
     so rounds = component diameter (near-dup clusters are tiny — typical
     convergence in 2–4 rounds; ``max_rounds`` is a safety cap and
-    non-convergence raises). Each round is two coarse-keyed shuffles
-    (hash of node id — one Ray group per node would pay per-group
-    overhead) and the label table MATERIALIZES per round: it is the
-    iterative working set (16 B/touched-node, spillable), and without it
-    the lineage re-executes all prior rounds.
+    non-convergence raises). Each round is two exchanges on the node id
+    (send labels along edges; take the min per node) over the label
+    table of the round before, which the exchange leaves in the object
+    store (16 B/touched-node, spillable) — no lineage re-executes prior
+    rounds.
 
     Only nodes that appear in ``pairs`` are labeled (singletons are
     trivially their own component — callers join them back, see
-    :func:`near_dup_groups`).
-
-    Pair graphs at or under ``small_graph_rows`` edges take a one-task
-    fast path instead (:func:`_cc_one_block` — vectorized in-memory
-    pointer jumping inside a single worker): near-dup edge sets are
-    bounded by the dup rate, not the corpus, so even petabyte corpora
-    usually produce graphs far below this threshold, and the iterative
-    path's per-round shuffle overhead dominates its runtime there. At
-    the 2M-edge default the single block is ~32 MB. Set
-    ``small_graph_rows=0`` to force the iterative path (tests do)."""
-    from ray.data.aggregate import Min, Sum
+    :func:`near_dup_groups`). Graphs of at most ``SMALL_GRAPH_ROWS``
+    edges take the one-task path instead."""
+    import ray
+    import ray.data as rd
 
     n_pairs = pairs.count()
-    if n_pairs <= small_graph_rows:
-        import ray.data as _rd
+    if n_pairs == 0:
+        return rd.from_arrow(_LABELS.empty_table())
+    if n_pairs <= SMALL_GRAPH_ROWS:
+        return rd.from_arrow_refs([ray.remote(_cc_one_block).remote(*pairs.to_arrow_refs())])
 
-        if n_pairs == 0:
-            return _rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
-                                            "label": pa.array([], pa.int64())}))
-        return pairs.repartition(1, shuffle=False).map_batches(
-            _cc_one_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True
-        )
+    def endpoints(b: pa.Table) -> pa.Table:
+        return _nodes(np.concatenate([_i64(b["doc_a"]), _i64(b["doc_b"])]))
 
-    L = (
-        pairs.map_batches(_cc_endpoints, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
-    n_nodes = L.count()
-    if n_nodes == 0:
-        return L
-    nc = n_coarse if n_coarse is not None else max(8, n_nodes // 2_000)
-
-    def edge_rows(b: pa.Table) -> pa.Table:
-        a = b["doc_a"].to_numpy().astype(np.int64)
-        d = b["doc_b"].to_numpy().astype(np.int64)
-        key = np.concatenate([a, d])
-        return pa.table({
-            "key": pa.array(key),
-            "ckey": pa.array(_coarse_of_ids(key, nc)),
-            "nbr": pa.array(np.concatenate([d, a])),
-            "label": pa.array(np.full(key.size, -1, np.int64)),
-        })
+    def edges(b: pa.Table) -> pa.Table:
+        return _edge_rows(_i64(b["doc_a"]), _i64(b["doc_b"]))
 
     def label_rows(b: pa.Table) -> pa.Table:
-        ids = b["node"].to_numpy().astype(np.int64)
-        return pa.table({
-            "key": pa.array(ids),
-            "ckey": pa.array(_coarse_of_ids(ids, nc)),
-            "nbr": pa.array(np.full(ids.size, -1, np.int64)),
-            "label": pc_cast_i64(b["label"]),
-        })
-
-    def send(g: pd.DataFrame) -> pa.Table:
-        # emits ARROW: this stream unions with the arrow self_rows leg and
-        # Ray's sort sampler requires one block type per input
-        lab = g[g["nbr"] < 0][["key", "label"]]
-        ed = g[g["nbr"] >= 0][["key", "nbr"]]
-        out = ed.merge(lab, on="key", how="inner")
-        node = out["nbr"].to_numpy(np.int64)
-        return pa.table({
-            "node": pa.array(node),
-            "label": pa.array(out["label"].to_numpy(np.int64)),
-            "old": pa.array(np.full(node.size, -1, np.int64)),
-            "nkey": pa.array(_coarse_of_ids(node, nc)),
-        })
-
-    def label_edge_rows(b: pa.Table) -> pa.Table:
         # pointer jumping: each (node → label) assignment acts as an extra
         # undirected edge, so the min label travels along label links too —
-        # geometric diameter shrink, O(log d) rounds instead of O(d)
-        ids = b["node"].to_numpy().astype(np.int64)
-        lab = pc_cast_i64(b["label"]).to_numpy()
+        # geometric diameter shrink, O(log d) rounds instead of O(d) — and
+        # each node's own row carries its label to its sending part
+        ids, lab = _i64(b["node"]), _i64(b["label"])
         m = lab != ids
-        key = np.concatenate([ids[m], lab[m]])
-        return pa.table({
-            "key": pa.array(key),
-            "ckey": pa.array(_coarse_of_ids(key, nc)),
-            "nbr": pa.array(np.concatenate([lab[m], ids[m]])),
-            "label": pa.array(np.full(key.size, -1, np.int64)),
-        })
+        jump = _edge_rows(ids[m], lab[m])
+        return pa.concat_tables([jump, pa.table([ids, np.full(ids.size, -1, np.int64), lab],
+                                                schema=_EDGES)])
 
-    def self_rows(b: pa.Table) -> pa.Table:
-        ids = b["node"].to_numpy().astype(np.int64)
-        lab = pc_cast_i64(b["label"]).to_numpy()
-        return pa.table({
-            "node": pa.array(ids),
-            "label": pa.array(lab),
-            "old": pa.array(lab),
-            "nkey": pa.array(_coarse_of_ids(ids, nc)),
-        })
+    def send(t: pa.Table) -> pa.Table:
+        # every edge's sending end meets its label here: → (neighbor,
+        # label) messages, plus each node's own label as the old value
+        key, nbr, lab = (t[c].to_numpy() for c in ("key", "nbr", "label"))
+        own = nbr < 0
+        idx = pc.index_in(pa.array(key[~own]), value_set=pa.array(key[own]))
+        hit = idx.is_valid().to_numpy(zero_copy_only=False)
+        sent = lab[own][idx.drop_null().to_numpy()]
+        return pa.table([np.concatenate([nbr[~own][hit], key[own]]),
+                         np.concatenate([sent, lab[own]]),
+                         np.concatenate([np.full(sent.size, -1, np.int64), lab[own]])], schema=_MINS)
 
-    def take_min(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("node", sort=False).agg(
-            label=("label", "min"), old=("old", "max")).reset_index()
-        m["changed"] = (m["label"] != m["old"]).astype(np.int64)
-        return m[["node", "label", "changed"]]
+    def take_min(t: pa.Table) -> pa.Table:
+        g = t.group_by("node", use_threads=False).aggregate([("label", "min"), ("old", "max")])
+        return pa.table({"node": g["node"], "label": g["label_min"],
+                         "changed": pc.cast(pc.not_equal(g["label_min"], g["old_max"]), _I64)})
 
-    import pyarrow.compute as _pc
-
-    def pc_cast_i64(col):
-        return _pc.cast(col, pa.int64())
-
+    L = group_by_key(pairs.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
+                     ["node"], lambda t: _nodes(t["node"].to_numpy()), _LABELS)
     for _ in range(max_rounds):
-        edges_leg = pairs.map_batches(edge_rows, batch_format="pyarrow", zero_copy_batch=True)
-        jump_leg = L.map_batches(label_edge_rows, batch_format="pyarrow", zero_copy_batch=True)
-        labels_leg = L.map_batches(label_rows, batch_format="pyarrow", zero_copy_batch=True)
-        msgs = (
-            edges_leg.union(jump_leg).union(labels_leg)
-            .groupby("ckey")
-            .map_groups(send, batch_format="pandas")
-        )
-        L2 = (
-            msgs.union(L.map_batches(self_rows, batch_format="pyarrow", zero_copy_batch=True))
-            .groupby("nkey")
-            .map_groups(take_min, batch_format="pandas")
-            .materialize()
-        )
-        changed = L2.sum("changed") or 0
-        # bound the label table's block count: unions + sorts otherwise
-        # compound blocks every round (measured 4s → 9s → 26s → 96s per
-        # round at 50 nodes purely from scheduling overhead)
-        L = (
-            L2.select_columns(["node", "label"])
-            .repartition(min(nc, 64), shuffle=False)
-            .materialize()
-        )
-        if changed == 0:
-            return L
+        legs = (pairs.map_batches(edges, batch_format="pyarrow", zero_copy_batch=True)
+                .union(L.map_batches(label_rows, batch_format="pyarrow", zero_copy_batch=True)))
+        L = group_by_key(group_by_key(legs, ["key"], send, _EDGES), ["node"], take_min, _MINS)
+        if sum_blocks(L, lambda b: pc.sum(b["changed"]).as_py()) == 0:
+            return L.select_columns(["node", "label"])
     raise RuntimeError(f"connected_components did not converge in {max_rounds} rounds")
-
-
-def _cc_endpoints(b: pa.Table) -> pa.Table:
-    a = b["doc_a"].to_numpy().astype(np.int64)
-    d = b["doc_b"].to_numpy().astype(np.int64)
-    u = np.unique(np.concatenate([a, d]))
-    return pa.table({"node": pa.array(u), "label": pa.array(u)})
 
 
 def near_dup_groups(
@@ -850,7 +618,6 @@ def near_dup_groups(
     k: int = 3,
     threshold: float = 0.8,
     max_shingle_df: int = 50,
-    n_rows: int | None = None,
     min_shared: int = 1,
 ):
     """→ Dataset (doc_id, group_id): every doc labeled with the MIN doc id
@@ -858,16 +625,11 @@ def near_dup_groups(
     connected components); docs with no near-dup are their own group.
     ``group_id == doc_id`` marks the canonical keeper — filtering on it
     IS the "one doc per near-dup cluster" dedup pass."""
-    # materialize the shingle table FIRST: the pair DAG consumes it in two
-    # branches, and materializing a diamond over an un-materialized source
-    # deadlocks Ray 2.49's executor (see ngram_jaccard_pairs docstring)
-    doc_sh = _doc_shingles(ds, text_col, id_col, k).materialize()
     pairs = ngram_jaccard_pairs(
         ds, text_col, id_col, k=k, threshold=threshold,
-        max_shingle_df=max_shingle_df, n_rows=n_rows, collect=False, min_shared=min_shared, _doc_sh=doc_sh,
-    ).materialize()
-    comp = connected_components(pairs)
-    return attach_group_labels(ds, comp, id_col=id_col, n_rows=n_rows)
+        max_shingle_df=max_shingle_df, collect=False, min_shared=min_shared,
+    )
+    return attach_group_labels(ds, connected_components(pairs), id_col=id_col)
 
 
 def near_dup_groups_minhash(
@@ -879,7 +641,6 @@ def near_dup_groups_minhash(
     n_bands: int = 32,
     threshold: float = 0.8,
     seed: int = 42,
-    n_rows: int | None = None,
 ):
     """MinHash+LSH flavor of :func:`near_dup_groups` — identical output
     contract (doc_id, group_id), probabilistic recall: candidate pairs
@@ -889,61 +650,70 @@ def near_dup_groups_minhash(
     exact candidate join's shingle-keyed pair explosion with a
     bounded-signature shuffle; every surfaced pair is still
     exact-Jaccard verified before clustering."""
-    doc_sh = _doc_shingles(ds, text_col, id_col, k).materialize()
     pairs = minhash_near_dup_pairs(
         ds, text_col, id_col, k=k, n_hashes=n_hashes, n_bands=n_bands,
-        threshold=threshold, seed=seed, n_rows=n_rows, collect=False, _doc_sh=doc_sh,
-    ).materialize()
-    comp = connected_components(pairs)
-    return attach_group_labels(ds, comp, id_col=id_col, n_rows=n_rows)
+        threshold=threshold, seed=seed, collect=False,
+    )
+    return attach_group_labels(ds, connected_components(pairs), id_col=id_col)
 
 
-def attach_group_labels(ds, comp, id_col: str = "doc_id", n_rows: int | None = None,
-                        out_id_col: str = "doc_id"):
+def attach_group_labels(ds, comp, id_col: str = "doc_id", out_id_col: str = "doc_id"):
     """→ Dataset (out_id_col, group_id): every id in ``ds`` labeled with
     its component's min id from ``comp`` (node, label); ids absent from
     ``comp`` (singletons — no pair touched them) label themselves. One
-    coarse-keyed co-group shuffle of 8-byte ids."""
-    n_all = n_rows if n_rows is not None else ds.count()
-    nc = max(8, n_all // 2_000)
+    exchange of 8-byte ids on the id."""
 
     def doc_rows(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        ids = pc.cast(b[id_col], pa.int64()).to_numpy()
-        return pa.table({
-            "node": pa.array(ids),
-            "label": pa.array(np.full(ids.size, -1, np.int64)),
-            "ckey": pa.array(_coarse_of_ids(ids, nc)),
-        })
+        ids = _i64(b[id_col])
+        return pa.table([ids, np.full(ids.size, -1, np.int64)], schema=_LABELS)
 
     def comp_rows(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        return pa.table([_i64(b["node"]), _i64(b["label"])], schema=_LABELS)
 
-        ids = pc.cast(b["node"], pa.int64()).to_numpy()
-        return pa.table({
-            "node": pa.array(ids),
-            "label": pc.cast(b["label"], pa.int64()),
-            "ckey": pa.array(_coarse_of_ids(ids, nc)),
-        })
+    def join(t: pa.Table) -> pa.Table:
+        node, lab = t["node"].to_numpy(), t["label"].to_numpy()
+        doc = lab < 0
+        idx = pc.index_in(pa.array(node[doc]), value_set=pa.array(node[~doc]))
+        gid = pc.coalesce(pa.array(lab[~doc]).take(idx), pa.array(node[doc]))
+        return pa.table({out_id_col: node[doc], "group_id": gid})
 
-    def join_groups(g: pd.DataFrame) -> pd.DataFrame:
-        docs = g[g["label"] < 0]
-        labs = g[g["label"] >= 0]
-        out = docs[["node"]].merge(labs[["node", "label"]], on="node", how="left")
-        gid = out["label"].fillna(out["node"]).astype(np.int64)
-        return pd.DataFrame({out_id_col: out["node"].to_numpy(np.int64), "group_id": gid})
+    legs = (ds.map_batches(doc_rows, batch_format="pyarrow", zero_copy_batch=True)
+            .union(comp.map_batches(comp_rows, batch_format="pyarrow", zero_copy_batch=True)))
+    return group_by_key(legs, ["node"], join, _LABELS)
 
-    return (
-        ds.map_batches(doc_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .union(comp.map_batches(comp_rows, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("ckey")
-        .map_groups(join_groups, batch_format="pandas")
-    )
+
+# ---------------- span dedup ----------------
+
+def _doc_sums(t: pa.Table, cols: list[str]) -> pa.Table:
+    """(doc_id, *cols) rows → one row per doc_id, each column summed (a
+    part's partial and the merge alike)."""
+    g = t.group_by("doc_id", use_threads=False).aggregate([(c, "sum") for c in cols])
+    return pa.table([g["doc_id"], *(g[c + "_sum"] for c in cols)], names=["doc_id", *cols])
+
+
+def _span_hashes(texts: list, k: int, stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``k``-token span starting at multiples of ``stride`` of each
+    analyzed doc (a trailing partial span kept when ``stride == k``) →
+    (doc index, h1, h2): a 2×64-bit span identity, so engine/SQL
+    divergence needs a 128-bit collision."""
+    from ..functions.hashing import hash_strings
+
+    toks = Analyzer("simple").tokens_batch([t or "" for t in texts])
+    last = k if stride == k else 1  # chunks keep a trailing partial
+    doc, spans = [], []
+    for d, tl in enumerate(toks):
+        for i in range(0, len(tl) - k + last, stride):
+            doc.append(d)
+            spans.append(" ".join(tl[i:i + k]))
+    if not spans:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64)
+    h1 = hash_strings(np.asarray(spans, dtype=object)).astype(np.int64)
+    h2 = hash_strings(np.char.add(np.asarray(spans), "\x1e")).astype(np.int64)
+    return np.asarray(doc, np.int64), h1, h2
 
 
 def chunk_dedup_stats(ds, text_col: str = "text", id_col: str = "doc_id",
-                      chunk_tokens: int = 8, n_rows: int | None = None):
+                      chunk_tokens: int = 8):
     """C4-style cross-document SPAN dedup, collapsed to per-doc stats:
     each doc's analyzed token stream splits into consecutive
     ``chunk_tokens``-token chunks (trailing partial kept), and every
@@ -953,67 +723,34 @@ def chunk_dedup_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     training-data side).
 
     → Dataset (doc_id, n_chunks, n_kept). Scale shape: the text never
-    shuffles — only (hash128, doc_id, chunk_idx) rows do, coarse-keyed on
-    the chunk hash (bounded groups); the per-doc rollup is a native
-    partial-combined aggregate bounded by doc count. Chunk identity is a
-    2×64-bit hash (independent seeds), so engine/SQL divergence needs a
-    128-bit collision."""
-    from ray.data.aggregate import Count, Sum
-
-    analyzer = Analyzer("simple")
+    shuffles — only (doc_id, chunk_idx, hash128) rows do, in one
+    exchange on the chunk hash whose reducers emit per-doc partials, and
+    a second on the doc id merges them."""
     k = int(chunk_tokens)
+    rows = pa.schema([("doc_id", _I64), ("chunk_idx", _I64), ("h1", _I64), ("h2", _I64)])
+    cols = ["n_chunks", "n_kept"]
 
     def explode(batch: pa.Table) -> pa.Table:
-        from ..functions.hashing import hash_strings
+        d, h1, h2 = _span_hashes(batch[text_col].to_pylist(), k, k)
+        first = np.searchsorted(d, d)  # each doc's first chunk position
+        return pa.table([_i64(batch[id_col])[d], np.arange(d.size) - first, h1, h2], schema=rows)
 
-        ids = batch[id_col].to_numpy()
-        toks = analyzer.tokens_batch([t or "" for t in batch[text_col].to_pylist()])
-        out_id, out_idx, chunks = [], [], []
-        for did, tl in zip(ids, toks):
-            n = (len(tl) + k - 1) // k
-            for ci in range(n):
-                out_id.append(did)
-                out_idx.append(ci)
-                chunks.append(" ".join(tl[ci * k:(ci + 1) * k]))
-        if not chunks:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "chunk_idx": pa.array([], pa.int64()),
-                             "h1": pa.array([], pa.int64()),
-                             "h2": pa.array([], pa.int64())})
-        arr = np.asarray(chunks, dtype=object)
-        h1 = hash_strings(arr).astype(np.int64)
-        h2 = hash_strings(np.char.add(np.asarray(chunks), "\x1e")).astype(np.int64)
-        return pa.table({"doc_id": pa.array(np.asarray(out_id, np.int64)),
-                         "chunk_idx": pa.array(np.asarray(out_idx, np.int64)),
-                         "h1": pa.array(h1), "h2": pa.array(h2)})
+    def first_wins(t: pa.Table) -> pa.Table:
+        d, ci, h1, h2 = (t[c].to_numpy() for c in ("doc_id", "chunk_idx", "h1", "h2"))
+        order = np.lexsort((ci, d, h2, h1))
+        kept = np.zeros(order.size, np.int64)
+        kept[key_runs(h1[order], h2[order])[0]] = 1  # global first occurrence per chunk
+        return _doc_sums(pa.table({"doc_id": d[order], "n_chunks": np.ones(order.size, np.int64),
+                                   "n_kept": kept}), cols)
 
-    n_all = n_rows if n_rows is not None else ds.count()
-    n_coarse = max(32, n_all // 10_000)
-
-    def add_coarse(b: pa.Table) -> pa.Table:
-        ck = (b["h1"].to_numpy().astype(np.uint64) % np.uint64(n_coarse)).astype(np.int64)
-        return b.append_column("ckey", pa.array(ck))
-
-    def first_wins(g: pd.DataFrame) -> pd.DataFrame:
-        # global first occurrence per chunk = min (doc_id, chunk_idx);
-        # all occurrences of one (h1, h2) live in this coarse group
-        g = g.sort_values(["h1", "h2", "doc_id", "chunk_idx"], kind="stable")
-        keep = ~g.duplicated(["h1", "h2"], keep="first")
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(np.int64),
-                             "kept": keep.to_numpy().astype(np.int64)})
-
-    return (
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ckey")
-        .map_groups(first_wins, batch_format="pandas")
-        .groupby("doc_id")
-        .aggregate(Count(alias_name="n_chunks"), Sum("kept", alias_name="n_kept"))
-    )
+    per_part = group_by_key(ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+                            ["h1", "h2"], first_wins, rows)
+    return group_by_key(per_part, ["doc_id"], lambda t: _doc_sums(t, cols),
+                        pa.schema([("doc_id", _I64), ("n_chunks", _I64), ("n_kept", _I64)]))
 
 
 def duplicate_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
-                         span_tokens: int = 8, n_rows: int | None = None):
+                         span_tokens: int = 8):
     """Exact-substring duplication signal (Lee et al. 2021,
     "Deduplicating Training Data Makes Language Models Better" — the
     suffix-array method's per-doc outcome): every STRIDE-1 sliding
@@ -1023,62 +760,34 @@ def duplicate_span_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     → Dataset (doc_id, n_spans, n_dup_spans, dup_frac) over docs with at
     least ``span_tokens`` tokens (shorter docs have no spans — same rule
     as the SQL twin). The suffix array itself is obsoleted by the
-    shuffle: span identity is a 2×64-bit hash, so only
-    (h1, h2, doc_id) rows move — the text never ships — coarse-keyed on
-    the span hash (bounded reducer groups), and the per-doc rollup is a
-    native partial-combined aggregate. Same scale shape as
+    exchange: span identity is a 2×64-bit hash, so only
+    (doc_id, h1, h2) rows move — the text never ships — in one exchange
+    on the span hash whose reducers emit per-doc partials, and a second
+    on the doc id merges them. Same scale shape as
     :func:`chunk_dedup_stats`, at stride-1 row volume (n_tokens rows per
     doc — the method's inherent cost)."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..functions.hashing import hash_strings
-
-    analyzer = Analyzer("simple")
     k = int(span_tokens)
+    rows = pa.schema([("doc_id", _I64), ("h1", _I64), ("h2", _I64)])
+    cols = ["n_spans", "n_dup_spans"]
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy()
-        toks = analyzer.tokens_batch([t or "" for t in batch[text_col].to_pylist()])
-        out_id, spans = [], []
-        for did, tl in zip(ids, toks):
-            for i in range(len(tl) - k + 1):
-                out_id.append(did)
-                spans.append(" ".join(tl[i:i + k]))
-        if not spans:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "h1": pa.array([], pa.int64()),
-                             "h2": pa.array([], pa.int64())})
-        arr = np.asarray(spans, dtype=object)
-        h1 = hash_strings(arr).astype(np.int64)
-        h2 = hash_strings(np.char.add(np.asarray(spans), "\x1e")).astype(np.int64)
-        return pa.table({"doc_id": pa.array(np.asarray(out_id, np.int64)),
-                         "h1": pa.array(h1), "h2": pa.array(h2)})
+        d, h1, h2 = _span_hashes(batch[text_col].to_pylist(), k, 1)
+        return pa.table([_i64(batch[id_col])[d], h1, h2], schema=rows)
 
-    n_all = n_rows if n_rows is not None else ds.count()
-    n_coarse = max(32, n_all // 5_000)
+    def mark_dups(t: pa.Table) -> pa.Table:
+        d, h1, h2 = (t[c].to_numpy() for c in ("doc_id", "h1", "h2"))
+        order = np.lexsort((h2, h1))
+        starts, ends = key_runs(h1[order], h2[order])
+        dup = np.repeat((ends - starts > 1).astype(np.int64), ends - starts)
+        return _doc_sums(pa.table({"doc_id": d[order], "n_spans": np.ones(order.size, np.int64),
+                                   "n_dup_spans": dup}), cols)
 
-    def add_coarse(b: pa.Table) -> pa.Table:
-        ck = (b["h1"].to_numpy().astype(np.uint64) % np.uint64(n_coarse)).astype(np.int64)
-        return b.append_column("ckey", pa.array(ck))
+    def per_doc(t: pa.Table) -> pa.Table:
+        s = _doc_sums(t, cols)
+        n, dup = (s[c].to_numpy().astype(np.float64) for c in cols)
+        return s.append_column("dup_frac", pa.array(np.round(dup / n, 6)))
 
-    def mark_dups(g: pd.DataFrame) -> pd.DataFrame:
-        # all occurrences of one (h1, h2) land in this coarse group
-        c = g.groupby(["h1", "h2"])["doc_id"].transform("size")
-        return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(np.int64),
-                             "dup": (c > 1).to_numpy().astype(np.int64)})
-
-    per_doc = (
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ckey")
-        .map_groups(mark_dups, batch_format="pandas")
-        .groupby("doc_id")
-        .aggregate(Count(alias_name="n_spans"), Sum("dup", alias_name="n_dup_spans"))
-    )
-
-    def frac(b: pa.Table) -> pa.Table:
-        n = b["n_spans"].to_numpy().astype(np.float64)
-        d = b["n_dup_spans"].to_numpy().astype(np.float64)
-        return b.append_column("dup_frac", pa.array(np.round(d / n, 6)))
-
-    return per_doc.map_batches(frac, batch_format="pyarrow", zero_copy_batch=True)
+    per_part = group_by_key(ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True),
+                            ["h1", "h2"], mark_dups, rows)
+    return group_by_key(per_part, ["doc_id"], per_doc,
+                        pa.schema([("doc_id", _I64), ("n_spans", _I64), ("n_dup_spans", _I64)]))

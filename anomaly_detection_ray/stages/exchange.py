@@ -1,7 +1,9 @@
 """The one exchange of both layers, on raw Ray tasks: index writes call
 :func:`exchange`, Layer B's per-entity stages :func:`exchange_by_key`
 (each model has one owner, like the reference's ``HashRing.java:61-199``)
-and its rankings :func:`top_k_by_key`.
+and its rankings :func:`top_k_by_key`; every grouping stage outside both
+layers (dedup, corpus cleaning, ANN, corpus term counts) runs
+:func:`group_by_key` on its real key.
 Ray Data's ``groupby().map_groups`` sort shuffle cost ~0.57 of a ~2.4
 CPU-s detect tick on 1 vCPU; its ``repartition(keys=…)`` starts actors.
 """
@@ -117,3 +119,35 @@ def top_k_by_key(ds, keys, finalize, order, k: int, empty) -> pa.Table:
 
     return top(pa.concat_tables(ray.get(exchange_by_key(ds, keys, lambda part: top(finalize(part)),
                                                         empty))))
+
+
+def group_by_key(ds, keys, stage, schema: pa.Schema):
+    """A grouping stage on :func:`exchange_by_key`, keyed on the REAL
+    grouping key: ``stage`` runs once per part over all of the part's
+    groups (no group spans two parts) and returns a typed Arrow table →
+    the Dataset of those tables. ``schema`` is the map side's; it types
+    an input without rows."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(exchange_by_key(ds, keys, stage, schema.empty_table))
+
+
+def sum_blocks(ds, f) -> int:
+    """Σ ``f(block)`` over ``ds``: one partial per block, summed in the
+    driver (Ray Data's ``Dataset.sum`` is ``groupby(None)``, an
+    all-to-all shuffle for one number)."""
+    rows = ds.map_batches(lambda b: pa.table({"n": [int(f(b)) if b.num_rows else 0]}),
+                          batch_format="pyarrow", batch_size=None, zero_copy_batch=True).take_all()
+    return sum(r["n"] for r in rows)
+
+
+def key_runs(*cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the runs of equal rows in the sorted key
+    columns ``cols`` — the groups of a reducer's sorted part."""
+    n = cols[0].size
+    new = np.zeros(n, bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new)
+    return starts, np.append(starts[1:], n)[: starts.size]

@@ -7,8 +7,8 @@ characteristic terms. Both reduce to the same two-pass Ray Data shape:
 
 1. ONE distributed counting pass — each batch pre-aggregates its own
    (term, token_count, doc_count) partials (a combiner: the corpus text
-   never leaves the map task), then a vocab-sized ``groupby("term")``
-   merges them. Only dictionary-sized rows shuffle.
+   never leaves the map task), then an exchange on the term merges
+   them. Only dictionary-sized rows shuffle.
 2. The merged frequency table broadcasts ONCE via ``ray.put`` (the
    decontamination pattern — each scoring actor fetches it once in
    ``__init__``, zero-copy plasma, never per batch), and ONE stateless
@@ -57,21 +57,25 @@ def _count_batch(batch: pa.Table, text_col: str) -> pa.Table:
                      "df": pa.array(agg["df"].to_numpy(np.int64))})
 
 
+def _term_sums(t: pa.Table) -> pa.Table:
+    """(term, c, df) rows → one row per term, c and df summed (a batch
+    partial's merge in a term-keyed reducer)."""
+    g = t.group_by("term", use_threads=False).aggregate([("c", "sum"), ("df", "sum")])
+    return pa.table([g["term"], g["c_sum"], g["df_sum"]], names=["term", "c", "df"])
+
+
 def term_table(ds, text_col: str = "text"):
     """documents Dataset → pandas (term, c, df): the corpus unigram
-    table. Combiner-then-vocab-sized-groupby — the corpus never
-    shuffles."""
-    from ray.data.aggregate import Sum
+    table. Per-batch combiners, merged per term on the exchange — the
+    corpus never shuffles, only vocabulary-sized partials do."""
+    from .exchange import group_by_key
 
     partial = ds.map_batches(
         lambda b: _count_batch(b, text_col), batch_format="pyarrow", zero_copy_batch=True
     )
-    merged = (
-        partial.groupby("term")
-        .aggregate(Sum("c", alias_name="c"), Sum("df", alias_name="df"))
-        .to_pandas()
-    )
-    return merged.sort_values("term").reset_index(drop=True)
+    merged = group_by_key(partial, ["term"], _term_sums,
+                          pa.schema([("term", pa.string()), ("c", pa.int64()), ("df", pa.int64())]))
+    return merged.to_pandas().sort_values("term").reset_index(drop=True)
 
 
 def broadcast_term_table(tbl: pd.DataFrame):

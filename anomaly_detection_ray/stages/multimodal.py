@@ -371,16 +371,16 @@ def image_phash(ds, method: str = "dhash", id_col: str = "media_id", batch_size:
 
 def image_near_dup_pairs(ds, max_hamming: int = 6, method: str = "dhash",
                          id_col: str = "media_id", batch_size: int = 64,
-                         n_rows: int | None = None, collect: bool = True) -> pa.Table:
+                         collect: bool = True) -> pa.Table:
     """Image near-duplicate pairs by perceptual hash: decode → dHash →
     chunk-PAIR pigeonhole buckets (8 chunks → sound for hamming ≤ 6,
     16-bit bucket keys keep selectivity at corpus scale) → in-bucket
     hamming verify. The image-side counterpart of SimHash text near-dup;
-    same scale shape — 16-byte sketch rows shuffle, pixels never do.
+    same scale shape — 24-byte sketch rows shuffle, pixels never do.
     → pa.Table (doc_a, doc_b, hamming); ``collect=False`` → Dataset."""
     from .dedup import hamming_near_dup_pairs
 
     sk = image_phash(ds, method=method, id_col=id_col, batch_size=batch_size)
     return hamming_near_dup_pairs(sk, id_col="media_id", hash_col="phash",
                                   max_hamming=max_hamming, n_chunks=8,
-                                  chunk_pairs=True, n_rows=n_rows, collect=collect)
+                                  chunk_pairs=True, collect=collect)

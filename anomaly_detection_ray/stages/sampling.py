@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # Knuth's multiplicative constant (2^32 / golden ratio, odd)
 KNUTH_C = 2654435761
@@ -105,14 +106,21 @@ def temperature_fractions(counts: dict, alpha: float) -> dict:
 
 
 def temperature_mix(ds, id_col: str, strata_col: str, alpha: float, seed: int = 0):
-    """Temperature-mix a corpus by a source/language column: one tiny
-    count aggregation (map-side combined, stratum-cardinality rows) →
+    """Temperature-mix a corpus by a source/language column: per-block
+    stratum counts summed in the driver (stratum-cardinality rows) →
     keep fractions → the same deterministic hash-threshold selection as
     :func:`stratified_sample`. No shuffle of the corpus itself."""
-    from ray.data.aggregate import Count
 
-    counts_pd = ds.groupby(strata_col).aggregate(Count(alias_name="c")).to_pandas()
-    counts = dict(zip(counts_pd[strata_col], counts_pd["c"].astype(int)))
+    def partial(b: pa.Table) -> pa.Table:
+        if not b.num_rows:  # a zero-row block may have no columns
+            return pa.table({"s": pa.array([]), "c": pa.array([], pa.int64())})
+        vc = pc.value_counts(b[strata_col])
+        return pa.table({"s": vc.field("values"), "c": vc.field("counts")})
+
+    counts: dict = {}
+    rows = ds.map_batches(partial, batch_format="pyarrow", batch_size=None, zero_copy_batch=True).take_all()
+    for r in rows:
+        counts[r["s"]] = counts.get(r["s"], 0) + r["c"]
     fractions = temperature_fractions(counts, alpha)
     return stratified_sample(ds, id_col, strata_col, fractions,
                              default_fraction=0.0, seed=seed)

@@ -244,7 +244,7 @@ def bench_suite() -> dict:
                 "end_ms": flagged["window_end_ms"].astype("int64"),
             }
         )
-        return correlate_clusters(anoms, use_ray=True) if len(anoms) else anoms
+        return correlate_clusters(anoms) if len(anoms) else anoms
 
     timed("correlate_anomalies", correlate)
 

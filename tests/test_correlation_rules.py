@@ -62,7 +62,7 @@ def test_clusters_group_cooccurring(ray_session):
             ("m5", "d3", 1000 * MIN, 1010 * MIN),      # singleton
         ]
     )
-    out = correlate_clusters(df, use_ray=True)
+    out = correlate_clusters(df)
     cl = out.set_index("model_id")["cluster_id"]
     assert cl["m1"] == cl["m2"]
     assert cl["m3"] == cl["m4"]
@@ -70,25 +70,8 @@ def test_clusters_group_cooccurring(ray_session):
     w = out[out["model_id"] == "m1"].iloc[0]
     assert w["window_start_ms"] == 0 and w["window_end_ms"] == 25 * MIN
     # drop singletons variant
-    out2 = correlate_clusters(df, include_singletons=False, use_ray=False)
+    out2 = correlate_clusters(df, include_singletons=False)
     assert "m5" not in set(out2["model_id"])
-
-
-def test_clusters_ray_tiling_matches_local(ray_session):
-    rng = np.random.default_rng(7)
-    rows = []
-    t = 0
-    for i in range(200):
-        t += int(rng.integers(1, 40)) * MIN
-        dur = int(rng.integers(5, 120)) * MIN
-        rows.append((f"m{i}", f"d{i%5}", t, t + dur))
-    df = _anoms(rows)
-    a = correlate_clusters(df, use_ray=False, tile_ms=3_600_000)
-    b = correlate_clusters(df, use_ray=True, tile_ms=3_600_000)
-    pd.testing.assert_frame_equal(
-        a.sort_values("model_id").reset_index(drop=True),
-        b.sort_values("model_id").reset_index(drop=True),
-    )
 
 
 def test_coarse_detector_start_dilation(ray_session):
@@ -100,9 +83,9 @@ def test_coarse_detector_start_dilation(ray_session):
             ("coarse", "dcoarse", 60 * MIN, 120 * MIN),
         ]
     )
-    no_dil = correlate_clusters(df, use_ray=False)
+    no_dil = correlate_clusters(df)
     assert no_dil.set_index("model_id")["cluster_id"].nunique() == 2
-    dil = correlate_clusters(df, use_ray=False, interval_ms_by_config={"dcoarse": 60 * MIN, "dfine": MIN})
+    dil = correlate_clusters(df, interval_ms_by_config={"dcoarse": 60 * MIN, "dfine": MIN})
     cl = dil.set_index("model_id")["cluster_id"]
     assert cl["fine"] == cl["coarse"]
 

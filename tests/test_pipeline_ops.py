@@ -402,7 +402,7 @@ def test_batch_shingle_hashes_matches_reference():
     assert not np.array_equal(a, b)
 
 
-def test_connected_components_and_near_dup_groups(ray_session):
+def test_connected_components_and_near_dup_groups(ray_session, monkeypatch):
     """Near-dup clustering: distributed hash-min + pointer-jumping CC over
     the pair graph; group_id = min doc id in the component (keep-one-per-
     cluster dedup). DuckDB recursive-CTE oracle covers it at sf0.01
@@ -410,6 +410,7 @@ def test_connected_components_and_near_dup_groups(ray_session):
     (log-rounds convergence)."""
     import ray.data as rd
 
+    from anomaly_detection_ray.stages import dedup
     from anomaly_detection_ray.stages.dedup import connected_components, near_dup_groups
 
     # components {1,2,3,4} (path), {10,11} — BOTH paths must agree:
@@ -417,20 +418,20 @@ def test_connected_components_and_near_dup_groups(ray_session):
     pairs = pa.table({"doc_a": pa.array([1, 2, 3, 10], pa.int64()),
                       "doc_b": pa.array([2, 3, 4, 11], pa.int64())})
     expect = {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10}
+    chain = pa.table({"doc_a": pa.array(np.arange(19), pa.int64()),
+                      "doc_b": pa.array(np.arange(1, 20), pa.int64())})
+    lab3 = connected_components(rd.from_arrow(chain)).to_pandas()
+    assert (lab3["label"] == 0).all()
     for sgr in (2_000_000, 0):
-        lab = connected_components(rd.from_arrow(pairs), small_graph_rows=sgr)
+        monkeypatch.setattr(dedup, "SMALL_GRAPH_ROWS", sgr)
+        lab = connected_components(rd.from_arrow(pairs))
         lab = lab.to_pandas().sort_values("node")
-        assert dict(zip(lab["node"], lab["label"])) == expect, f"small_graph_rows={sgr}"
+        assert dict(zip(lab["node"], lab["label"])) == expect, f"SMALL_GRAPH_ROWS={sgr}"
 
     # diameter-19 path converges on the ITERATIVE path too (pointer
     # jumping: O(log d) rounds, capped)
-    chain = pa.table({"doc_a": pa.array(np.arange(19), pa.int64()),
-                      "doc_b": pa.array(np.arange(1, 20), pa.int64())})
-    lab2 = connected_components(rd.from_arrow(chain), max_rounds=10,
-                                small_graph_rows=0).to_pandas()
+    lab2 = connected_components(rd.from_arrow(chain), max_rounds=10).to_pandas()
     assert (lab2["label"] == 0).all()
-    lab3 = connected_components(rd.from_arrow(chain)).to_pandas()
-    assert (lab3["label"] == 0).all()
 
     base = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
     docs = pa.table({
@@ -669,7 +670,7 @@ def test_hamming_near_dup_vs_bruteforce(ray_session):
             (dict(max_hamming=3, n_chunks=4), 3),
             (dict(max_hamming=6, n_chunks=8, chunk_pairs=True), 6),
         ):
-            got = hamming_near_dup_pairs(sk, n_rows=hs.size, **kwargs).to_pandas()
+            got = hamming_near_dup_pairs(sk, **kwargs).to_pandas()
             got_pairs = set(zip(got["doc_a"], got["doc_b"]))
             assert got_pairs == brute(radius), (seed, kwargs)
             u = hs.astype(np.uint64)
@@ -695,7 +696,7 @@ def test_hamming_pairs_degenerate_high_dup_dataset(ray_session):
     hs = np.repeat(vals, per)
     ids = np.arange(hs.size, dtype=np.int64)
     sk = rd.from_arrow(pa.table({"doc_id": pa.array(ids), "simhash": pa.array(hs)}))
-    out = hamming_near_dup_pairs(sk, n_rows=hs.size, collect=False)
+    out = hamming_near_dup_pairs(sk, collect=False)
     assert hasattr(out, "map_batches")  # a Dataset, not a driver table
     df = out.to_pandas()
     assert len(df) == groups * per * (per - 1) // 2
@@ -728,7 +729,7 @@ def test_quality_flags_rules():
     assert bool(q2["keep"][0])
 
 
-def test_corpus_clean_dispositions(ray_session):
+def test_corpus_clean_dispositions(ray_session, monkeypatch):
     """Flagship cleaning pipeline: quality filter -> exact dedup ->
     near-dup CC -> one disposition row per doc. Planted corpus hits all
     four statuses; sf0.01 value-parity is the corpus_clean oracle row."""
@@ -762,6 +763,14 @@ def test_corpus_clean_dispositions(ray_session):
     out2 = corpus_clean(rd.from_arrow(docs), threshold=0.5,
                         bounds=dict(min_tokens=1, min_stopword_hits=0)).to_pandas()
     assert dict(zip(out2["doc_id"], out2["status"]))[3] == "kept"
+
+    # above EXACT_DUP_BROADCAST_MAX exact dups the survivors' text joins
+    # the keeper table on an exchange instead of the broadcast anti-filter
+    from anomaly_detection_ray.pipelines import clean
+
+    monkeypatch.setattr(clean, "EXACT_DUP_BROADCAST_MAX", 0)
+    out3 = corpus_clean(rd.from_arrow(docs), threshold=0.5).to_pandas().sort_values("doc_id")
+    assert list(zip(out3["doc_id"], out3["status"], out3["group_id"])) == got
 
 
 def test_corpus_clean_decontam_stage(ray_session):
@@ -1267,3 +1276,113 @@ def test_duplicate_span_stats_planted(ray_session):
     # prefix) also occurs in docs 0/1
     assert out.loc[2, "n_spans"] == 9 and out.loc[2, "n_dup_spans"] == 1
     assert out.loc[3, "n_dup_spans"] == 0 and out.loc[3, "dup_frac"] == 0.0
+
+
+def test_grouping_stages_need_no_ray_data_groupby(ray_session, monkeypatch, tmp_path):
+    """Every grouping stage outside both layers runs on the raw-Ray
+    exchange keyed on its real grouping key: with Ray Data's
+    ``Dataset.groupby`` (``aggregate``/``sum``/``min``/``max`` run as
+    ``groupby(None)``) and ``Dataset.sort`` made to raise, each function
+    answers, and with ``PART_BYTES`` forcing P ≥ 2 parts it returns the
+    frame it returns at P = 1 (no group spans two parts)."""
+    import os
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data import Dataset
+
+    from anomaly_detection_ray.pipelines import clean, queries
+    from anomaly_detection_ray.stages import ann, dedup, exchange, lmscore, sampling
+    from anomaly_detection_ray.stages.correlation import correlate_clusters
+
+    src = pq.read_table(DOCS, columns=["doc_id", "text", "lang"])
+    copies = src.slice(0, 20).set_column(0, "doc_id", pa.array(np.arange(1000, 1020)))
+    docs = pa.concat_tables([src, copies])  # 20 exact duplicates
+    emb = pq.read_table(EMB)
+    rng = np.random.default_rng(4)
+    sketches = np.repeat(rng.integers(0, 2**63, 30, dtype=np.int64), 3)
+    sketches[::3] ^= 1 << 40  # a one-bit twin in every group
+    sk = pa.table({"doc_id": pa.array(np.arange(sketches.size)), "simhash": pa.array(sketches)})
+    chain = pa.table({"doc_a": pa.array([1, 2, 3, 10], pa.int64()),
+                      "doc_b": pa.array([2, 3, 4, 11], pa.int64())})
+    anoms = pd.DataFrame({"model_id": [f"m{i}" for i in range(6)], "config_id": "d",
+                          "start_ms": np.arange(6) * 600_000, "end_ms": np.arange(6) * 600_000 + 900_000})
+
+    def D():
+        return rd.from_arrow(docs)
+
+    def clean_and_write(*args, **kwargs):
+        clean.clean_and_write(*args, **kwargs)
+        return pads.dataset(args[1], partitioning="hive").to_table()
+
+    def patched(mod, name, value, f):
+        def run():
+            with monkeypatch.context() as m:
+                m.setattr(mod, name, value)
+                return f()
+        return run
+
+    cases = {
+        "exact_dedup": lambda: dedup.exact_dedup(D()),
+        "ngram": lambda: dedup.ngram_jaccard_pairs(D(), threshold=0.05, min_shared=2),
+        "minhash": lambda: dedup.minhash_near_dup_pairs(D(), threshold=0.3),
+        "simhash": lambda: dedup.simhash_near_dup_pairs(D()),
+        "hamming_chunk_pairs": lambda: dedup.hamming_near_dup_pairs(
+            rd.from_arrow(sk), max_hamming=2, n_chunks=4, chunk_pairs=True),
+        "near_dup_groups": lambda: dedup.near_dup_groups(D(), threshold=0.05),
+        "components_iterative": patched(dedup, "SMALL_GRAPH_ROWS", 0,
+                                        lambda: dedup.connected_components(rd.from_arrow(chain))),
+        "near_dup_groups_minhash": lambda: dedup.near_dup_groups_minhash(D(), threshold=0.3),
+        "chunk_dedup": lambda: dedup.chunk_dedup_stats(D()),
+        "duplicate_spans": lambda: dedup.duplicate_span_stats(D()),
+        "corpus_clean": lambda: clean.corpus_clean(D(), threshold=0.5),
+        "corpus_clean_exchange": patched(clean, "EXACT_DUP_BROADCAST_MAX", 0,
+                                         lambda: clean.corpus_clean(D(), threshold=0.5)),
+        "corpus_clean_decontam": lambda: clean.corpus_clean(
+            D(), threshold=0.5, bench_ds=rd.from_arrow(src.slice(40, 3))),
+        "clean_and_write": lambda: clean_and_write(D(), str(tmp_path / "kept"), n_shards=4, threshold=0.5),
+        "embedding_pairs": lambda: ann.embedding_near_dup_pairs(rd.from_arrow(emb), threshold=0.4),
+        "embedding_lsh": lambda: ann.embedding_near_dup_lsh(rd.from_arrow(emb), threshold=0.45,
+                                                            n_bands=24, bits_per_band=6),
+        "term_table": lambda: lmscore.term_table(D()),
+        "temperature_mix": lambda: sampling.temperature_mix(D(), "doc_id", "lang", 0.5),
+        "tpch_q1": lambda: queries.q_tpch_q1(os.path.dirname(DOCS)),
+        "correlate": lambda: correlate_clusters(anoms),
+    }
+
+    def frame(x) -> pd.DataFrame:
+        df = x if isinstance(x, pd.DataFrame) else x.to_pandas()
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Ray Data groupby/sort plan")
+
+    real = exchange.exchange
+
+    def run_all(parts):
+        used = []
+
+        def spy(inputs, split, split_arg, n_parts, *rest):
+            if parts:
+                n_parts, split_arg = parts, (split_arg[0], parts)
+            used.append(n_parts)
+            return real(inputs, split, split_arg, n_parts, *rest)
+
+        monkeypatch.setattr(exchange, "exchange", spy)
+        return {name: frame(f()) for name, f in cases.items()}, used
+
+    monkeypatch.setattr(Dataset, "groupby", refuse)
+    monkeypatch.setattr(Dataset, "sort", refuse)
+    one, used1 = run_all(1)
+    monkeypatch.setattr(exchange, "PART_BYTES", 256 << 10)
+    many, used = run_all(None)
+    assert set(used1) == {1} and min(used) >= 2
+    for name in cases:
+        pd.testing.assert_frame_equal(many[name], one[name], check_exact=True, obj=name)
+    assert len(one["exact_dedup"]) == 500 and len(one["ngram"]) and len(one["minhash"])
+    assert (one["near_dup_groups"]["group_id"] != one["near_dup_groups"]["doc_id"]).any()
+    assert set(one["corpus_clean"]["status"]) >= {"exact_dup", "kept"}
+    assert len(one["hamming_chunk_pairs"]) == 90 and len(one["embedding_pairs"])
+    assert one["components_iterative"]["label"].tolist() == [1, 1, 1, 1, 10, 10]
