@@ -27,32 +27,31 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import DetectorConfig
-from ..stages.exchange import exchange_by_key, top_k_by_key
+from ..stages.exchange import ParquetFiles, exchange_by_key, row_group_bytes, top_k_by_key
 from ..stages.window import add_window_columns, per_entity
 
 WINDOW_DELAY_RATIO = 1.2  # TimeSeriesSettings.java:301
 
 
-def _per_entity(events_ds, fn, config: DetectorConfig, ts_col: str = "ts") -> pd.DataFrame:
-    """Run ``fn`` on detect()'s plan: ``entity_windows(…, config)``
-    partials keyed by ``model_id`` (``detector._add_model_id``: the
-    entity hash, or the config id without category fields) with the
-    category fields carried, one per-entity exchange
-    (``stages.exchange.exchange_by_key``), and ``per_entity`` calling
-    ``fn`` on each model's merged windows, an Arrow slice in window
-    order (on the zero-row slice when a part holds no model). Returns
-    the collected (entity-bounded) result."""
+def _per_entity(events, fn, config: DetectorConfig, ts_col: str = "ts") -> pd.DataFrame:
+    """Run ``fn`` on detect()'s plan over ``events`` (a Dataset or
+    ``ParquetFiles``): ``entity_windows(…, config)`` partials keyed by
+    ``model_id`` (``detector._add_model_id``: the entity hash, or the
+    config id without category fields) with the category fields
+    carried, one per-entity exchange (``stages.exchange.exchange_by_key``),
+    and ``per_entity`` calling ``fn`` on each model's merged windows, an
+    Arrow slice in window order (on the zero-row slice when a part holds
+    no model). Returns the collected (entity-bounded) result."""
     import ray
 
     from ..stages.window import entity_windows
     from .detector import _add_model_id
 
-    agg, empty = entity_windows(events_ds, config, ts_col)
-    agg = agg.map_batches(_add_model_id, fn_kwargs=dict(config=config),
-                          batch_format="pyarrow", zero_copy_batch=True)
+    windows, empty = entity_windows(events, config, ts_col)
     stage = functools.partial(per_entity, keys=["model_id"], fn=fn, config=config,
                               carry=config.category_fields)
-    refs = exchange_by_key(agg, ["model_id"], stage, lambda: _add_model_id(empty(), config))
+    refs = exchange_by_key(events, lambda t: _add_model_id(windows(t), config), ["model_id"], stage,
+                           empty)
     return pa.concat_tables(ray.get(refs)).to_pandas()
 
 
@@ -62,14 +61,47 @@ class DetectorAPI:
         self.events_path = events_path
         self.ts_col = ts_col
 
-    def _schema(self):
-        """The events' schema from parquet METADATA (before any filter)."""
-        import ray.data as rd
+    def _files(self) -> list[str]:
+        """The events' Parquet files, listed as Ray's ``read_parquet``
+        lists them: the path list a tailing tick sets, one file, or every
+        file under a directory whose path relative to it starts with
+        neither ``.`` nor ``_``, sorted."""
+        path = self.events_path
+        if not isinstance(path, str):
+            return list(path)
+        if os.path.isfile(path):
+            return [path]
+        return sorted(os.path.join(root, n) for root, _, names in os.walk(path) for n in names
+                      if not os.path.relpath(os.path.join(root, n), path).startswith((".", "_")))
 
-        return rd.read_parquet(self.events_path).schema()
+    def _schema(self) -> pa.Schema:
+        """The events' schema from the first file's parquet footer
+        (before any filter)."""
+        import pyarrow.parquet as pq
+
+        files = self._files()
+        return pq.read_schema(files[0]) if files else pa.schema([])
+
+    def _columns(self, columns: list[str] | None) -> list[str]:
+        """``columns`` plus whatever the filter_query references; by
+        default the detect()/forecast() column set."""
+        from ..functions.rowfilter import predicate_fields
+        from .detector import needed_columns
+
+        if columns is None:
+            return needed_columns(self.config, self.ts_col)
+        return sorted(set(columns) | predicate_fields(self.config.filter_query))
+
+    def _source(self, columns: list[str] | None = None) -> ParquetFiles:
+        """The events as the exchange's file source: each split task
+        reads its row groups with pyarrow, pruned to :meth:`_columns`;
+        the exchange's map side applies the filter_query."""
+        return ParquetFiles(tuple(self._files()), tuple(self._columns(columns)))
 
     def _ds(self, pruned: bool = False, columns: list[str] | None = None):
-        """Events Dataset. ``columns`` prunes the SCAN to exactly those
+        """Events Dataset, in as many blocks as Layer A's byte rule gives
+        the files' footer bytes (``index.build._read_blocks``: a 6 KB
+        file is one block). ``columns`` prunes the SCAN to exactly those
         plus whatever the filter_query references (Ray does not push
         ``select_columns`` into the parquet read — the explicit column
         list is what keeps a validate/suggest pass from decoding every
@@ -77,23 +109,16 @@ class DetectorAPI:
         detect()/forecast() column set."""
         import ray.data as rd
 
-        if columns is not None:
-            from ..functions.rowfilter import predicate_fields
+        from ..index.build import _read_blocks
 
-            cols = sorted(set(columns) | predicate_fields(self.config.filter_query))
-            ds = rd.read_parquet(self.events_path, columns=cols)
-        elif pruned:
-            from .detector import needed_columns
-
-            ds = rd.read_parquet(self.events_path,
-                                 columns=needed_columns(self.config, self.ts_col))
-        else:
-            ds = rd.read_parquet(self.events_path)
+        cols = self._columns(columns) if columns is not None or pruned else None
+        ds = rd.read_parquet(self.events_path, columns=cols, override_num_blocks=_read_blocks(
+            sum(map(sum, row_group_bytes(self._files())))))
         if self.config.filter_query:
             # Config.filterQuery wraps EVERY feature query in the
             # reference — suggest/validate/preview/profile must see the
-            # same filtered stream as detect/forecast (which re-apply it
-            # themselves; the second pass is an idempotent no-op)
+            # same filtered stream as detect/forecast (window_aggregate
+            # re-applies it in its map side: an idempotent no-op)
             from ..functions.rowfilter import apply_filter_query
 
             ds = apply_filter_query(ds, self.config.filter_query)
@@ -178,7 +203,7 @@ class DetectorAPI:
             lag = int(np.argmax(acf[2 : hi + 1])) + 2
             return vote(lag if acf[lag] >= 0.3 else 0, n)
 
-        votes = _per_entity(self._ds(pruned=True), entity_period, self.config, self.ts_col)
+        votes = _per_entity(self._source(), entity_period, self.config, self.ts_col)
         votes = votes[votes["weight"] > 0]
         if not len(votes):
             return 0
@@ -269,7 +294,7 @@ class DetectorAPI:
                              "density": pa.array([density] * len(keys), pa.float64())})
 
         keys_only = dataclasses.replace(self.config, features=())
-        dens = _per_entity(self._ds(columns=cats + [self.ts_col]), entity_density, keys_only,
+        dens = _per_entity(self._source(cats + [self.ts_col]), entity_density, keys_only,
                            self.ts_col)
         return dict(zip(dens["entity"], dens["density"]))
 
@@ -360,7 +385,6 @@ class DetectorAPI:
         historical run sees windows-scored progress, not a blind wait.
         ``n_result_rows`` counts THIS run's written rows only."""
         from .detector import detect
-        from ..stages.sink import write_results
 
         task = None
         if task_store is not None:
@@ -373,13 +397,14 @@ class DetectorAPI:
             if task is not None and time_range_ms is not None:
                 return self._run_pieces(task, task_store, results_dir, checkpoint_dir,
                                         write_mode, tuple(time_range_ms), piece_intervals)
-            res = detect(self._ds(pruned=True), self.config, ts_col=self.ts_col,
-                         checkpoint_dir=checkpoint_dir, time_range_ms=time_range_ms)
             if results_dir:
-                n = write_results(res, results_dir, mode=write_mode)
+                n = self._detect_into(results_dir, write_mode, checkpoint_dir=checkpoint_dir,
+                                      time_range_ms=time_range_ms)
                 if task is not None:
                     task_store.transition(task["_id"], "FINISHED", n_result_rows=n)
                 return results_dir
+            res = detect(self._source(), self.config, ts_col=self.ts_col,
+                         checkpoint_dir=checkpoint_dir, time_range_ms=time_range_ms)
             if task is not None:
                 res = res.materialize()
                 task_store.transition(task["_id"], "FINISHED", n_result_rows=res.count())
@@ -389,11 +414,22 @@ class DetectorAPI:
                 task_store.transition(task["_id"], "FAILED", error=repr(e))
             raise
 
+    def _detect_into(self, results_dir: str, write_mode: str, **kw) -> int:
+        """detect() over the events whose reducers write their own part's
+        results into ``results_dir`` (``stages.sink.write_part``; a
+        ``replace`` run writes into a staging directory whose partitions
+        then swap into place). Returns the rows written."""
+        from ..stages.sink import rows_written, write_dir, write_part
+        from .detector import detect_parts
+
+        with write_dir(results_dir, write_mode) as d:
+            return rows_written(detect_parts(self._source(), self.config, ts_col=self.ts_col,
+                                             then=functools.partial(write_part, out_dir=d), **kw))
+
     def _run_pieces(self, task, task_store, results_dir, checkpoint_dir,
                     write_mode, time_range_ms, piece_intervals: int):
         """Piece loop of a tracked historical run (see run_once)."""
         from .detector import detect
-        from ..stages.sink import write_results
 
         import shutil
 
@@ -423,14 +459,14 @@ class DetectorAPI:
         while plo < hi:
             phi = min(hi, plo + piece_ms)
             task_store.update_progress(task["_id"], current_piece=(plo, phi))
-            res = detect(self._ds(pruned=True), self.config, ts_col=self.ts_col,
-                         checkpoint_dir=ckpt, time_range_ms=(plo, phi),
-                         cold_start_history=first)
             if results_dir:
-                total_rows += write_results(
-                    res, results_dir, mode=(write_mode if first else "append"))
+                total_rows += self._detect_into(
+                    results_dir, write_mode if first else "append", checkpoint_dir=ckpt,
+                    time_range_ms=(plo, phi), cold_start_history=first)
             else:
-                res = res.materialize()
+                res = detect(self._source(), self.config, ts_col=self.ts_col,
+                             checkpoint_dir=ckpt, time_range_ms=(plo, phi),
+                             cold_start_history=first).materialize()
                 total_rows += res.count()
                 outs.append(res)
             task_store.update_progress(
@@ -462,14 +498,16 @@ class DetectorAPI:
         Holt-Winters streams over all windows, emitting per-horizon rows
         (ForecastResult semantics). With ``results_dir`` the rows land in
         the date-partitioned forecast sink."""
-        from ..stages.sink import write_forecast_results
-        from .forecast import forecast
+        from ..stages.sink import forecast_day, rows_written, write_dir, write_part
+        from .forecast import forecast, forecast_parts
 
-        res = forecast(self._ds(pruned=True), self.config, horizon=horizon, period=period,
-                       ts_col=self.ts_col, checkpoint_dir=checkpoint_dir)
-        if results_dir:
-            return write_forecast_results(res, results_dir, mode=write_mode)
-        return res
+        kw = dict(horizon=horizon, period=period, ts_col=self.ts_col, checkpoint_dir=checkpoint_dir)
+        if not results_dir:
+            return forecast(self._source(), self.config, **kw)
+        with write_dir(results_dir, write_mode) as d:
+            rows_written(forecast_parts(self._source(), self.config, **kw, then=functools.partial(
+                write_part, out_dir=d, day=forecast_day)))
+        return results_dir
 
     def forecast_start_job(self, results_dir: str, checkpoint_dir: str,
                            horizon: int = 24, period: int = 0):
@@ -533,7 +571,7 @@ class DetectorAPI:
         from .forecast import forecast, forecast_ranking, top_forecast_results
 
         forecast_ranking(build_in_query, threshold, relation)
-        fc = forecast(self._ds(pruned=True), self.config, horizon=horizon, period=period,
+        fc = forecast(self._source(), self.config, horizon=horizon, period=period,
                       ts_col=self.ts_col)
         return top_forecast_results(
             fc, self.config, k=k, build_in_query=build_in_query,
@@ -560,10 +598,9 @@ class DetectorAPI:
                 return t.group_by(cats, use_threads=False).aggregate([])
 
             refs = exchange_by_key(
-                self._ds(columns=cats).map_batches(distinct, batch_format="pyarrow",
-                                                   zero_copy_batch=True),
-                cats, lambda part: pa.table({"n": [distinct(part).num_rows]}),
-                lambda: distinct(self._schema().base_schema.empty_table()))
+                self._ds(columns=cats), distinct, cats,
+                lambda part: pa.table({"n": [distinct(part).num_rows]}),
+                lambda: self._schema().empty_table())
             n_entities = sum(t["n"][0].as_py() for t in ray.get(refs))
         out = {
             "config_id": self.config.config_id,
@@ -661,5 +698,5 @@ class DetectorAPI:
     def top_anomalies(self, k: int = 10) -> pd.DataFrame:
         from .detector import detect, top_anomaly_results
 
-        res = detect(self._ds(pruned=True), self.config, ts_col=self.ts_col)
+        res = detect(self._source(), self.config, ts_col=self.ts_col)
         return top_anomaly_results(res, self.config, k=k)

@@ -1,21 +1,22 @@
 """End-to-end anomaly-detection pipelines — SURVEY.md §3 redesigns.
 
 The reference's realtime-HC interval tick (§3.1), historical batch run
-(§3.2) and deterministic preview (§3.3) all collapse into one Ray Data
-pipeline shape:
+(§3.2) and deterministic preview (§3.3) all collapse into one raw-Ray
+task graph, with no Ray Data execution in a job tick:
 
-    events → map-side window partials (entity+window, §2.A)
-           → model_id projection (B8: murmur3 entity hash, reference recipe)
-           → exchange_by_key: raw-Ray split by hash(model_id) % P parts,
-             one ScoreGroups reducer task per part: partials merged
-             (B1 NaN semantics), models scored           # C1–C4
-           → results (flat anomaly-result schema)
+    events → split tasks, one per byte-sized range of Parquet row groups
+             (or per block of a Dataset): filter, window partials
+             (entity+window, §2.A), model_id projection (B8: murmur3
+             entity hash, reference recipe), split by hash(model_id) % P
+           → exchange_by_key: one ScoreGroups reducer task per part:
+             partials merged (B1 NaN semantics), models scored  # C1–C4
+           → results (flat anomaly-result schema), written by each
+             reducer for its own part in a job tick (``stages.sink``)
 
 Transport hops, rate-limited queues, the hash ring, afterKey pagination
-and piece scheduling all disappear (SURVEY.md §4 table): Ray Data streams
-the map side, and the exchange is a barrier behind it — every scoring
-task is submitted once the whole map side has run, when ``detect()`` is
-called, not when its result is consumed.
+and piece scheduling all disappear (SURVEY.md §4 table). The exchange is
+a barrier: every scoring task is submitted once its pieces are, when
+``detect()`` is called, not when its result is consumed.
 
 ``detect(..., checkpoint_dir=...)`` gives realtime semantics (models
 continue across runs); without it each run is a self-contained
@@ -51,18 +52,16 @@ def needed_columns(config: DetectorConfig, ts_col: str = "ts") -> list[str]:
     )
 
 
-def _add_model_id(batch: pa.Table, config: DetectorConfig,
-                  cache: dict | None = None) -> pa.Table:
+def _add_model_id(batch: pa.Table, config: DetectorConfig) -> pa.Table:
     cats = list(config.category_fields)
     if not cats:
         mid = pa.array([config.config_id] * batch.num_rows, pa.string())
         return batch.append_column("model_id", mid)
     # vectorize over unique entity combos: compute the murmur3 id once per
-    # combo, then gather (batches repeat few entities many times); the
-    # optional cache persists combos ACROSS batches (worker-local dict)
+    # combo, then gather (batches repeat few entities many times)
     cols = [batch[c].to_pylist() for c in cats]
     combos = list(zip(*cols)) if cols else []
-    uniq = cache if cache is not None else {}
+    uniq: dict = {}
     for combo in combos:
         if combo not in uniq:
             uniq[combo] = entity_model_id(config.config_id, dict(zip(cats, map(str, combo))))
@@ -71,7 +70,7 @@ def _add_model_id(batch: pa.Table, config: DetectorConfig,
 
 
 def detect(
-    events_ds,
+    events,
     config: DetectorConfig,
     ts_col: str = "ts",
     checkpoint_dir: str | None = None,
@@ -79,11 +78,13 @@ def detect(
     detailed: bool = False,
     cold_start_history: bool = True,
 ):
-    """events Dataset → anomaly results Dataset (one row per entity-window).
+    """events (a Dataset, or ``stages.exchange.ParquetFiles``) → anomaly
+    results Dataset (one row per entity-window): the Dataset of
+    :func:`detect_parts`' tables.
 
-    Not lazy: the call runs the map side and submits the scoring tasks,
-    which save each model's checkpoint (``checkpoint_dir``) before the
-    caller writes the results (ROADMAP item 1).
+    Not lazy: the call runs the split tasks and submits the scoring
+    tasks, which save each model's checkpoint (``checkpoint_dir``) before
+    the caller writes the results (ROADMAP item 1).
 
     ``detailed=True`` (implied by ``config.rules``) adds per-feature
     expected values, attribution and past values to each row.
@@ -96,32 +97,37 @@ def detect(
     ``SearchFeatureDao.java:1149-1169``). Training rows are processed but
     not emitted, so scores inside the range match a run that had seen the
     history live."""
-    if config.filter_query:
-        from ..functions.rowfilter import apply_filter_query
+    import ray.data as rd
 
-        events_ds = apply_filter_query(events_ds, config.filter_query)
+    return rd.from_arrow_refs(detect_parts(events, config, ts_col, checkpoint_dir, time_range_ms,
+                                           detailed, cold_start_history))
+
+
+def detect_parts(events, config: DetectorConfig, ts_col: str = "ts",
+                 checkpoint_dir: str | None = None, time_range_ms: tuple[int, int] | None = None,
+                 detailed: bool = False, cold_start_history: bool = True, then=None) -> list:
+    """:func:`detect`'s exchange: the reducers' refs, each part's result
+    table, or ``then(table)`` run on it inside the reducer (a tick's
+    result write, ``stages.sink.write_part``: its rows written)."""
     agg_range = time_range_ms
     if time_range_ms is not None and cold_start_history:
         n_hist = max(32, config.history_intervals) + config.shingle_size
         agg_range = (time_range_ms[0] - n_hist * config.interval_s * 1000, time_range_ms[1])
-    _mid_cache: dict = {}  # deserialized once per worker → amortizes there
+    windows, empty = entity_windows(events, config, ts_col, agg_range)
 
     def project(b: pa.Table) -> pa.Table:
-        return _add_model_id(b, config, _mid_cache)
+        return _add_model_id(windows(b), config)
 
-    agg, empty = entity_windows(events_ds, config, ts_col, agg_range)
-    agg = agg.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
     score = ScoreGroups(config, checkpoint_dir=checkpoint_dir, detailed=detailed)
-    if agg_range is not time_range_ms:
-        stage, lo = score, time_range_ms[0]
+    lo = time_range_ms[0] if agg_range is not time_range_ms else None
 
-        def score(group: pa.Table) -> pa.Table:  # cold-start training rows are scored, not emitted
-            out = stage(group)
-            return out.filter(pc.greater_equal(out["window_start_ms"], lo))
+    def stage(group: pa.Table):
+        out = score(group)
+        if lo is not None:  # cold-start training rows are scored, not emitted
+            out = out.filter(pc.greater_equal(out["window_start_ms"], lo))
+        return out if then is None else then(out)
 
-    import ray.data as rd
-
-    return rd.from_arrow_refs(exchange_by_key(agg, ["model_id"], score, lambda: project(empty())))
+    return exchange_by_key(events, project, ["model_id"], stage, empty)
 
 
 def top_anomaly_results(results_ds, config: DetectorConfig, k: int = 10, by: str = "anomaly_grade"):

@@ -207,7 +207,7 @@ def top_forecast_results(
 
 
 def forecast(
-    events_ds,
+    events,
     config: DetectorConfig,
     horizon: int = 24,
     period: int = 0,
@@ -216,9 +216,11 @@ def forecast(
     checkpoint_dir: str | None = None,
     backend: str = "holt_winters",
 ):
-    """events Dataset → forecast rows (one per entity × horizon step).
+    """events (a Dataset, or ``stages.exchange.ParquetFiles``) → forecast
+    rows (one per entity × horizon step): the Dataset of
+    :func:`forecast_parts`' tables.
 
-    Not lazy: the call runs the map side and submits the forecaster
+    Not lazy: the call runs the split tasks and submits the forecaster
     tasks (which save checkpoints); the Dataset reads their tables.
 
     With ``checkpoint_dir``, forecaster streams continue across runs
@@ -229,19 +231,25 @@ def forecast(
     (the reference's caster shape: forecasts are the forest's iterated
     conditional expectation; costs ``horizon`` tree walks per recorded
     forecast, throttled by the forecaster's record stride)."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(forecast_parts(events, config, horizon, period, ts_col, confidence,
+                                             checkpoint_dir, backend))
+
+
+def forecast_parts(events, config: DetectorConfig, horizon: int = 24, period: int = 0,
+                   ts_col: str = "ts", confidence: float = 0.9, checkpoint_dir: str | None = None,
+                   backend: str = "holt_winters", then=None) -> list:
+    """:func:`forecast`'s exchange: the reducers' refs, each part's
+    forecast rows, or ``then(rows)`` run on them inside the reducer (a
+    forecast tick's write, ``stages.sink.write_part``)."""
     feats = config.feature_names()
     if len(feats) != 1:
         raise ValueError("forecast() expects exactly one feature")
-    if config.filter_query:
-        from ..functions.rowfilter import apply_filter_query
-
-        events_ds = apply_filter_query(events_ds, config.filter_query)
     keys = list(config.category_fields)
     if not keys:
         raise ValueError("forecast() needs category fields (one model per entity)")
-    import ray.data as rd
-
-    agg, empty = entity_windows(events_ds, config, ts_col)
+    windows, empty = entity_windows(events, config, ts_col)
     stage = ForecastGroups(
         value_col=feats[0], interval_ms=config.interval_s * 1000,
         horizon=horizon, period=period, entity_cols=tuple(keys), config=config,
@@ -249,4 +257,10 @@ def forecast(
         confidence=confidence, checkpoint_dir=checkpoint_dir,
         config_id=config.config_id, backend=backend, seed=config.seed,
     )
-    return rd.from_arrow_refs(exchange_by_key(agg, keys, stage, empty))
+    if then is not None:
+        forecast_rows = stage
+
+        def stage(group: pa.Table):
+            return then(forecast_rows(group))
+
+    return exchange_by_key(events, windows, keys, stage, empty)

@@ -6,13 +6,18 @@ layers (dedup, corpus cleaning, ANN, corpus term counts) runs
 :func:`group_by_key` on its real key.
 Ray Data's ``groupby().map_groups`` sort shuffle cost ~0.57 of a ~2.4
 CPU-s detect tick on 1 vCPU; its ``repartition(keys=…)`` starts actors.
+A detector tick reads its files in :func:`exchange_by_key`'s own split
+tasks (:class:`ParquetFiles`), so it runs no Ray Data execution at all.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 # Layer B part count: the smallest multiple of the session's CPUs whose
 # parts hold ≤ PART_BYTES of map-side rows. Whole waves keep a tick
@@ -80,29 +85,101 @@ def split_by_keys(tbl: pa.Table, arg) -> list[pa.Table]:
     return split_by_key(tbl, part.astype(np.int64), n_parts)
 
 
-def _reduce_stage(p: int, stage, *pieces: pa.Table) -> pa.Table:
+def _reduce_stage(p: int, stage, *pieces: pa.Table):
     """One part's pieces as ONE Arrow table → ``stage``, which returns a
     typed Arrow table, zero rows included, so every part's block has one
-    schema."""
+    schema (or what a writing stage returns: its rows written)."""
     return stage(pa.concat_tables(pieces))
 
 
-def exchange_by_key(ds, keys, stage, empty) -> list:
-    """Layer B's per-entity exchange: ``ds``'s blocks (the map side, run
-    here) split by :func:`split_by_keys` into P parts (see
-    ``PART_BYTES``), one ``stage(group)`` reducer task per part. Without
-    rows it reduces ``empty()``, the typed zero-row map side. Returns the
-    reducers' Arrow table refs."""
+class ParquetFiles(NamedTuple):
+    """A file source of :func:`exchange_by_key`: Parquet ``paths``, each
+    read with pyarrow inside the split tasks, only ``columns`` (every
+    column when None)."""
+
+    paths: tuple[str, ...]
+    columns: tuple[str, ...] | None = None
+
+
+def row_group_bytes(paths) -> list[list[int]]:
+    """Each file's row-group sizes (uncompressed bytes) from its footer."""
+    out = []
+    for path in paths:
+        md = pq.read_metadata(path)
+        out.append([md.row_group(i).total_byte_size for i in range(md.num_row_groups)])
+    return out
+
+
+def _file_ranges(files: ParquetFiles) -> tuple[list[tuple], int]:
+    """``files`` → (ranges, bytes). A range is ``(path, row groups,
+    columns)``: consecutive whole row groups of one file, at most
+    Layer A's read-block bytes (``index.build._read_blocks``: 4 MiB, at
+    most 6 blocks per CPU, the total spread evenly). Without any row
+    group the first file gives one empty range, typed by its footer."""
+    from ..index.build import _read_blocks
+
+    if not files.paths:
+        raise FileNotFoundError("no Parquet files to read")
+    sizes = row_group_bytes(files.paths)
+    n_bytes = sum(map(sum, sizes))
+    cap = -(-n_bytes // _read_blocks(n_bytes))
+    ranges = []
+    for path, rg in zip(files.paths, sizes):
+        start, held = 0, 0
+        for i, b in enumerate(rg):
+            if i > start and held + b > cap:
+                ranges.append((path, tuple(range(start, i)), files.columns))
+                start, held = i, 0
+            held += b
+        if rg:
+            ranges.append((path, tuple(range(start, len(rg))), files.columns))
+    if not ranges:
+        ranges = [(files.paths[0], (), files.columns)]
+    return ranges, n_bytes
+
+
+def _map_split(x, arg) -> list[pa.Table]:
+    """One split task: ``x`` (a block, or a file range read here with
+    pyarrow) → ``fn(x)`` → :func:`split_by_keys`. ``arg`` is ``(fn,
+    keys, n_parts)``."""
+    fn, keys, n_parts = arg
+    if isinstance(x, tuple):
+        path, groups, columns = x
+        x = pq.ParquetFile(path).read_row_groups(
+            list(groups), columns=None if columns is None else list(columns), use_threads=False)
+    return split_by_keys(fn(x), (keys, n_parts))
+
+
+def exchange_by_key(source, fn, keys, stage, empty) -> list:
+    """Layer B's per-entity exchange on raw Ray tasks, with no Ray Data
+    execution for a file source. One split task per input piece maps it
+    (``fn``: table → table, the map side) and splits the result by
+    :func:`split_by_keys` into P parts (see ``PART_BYTES``); then one
+    ``stage(part)`` reducer task per part.
+
+    ``source`` is :class:`ParquetFiles` (a piece is a range of whole row
+    groups, :func:`_file_ranges`; the bytes sizing P come from the
+    footers) or a Dataset (a piece is each block with rows, as it is;
+    ``empty()``, its zero-row table, is the one piece when no block has
+    rows). Returns the reducers' result refs."""
     import ray
 
-    bundles = list(ds.iter_internal_ref_bundles())
-    # zero-row map outputs can be column-less blocks: never a piece
-    blocks = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0]
+    if isinstance(source, ParquetFiles):
+        inputs, n_bytes = _file_ranges(source)
+    else:
+        bundles = list(source.iter_internal_ref_bundles())
+        # zero-row blocks can be column-less: never a piece
+        inputs = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0]
+        n_bytes = sum(b.size_bytes() for b in bundles)
+        if not inputs:
+            inputs, n_bytes = [ray.put(empty())], 0
     cpus = max(1, int(ray.cluster_resources().get("CPU", 1)))
-    n_parts = cpus * max(1, -(-sum(b.size_bytes() for b in bundles) // (cpus * PART_BYTES)))
-    if not blocks:
-        blocks, n_parts = [ray.put(empty())], 1
-    return exchange(blocks, split_by_keys, (tuple(keys), n_parts), n_parts, _reduce_stage, stage)
+    n_parts = cpus * max(1, -(-n_bytes // (cpus * PART_BYTES))) if n_bytes else 1
+    return exchange(inputs, _map_split, (fn, tuple(keys), n_parts), n_parts, _reduce_stage, stage)
+
+
+def _same(t: pa.Table) -> pa.Table:
+    return t
 
 
 def top_k_by_key(ds, keys, finalize, order, k: int, empty) -> pa.Table:
@@ -117,8 +194,8 @@ def top_k_by_key(ds, keys, finalize, order, k: int, empty) -> pa.Table:
     def top(t: pa.Table) -> pa.Table:
         return t.take(pc.sort_indices(t, order)[:k])
 
-    return top(pa.concat_tables(ray.get(exchange_by_key(ds, keys, lambda part: top(finalize(part)),
-                                                        empty))))
+    return top(pa.concat_tables(ray.get(exchange_by_key(ds, _same, keys,
+                                                        lambda part: top(finalize(part)), empty))))
 
 
 def group_by_key(ds, keys, stage, schema: pa.Schema):
@@ -129,7 +206,7 @@ def group_by_key(ds, keys, stage, schema: pa.Schema):
     an input without rows."""
     import ray.data as rd
 
-    return rd.from_arrow_refs(exchange_by_key(ds, keys, stage, schema.empty_table))
+    return rd.from_arrow_refs(exchange_by_key(ds, _same, keys, stage, schema.empty_table))
 
 
 def sum_blocks(ds, f) -> int:

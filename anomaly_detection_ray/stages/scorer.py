@@ -11,7 +11,9 @@ ordering requirement; models are independent). The in-group loop is
 each model's windows arrive as an Arrow slice, and its result rows are
 the slice's kept rows with the result columns appended, the same code
 for a slice without rows (one typed zero-row table when a part holds
-no model).
+no model). In a job tick the same reducer task then writes its part's
+result rows (``stages.sink.write_part``), after every model of the part
+has been scored and its checkpoint saved (ROADMAP item 1).
 
 The stage keeps no state past one group: each model is restored from
 the ``checkpoint_dir`` (or cold-started), scored and saved before the

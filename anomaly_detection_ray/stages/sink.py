@@ -3,35 +3,141 @@
 The reference bulk-writes results to a (rollover-managed) index with
 pressure-based shedding (``ADResultBulkTransportAction.java:106-140``:
 under soft pressure, grade-0 results are randomly dropped; under hard
-pressure only anomalies are kept). Ray's streaming executor provides
-backpressure natively, so the load-shedding knob survives as an explicit
+pressure only anomalies are kept). Here each exchange reducer writes
+its own part's rows (:func:`write_part`, one pyarrow writer: no Ray
+Data execution, no driver-side collection), so there is no queue to
+apply backpressure to; the load-shedding knob survives as an explicit
 ``keep`` policy, and the rollover/partitioning concern becomes a
 date-partitioned Parquet layout (one directory per day → reruns can
 replace a day atomically; never one giant file)."""
 
 from __future__ import annotations
 
-import glob as _glob
+import contextlib
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
-def _count_parquet_rows(files) -> int:
-    """Row count from parquet FOOTERS only (no data read)."""
+def result_day(t: pa.Table) -> np.ndarray:
+    """A detector result row's day: its window end, in epoch days."""
+    return t["window_end_ms"].to_numpy() // 86_400_000
+
+
+def forecast_day(t: pa.Table) -> np.ndarray:
+    """A forecast row's day: its forecast's ORIGIN (the last observed
+    window), in epoch days."""
+    start, end = t["forecast_window_start_ms"].to_numpy(), t["forecast_window_end_ms"].to_numpy()
+    return (start - (t["horizon_index"].to_numpy() - 1) * (end - start)) // 86_400_000
+
+
+def _shed(t: pa.Table, keep: str, soft_keep_fraction: float) -> pa.Table:
+    if keep == "anomalies":
+        return t.filter(pc.greater(t["anomaly_grade"], 0.0))
+    if keep == "soft":
+        from ..functions.hashing import hash_strings
+
+        key = [f"{m}|{w}" for m, w in zip(t["model_id"].to_pylist(), t["window_end_ms"].to_pylist())]
+        u = hash_strings(key).astype(np.float64) / float(2**64)
+        return t.filter(pa.array((t["anomaly_grade"].to_numpy() > 0.0) | (u < soft_keep_fraction)))
+    return t
+
+
+def _write_partitioned(t: pa.Table, out_dir: str, partition_col: str) -> int:
+    """``t``'s rows as one file per value of ``partition_col``, in
+    ``out_dir/<partition_col>=<value>/`` without that column (the hive
+    layout readers expect). Each file is written under a hidden tmp name
+    in ``out_dir`` (readers skip it) and renamed into place; the name is
+    unique to this call, so a retried task adds its own file and never
+    overwrites a finished one. Returns the rows written."""
+    import uuid
+
     import pyarrow.parquet as pq
 
-    return sum(pq.read_metadata(f).num_rows for f in files)
+    name = f"part-{uuid.uuid4().hex}.parquet"
+    data = t.drop_columns([partition_col])
+    for value in pc.unique(t[partition_col]).to_pylist():
+        part = f"{partition_col}={value}"
+        os.makedirs(os.path.join(out_dir, part), exist_ok=True)
+        tmp = os.path.join(out_dir, f".{part}.{name}.tmp")
+        pq.write_table(data.filter(pc.equal(t[partition_col], value)), tmp)
+        os.replace(tmp, os.path.join(out_dir, part, name))
+    return t.num_rows
 
 
-def _parquet_files(out_dir: str) -> set[str]:
-    return set(_glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True))
+def write_part(t: pa.Table, out_dir: str, day=result_day, keep: str = "all",
+               soft_keep_fraction: float = 0.5) -> int:
+    """The one result writer: one exchange part's (or one block's) rows,
+    shed by ``keep`` (see :func:`write_results`), partitioned by
+    ``result_date`` = ``day(t)``. Runs inside the task that holds the
+    rows. Returns the rows written."""
+    t = _shed(t, keep, soft_keep_fraction)
+    if not t.num_rows:
+        return 0
+    return _write_partitioned(t.append_column("result_date", pa.array(day(t), pa.int64())),
+                              out_dir, "result_date")
+
+
+@contextlib.contextmanager
+def write_dir(out_dir: str, mode: str, partition_col: str = "result_date"):
+    """The directory one run's writers write into, by ``mode``:
+    ``append`` → ``out_dir`` itself; ``replace`` → a staging directory
+    whose ``<partition_col>=`` dirs, once the run's writers all
+    returned, each swap atomically into place (old partition removed
+    first), so rerunning a partition replaces it instead of appending
+    duplicate files (the rollover/replace semantics the reference gets
+    from index management)."""
+    if mode not in ("replace", "append"):
+        raise ValueError(f"unknown write mode {mode!r}")
+    if mode == "append":
+        yield out_dir
+        return
+    os.makedirs(out_dir, exist_ok=True)
+    staging = os.path.join(out_dir, f".staging-{os.getpid()}")
+    shutil.rmtree(staging, ignore_errors=True)
+    os.makedirs(staging)
+    try:
+        yield staging
+        for name in sorted(os.listdir(staging)):
+            if name.startswith(f"{partition_col}="):
+                dst = os.path.join(out_dir, name)
+                shutil.rmtree(dst, ignore_errors=True)
+                os.replace(os.path.join(staging, name), dst)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def rows_written(refs) -> int:
+    """Σ of the writer tasks' returns (``refs``), once every one of them
+    has ended: a failed write raises only after the others stopped, so a
+    retried run never writes or saves checkpoints beside them."""
+    import ray
+
+    if refs:
+        ray.wait(refs, num_returns=len(refs))
+    return sum(ray.get(refs))
+
+
+def _write_blocks(ds, out_dir: str, mode: str, write, partition_col: str = "result_date") -> int:
+    """``write(block, dir)`` as one raw Ray task per block of ``ds`` with
+    rows, into ``out_dir`` by ``mode``. Returns the rows written (the
+    writers' own counts: a retried task's rows count once, in the
+    attempt that returned)."""
+    import ray
+
+    task = ray.remote(write)
+    with write_dir(out_dir, mode, partition_col) as d:
+        return rows_written([task.remote(ref, d) for b in ds.iter_internal_ref_bundles()
+                             for ref, meta in b.blocks if meta.num_rows])
 
 
 def write_results(results_ds, out_dir: str, keep: str = "all", soft_keep_fraction: float = 0.5,
-                  mode: str = "replace"):
-    """Write detector results partitioned by date.
+                  mode: str = "replace") -> int:
+    """Write a detector results Dataset partitioned by date:
+    :func:`write_part` over each block, as raw Ray tasks.
 
     ``keep`` mirrors ``ADResultBulkTransportAction.java:106-140``'s
     pressure ladder, made explicit and deterministic:
@@ -49,105 +155,27 @@ def write_results(results_ds, out_dir: str, keep: str = "all", soft_keep_fractio
     only its new windows, so earlier same-day rows must survive).
 
     Returns the number of rows THIS run wrote (post-shedding)."""
-    import pyarrow.compute as pc
-
     if keep not in ("all", "soft", "anomalies"):
         raise ValueError(f"unknown keep policy {keep!r}")
-    if mode not in ("replace", "append"):
-        raise ValueError(f"unknown write mode {mode!r}")
-    ds = results_ds
-    if keep == "anomalies":
-        ds = ds.map_batches(
-            lambda b: b.filter(pc.greater(b["anomaly_grade"], 0.0)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    elif keep == "soft":
-        from ..functions.hashing import hash_strings
-
-        def shed(b: pa.Table) -> pa.Table:
-            grade = b["anomaly_grade"].to_numpy()
-            key = [
-                f"{m}|{w}"
-                for m, w in zip(b["model_id"].to_pylist(), b["window_end_ms"].to_pylist())
-            ]
-            u = hash_strings(key).astype(np.float64) / float(2**64)
-            keep_mask = (grade > 0.0) | (u < soft_keep_fraction)
-            return b.filter(pa.array(keep_mask))
-
-        ds = ds.map_batches(shed, batch_format="pyarrow", zero_copy_batch=True)
-
-    def add_date(b: pa.Table) -> pa.Table:
-        day = (b["window_end_ms"].to_numpy() // 86_400_000).astype(np.int64)
-        return b.append_column("result_date", pa.array(day))
-
-    ds = ds.map_batches(add_date, batch_format="pyarrow", zero_copy_batch=True)
-    # the row count comes from the WRITE itself (parquet footers of
-    # exactly the files this run produced) — a side-effect counter inside
-    # a retryable map task double-counts replayed batches, and charged an
-    # actor round-trip per batch on the write path. Append mode counts by
-    # before/after file-set diff, which assumes ONE writer per out_dir at
-    # a time — the same assumption 'replace' already makes (a concurrent
-    # replace of the same partition would clobber files), and how the
-    # job-tick runner uses it (one tick per results dir).
-    if mode == "append":
-        before = _parquet_files(out_dir)
-        ds.write_parquet(out_dir, partition_cols=["result_date"])
-        return _count_parquet_rows(_parquet_files(out_dir) - before)
-    return _write_replacing_partitions(ds, out_dir)
+    return _write_blocks(results_ds, out_dir, mode, lambda b, d: write_part(
+        b, d, keep=keep, soft_keep_fraction=soft_keep_fraction))
 
 
-def _write_replacing_partitions(ds, out_dir: str, partition_col: str = "result_date") -> int:
-    """Partitioned write with PARTITION REPLACEMENT: the run streams
-    ONCE into a staging directory, then each staged ``<partition_col>=``
-    dir atomically swaps into place (old partition removed first) —
-    rerunning a partition replaces it instead of appending duplicate
-    files, with no materialization and no double execution of the
-    pipeline (the rollover/replace semantics the reference gets from
-    index management). Returns the number of rows staged (parquet
-    footers of exactly this run's files)."""
-    import shutil
-
-    os.makedirs(out_dir, exist_ok=True)
-    staging = os.path.join(out_dir, f".staging-{os.getpid()}")
-    shutil.rmtree(staging, ignore_errors=True)
-    try:
-        ds.write_parquet(staging, partition_cols=[partition_col])
-        if not os.path.isdir(staging):
-            return 0  # zero-row dataset: Ray never created the staging dir
-        n_rows = _count_parquet_rows(_parquet_files(staging))
-        for name in sorted(os.listdir(staging)):
-            if not name.startswith(f"{partition_col}="):
-                continue
-            dst = os.path.join(out_dir, name)
-            shutil.rmtree(dst, ignore_errors=True)
-            os.replace(os.path.join(staging, name), dst)
-        return n_rows
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+def _write_replacing_partitions(ds, out_dir: str, partition_col: str) -> int:
+    """``ds``'s rows (which carry ``partition_col``) replacing those
+    partitions of ``out_dir`` (see :func:`write_dir`).
+    Returns the rows written."""
+    return _write_blocks(ds, out_dir, "replace",
+                         lambda b, d: _write_partitioned(b, d, partition_col), partition_col)
 
 
 def write_forecast_results(forecast_ds, out_dir: str, mode: str = "append"):
     """Forecast-result sink (``forecast/model/ForecastResult.java``
     persisted per-horizon rows): date-partitioned Parquet keyed on the
-    forecast's ORIGIN day (the last observed window). Default ``append``
+    forecast's ORIGIN day (:func:`forecast_day`). Default ``append``
     — successive job ticks within one day each add their own forecast
     rows; ``replace`` for reprocessing a day from scratch."""
-    if mode not in ("replace", "append"):
-        raise ValueError(f"unknown write mode {mode!r}")
-
-    def add_date(b: pa.Table) -> pa.Table:
-        origin = b["forecast_window_start_ms"].to_numpy() - (
-            b["horizon_index"].to_numpy() - 1
-        ) * (b["forecast_window_end_ms"].to_numpy() - b["forecast_window_start_ms"].to_numpy())
-        day = (origin // 86_400_000).astype(np.int64)
-        return b.append_column("result_date", pa.array(day))
-
-    ds = forecast_ds.map_batches(add_date, batch_format="pyarrow", zero_copy_batch=True)
-    if mode == "append":
-        ds.write_parquet(out_dir, partition_cols=["result_date"])
-    else:
-        _write_replacing_partitions(ds, out_dir)
+    _write_blocks(forecast_ds, out_dir, mode, lambda b, d: write_part(b, d, day=forecast_day))
     return out_dir
 
 

@@ -5,8 +5,9 @@ reference pushes down to OpenSearch (``ParseUtils.java:338-395,767-824``,
 ``CompositeRetriever.java:154-183``) with one plan for every windowed
 aggregation:
 
-    events → map_batches(window assignment + mergeable partials per batch)
-           → exchange_by_key(entity): partials merged per part
+    events → split tasks: window assignment + mergeable partials per
+             read range or block, split by entity
+           → exchange_by_key reducers: partials merged per part
 
 Windows are assigned one of three ways in front of the same partials:
 fixed tumbling ``interval``, UTC calendar buckets (``calendar_interval``)
@@ -20,8 +21,8 @@ Window identity matches the reference exactly: fixed tumbling windows of
 ``interval``, ``[window_start, window_end)`` with the end exclusive
 (``ParseUtils.java:314-319``), ``window_delay`` shifting the queried
 range, NOT the bucketing (``ResultProcessor.java:424-435``). The
-afterKey/page-size pagination protocol disappears — Ray's streaming
-executor is the pagination.
+afterKey/page-size pagination protocol disappears — the exchange's
+byte-sized read ranges are the pagination.
 
 Feature value semantics follow ``AbstractRetriever.java:140-158``:
 missing aggregate → NaN, ±Inf → NaN.
@@ -182,10 +183,10 @@ def window_aggregate(
         add_calendar_window_columns, ts_col=ts_col, calendar_interval=calendar_interval)
     cats = list(config.category_fields)
     cols = [*cats, "window_start_ms", "window_end_ms", *config.feature_names()]
-    part, empty = entity_windows(ds, config, ts_col, time_range_ms, windows)
+    fn, empty = entity_windows(ds, config, ts_col, time_range_ms, windows)
     return rd.from_arrow_refs(exchange_by_key(
-        part, cats or ["window_start_ms"], lambda t: finalize_partials_multi(t, config, cats).select(cols),
-        empty))
+        ds, fn, cats or ["window_start_ms"],
+        lambda t: finalize_partials_multi(t, config, cats).select(cols), empty))
 
 
 def _group_codes(b: pa.Table, keys: list[str]) -> tuple[np.ndarray, int]:
@@ -274,8 +275,10 @@ def partial_window_aggregate(
     time_range_ms: tuple[int, int] | None = None,
     windows=None,
 ):
-    """Map-side partial aggregation: one row per (entities…, window) PER
-    BATCH with mergeable partial columns (``{name}__sum/__cnt/__min/…``).
+    """:func:`window_partials` as a Ray Data map over ``ds``'s blocks:
+    one row per (entities…, window) PER BLOCK with mergeable partial
+    columns (``{name}__sum/__cnt/__min/…``). The exchange's own map side
+    (:func:`entity_windows`) runs the same function in its split tasks.
 
     Ray's ``groupby().aggregate`` is a sort shuffle of the RAW event rows
     (every event moves), while this reduces each block to its distinct
@@ -351,25 +354,35 @@ def window_partials(batch: pa.Table, config: DetectorConfig, ts_col: str = "ts",
     return pa.table(cols)
 
 
-def entity_windows(ds, config: DetectorConfig, ts_col: str = "ts",
+def entity_windows(source, config: DetectorConfig, ts_col: str = "ts",
                    time_range_ms: tuple[int, int] | None = None, windows=None):
-    """The map side every windowed aggregation hands its exchange: the
-    window partials of :func:`partial_window_aggregate`. Returns
-    ``(Dataset, empty)``: ``empty()`` is the map side's zero-row table,
-    typed from ``ds.schema()`` because Ray Data turns a row-less input
-    into column-less blocks."""
-    agg = partial_window_aggregate(ds, config, ts_col, time_range_ms, windows)
+    """The map side every windowed aggregation hands its exchange, run
+    inside each split task of ``stages.exchange.exchange_by_key``: a
+    function table → window partials that applies ``config``'s filter
+    query, then :func:`window_partials` (``windows``, ``time_range_ms``).
+    Returns ``(fn, empty)``: ``empty()`` is the zero-row input of a
+    Dataset ``source`` without rows, typed from its schema (a file
+    source's zero-row file is typed already)."""
+    from ..functions.rowfilter import compile_row_predicate
+
+    _partial_aggs(config)  # an unknown agg raises here, in the driver
+    keep = compile_row_predicate(config.filter_query)
+
+    def fn(t: pa.Table) -> pa.Table:
+        if keep is not None and t.num_rows:  # empty() may lack the predicate's columns
+            t = t.filter(keep)
+        return window_partials(t, config, ts_col, time_range_ms, windows)
 
     def empty() -> pa.Table:
-        in_schema = ds.schema()
+        in_schema = source.schema()
         # an input whose own map or filter stages saw no rows has no schema
         # either: type its columns by their role (callers read the names)
         in_schema = in_schema.base_schema if in_schema is not None else pa.schema(list({
             ts_col: pa.int64(), **{c: pa.string() for c in config.category_fields},
             **{f.column: pa.float64() for f in config.features}}.items()))
-        return window_partials(in_schema.empty_table(), config, ts_col, windows=windows)
+        return in_schema.empty_table()
 
-    return agg, empty
+    return fn, empty
 
 
 def _hll_count(series) -> float:
@@ -508,5 +521,5 @@ def date_range_aggregate(ds, config: DetectorConfig, ranges_ms: list[tuple[int, 
         return out.select([*cats, "range_idx", *config.feature_names()])
 
     windows = functools.partial(add_range_window_columns, ts_col=ts_col, ranges_ms=ranges_ms)
-    part, empty = entity_windows(ds, config, ts_col, windows=windows)
-    return rd.from_arrow_refs(exchange_by_key(part, cats or ["window_start_ms"], finalize, empty))
+    fn, empty = entity_windows(ds, config, ts_col, windows=windows)
+    return rd.from_arrow_refs(exchange_by_key(ds, fn, cats or ["window_start_ms"], finalize, empty))

@@ -66,12 +66,16 @@ def run_ticks(
     each tick reads ONLY the files that appeared/changed since the last
     committed tick — the checkpointed model streams make that correct
     (already-seen windows would drop as out-of-order anyway) — and a
-    tick with no new files skips the pipeline entirely. The manifest is
-    committed only after the tick's results are written, so a crash
-    between the two reprocesses the same files. Model checkpoints,
-    however, are saved BEFORE the results are written: a tick whose
-    sink fails after scoring loses its new windows on the retry (they
-    drop as out-of-order; see ``sources/tailing.py``). Caveat
+    tick with no new files skips the pipeline entirely. A tick is one
+    raw-Ray task graph: split tasks read the tick's files, and each
+    scoring reducer writes its own part's rows; the tick returns once
+    every reducer has ended. The manifest is committed only after the
+    tick's results are written, so a crash between the two reprocesses
+    the same files. Model checkpoints, however, are saved BEFORE the
+    results are written (each reducer saves a model's checkpoint as it
+    scores it, then writes its part): a tick whose write fails after
+    scoring loses its new windows on the retry (they drop as
+    out-of-order; see ``sources/tailing.py``). Caveat
     (matches the reference's realtime behavior, which also queries only
     the current window): an entity first appearing mid-stream cold-starts
     from the files of ITS tick, not the full history.

@@ -441,11 +441,65 @@ def test_exchange_parts_fill_whole_cpu_waves(ray_session, monkeypatch):
 
     monkeypatch.setattr(exchange, "exchange", spy)
     monkeypatch.setattr(exchange, "PART_BYTES", -(-nbytes // (cpus + 1)))
-    parts = ray.get(exchange.exchange_by_key(ds, ["k"], lambda df: df, lambda: tbl.slice(0, 0)))
+    parts = ray.get(exchange.exchange_by_key(ds, lambda t: t, ["k"], lambda df: df,
+                                               lambda: tbl.slice(0, 0)))
     assert used == [2 * cpus]
     keys = [set(p["k"].to_pylist()) for p in parts]
     assert sum(map(len, keys)) == len(set().union(*keys)) == 300
     assert sorted(pa.concat_tables(parts)["v"].to_pylist()) == tbl["v"].to_pylist()
+
+
+def test_file_ranges_equal_dataset_path(ray_session, tmp_path, monkeypatch):
+    """A file source is read in ranges of whole row groups inside the
+    split tasks: with the read-block bytes forced small, each of two
+    files splits into ≥ 2 ranges and the exchange into ≥ 2 parts, and
+    ``detect`` and ``forecast`` over the files equal the same stages
+    over ``read_parquet`` of them, exactly. Row groups hold whole
+    windows, so every (entity, window) partial sums the same rows in
+    both."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from anomaly_detection_ray.index import build
+    from anomaly_detection_ray.pipelines.detector import detect, needed_columns
+    from anomaly_detection_ray.pipelines.forecast import forecast
+    from anomaly_detection_ray.stages import exchange
+
+    n_ent, n_win, per = 6, 60, 2  # entities, windows, events per (entity, window)
+    w = np.repeat(np.arange(n_win), n_ent * per)
+    e = np.tile(np.repeat(np.arange(n_ent), per), n_win)
+    j = np.tile(np.arange(per), n_win * n_ent)
+    tbl = pa.table({"ts": pa.array(1_700_000_400_000 + w * 600_000 + j * 60_000, pa.int64()),
+                    "entity": pa.array([f"e{i}" for i in e]),
+                    "value": np.sin(w / 5.0 + e) + 0.01 * j + e})
+    paths = []
+    for k, (lo, hi) in enumerate([(0, 30), (30, n_win)]):
+        paths.append(str(tmp_path / f"part{k}.parquet"))
+        rows = np.flatnonzero((w >= lo) & (w < hi))
+        pq.write_table(tbl.take(rows), paths[-1], row_group_size=5 * n_ent * per)
+    file_bytes = sum(map(sum, exchange.row_group_bytes(paths)))
+    monkeypatch.setattr(build, "READ_BLOCK_BYTES", -(-file_bytes // 5))
+    used, real = [], exchange.exchange
+
+    def spy(inputs, split, split_arg, n_parts, *rest):
+        used.append((list(inputs), n_parts))
+        return real(inputs, split, split_arg, n_parts, *rest)
+
+    monkeypatch.setattr(exchange, "exchange", spy)
+    cfg = _detector_cfg()
+    files = exchange.ParquetFiles(tuple(paths), tuple(needed_columns(cfg)))
+
+    def frame(ds, keys):
+        return ds.to_pandas().sort_values(keys, kind="stable").reset_index(drop=True)
+
+    for run, keys in ((lambda src: detect(src, cfg), ["model_id", "window_end_ms"]),
+                      (lambda src: forecast(src, cfg, horizon=4), ["entity", "horizon_index"])):
+        got = frame(run(files), keys)
+        ranges, n_parts = used[-1]
+        assert all(sum(r[0] == p for r in ranges) >= 2 for p in paths) and n_parts >= 2
+        want = frame(run(rd.read_parquet(paths)), keys)
+        assert len(got) > 0
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
 def _part_tables(ds) -> list[pa.Table]:
@@ -704,11 +758,12 @@ def _plan_ops(ds):
 def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, monkeypatch):
     """The scoring and forecasting stages keep no state past one call,
     so they run as plain tasks in the session's warm workers: no map
-    operator of a detect or forecast plan — the map side handed to the
+    operator of a detect or forecast plan — the source handed to the
     per-entity exchange, nor the returned result — starts an actor pool
     (a fresh process per run). No plan runs a sort shuffle: no ``Sort``
     or ``MapGroups`` operator is left in them, exact percentile included;
-    every map side computes window partials."""
+    every map side (the function the exchange's split tasks run)
+    computes window partials."""
     import ray.data as rd
     from ray.data import ActorPoolStrategy
     from ray.data._internal.logical.operators.map_operator import AbstractMap
@@ -719,9 +774,9 @@ def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, mo
     map_sides = []
 
     def spy(real):
-        def exchange_by_key(ds, *args):
-            map_sides.append(ds)
-            return real(ds, *args)
+        def exchange_by_key(ds, fn, *args):
+            map_sides.append((ds, fn))
+            return real(ds, fn, *args)
         return exchange_by_key
 
     for mod in (detector, forecast_mod):
@@ -739,8 +794,8 @@ def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, mo
         forecast_mod.forecast(rd.from_arrow(stream_table), cfg, horizon=6),
     ]
     assert len(map_sides) == len(plans)
-    for result, map_side in zip(plans, map_sides):
-        for ds in (map_side, result):
+    for result, (source, map_side) in zip(plans, map_sides):
+        for ds in (source, result):
             ops = _plan_ops(ds)
             pools = [op.name for op in ops
                      if isinstance(op, AbstractMap) and isinstance(op._compute, ActorPoolStrategy)]
@@ -748,7 +803,7 @@ def test_no_actor_pool_in_detect_or_forecast_plans(ray_session, stream_table, mo
             shuffles = [op.name for op in ops
                         if type(op).__name__ == "Sort" or "MapGroups" in op.name]
             assert shuffles == [], shuffles
-        assert any("partial" in op.name for op in _plan_ops(map_side))
+        assert any(c.endswith(("__sum", "__list")) for c in map_side(stream_table).column_names)
 
 
 def _ranked(frame: pd.DataFrame, value: str, keys: list[str], k: int,

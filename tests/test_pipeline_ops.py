@@ -1366,7 +1366,7 @@ def test_grouping_stages_need_no_ray_data_groupby(ray_session, monkeypatch, tmp_
 
         def spy(inputs, split, split_arg, n_parts, *rest):
             if parts:
-                n_parts, split_arg = parts, (split_arg[0], parts)
+                n_parts, split_arg = parts, (*split_arg[:-1], parts)  # the part count is last
             used.append(n_parts)
             return real(inputs, split, split_arg, n_parts, *rest)
 

@@ -317,15 +317,15 @@ def test_run_ticks_incremental(ray_session, tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason="checkpoints are saved before results are written")
-def test_sink_failure_retry_emits_every_window(ray_session, tmp_path, monkeypatch):
+def test_sink_failure_retry_emits_every_window(ray_session, tmp_path):
     """A tick whose result write fails after scoring can be retried, and
     the retry emits every new window. Today the scorer saves each model's
     checkpoint before the sink writes its rows, so the retry drops the
     windows as out-of-order and writes nothing."""
     import glob
+    import os
 
     import pyarrow.parquet as pq
-    import ray.data as rd
 
     from anomaly_detection_ray.pipelines.api import DetectorAPI
     from anomaly_detection_ray.sources.streams import generate_interval_stream
@@ -357,19 +357,107 @@ def test_sink_failure_retry_emits_every_window(ray_session, tmp_path, monkeypatc
     hist_end = results()["window_end_ms"].max()
     pq.write_table(t.filter(ts_ms == last), str(evdir / "tick.parquet"))
 
-    def failing_write(self, *args, **kwargs):
-        self.materialize()  # scoring (and its checkpoint saves) runs
-        raise RuntimeError("sink unavailable")
-
-    with monkeypatch.context() as m:
-        m.setattr(rd.Dataset, "write_parquet", failing_write)
-        with pytest.raises(RuntimeError, match="sink unavailable"):
-            tick()
+    # the reducers write their own rows after scoring (and the checkpoint
+    # saves): a regular file where the tick's day directory goes makes
+    # every write fail inside the workers; the history's rows of that day
+    # are held aside meanwhile
+    day_dir = os.path.join(res_dir, f"result_date={(last // 600_000 + 1) * 600_000 // 86_400_000}")
+    held = os.path.join(res_dir, ".held")
+    os.replace(day_dir, held)
+    with open(day_dir, "w") as f:
+        f.write("sink unavailable")
+    with pytest.raises(OSError):
+        tick()
+    os.remove(day_dir)
+    os.replace(held, day_dir)
     tick()  # the retry
 
     got = results()
     assert not got.duplicated(["model_id", "window_end_ms"]).any()
     assert (got["window_end_ms"] > hist_end).sum() == n_entities
+
+
+def test_ticks_run_without_ray_data(ray_session, tmp_path, monkeypatch):
+    """A job tick is one raw-Ray task graph: with Ray Data's read, block
+    iteration, write and ``from_arrow_refs`` patched to raise, a history
+    tick and two one-window ticks run through ``run_ticks`` from a
+    ``TailingSource``, detecting and forecasting. The detector's
+    results directory equals one ``detect()`` over a Dataset of all the
+    files (a checkpointed split equals a single run); each forecast
+    tick's rows equal the same ticks run through the Dataset path."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from anomaly_detection_ray.pipelines.api import DetectorAPI
+    from anomaly_detection_ray.pipelines.detector import detect
+    from anomaly_detection_ray.pipelines.forecast import forecast
+    from anomaly_detection_ray.sources.streams import generate_interval_stream
+    from anomaly_detection_ray.sources.tailing import TailingSource
+    from anomaly_detection_ray.tick import run_ticks
+
+    n_hist = 40
+    t = generate_interval_stream(n_entities=6, n_windows=n_hist + 2, interval_s=600, seed=11)
+    ts_ms = t.to_pandas()["ts"].astype("datetime64[ms]").astype("int64").to_numpy()
+    win = ts_ms // 600_000 - ts_ms.min() // 600_000  # the detector's window index
+    parts = [t.filter(win < n_hist), t.filter(win == n_hist), t.filter(win == n_hist + 1)]
+    cfg = _cfg()
+
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("a tick ran Ray Data")
+
+    def ticks(kind: str) -> tuple[list[str], list[pd.DataFrame]]:
+        """The three ticks' input files and each tick's written rows."""
+        d = tmp_path / kind
+        evdir = d / "events"
+        evdir.mkdir(parents=True)
+        paths = [str(evdir / f"{i}.parquet") for i in range(3)]
+        res_dir = str(d / "res")
+        rows, seen = [], set()
+
+        def land(i):
+            if i < len(paths):
+                pq.write_table(parts[i], paths[i])
+
+        def on_tick(i):
+            files = set(glob.glob(res_dir + "/**/*.parquet", recursive=True))
+            new = sorted(files - seen)
+            rows.append(pq.read_table(new).drop_columns(["result_date"]).to_pandas()
+                        if new else None)
+            seen.update(files)
+            land(i)
+
+        land(0)
+        with monkeypatch.context() as m:
+            m.setattr(rd, "read_parquet", no_ray_data)
+            m.setattr(rd, "from_arrow_refs", no_ray_data)
+            m.setattr(rd.Dataset, "iter_internal_ref_bundles", no_ray_data)
+            m.setattr(rd.Dataset, "write_parquet", no_ray_data)
+            n = run_ticks(DetectorAPI(cfg, str(evdir)), res_dir, str(d / "ck"), n_ticks=3,
+                          interval_s=0, sleep=lambda s: None, on_tick=on_tick,
+                          tail_source=TailingSource(str(evdir), str(d / "seen.json")),
+                          forecast=kind == "forecast", horizon=4)
+        assert n == 3 and all(r is not None and len(r) for r in rows)
+        return paths, rows
+
+    def exact(got: pd.DataFrame, want: pd.DataFrame, keys: list[str]) -> None:
+        def order(f):
+            return f.sort_values(keys, kind="stable").reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(order(got[list(want.columns)]), order(want), check_exact=True)
+
+    paths, rows = ticks("detect")
+    exact(pd.concat(rows), detect(rd.read_parquet(paths), cfg).to_pandas(),
+          ["model_id", "window_end_ms"])
+
+    paths, rows = ticks("forecast")
+    ck = str(tmp_path / "forecast_dataset_ck")
+    for path, got in zip(paths, rows):
+        exact(got, forecast(rd.read_parquet(path), cfg, horizon=4, checkpoint_dir=ck).to_pandas(),
+              ["entity", "horizon_index"])
+    assert os.listdir(ck)
 
 
 def test_tailing_source_poll_commit(tmp_path):

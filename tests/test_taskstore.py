@@ -226,11 +226,9 @@ def test_failed_piecewise_task_restarts_clean(ray_session, tmp_path, monkeypatch
     results = str(tmp_path / "results")
     rng = (base, base + n * 60_000)
 
-    real_write = api_mod.write_results if hasattr(api_mod, "write_results") else None
-    from anomaly_detection_ray.stages import sink as sink_mod
-
+    # each piece is one scoring run whose reducers write its results
     calls = {"n": 0}
-    orig = sink_mod.write_results
+    orig = api_mod.DetectorAPI._detect_into
 
     def flaky(*a, **kw):
         calls["n"] += 1
@@ -238,7 +236,7 @@ def test_failed_piecewise_task_restarts_clean(ray_session, tmp_path, monkeypatch
             raise RuntimeError("injected piece-2 crash")
         return orig(*a, **kw)
 
-    monkeypatch.setattr(sink_mod, "write_results", flaky)
+    monkeypatch.setattr(api_mod.DetectorAPI, "_detect_into", flaky)
     with pytest.raises(RuntimeError, match="injected"):
         api.run_once(results_dir=results, task_store=store,
                      time_range_ms=rng, piece_intervals=60)
@@ -251,7 +249,7 @@ def test_failed_piecewise_task_restarts_clean(ray_session, tmp_path, monkeypatch
     # restart: reset to CREATED, rerun FROM SCRATCH (task-private
     # checkpoints + this range's day partitions wiped — the reference
     # restarts non-finished historical tasks rather than resuming)
-    monkeypatch.setattr(sink_mod, "write_results", orig)
+    monkeypatch.setattr(api_mod.DetectorAPI, "_detect_into", orig)
     api.run_once(results_dir=results, task_store=store,
                  time_range_ms=rng, piece_intervals=60)
     doc = store.get(tid)
